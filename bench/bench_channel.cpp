@@ -51,6 +51,7 @@
 #include "runtime/topology.hpp"
 #include "scop/builder.hpp"
 #include "sim/simulator.hpp"
+#include "support/str.hpp"
 #include "tasking/channel_backend.hpp"
 #include "tasking/executor.hpp"
 #include "tasking/replay_executor.hpp"
@@ -213,7 +214,7 @@ scop::Scop middleHeavyChain(pb::Value n) {
     arrays.push_back(b.array(name, {n + 1, n + 1}));
   }
   for (std::size_t k = 0; k < 4; ++k) {
-    auto S = b.statement("S" + std::to_string(k), 2);
+    auto S = b.statement(indexedName("S", k), 2);
     S.bound(0, 0, n).bound(1, 0, n);
     S.write(arrays[k], {S.dim(0), S.dim(1)});
     S.read(arrays[k], {S.dim(0) + 1, S.dim(1) + 1});

@@ -48,6 +48,7 @@
 #include "kernels/suite.hpp"
 #include "scop/builder.hpp"
 #include "support/stopwatch.hpp"
+#include "support/str.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/trace.hpp"
 
@@ -72,9 +73,9 @@ scop::Scop syntheticScop(std::size_t stmts, pb::Value extent) {
   arrays.reserve(stmts);
   for (std::size_t k = 0; k < stmts; ++k)
     arrays.push_back(
-        b.array("A" + std::to_string(k), {2 * extent + 2, 2 * extent + 2}));
+        b.array(indexedName("A", k), {2 * extent + 2, 2 * extent + 2}));
   for (std::size_t k = 0; k < stmts; ++k) {
-    auto S = b.statement("S" + std::to_string(k), 2);
+    auto S = b.statement(indexedName("S", k), 2);
     S.bound(0, 0, extent).bound(1, 0, extent);
     S.write(arrays[k], {S.dim(0), S.dim(1)});
     S.read(arrays[k], {S.dim(0) + 1, S.dim(1) + 1}); // serial nest

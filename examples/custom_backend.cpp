@@ -9,6 +9,7 @@
 
 #include "codegen/task_program.hpp"
 #include "scop/builder.hpp"
+#include "support/str.hpp"
 #include "tasking/executor.hpp"
 #include "tasking/tasking.hpp"
 
@@ -69,9 +70,9 @@ scop::Scop buildChain() {
   scop::ScopBuilder b("chain3");
   std::vector<std::size_t> arrays;
   for (int k = 0; k < 3; ++k)
-    arrays.push_back(b.array("A" + std::to_string(k), {n + 1, n + 1}));
+    arrays.push_back(b.array(indexedName("A", static_cast<std::size_t>(k)), {n + 1, n + 1}));
   for (int k = 0; k < 3; ++k) {
-    auto S = b.statement("S" + std::to_string(k), 2);
+    auto S = b.statement(indexedName("S", static_cast<std::size_t>(k)), 2);
     S.bound(0, 0, n).bound(1, 0, n);
     S.write(arrays[static_cast<std::size_t>(k)], {S.dim(0), S.dim(1)});
     S.read(arrays[static_cast<std::size_t>(k)],

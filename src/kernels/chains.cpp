@@ -2,6 +2,7 @@
 
 #include "scop/builder.hpp"
 #include "support/assert.hpp"
+#include "support/str.hpp"
 
 namespace pipoly::kernels {
 
@@ -11,10 +12,10 @@ scop::Scop jacobiChain(std::size_t stages, pb::Value n) {
   std::size_t input = b.array("G0", {n, n});
   std::vector<std::size_t> grids{input};
   for (std::size_t k = 1; k <= stages; ++k)
-    grids.push_back(b.array("G" + std::to_string(k), {n, n}));
+    grids.push_back(b.array(indexedName("G", k), {n, n}));
 
   for (std::size_t k = 1; k <= stages; ++k) {
-    auto S = b.statement("J" + std::to_string(k), 2);
+    auto S = b.statement(indexedName("J", k), 2);
     // Interior points only: the 3x3 stencil stays in bounds.
     S.bound(0, 1, n - 1).bound(1, 1, n - 1);
     S.write(grids[k], {S.dim(0), S.dim(1)});
@@ -34,10 +35,10 @@ scop::Scop seidelChain(std::size_t stages, pb::Value n) {
   std::size_t input = b.array("G0", {n, n});
   std::vector<std::size_t> grids{input};
   for (std::size_t k = 1; k <= stages; ++k)
-    grids.push_back(b.array("G" + std::to_string(k), {n, n}));
+    grids.push_back(b.array(indexedName("G", k), {n, n}));
 
   for (std::size_t k = 1; k <= stages; ++k) {
-    auto S = b.statement("GS" + std::to_string(k), 2);
+    auto S = b.statement(indexedName("GS", k), 2);
     S.bound(0, 1, n).bound(1, 1, n);
     S.write(grids[k], {S.dim(0), S.dim(1)});
     S.read(grids[k - 1], {S.dim(0), S.dim(1)});
@@ -56,11 +57,11 @@ scop::Scop shrinkingChain(std::size_t stages, pb::Value n, pb::Value shrink) {
   std::vector<std::size_t> grids;
   grids.push_back(b.array("L0", {n, n}));
   for (std::size_t k = 1; k <= stages; ++k)
-    grids.push_back(b.array("L" + std::to_string(k), {n, n}));
+    grids.push_back(b.array(indexedName("L", k), {n, n}));
 
   for (std::size_t k = 1; k <= stages; ++k) {
     const pb::Value extent = n - static_cast<pb::Value>(k - 1) * shrink;
-    auto S = b.statement("C" + std::to_string(k), 2);
+    auto S = b.statement(indexedName("C", k), 2);
     S.bound(0, 0, extent - 1).bound(1, 0, extent - 1);
     S.write(grids[k], {S.dim(0), S.dim(1)});
     S.read(grids[k - 1], {S.dim(0), S.dim(1)});
@@ -79,11 +80,11 @@ scop::Scop fdtdChain(std::size_t stages, pb::Value n) {
   ex.push_back(b.array("Ex0", {n, n}));
   ey.push_back(b.array("Ey0", {n, n}));
   for (std::size_t k = 1; k <= stages; ++k) {
-    ex.push_back(b.array("Ex" + std::to_string(k), {n, n}));
-    ey.push_back(b.array("Ey" + std::to_string(k), {n, n}));
+    ex.push_back(b.array(indexedName("Ex", k), {n, n}));
+    ey.push_back(b.array(indexedName("Ey", k), {n, n}));
   }
   for (std::size_t k = 1; k <= stages; ++k) {
-    auto S = b.statement("F" + std::to_string(k), 2);
+    auto S = b.statement(indexedName("F", k), 2);
     S.bound(0, 0, n - 1).bound(1, 0, n - 1);
     // Multi-write: both field components of this time step.
     S.write(ex[k], {S.dim(0), S.dim(1)});

@@ -3,6 +3,7 @@
 #include "scop/builder.hpp"
 #include "support/assert.hpp"
 #include "support/stopwatch.hpp"
+#include "support/str.hpp"
 
 #include <algorithm>
 #include <functional>
@@ -41,12 +42,12 @@ scop::Scop matmulChain(MatmulVariant variant, std::size_t chainLength,
   std::size_t input = b.array("In", {n, n});
   std::vector<std::size_t> operands, results;
   for (std::size_t k = 0; k < chainLength; ++k) {
-    operands.push_back(b.array("B" + std::to_string(k + 1), {n, n}));
-    results.push_back(b.array("M" + std::to_string(k + 1), {n, n}));
+    operands.push_back(b.array(indexedName("B", k + 1), {n, n}));
+    results.push_back(b.array(indexedName("M", k + 1), {n, n}));
   }
 
   for (std::size_t k = 0; k < chainLength; ++k) {
-    auto S = b.statement("S" + std::to_string(k + 1), 2);
+    auto S = b.statement(indexedName("S", k + 1), 2);
     if (generalized) {
       // Domain shrunk so the C[i+1][j] / C[i][j-1] reads stay in bounds.
       S.bound(0, 0, n - 1).bound(1, 1, n);

@@ -2,6 +2,7 @@
 
 #include "scop/builder.hpp"
 #include "support/assert.hpp"
+#include "support/str.hpp"
 
 #include <algorithm>
 
@@ -154,7 +155,7 @@ std::string renderProgramSource(const ProgramSpec& spec, pb::Value n) {
   for (std::size_t k = 0; k < nests; ++k) {
     const pb::Value bound = nestBoundForSource(spec.reads[k], n, bounds);
     bounds.push_back(bound);
-    const std::string self = "A" + std::to_string(k + 1);
+    const std::string self = indexedName("A", k + 1);
     out += "for (i = 0; i < " + std::to_string(bound) + "; i++)\n";
     out += "  for (j = 0; j < " + std::to_string(bound) + "; j++)\n";
     out += "    S" + std::to_string(k + 1) + ": " + self + "[i][j] = f" +
@@ -227,7 +228,7 @@ pb::ParamBindings ParamProgram::bindingsFor(pb::Value n) const {
   pb::ParamBindings bindings{{"N", n}};
   const std::vector<pb::Value> bounds = nestBounds(spec, n);
   for (std::size_t k = 0; k < bounds.size(); ++k)
-    bindings["B" + std::to_string(k + 1)] = bounds[k];
+    bindings[indexedName("B", k + 1)] = bounds[k];
   return bindings;
 }
 
@@ -241,15 +242,15 @@ ParamProgram buildParamProgram(const ProgramSpec& spec) {
   arrays.reserve(nests);
   for (std::size_t k = 0; k < nests; ++k)
     arrays.push_back(
-        pscop.addArray({"A" + std::to_string(k + 1), {N, N}}));
+        pscop.addArray({indexedName("A", k + 1), {N, N}}));
 
   for (std::size_t k = 0; k < nests; ++k) {
     // The clipped bound involves min/div arithmetic, so it stays a
     // derived parameter B_{k+1} (bound by bindingsFor, which evaluates
     // the same nestBounds the explicit builder uses).
-    const pb::ParamExpr B = pb::ParamExpr::param("B" + std::to_string(k + 1));
+    const pb::ParamExpr B = pb::ParamExpr::param(indexedName("B", k + 1));
     scop::ParamStatement stmt;
-    stmt.name = "S" + std::to_string(k + 1);
+    stmt.name = indexedName("S", k + 1);
     stmt.bounds = {{pb::ParamExpr(0), B}, {pb::ParamExpr(0), B}};
     stmt.writes = {{arrays[k], {{1, 0}, {0, 1}}, {0, 0}}};
     // The serial self neighbourhood of buildProgram: A_k[i][j],
@@ -274,14 +275,14 @@ scop::Scop buildProgram(const ProgramSpec& spec, pb::Value n) {
   std::vector<std::size_t> arrays;
   arrays.reserve(nests);
   for (std::size_t k = 0; k < nests; ++k)
-    arrays.push_back(b.array("A" + std::to_string(k + 1), {n, n}));
+    arrays.push_back(b.array(indexedName("A", k + 1), {n, n}));
 
   std::vector<pb::Value> bounds;
   for (std::size_t k = 0; k < nests; ++k) {
     const pb::Value bound = nestBoundForSource(spec.reads[k], n, bounds);
     bounds.push_back(bound);
 
-    auto S = b.statement("S" + std::to_string(k + 1), 2);
+    auto S = b.statement(indexedName("S", k + 1), 2);
     S.bound(0, 0, bound).bound(1, 0, bound);
     S.write(arrays[k], {S.dim(0), S.dim(1)});
     // Serial self accesses, as in Listing 1: A[i][j+1] carries the inner

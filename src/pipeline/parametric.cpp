@@ -1,6 +1,7 @@
 #include "pipeline/parametric.hpp"
 
 #include "support/assert.hpp"
+#include "support/str.hpp"
 
 namespace pipoly::pipeline {
 
@@ -26,9 +27,9 @@ pb::ParamMap parametricPipelineMap(const ParamRectStatement& source,
   // (matching the paper's §4.1 naming).
   std::vector<std::string> dimNames;
   for (std::size_t d = 0; d < n; ++d)
-    dimNames.push_back("i" + std::to_string(d));
+    dimNames.push_back(indexedName("i", d));
   for (std::size_t d = 0; d < n; ++d)
-    dimNames.push_back("o" + std::to_string(d));
+    dimNames.push_back(indexedName("o", d));
 
   pb::ParamMap map(pb::Space(source.name, n), pb::Space(target.name, n),
                    dimNames);

@@ -1,5 +1,7 @@
 #include "presburger/affine.hpp"
 
+#include "support/str.hpp"
+
 #include <sstream>
 
 namespace pipoly::pb {
@@ -8,7 +10,7 @@ namespace {
 std::string dimName(const std::vector<std::string>& names, std::size_t i) {
   if (i < names.size())
     return names[i];
-  return "d" + std::to_string(i);
+  return indexedName("d", i);
 }
 } // namespace
 

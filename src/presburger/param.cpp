@@ -1,6 +1,7 @@
 #include "presburger/param.hpp"
 
 #include "support/assert.hpp"
+#include "support/str.hpp"
 
 #include <sstream>
 
@@ -86,7 +87,7 @@ ParamConstraint::toString(const std::vector<std::string>& dimNames) const {
     const Value a = c > 0 ? c : -c;
     if (a != 1)
       os << a << '*';
-    os << (d < dimNames.size() ? dimNames[d] : "d" + std::to_string(d));
+    os << (d < dimNames.size() ? dimNames[d] : indexedName("d", d));
     any = true;
   }
   const std::string params = paramPart.toString();
@@ -135,7 +136,7 @@ std::string ParamSet::toString() const {
   os << "{ " << space_.name() << '[';
   for (std::size_t d = 0; d < space_.arity(); ++d)
     os << (d ? ", " : "")
-       << (d < dimNames_.size() ? dimNames_[d] : "d" + std::to_string(d));
+       << (d < dimNames_.size() ? dimNames_[d] : indexedName("d", d));
   os << "] : ";
   for (std::size_t i = 0; i < constraints_.size(); ++i)
     os << (i ? " and " : "") << constraints_[i].toString(dimNames_);
@@ -163,7 +164,7 @@ IntMap ParamMap::instantiate(const ParamBindings& bindings) const {
 std::string ParamMap::toString() const {
   std::ostringstream os;
   auto dimName = [&](std::size_t d) {
-    return d < dimNames_.size() ? dimNames_[d] : "d" + std::to_string(d);
+    return d < dimNames_.size() ? dimNames_[d] : indexedName("d", d);
   };
   os << "{ " << in_.name() << '[';
   for (std::size_t d = 0; d < in_.arity(); ++d)

@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -220,9 +222,35 @@ DependencyThreadPool::~DependencyThreadPool() {
   // jthread joins on destruction.
 }
 
+namespace {
+
+/// Trampoline of the closure form of submit(): the payload is the
+/// heap-held closure, destroyed right after it ran (or threw).
+void runHeapClosure(void* payload) {
+  std::unique_ptr<std::function<void()>> fn(
+      *static_cast<std::function<void()>**>(payload));
+  (*fn)();
+}
+
+} // namespace
+
 DependencyThreadPool::TaskId
 DependencyThreadPool::submit(std::function<void()> fn,
                              std::span<const TaskId> deps) {
+  auto heap = std::make_unique<std::function<void()>>(std::move(fn));
+  std::function<void()>* raw = heap.get();
+  const TaskId id = submit(&runHeapClosure, &raw, sizeof(raw), deps);
+  (void)heap.release(); // owned by the task now
+  return id;
+}
+
+DependencyThreadPool::TaskId
+DependencyThreadPool::submit(TaskFunction fn, const void* payload,
+                             std::size_t size, std::span<const TaskId> deps) {
+  PIPOLY_CHECK_MSG(size <= kInlinePayload,
+                   "task payload exceeds kInlinePayload");
+  PIPOLY_CHECK_MSG(payload != nullptr || size == 0,
+                   "null task payload with non-zero size");
   // Validate against the published id horizon *before* reserving a node,
   // so a rejected submit leaves no half-armed task behind. Any id >= the
   // current count cannot come from a submit() that happened-before this
@@ -235,7 +263,10 @@ DependencyThreadPool::submit(std::function<void()> fn,
 
   const TaskId id = nodes_.allocate();
   Node& node = nodes_[id];
-  node.fn = std::move(fn);
+  node.fn = fn;
+  if (size > 0)
+    std::memcpy(node.payload, payload, size);
+  node.dependents.store(nullptr, std::memory_order_relaxed);
   pending_.fetch_add(1, std::memory_order_relaxed);
 
   if (deps.empty()) {
@@ -324,12 +355,8 @@ void DependencyThreadPool::runTask(TaskId id) {
     return;
   }
   Node& node = nodes_[id];
-  // Release the closure eagerly: nodes live for the pool's lifetime,
-  // captured state should not.
-  std::function<void()> fn = std::move(node.fn);
-  node.fn = nullptr;
   try {
-    fn();
+    node.fn(node.payload);
   } catch (...) {
     std::lock_guard lock(errorMutex_);
     if (!firstError_)
@@ -616,6 +643,15 @@ void DependencyThreadPool::workerLoop(unsigned index) {
     if (shutdown_.load(std::memory_order_acquire))
       return;
   }
+}
+
+void DependencyThreadPool::recycle() {
+  PIPOLY_CHECK_MSG(pending_.load(std::memory_order_acquire) == 0,
+                   "recycle() with tasks pending");
+  PIPOLY_CHECK_MSG(graphRemaining_.load(std::memory_order_acquire) == 0,
+                   "recycle() during runGraph()");
+  nodes_.recycle();
+  edges_.recycle();
 }
 
 void DependencyThreadPool::waitAll() {

@@ -17,10 +17,14 @@
 //   * Tasks submitted from outside the pool land in per-worker-indexed
 //     injection shards (small mutexed queues, sharded by task id), which
 //     workers drain alongside their deques.
-//   * Task nodes and dependency edges live in grow-only slabs
+//   * Task nodes and dependency edges live in chunked slabs
 //     (chunked_slab.hpp): submit() is an atomic id reservation plus
 //     per-predecessor CAS registration — no global lock, no per-task
-//     unique_ptr churn, ids stay valid for the pool's lifetime.
+//     unique_ptr churn. A node holds a plain function pointer and a
+//     fixed inline copy of its input (kInlinePayload bytes), so
+//     submitting a payload task allocates nothing once the slabs are
+//     warm; recycle() rewinds the slabs between independent task
+//     graphs so a long-lived pool reuses the same chunks.
 //   * Each node carries an atomic countdown of unfinished predecessors
 //     plus a +1 submission guard; finish() seals the node's dependent
 //     list with a sentinel exchange, so a racing late registration
@@ -42,6 +46,9 @@
 //     rethrows the first exception recorded from a task body and resets
 //     it; the pool stays usable. A failed task's dependents still run —
 //     errors are reported, never used to cancel the graph.
+//   * Task ids are valid until the next recycle(). recycle() requires
+//     a quiescent pool (nothing pending, no runGraph active) and throws
+//     pipoly::Error otherwise; afterwards ids restart at 0.
 //   * The destructor drains outstanding work but swallows unreported
 //     task errors (destructors must not throw).
 
@@ -204,6 +211,12 @@ private:
 class DependencyThreadPool {
 public:
   using TaskId = std::size_t;
+  /// A task body: invoked with a pointer to the task's own copy of the
+  /// payload passed to submit().
+  using TaskFunction = void (*)(void* payload);
+
+  /// Payload bytes a node stores inline (max_align_t-aligned).
+  static constexpr std::size_t kInlinePayload = 32;
 
   /// Spawns `numThreads` workers (at least 1).
   explicit DependencyThreadPool(unsigned numThreads);
@@ -212,16 +225,37 @@ public:
   DependencyThreadPool(const DependencyThreadPool&) = delete;
   DependencyThreadPool& operator=(const DependencyThreadPool&) = delete;
 
-  /// Submits a task that may start only after all `deps` have finished.
-  /// Dependencies must be ids returned by submit() calls that
-  /// happened-before this one; violations throw pipoly::Error.
-  /// Thread-safe: may be called concurrently from any thread, including
-  /// from inside running task bodies.
+  /// Submits `fn(copy)` as a task that may start only after all `deps`
+  /// have finished, where `copy` points to a copy of the `size` payload
+  /// bytes taken before submit() returns (size <= kInlinePayload; the
+  /// payload may be null when size is 0). Dependencies must be ids
+  /// returned by submit() calls that happened-before this one and after
+  /// the last recycle(); violations throw pipoly::Error. Thread-safe: may
+  /// be called concurrently from any thread, including from inside
+  /// running task bodies.
+  TaskId submit(TaskFunction fn, const void* payload, std::size_t size,
+                std::span<const TaskId> deps);
+
+  /// Closure form of submit(): the closure is moved to the heap and
+  /// destroyed right after it ran, so captured state does not outlive
+  /// the task.
   TaskId submit(std::function<void()> fn, std::span<const TaskId> deps);
 
   /// Blocks until every submitted task has finished. Rethrows the first
   /// exception thrown by a task body, if any.
   void waitAll();
+
+  /// Rewinds the node and edge slabs so the next submit() gets id 0,
+  /// keeping their chunks (up to twice this cycle's high-water mark) for
+  /// reuse. Every id handed out so far becomes invalid. Throws
+  /// pipoly::Error unless the pool is quiescent: no task pending (call
+  /// waitAll() first) and no runGraph() in progress.
+  void recycle();
+
+  /// Heap bytes held by the node and edge slabs.
+  std::size_t retainedBytes() const {
+    return nodes_.retainedBytes() + edges_.retainedBytes();
+  }
 
   /// Executes a frozen ReplayGraph `numBatches` times on the pool's
   /// workers and blocks until every (node, batch) execution finished.
@@ -246,12 +280,14 @@ private:
   };
 
   struct alignas(64) Node {
-    std::function<void()> fn;
+    TaskFunction fn = nullptr;
+    alignas(std::max_align_t) std::byte payload[kInlinePayload];
     // Unfinished predecessors + 1 submission guard; the task is
     // runnable when this hits 0.
     std::atomic<std::size_t> remaining{0};
     // Intrusive list of registered dependents; sealedTag() once the
-    // task has finished.
+    // task has finished. Reset by submit(), since recycled nodes keep the
+    // previous cycle's sealed tag.
     std::atomic<DepEdge*> dependents{nullptr};
   };
 

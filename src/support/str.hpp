@@ -36,6 +36,15 @@ inline std::vector<std::string> split(std::string_view s, char sep) {
   return out;
 }
 
+/// `prefix` followed by decimal `index` ("A", 3 -> "A3"). Built by
+/// appending: once inlined, GCC 12's `const char* + std::string&&`
+/// operator+ raises a -Wrestrict false positive (GCC PR105651).
+inline std::string indexedName(std::string_view prefix, std::size_t index) {
+  std::string name(prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 inline std::string trim(std::string_view s) {
   std::size_t b = 0, e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b])))

@@ -102,7 +102,7 @@ void pinThreadToCpus(const std::vector<int>& cpus) {
   CPU_ZERO(&set);
   for (const int c : cpus)
     if (c >= 0 && c < CPU_SETSIZE)
-      CPU_SET(c, &set);
+      CPU_SET(static_cast<std::size_t>(c), &set);
   if (CPU_COUNT(&set) > 0)
     (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 #else

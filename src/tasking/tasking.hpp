@@ -25,7 +25,11 @@
 // Three backends implement the interface — the paper's §7 portability
 // claim made concrete:
 //   * serial      — creation order execution (reference semantics);
-//   * threadpool  — our dependency-tracking thread pool;
+//   * threadpool  — our dependency-tracking thread pool. The backend
+//                   creates its pool on the first run() and keeps it:
+//                   the workers stay parked between runs and the task
+//                   slabs are rewound, not reallocated, so repeated runs
+//                   spawn no threads;
 //   * openmp      — real OpenMP tasks with depend clauses, including the
 //                   iterator-based variable-length in-dependency list.
 

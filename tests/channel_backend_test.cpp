@@ -327,8 +327,9 @@ TEST(ChannelPlacementTest, CrossDomainRingsAreSizedUpByTheCostClass) {
   numa.topology = rt::Topology::numa2(4, 4.0);
   ChannelPipeline topo(prog, numa, &comm);
 
-  if (topo.placement().crossDomainBytes > 0)
+  if (topo.placement().crossDomainBytes > 0) {
     EXPECT_GT(topo.retainedBytes(), base.retainedBytes());
+  }
   // And it still computes the right answer.
   const std::uint64_t expected = testing::sequentialFingerprint(scop);
   testing::InterpretedKernel kernel(scop);

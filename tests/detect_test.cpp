@@ -3,6 +3,7 @@
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
+#include "support/str.hpp"
 #include "testing/fixtures.hpp"
 
 #include <gtest/gtest.h>
@@ -153,9 +154,9 @@ TEST_P(DetectPropertyTest, RandomScopIsSafe) {
   const std::size_t nests = 2 + rng.nextBelow(3);
   std::vector<std::size_t> arrays;
   for (std::size_t k = 0; k < nests; ++k)
-    arrays.push_back(b.array("A" + std::to_string(k), {4 * n, 4 * n}));
+    arrays.push_back(b.array(indexedName("A", k), {4 * n, 4 * n}));
   for (std::size_t k = 0; k < nests; ++k) {
-    auto S = b.statement("S" + std::to_string(k), 2);
+    auto S = b.statement(indexedName("S", k), 2);
     S.bound(0, 0, n).bound(1, 0, n);
     S.write(arrays[k], {S.dim(0), S.dim(1)});
     // Read from one or two earlier arrays with random affine patterns.

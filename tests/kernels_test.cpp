@@ -6,6 +6,7 @@
 #include "codegen/task_program.hpp"
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
+#include "support/str.hpp"
 #include "tasking/tasking.hpp"
 
 #include <gtest/gtest.h>
@@ -57,7 +58,7 @@ TEST(SuiteTest, AllTenProgramsPresent) {
   const auto& programs = table9Programs();
   ASSERT_EQ(programs.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i)
-    EXPECT_EQ(programs[i].name, "P" + std::to_string(i + 1));
+    EXPECT_EQ(programs[i].name, indexedName("P", i + 1));
 }
 
 TEST(SuiteTest, NestCountsMatchTable9) {

@@ -30,6 +30,7 @@
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
+#include "support/str.hpp"
 #include "tasking/channel_backend.hpp"
 #include "tasking/executor.hpp"
 #include "tasking/replay_executor.hpp"
@@ -199,16 +200,16 @@ CorpusDraw randomCorpusScop(SplitMix64& rng, std::uint64_t tag) {
       }
 
   const auto build = [&](bool declareOp) {
-    scop::ScopBuilder b("redrand" + std::to_string(tag));
+    scop::ScopBuilder b(indexedName("redrand", tag));
     std::vector<std::size_t> arrays;
     for (std::size_t k = 0; k < nests; ++k) {
       if (redStmt && k == *redStmt)
         arrays.push_back(b.array("acc", {shapes[k][0]}));
       else
-        arrays.push_back(b.array("A" + std::to_string(k), shapes[k]));
+        arrays.push_back(b.array(indexedName("A", k), shapes[k]));
     }
     for (std::size_t k = 0; k < nests; ++k) {
-      auto S = b.statement("S" + std::to_string(k), depth);
+      auto S = b.statement(indexedName("S", k), depth);
       std::vector<pb::AffineExpr> identity;
       for (std::size_t d = 0; d < depth; ++d) {
         S.bound(d, stmts[k].lo[d], stmts[k].hi[d]);

@@ -25,6 +25,15 @@
 namespace pipoly::tasking {
 namespace {
 
+/// Replay options with `threads` workers, everything else at defaults.
+CompiledPipeline::Options onThreads(unsigned threads,
+                                    bool linearFastPath = true) {
+  CompiledPipeline::Options options;
+  options.numThreads = threads;
+  options.linearFastPath = linearFastPath;
+  return options;
+}
+
 scop::Scop fixtureScop(int which) {
   switch (which) {
   case 0:
@@ -65,7 +74,7 @@ TEST_P(ReplayEquivalenceTest, ReplayMatchesSequentialAndExecutor) {
     ASSERT_EQ(kernel.fingerprint(), expected);
   }
 
-  CompiledPipeline pipe(prog, CompiledPipeline::Options{threads, true});
+  CompiledPipeline pipe(prog, onThreads(threads));
   for (int rep = 0; rep < 3; ++rep) {
     testing::InterpretedKernel kernel(scop);
     pipe.replay(kernel.executor());
@@ -95,7 +104,7 @@ TEST(ReplayTable9Test, ReplayBitIdenticalToExecutorOnAllPrograms) {
       ASSERT_EQ(viaExecutor.fingerprint(), expected)
           << spec.name << " opt " << optimized;
 
-      CompiledPipeline pipe(prog, CompiledPipeline::Options{4, true});
+      CompiledPipeline pipe(prog, onThreads(4));
       testing::InterpretedKernel viaReplay(scop);
       pipe.replay(viaReplay.executor());
       EXPECT_EQ(viaReplay.fingerprint(), expected)
@@ -116,8 +125,8 @@ TEST(ReplayDeterminismTest, ThousandReplaysAreBitIdenticalOnEveryEngine) {
   for (bool optimized : {false, true}) {
     auto prog = compileShared(scop, optimized);
 
-    CompiledPipeline serial(prog, CompiledPipeline::Options{1, true});
-    CompiledPipeline pooled(prog, CompiledPipeline::Options{4, true});
+    CompiledPipeline serial(prog, onThreads(1));
+    CompiledPipeline pooled(prog, onThreads(4));
     auto omp = makeOpenMPBackend();
 
     for (int rep = 0; rep < kReplays; ++rep) {
@@ -160,7 +169,7 @@ TEST(ReplayStreamTest, EveryStreamedBatchMatchesTheSingleRunFingerprint) {
   for (std::size_t b = 0; b < kBatches; ++b)
     kernels.push_back(std::make_unique<testing::InterpretedKernel>(scop));
 
-  CompiledPipeline pipe(prog, CompiledPipeline::Options{4, true});
+  CompiledPipeline pipe(prog, onThreads(4));
   pipe.replayBatches(kBatches, [&](std::size_t batch, std::size_t stmtIdx,
                                    const pb::Tuple& it) {
     kernels[batch]->execute(stmtIdx, it);
@@ -182,7 +191,7 @@ TEST(ReplayStreamTest, BatchesOfOneInstanceArriveInOrder) {
   std::map<std::pair<std::size_t, pb::Tuple>, std::size_t> nextBatch;
   bool violation = false;
 
-  CompiledPipeline pipe(prog, CompiledPipeline::Options{4, true});
+  CompiledPipeline pipe(prog, onThreads(4));
   pipe.replayBatches(kBatches, [&](std::size_t batch, std::size_t stmtIdx,
                                    const pb::Tuple& it) {
     std::lock_guard lock(mutex);
@@ -204,7 +213,7 @@ TEST(ReplayStreamTest, StreamOnOneThreadRunsBatchesBackToBack) {
   std::vector<std::unique_ptr<testing::InterpretedKernel>> kernels;
   for (std::size_t b = 0; b < 4; ++b)
     kernels.push_back(std::make_unique<testing::InterpretedKernel>(scop));
-  CompiledPipeline pipe(prog, CompiledPipeline::Options{1, true});
+  CompiledPipeline pipe(prog, onThreads(1));
   pipe.replayBatches(4, [&](std::size_t batch, std::size_t stmtIdx,
                             const pb::Tuple& it) {
     kernels[batch]->execute(stmtIdx, it);
@@ -233,8 +242,7 @@ codegen::TaskProgram linearChainProgram(std::size_t n) {
 
 TEST(ReplayLinearTest, LinearChainTakesTheSerialFastPath) {
   constexpr std::size_t kTasks = 24;
-  CompiledPipeline pipe(linearChainProgram(kTasks),
-                        CompiledPipeline::Options{4, true});
+  CompiledPipeline pipe(linearChainProgram(kTasks), onThreads(4));
   EXPECT_TRUE(pipe.linear());
 
   // The fast path runs in creation order on the calling thread.
@@ -255,8 +263,7 @@ TEST(ReplayLinearTest, LinearChainTakesTheSerialFastPath) {
 
 TEST(ReplayLinearTest, DisabledFastPathStillRunsChainInOrder) {
   constexpr std::size_t kTasks = 24;
-  CompiledPipeline pipe(linearChainProgram(kTasks),
-                        CompiledPipeline::Options{4, false});
+  CompiledPipeline pipe(linearChainProgram(kTasks), onThreads(4, false));
   EXPECT_TRUE(pipe.linear());
 
   // Through the graph machinery the chain's dependencies still admit
@@ -275,8 +282,7 @@ TEST(ReplayLinearTest, DisabledFastPathStillRunsChainInOrder) {
 
 TEST(ReplayLinearTest, PipelineProgramsAreNotMisdetectedAsLinear) {
   const scop::Scop scop = testing::listing1(12);
-  CompiledPipeline pipe(compileShared(scop, false),
-                        CompiledPipeline::Options{4, true});
+  CompiledPipeline pipe(compileShared(scop, false), onThreads(4));
   // Listing 1 has two statements with cross-statement dependencies — a
   // real DAG, not a single chain.
   EXPECT_FALSE(pipe.linear());
@@ -291,7 +297,7 @@ TEST(ReplayLifetimeTest, PipelineOutlivesTheCallersProgramHandle) {
   const std::uint64_t expected = testing::sequentialFingerprint(scop);
 
   auto prog = compileShared(scop, true);
-  CompiledPipeline shared(prog, CompiledPipeline::Options{4, true});
+  CompiledPipeline shared(prog, onThreads(4));
   prog.reset(); // pipeline keeps the only reference now
   testing::InterpretedKernel kernel(scop);
   shared.replay(kernel.executor());
@@ -299,8 +305,7 @@ TEST(ReplayLifetimeTest, PipelineOutlivesTheCallersProgramHandle) {
 
   codegen::TaskProgram byValue = codegen::compilePipeline(scop);
   opt::optimize(byValue);
-  CompiledPipeline owned(std::move(byValue),
-                         CompiledPipeline::Options{4, true});
+  CompiledPipeline owned(std::move(byValue), onThreads(4));
   kernel.reset();
   owned.replay(kernel.executor());
   EXPECT_EQ(kernel.fingerprint(), expected);
@@ -315,7 +320,7 @@ TEST(ReplaySlotTableTest, PrebuiltSlotTableGivesIdenticalReplays) {
   auto prog = compileShared(scop, true);
   const opt::SlotTable slots = opt::buildSlotTable(*prog);
 
-  CompiledPipeline pipe(prog, slots, CompiledPipeline::Options{4, true});
+  CompiledPipeline pipe(prog, slots, onThreads(4));
   testing::InterpretedKernel kernel(scop);
   pipe.replay(kernel.executor());
   EXPECT_EQ(kernel.fingerprint(), expected);
@@ -326,8 +331,7 @@ TEST(ReplaySlotTableTest, PrebuiltSlotTableGivesIdenticalReplays) {
 }
 
 TEST(ReplayEdgeCaseTest, EmptyProgramAndZeroBatchesAreNoOps) {
-  CompiledPipeline pipe(codegen::TaskProgram{},
-                        CompiledPipeline::Options{4, true});
+  CompiledPipeline pipe(codegen::TaskProgram{}, onThreads(4));
   int calls = 0;
   pipe.replay([&](std::size_t, const pb::Tuple&) { ++calls; });
   pipe.replayBatches(8, [&](std::size_t, std::size_t, const pb::Tuple&) {
@@ -336,7 +340,7 @@ TEST(ReplayEdgeCaseTest, EmptyProgramAndZeroBatchesAreNoOps) {
   EXPECT_EQ(calls, 0);
 
   CompiledPipeline real(compileShared(testing::listing1(8), true),
-                        CompiledPipeline::Options{4, true});
+                        onThreads(4));
   real.replayBatches(0,
                      [&](std::size_t, std::size_t, const pb::Tuple&) {
                        ++calls;
@@ -349,7 +353,7 @@ TEST(ReplayEdgeCaseTest, ExceptionsFromTheExecutorPropagateAndClearState) {
   const scop::Scop scop = testing::listing3(10);
   const std::uint64_t expected = testing::sequentialFingerprint(scop);
   auto prog = compileShared(scop, false);
-  CompiledPipeline pipe(prog, CompiledPipeline::Options{4, true});
+  CompiledPipeline pipe(prog, onThreads(4));
 
   EXPECT_THROW(pipe.replay([&](std::size_t, const pb::Tuple&) {
     throw Error("executor failure");
@@ -366,8 +370,7 @@ TEST(ReplayThroughTest, BackendPathMatchesOnEveryBackend) {
   const scop::Scop scop = testing::listing3(10);
   const std::uint64_t expected = testing::sequentialFingerprint(scop);
   for (bool optimized : {false, true}) {
-    CompiledPipeline pipe(compileShared(scop, optimized),
-                          CompiledPipeline::Options{4, true});
+    CompiledPipeline pipe(compileShared(scop, optimized), onThreads(4));
     std::vector<std::unique_ptr<TaskingLayer>> layers;
     layers.push_back(makeSerialBackend());
     layers.push_back(makeThreadPoolBackend(4));

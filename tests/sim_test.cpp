@@ -7,6 +7,7 @@
 #include "runtime/topology.hpp"
 #include "scop/builder.hpp"
 #include "support/assert.hpp"
+#include "support/str.hpp"
 #include "tasking/channel_backend.hpp"
 #include "testing/fixtures.hpp"
 #include "testing/interpreted_kernel.hpp"
@@ -139,7 +140,7 @@ scop::Scop middleHeavyChain(pb::Value n) {
   for (std::size_t k = 0; k < 4; ++k)
     arrays.push_back(b.array(named(k), {n + 1, n + 1}));
   for (std::size_t k = 0; k < 4; ++k) {
-    auto S = b.statement("S" + std::to_string(k), 2);
+    auto S = b.statement(indexedName("S", k), 2);
     S.bound(0, 0, n).bound(1, 0, n);
     S.write(arrays[k], {S.dim(0), S.dim(1)});
     S.read(arrays[k], {S.dim(0) + 1, S.dim(1) + 1}); // keeps the nest serial

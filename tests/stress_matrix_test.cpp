@@ -5,6 +5,7 @@
 #include "codegen/task_program.hpp"
 #include "scop/builder.hpp"
 #include "support/rng.hpp"
+#include "support/str.hpp"
 #include "tasking/tasking.hpp"
 #include "testing/interpreted_kernel.hpp"
 
@@ -19,14 +20,10 @@ scop::Scop randomScop(std::uint64_t seed) {
   const std::size_t nests = 2 + rng.nextBelow(3);
   scop::ScopBuilder b("stress");
   std::vector<std::size_t> arrays;
-  // std::string{} + to_string instead of `"A" + std::to_string(k)`: the
-  // const char* + string&& overload trips GCC 12's -Wrestrict false
-  // positive (PR105651) depending on inlining, and CI builds -Werror.
   for (std::size_t k = 0; k < nests; ++k)
-    arrays.push_back(b.array(std::string("A") + std::to_string(k),
-                             {3 * n, 3 * n}));
+    arrays.push_back(b.array(indexedName("A", k), {3 * n, 3 * n}));
   for (std::size_t k = 0; k < nests; ++k) {
-    auto S = b.statement(std::string("S") + std::to_string(k), 2);
+    auto S = b.statement(indexedName("S", k), 2);
     S.bound(0, 0, n).bound(1, 0, n);
     S.write(arrays[k], {S.dim(0), S.dim(1)});
     // Randomly serial or parallel nest.

@@ -1,6 +1,7 @@
 #include "tasking/tasking.hpp"
 
 #include "codegen/task_program.hpp"
+#include "kernels/suite.hpp"
 #include "opt/optimizer.hpp"
 #include "support/assert.hpp"
 #include "tasking/executor.hpp"
@@ -10,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace pipoly::tasking {
@@ -334,6 +338,146 @@ TEST(EndToEndTest, RepeatedRunsAreDeterministic) {
       first = kernel.fingerprint();
     else
       EXPECT_EQ(kernel.fingerprint(), first) << "rep " << rep;
+  }
+}
+
+// ---- One threadpool backend across many runs.
+
+/// The backend every ThreadPoolBackend* test runs on. It keeps its pool
+/// between runs, so these suites exercise reuse across tests as well as
+/// within them.
+TaskingLayer& sharedPoolBackend() {
+  static const std::unique_ptr<TaskingLayer> layer = makeThreadPoolBackend(4);
+  return *layer;
+}
+
+/// One Table-9 program at a small size, optimized, with its slot table
+/// and an interpreted kernel reused (reset) across runs.
+struct SuiteCase {
+  explicit SuiteCase(const kernels::ProgramSpec& spec)
+      : name(spec.name), scop(kernels::buildProgram(spec, 6)),
+        prog(codegen::compilePipeline(scop)), kernel(scop) {
+    opt::optimize(prog);
+    slots = opt::buildSlotTable(prog);
+    expected = testing::sequentialFingerprint(scop);
+  }
+
+  std::string name;
+  scop::Scop scop;
+  codegen::TaskProgram prog;
+  opt::SlotTable slots;
+  testing::InterpretedKernel kernel;
+  std::uint64_t expected = 0;
+};
+
+std::deque<SuiteCase> table9Cases() {
+  std::deque<SuiteCase> cases;
+  for (const kernels::ProgramSpec& spec : kernels::table9Programs())
+    cases.emplace_back(spec);
+  return cases;
+}
+
+TEST(ThreadPoolBackendReuseTest, ThousandSlotTableRunsMatchSequential) {
+  std::deque<SuiteCase> cases = table9Cases();
+  ASSERT_EQ(cases.size(), 10u);
+  TaskingLayer& layer = sharedPoolBackend();
+  for (std::size_t run = 0; run < 1000; ++run) {
+    SuiteCase& c = cases[run % cases.size()];
+    c.kernel.reset();
+    executeTaskProgram(c.prog, c.slots, layer, c.kernel.executor());
+    ASSERT_EQ(c.kernel.fingerprint(), c.expected) << c.name << " run " << run;
+  }
+}
+
+TEST(ThreadPoolBackendReuseTest, RetainedBytesCountSlabChunks) {
+  TaskingLayer& layer = sharedPoolBackend();
+  auto noop = +[](void*) {};
+  auto runChain = [&](std::int64_t numTasks) {
+    layer.run([&] {
+      for (std::int64_t k = 0; k < numTasks; ++k) {
+        std::int64_t inDep = k - 1;
+        int inIdx = 0;
+        layer.createTask(noop, nullptr, 0, k, 0, k > 0 ? &inDep : nullptr,
+                         k > 0 ? &inIdx : nullptr, k > 0 ? 1u : 0u);
+      }
+    });
+  };
+  runChain(4000);
+  const std::size_t afterBig = layer.retainedBytes();
+  // Pool nodes are cache-line aligned: 4000 of them alone take this much.
+  EXPECT_GE(afterBig, 4000u * 64u);
+  runChain(16); // releases what the big run left oversized
+  EXPECT_LT(layer.retainedBytes(), afterBig);
+  runChain(16); // regrows to what a small run needs
+  const std::size_t steady = layer.retainedBytes();
+  runChain(16);
+  EXPECT_EQ(layer.retainedBytes(), steady);
+}
+
+TEST(ThreadPoolBackendReuseTest, ReentrantRunIsRejected) {
+  TaskingLayer& layer = sharedPoolBackend();
+  EXPECT_THROW(layer.run([&] { layer.run([] {}); }), Error);
+  std::atomic<int> counter{0};
+  layer.run([&] {
+    Payload p{&counter, 0};
+    layer.createTask(&checkAndBump, &p, sizeof(p), 0, 0, nullptr, nullptr, 0);
+  });
+  EXPECT_EQ(counter.load(), 1);
+}
+
+struct BodyFailure : std::runtime_error {
+  BodyFailure() : std::runtime_error("statement body failed") {}
+};
+
+TEST(ThreadPoolBackendErrorTest, FailedRunRethrowsAndNextRunIsExact) {
+  std::deque<SuiteCase> cases = table9Cases();
+  TaskingLayer& layer = sharedPoolBackend();
+  for (std::size_t run = 0; run < 40; ++run) {
+    SuiteCase& c = cases[run % cases.size()];
+    c.kernel.reset();
+    if (run % 4 == 1) {
+      // A body throws part-way through the run: the run reports it after
+      // draining, and the backend is ready for the next one.
+      std::atomic<int> calls{0};
+      const StatementExecutor inner = c.kernel.executor();
+      const StatementExecutor failing = [&](std::size_t s,
+                                            const pb::Tuple& it) {
+        if (calls.fetch_add(1) == 5)
+          throw BodyFailure();
+        inner(s, it);
+      };
+      EXPECT_THROW(executeTaskProgram(c.prog, c.slots, layer, failing),
+                   BodyFailure)
+          << c.name << " run " << run;
+    } else if (run % 4 == 3) {
+      // The spawner itself throws with tasks already in flight.
+      EXPECT_THROW(layer.run([&] {
+        Payload p{nullptr, 0};
+        layer.createTask(+[](void*) {}, &p, sizeof(p), 0, 0, nullptr, nullptr,
+                         0);
+        throw BodyFailure();
+      }),
+                   BodyFailure);
+    } else {
+      executeTaskProgram(c.prog, c.slots, layer, c.kernel.executor());
+      EXPECT_EQ(c.kernel.fingerprint(), c.expected)
+          << c.name << " run " << run;
+    }
+  }
+}
+
+TEST(ThreadPoolBackendNestedTest, TaskBodiesCreateTasksAcrossRuns) {
+  TaskingLayer& layer = sharedPoolBackend();
+  for (int run = 0; run < 50; ++run) {
+    std::atomic<int> counter{0};
+    layer.run([&] {
+      for (std::int64_t r = 0; r < 16; ++r) {
+        SpawnerPayload p{&layer, &counter, r};
+        layer.createTask(&rootBody, &p, sizeof(p), /*outDepend=*/r,
+                         /*outIdx=*/1, nullptr, nullptr, 0);
+      }
+    });
+    ASSERT_EQ(counter.load(), 16 + 16 * 8) << "run " << run;
   }
 }
 

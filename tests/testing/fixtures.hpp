@@ -5,6 +5,7 @@
 
 #include "scop/builder.hpp"
 #include "scop/scop.hpp"
+#include "support/str.hpp"
 
 namespace pipoly::testing {
 
@@ -82,18 +83,10 @@ inline scop::Scop chain(std::size_t nests, pb::Value n) {
   scop::ScopBuilder b("chain");
   std::vector<std::size_t> arrays;
   arrays.reserve(nests);
-  // Build names via append rather than `"A" + std::to_string(k)`: when the
-  // caller passes constant arguments, GCC 12 constant-folds through that
-  // operator+ and emits a spurious -Wrestrict warning (breaks -Werror).
-  const auto named = [](const char* prefix, std::size_t k) {
-    std::string name(prefix);
-    name += std::to_string(k);
-    return name;
-  };
   for (std::size_t k = 0; k < nests; ++k)
-    arrays.push_back(b.array(named("A", k), {n + 1, n + 1}));
+    arrays.push_back(b.array(indexedName("A", k), {n + 1, n + 1}));
   for (std::size_t k = 0; k < nests; ++k) {
-    auto S = b.statement(named("S", k), 2);
+    auto S = b.statement(indexedName("S", k), 2);
     S.bound(0, 0, n).bound(1, 0, n);
     S.write(arrays[k], {S.dim(0), S.dim(1)});
     S.read(arrays[k], {S.dim(0) + 1, S.dim(1) + 1});

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace pipoly::rt {
@@ -208,6 +211,205 @@ TEST(ThreadPoolTest, WakeCapParsingRejectsGarbage) {
   EXPECT_EQ(parseWakeCap("+4"), std::nullopt);   // no signs accepted
   EXPECT_EQ(parseWakeCap("0x10"), std::nullopt); // decimal only
   EXPECT_EQ(parseWakeCap("99999999999999999999"), std::nullopt); // overflow
+}
+
+// ---- Payload tasks and recycling.
+
+/// Blocks until *flag is set; the flag is the task's payload pointer.
+void waitForFlag(void* payload) {
+  const auto* flag = *static_cast<std::atomic<bool>**>(payload);
+  while (!flag->load())
+    std::this_thread::yield();
+}
+
+struct Recorded {
+  int value;
+  std::atomic<int>* out;
+};
+
+void recordValue(void* payload) {
+  const auto* r = static_cast<Recorded*>(payload);
+  r->out->store(r->value);
+}
+
+TEST(ThreadPoolTest, PayloadBytesAreCopiedAtSubmit) {
+  DependencyThreadPool pool(2);
+  std::atomic<bool> go{false};
+  std::atomic<bool>* goPtr = &go;
+  const auto gate = pool.submit(&waitForFlag, &goPtr, sizeof(goPtr), {});
+  std::atomic<int> seen{-1};
+  Recorded buffer{7, &seen};
+  const DependencyThreadPool::TaskId deps[] = {gate};
+  pool.submit(&recordValue, &buffer, sizeof(buffer), deps);
+  // The task cannot have started (its gate is closed): only a copy taken
+  // inside submit() still holds 7.
+  buffer.value = 99;
+  go = true;
+  pool.waitAll();
+  EXPECT_EQ(seen.load(), 7);
+}
+
+std::atomic<int> gNullPayloadRuns{0};
+
+TEST(ThreadPoolTest, ZeroSizePayloadMayBeNull) {
+  gNullPayloadRuns = 0;
+  DependencyThreadPool pool(2);
+  const auto a = pool.submit(+[](void*) { gNullPayloadRuns.fetch_add(1); },
+                             nullptr, 0, {});
+  const DependencyThreadPool::TaskId deps[] = {a};
+  pool.submit(+[](void*) { gNullPayloadRuns.fetch_add(1); }, nullptr, 0, deps);
+  pool.waitAll();
+  EXPECT_EQ(gNullPayloadRuns.load(), 2);
+}
+
+TEST(ThreadPoolTest, OversizedOrNullPayloadIsRejected) {
+  DependencyThreadPool pool(1);
+  std::byte big[DependencyThreadPool::kInlinePayload + 1] = {};
+  EXPECT_THROW((void)pool.submit(+[](void*) {}, big, sizeof(big), {}), Error);
+  EXPECT_THROW((void)pool.submit(+[](void*) {}, nullptr, 4, {}), Error);
+  pool.waitAll();
+  // Neither rejected submit reserved an id.
+  EXPECT_EQ(pool.submit(+[](void*) {}, nullptr, 0, {}), 0u);
+  pool.waitAll();
+}
+
+TEST(ThreadPoolTest, ClosureSubmitReleasesCapturedState) {
+  DependencyThreadPool pool(2);
+  auto state = std::make_shared<int>(5);
+  std::weak_ptr<int> watch = state;
+  std::atomic<int> seen{0};
+  pool.submit([state, &seen] { seen = *state; }, {});
+  state.reset();
+  pool.waitAll();
+  EXPECT_EQ(seen.load(), 5);
+  EXPECT_TRUE(watch.expired()) << "the finished task still holds its closure";
+}
+
+TEST(ThreadPoolTest, RecycleThrowsWhileTasksArePending) {
+  DependencyThreadPool pool(2);
+  std::atomic<bool> go{false};
+  std::atomic<bool>* goPtr = &go;
+  pool.submit(&waitForFlag, &goPtr, sizeof(goPtr), {});
+  EXPECT_THROW(pool.recycle(), Error);
+  go = true;
+  pool.waitAll();
+  pool.recycle(); // quiescent now
+}
+
+struct RecycleProbe {
+  DependencyThreadPool* pool;
+  std::atomic<int> rejected{0};
+};
+
+void recycleFromGraphBody(void* context, ReplayGraph::NodeId, std::size_t) {
+  auto* probe = static_cast<RecycleProbe*>(context);
+  try {
+    probe->pool->recycle();
+  } catch (const Error&) {
+    probe->rejected.fetch_add(1);
+  }
+}
+
+TEST(ThreadPoolTest, RecycleThrowsDuringRunGraph) {
+  ReplayGraph graph;
+  graph.addNode({});
+  const ReplayGraph::NodeId first[] = {0};
+  graph.addNode(first);
+  graph.freeze();
+  DependencyThreadPool pool(2);
+  RecycleProbe probe{&pool};
+  pool.runGraph(graph, 3, &recycleFromGraphBody, &probe);
+  EXPECT_EQ(probe.rejected.load(), 6);
+  pool.recycle(); // the run is over
+}
+
+TEST(ThreadPoolTest, IdsRestartAtZeroAfterRecycle) {
+  DependencyThreadPool pool(2);
+  std::atomic<int> count{0};
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(pool.submit([&] { ++count; }, {}), i);
+  pool.waitAll();
+  pool.recycle();
+  const auto a = pool.submit([&] { ++count; }, {});
+  EXPECT_EQ(a, 0u);
+  // Recycled nodes start with an empty dependent list: a dependency on a
+  // node whose previous incarnation finished is not "already done".
+  std::atomic<bool> go{false};
+  std::atomic<bool>* goPtr = &go;
+  const auto gate = pool.submit(&waitForFlag, &goPtr, sizeof(goPtr), {});
+  EXPECT_EQ(gate, 1u);
+  std::atomic<int> seen{-1};
+  Recorded r{1, &seen};
+  const DependencyThreadPool::TaskId deps[] = {gate};
+  pool.submit(&recordValue, &r, sizeof(r), deps);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(seen.load(), -1) << "dependent ran before its gate";
+  go = true;
+  pool.waitAll();
+  EXPECT_EQ(seen.load(), 1);
+  EXPECT_EQ(count.load(), 4);
+}
+
+TEST(ThreadPoolTest, RecycleKeepsTwiceTheHighWaterMark) {
+  DependencyThreadPool pool(1);
+  EXPECT_EQ(pool.retainedBytes(), 0u);
+  std::vector<DependencyThreadPool::TaskId> prev;
+  for (int i = 0; i < 5000; ++i) // five node and five edge chunks
+    prev = {pool.submit(+[](void*) {}, nullptr, 0, prev)};
+  pool.waitAll();
+  pool.recycle();
+  const std::size_t big = pool.retainedBytes();
+  EXPECT_GT(big, 0u);
+  pool.submit(+[](void*) {}, nullptr, 0, {});
+  pool.waitAll();
+  pool.recycle(); // one node chunk used: keep two, release the rest
+  const std::size_t small = pool.retainedBytes();
+  EXPECT_LT(small, big);
+  pool.submit(+[](void*) {}, nullptr, 0, {});
+  pool.waitAll();
+  pool.recycle();
+  EXPECT_EQ(pool.retainedBytes(), small);
+}
+
+TEST(ChunkedSlabTest, RecyclingLiftsTheLifetimeCapacity) {
+  ChunkedSlab<int, 2, 4> slab; // 4 chunks of 4: 16 indices per cycle
+  std::size_t total = 0;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (std::size_t i = 0; i < 16; ++i) {
+      EXPECT_EQ(slab.allocate(), i);
+      slab[i] = cycle;
+      ++total;
+    }
+    EXPECT_EQ(slab.size(), 16u);
+    EXPECT_EQ(slab.retainedBytes(), 16 * sizeof(int));
+    slab.recycle();
+    EXPECT_EQ(slab.size(), 0u);
+  }
+  EXPECT_GT(total, 16u);
+  // A reused element keeps what the previous cycle left in it.
+  EXPECT_EQ(slab.allocate(), 0u);
+  EXPECT_EQ(slab[0], 2);
+  // Within one cycle the cap still holds.
+  for (std::size_t i = 1; i < 16; ++i)
+    slab.allocate();
+  EXPECT_THROW(slab.allocate(), Error);
+}
+
+TEST(ChunkedSlabTest, RecycleReleasesChunksBeyondTwiceTheHighWaterMark) {
+  ChunkedSlab<int, 2, 4> slab;
+  for (int i = 0; i < 16; ++i)
+    slab.allocate();
+  slab.recycle(); // used 4 chunks: keep them all
+  EXPECT_EQ(slab.retainedBytes(), 16 * sizeof(int));
+  slab.allocate();
+  slab.recycle(); // used 1 chunk: keep 2
+  EXPECT_EQ(slab.retainedBytes(), 8 * sizeof(int));
+  slab.recycle(); // an empty cycle still keeps one chunk
+  EXPECT_EQ(slab.retainedBytes(), 4 * sizeof(int));
+  // Released chunks are recreated on demand.
+  for (std::size_t i = 0; i < 16; ++i)
+    EXPECT_EQ(slab.allocate(), i);
+  EXPECT_EQ(slab.retainedBytes(), 16 * sizeof(int));
 }
 
 // ---- ReplayGraph: the frozen reusable task graph behind CompiledPipeline.

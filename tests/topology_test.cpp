@@ -247,7 +247,8 @@ TEST(PlacementTest, MoreWorkersThanStagesLeavesTrailingWorkersIdle) {
   std::size_t owned = 0, nonEmpty = 0;
   for (const std::vector<std::size_t>& ws : p.ownedStages) {
     owned += ws.size();
-    nonEmpty += ws.empty() ? 0 : 1;
+    if (!ws.empty())
+      ++nonEmpty;
   }
   EXPECT_EQ(owned, 3u);    // every stage owned exactly once
   EXPECT_EQ(nonEmpty, 3u); // one stage per busy worker

@@ -329,7 +329,11 @@ TEST(ChromeTraceTest, RealTraceSatisfiesSchema) {
   // ...as are per-task spans and the per-worker + predicted tracks.
   EXPECT_TRUE(spanNames.count("task"));
   EXPECT_TRUE(threadNames.count("main"));
-  EXPECT_TRUE(threadNames.count("pool worker 0"));
+  // Which workers record events depends on scheduling; at least one does.
+  EXPECT_TRUE(std::any_of(threadNames.begin(), threadNames.end(),
+                          [](const std::string& name) {
+                            return name.rfind("pool worker ", 0) == 0;
+                          }));
   EXPECT_TRUE(threadNames.count("predicted worker 0"));
 }
 
