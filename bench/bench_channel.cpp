@@ -1,12 +1,13 @@
 // E20 — channel-route streaming throughput vs. task-depend replay.
 //
-// Streams many batches of Table-9 programs through CompiledPipeline's two
-// execution routes at matched thread counts:
-//   * task-depend: the frozen ReplayGraph on the dependency thread pool
-//     (atomic ready counters per node, parity across batches), and
-//   * channel: persistent stage workers connected by bounded SPSC token
-//     rings (tasking/channel_backend), capacities from the communication
-//     analysis.
+// Streams many batches of Table-9 programs through the two replay
+// routes at matched thread counts:
+//   * task-depend: CompiledPipeline's frozen ReplayGraph on the
+//     dependency thread pool (atomic ready counters per node, parity
+//     across batches), and
+//   * channel: ChannelPipeline's persistent stage workers connected by
+//     bounded SPSC token rings (tasking/channel_backend), capacities from
+//     the communication analysis.
 // The statement body is a near-free counter, so the measurement isolates
 // the per-block *orchestration* cost — exactly the term the channel route
 // attacks (no shared ready-counter cache lines, no pool wakeups; the only
@@ -115,11 +116,9 @@ int run(bool smoke, bool check, const std::string& jsonPath) {
     tasking::ReplayOptions taskDepOptions;
     taskDepOptions.numThreads = cfg.threads;
     tasking::CompiledPipeline taskDep(shared, slots, taskDepOptions);
-    tasking::ReplayOptions channelOptions;
-    channelOptions.numThreads = cfg.threads;
-    channelOptions.channels = true;
-    channelOptions.comm = &comm;
-    tasking::CompiledPipeline channel(shared, slots, channelOptions);
+    tasking::ChannelOptions channelOptions;
+    channelOptions.numWorkers = cfg.threads;
+    tasking::ChannelPipeline channel(shared, channelOptions, &comm);
 
     // Correctness: streaming through either route with shared state must
     // equal back-to-back sequential runs (checked with the real kernel).
@@ -129,16 +128,20 @@ int run(bool smoke, bool check, const std::string& jsonPath) {
       for (int b = 0; b < 3; ++b)
         tasking::executeSequential(scop, runner.executor());
       const std::uint64_t expected = runner.fingerprint();
-      for (tasking::CompiledPipeline* pipe : {&taskDep, &channel}) {
+      const tasking::BatchStatementExecutor exec =
+          [&](std::size_t, std::size_t s, const pb::Tuple& it) {
+            runner.execute(s, it);
+          };
+      for (const bool onChannel : {false, true}) {
         runner.reset();
-        pipe->replayBatches(3, [&](std::size_t, std::size_t s,
-                                   const pb::Tuple& it) {
-          runner.execute(s, it);
-        });
+        if (onChannel)
+          channel.replayBatches(3, exec);
+        else
+          taskDep.replayBatches(3, exec);
         const bool ok = runner.fingerprint() == expected;
         if (!ok)
           std::fprintf(stderr, "MISMATCH %s threads=%u route=%s\n", cfg.prog,
-                       cfg.threads, pipe == &channel ? "channel" : "taskdep");
+                       cfg.threads, onChannel ? "channel" : "taskdep");
         fingerprintsOk = fingerprintsOk && ok;
       }
     }

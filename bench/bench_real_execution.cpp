@@ -56,6 +56,7 @@
 #include "pipeline/comm.hpp"
 #include "pipeline/detect.hpp"
 #include "sim/calibrate.hpp"
+#include "tasking/channel_backend.hpp"
 #include "tasking/executor.hpp"
 #include "tasking/replay_executor.hpp"
 #include "tasking/tracing_layer.hpp"
@@ -413,23 +414,21 @@ int runChannel(bool smoke, const std::string& jsonPath) {
     tasking::ReplayOptions taskDepOptions;
     taskDepOptions.numThreads = hw;
     tasking::CompiledPipeline taskDep(shared, slots, taskDepOptions);
-    tasking::ReplayOptions channelOptions;
-    channelOptions.numThreads = hw;
-    channelOptions.channels = true;
-    channelOptions.comm = &comm;
-    tasking::CompiledPipeline channel(shared, slots, channelOptions);
+    tasking::ChannelOptions channelOptions;
+    channelOptions.numWorkers = hw;
+    tasking::ChannelPipeline channel(shared, channelOptions, &comm);
 
     // Correctness: both routes, single replays and a streamed batch run,
     // against the sequential fingerprint.
     kernels::SuiteRunner runner(spec, scop, size);
     tasking::executeSequential(scop, runner.executor());
     const std::uint64_t seqFp = runner.fingerprint();
-    bool fingerprintsOk = true;
-    for (tasking::CompiledPipeline* pipe : {&taskDep, &channel}) {
-      runner.reset();
-      pipe->replay(runner.executor());
-      fingerprintsOk = fingerprintsOk && runner.fingerprint() == seqFp;
-    }
+    runner.reset();
+    taskDep.replay(runner.executor());
+    bool fingerprintsOk = runner.fingerprint() == seqFp;
+    runner.reset();
+    channel.replay(runner.executor());
+    fingerprintsOk = fingerprintsOk && runner.fingerprint() == seqFp;
     runner.reset();
     channel.replayBatches(3, [&](std::size_t, std::size_t s,
                                  const pb::Tuple& it) {

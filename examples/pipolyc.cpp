@@ -20,8 +20,10 @@
 //     --timeline N  print a Fig.-2-style execution timeline on N workers
 //     --param X=V   override a declared parameter (repeatable)
 //     --verify      execute the task program with interpreted bodies on
-//                   the thread-pool backend and check against sequential
-//     --replay=N    compile the program once into a CompiledPipeline and
+//                   the --backend (thread-pool by default) three times and
+//                   check against sequential
+//     --replay=N    compile the program once into a CompiledPipeline (a
+//                   ChannelPipeline under --backend=channel) and
 //                   replay it N times with interpreted bodies, checking
 //                   every run against the sequential fingerprint; prints
 //                   total/per-replay timing and the executor stats
@@ -409,25 +411,41 @@ int main(int argc, char** argv) {
       std::printf("%s\n", pipeline::renderReport(scop, info, commPtr).c_str());
     if (emitC)
       std::printf("%s", codegen::emitOpenMPProgram(scop, prog).c_str());
+    // --backend=channel executes through one ChannelPipeline, compiled
+    // once (rings sized by the communication analysis, stages placed on
+    // --topology) and shared by --verify and --replay.
+    std::unique_ptr<tasking::ChannelPipeline> channel;
+    if (backendName == "channel" && (verifyRun || replayRuns != 0)) {
+      tasking::ChannelOptions channelOptions;
+      channelOptions.topology = topology;
+      channel = std::make_unique<tasking::ChannelPipeline>(
+          prog, channelOptions, commPtr);
+    }
+
     if (verifyRun) {
-      std::unique_ptr<tasking::TaskingLayer> layer;
-      if (backendName == "serial")
-        layer = tasking::makeSerialBackend();
-      else if (backendName == "openmp")
-        layer = tasking::makeOpenMPBackend();
-      else if (backendName == "channel") {
-        tasking::ChannelOptions channelOptions;
-        channelOptions.topology = topology;
-        layer = tasking::makeChannelBackend(channelOptions);
-      } else
-        layer = tasking::makeThreadPoolBackend(4);
-      if (layer == nullptr) {
-        std::fprintf(stderr, "pipolyc: backend '%s' is not available\n",
-                     backendName.c_str());
-        return 2;
+      verify::VerifyResult vr;
+      if (channel != nullptr) {
+        vr = verify::selfCheck(
+            scop, "channel",
+            [&](const tasking::StatementExecutor& exec) {
+              channel->replay(exec);
+            },
+            /*repetitions=*/3);
+      } else {
+        std::unique_ptr<tasking::TaskingLayer> layer;
+        if (backendName == "serial")
+          layer = tasking::makeSerialBackend();
+        else if (backendName == "openmp")
+          layer = tasking::makeOpenMPBackend();
+        else
+          layer = tasking::makeThreadPoolBackend(4);
+        if (layer == nullptr) {
+          std::fprintf(stderr, "pipolyc: backend '%s' is not available\n",
+                       backendName.c_str());
+          return 2;
+        }
+        vr = verify::selfCheck(scop, prog, *layer, /*repetitions=*/3);
       }
-      verify::VerifyResult vr =
-          verify::selfCheck(scop, prog, *layer, /*repetitions=*/3);
       std::printf("== verify ==\n%s on '%s' backend (3 runs)\n\n",
                   vr.ok ? "PASS: pipelined execution matches sequential"
                         : "FAIL: fingerprint mismatch",
@@ -437,23 +455,22 @@ int main(int argc, char** argv) {
     }
 
     if (replayRuns) {
-      // Compile once into the persistent replay executor, then run the
-      // program N times against the interpreted oracle.
+      // Compile once into the persistent replay executor (the channel
+      // pipeline under --backend=channel), then run the program N times
+      // against the interpreted oracle.
       const std::uint64_t expected = verify::sequentialFingerprint(scop);
-      auto shared = std::make_shared<const codegen::TaskProgram>(prog);
-      tasking::ReplayOptions replayOptions;
-      if (backendName == "channel") {
-        replayOptions.channels = true;
-        replayOptions.comm = commPtr;
-        replayOptions.topology = topology;
-      }
-      tasking::CompiledPipeline pipe(shared, replayOptions);
+      std::unique_ptr<tasking::CompiledPipeline> graph;
+      if (channel == nullptr)
+        graph = std::make_unique<tasking::CompiledPipeline>(prog);
       verify::InterpretedKernel kernel(scop);
       std::size_t mismatches = 0;
       const auto start = std::chrono::steady_clock::now();
       for (std::size_t r = 0; r < replayRuns; ++r) {
         kernel.reset();
-        pipe.replay(kernel.executor());
+        if (channel != nullptr)
+          channel->replay(kernel.executor());
+        else
+          graph->replay(kernel.executor());
         if (kernel.fingerprint() != expected) ++mismatches;
       }
       const double total =
@@ -463,10 +480,12 @@ int main(int argc, char** argv) {
       std::printf("== replay (%zu runs, %u threads%s) ==\n"
                   "%s: %zu/%zu runs matched the sequential fingerprint\n"
                   "total %.3f ms, %.3f ms/replay\n\n",
-                  replayRuns, pipe.numThreads(),
-                  pipe.channelRoute()  ? ", channel route"
-                  : pipe.linear()      ? ", linear fast path"
-                                       : "",
+                  replayRuns,
+                  channel != nullptr ? channel->numWorkers()
+                                     : graph->numThreads(),
+                  channel != nullptr ? ", channel route"
+                  : graph->linear()  ? ", linear fast path"
+                                     : "",
                   mismatches == 0 ? "PASS" : "FAIL", replayRuns - mismatches,
                   replayRuns, total * 1e3,
                   total * 1e3 / static_cast<double>(replayRuns));

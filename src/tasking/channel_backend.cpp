@@ -15,12 +15,10 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -112,10 +110,9 @@ void pinThreadToCpus(const std::vector<int>& cpus) {
 
 } // namespace
 
-/// The stage/edge state machines plus the persistent worker threads.
-/// Shared by ChannelPipeline (stages = statements of a TaskProgram) and
-/// the channel TaskingLayer (stages = out-dependency idx groups of one
-/// run's CreateTask calls).
+/// The stage/edge state machines plus the persistent worker threads,
+/// owned by ChannelPipeline (stages = statements of a TaskProgram, see
+/// buildProgramPlan).
 class ChannelEngine {
 public:
   /// One directed channel: producer stage `src` feeds consumer `tgt`.
@@ -595,51 +592,6 @@ private:
 
 namespace {
 
-/// The channels of one stage graph, shared by both channel front ends:
-/// task `pos` of stage `tgt` depending on task `srcPos` of stage `src`
-/// needs srcPos + 1 tokens on the (src, tgt) channel; a same-stage
-/// dependency is covered by in-order execution within the stage.
-class EdgePlan {
-public:
-  explicit EdgePlan(const std::vector<std::size_t>& stageTasks)
-      : stageTasks_(stageTasks) {}
-
-  bool has(std::size_t src, std::size_t tgt) const {
-    return index_.count(key(src, tgt)) != 0;
-  }
-
-  /// The (src, tgt) channel, created on first use.
-  ChannelEngine::EdgeSpec& channel(std::size_t src, std::size_t tgt) {
-    const auto [it, fresh] = index_.try_emplace(key(src, tgt), edges.size());
-    if (fresh) {
-      ChannelEngine::EdgeSpec spec;
-      spec.src = src;
-      spec.tgt = tgt;
-      spec.reqTokens.assign(stageTasks_[tgt], 0);
-      edges.push_back(std::move(spec));
-    }
-    return edges[it->second];
-  }
-
-  void require(std::size_t src, std::size_t srcPos, std::size_t tgt,
-               std::size_t pos) {
-    if (src == tgt)
-      return;
-    std::uint64_t& req = channel(src, tgt).reqTokens[pos];
-    req = std::max(req, static_cast<std::uint64_t>(srcPos + 1));
-  }
-
-  std::vector<ChannelEngine::EdgeSpec> edges;
-
-private:
-  static std::uint64_t key(std::size_t src, std::size_t tgt) {
-    return (static_cast<std::uint64_t>(src) << 32) | tgt;
-  }
-
-  const std::vector<std::size_t>& stageTasks_;
-  std::unordered_map<std::uint64_t, std::size_t> index_;
-};
-
 /// Stage/edge plan of a TaskProgram: one stage per statement (in
 /// statement order), tasks in creation order within their stage.
 struct ProgramPlan {
@@ -656,24 +608,49 @@ ProgramPlan buildProgramPlan(const codegen::TaskProgram& program,
   const codegen::StageLayout layout = codegen::stageLayout(program);
   const std::vector<std::size_t>& stageOf = layout.stageOf;
   const std::vector<std::size_t>& stmtOf = layout.stmtOf;
+  plan.stageTasks = layout.stageTasks;
   plan.taskAt.resize(stmtOf.size());
   for (std::size_t i = 0; i < program.tasks.size(); ++i)
     plan.taskAt[layout.place[i].first].push_back(&program.tasks[i]);
 
-  // Cross-stage dependencies become per-edge token requirements; the
-  // slot table resolves every in-dependency to its producer task once.
+  // One channel per (src, tgt) stage pair, created on first use.
+  std::unordered_map<std::uint64_t, std::size_t> channelIndex;
+  const auto key = [](std::size_t src, std::size_t tgt) {
+    return (static_cast<std::uint64_t>(src) << 32) | tgt;
+  };
+  const auto channel = [&](std::size_t src,
+                           std::size_t tgt) -> ChannelEngine::EdgeSpec& {
+    const auto [it, fresh] =
+        channelIndex.try_emplace(key(src, tgt), plan.edges.size());
+    if (fresh) {
+      ChannelEngine::EdgeSpec spec;
+      spec.src = src;
+      spec.tgt = tgt;
+      spec.reqTokens.assign(plan.stageTasks[tgt], 0);
+      plan.edges.push_back(std::move(spec));
+    }
+    return plan.edges[it->second];
+  };
+
+  // Cross-stage dependencies become per-edge token requirements: task
+  // `pos` of stage `tgt` depending on task `srcPos` of stage `src` needs
+  // srcPos + 1 tokens on the (src, tgt) channel; a same-stage dependency
+  // is covered by in-order execution within the stage. The slot table
+  // resolves every in-dependency to its producer task once.
   const opt::SlotTable slots = opt::buildSlotTable(program);
-  EdgePlan edges(layout.stageTasks);
   for (std::size_t i = 0; i < program.tasks.size(); ++i) {
     const auto [stage, pos] = layout.place[i];
     for (auto it = slots.inBegin(i); it != slots.inEnd(i); ++it) {
       const auto [srcStage, srcPos] = layout.place[*it];
       PIPOLY_CHECK_MSG(srcStage != stage || srcPos < pos,
                        "same-stage dependency does not point backwards");
-      edges.require(srcStage, srcPos, stage, pos);
+      if (srcStage == stage)
+        continue;
+      std::uint64_t& req = channel(srcStage, stage).reqTokens[pos];
+      req = std::max(req, static_cast<std::uint64_t>(srcPos + 1));
     }
   }
-  for (ChannelEngine::EdgeSpec& spec : edges.edges) {
+  for (ChannelEngine::EdgeSpec& spec : plan.edges) {
     const std::size_t src = stmtOf[spec.src];
     const std::size_t tgt = stmtOf[spec.tgt];
     spec.capacitySlots = comm != nullptr
@@ -695,13 +672,12 @@ ProgramPlan buildProgramPlan(const codegen::TaskProgram& program,
     if (stageOf[s] == SIZE_MAX)
       continue;
     for (std::size_t r : readership[s]) {
-      if (r == s || stageOf[r] == SIZE_MAX || edges.has(stageOf[s], stageOf[r]))
+      if (r == s || stageOf[r] == SIZE_MAX ||
+          channelIndex.count(key(stageOf[s], stageOf[r])) != 0)
         continue;
-      edges.channel(stageOf[s], stageOf[r]).ackOnly = true;
+      channel(stageOf[s], stageOf[r]).ackOnly = true;
     }
   }
-  plan.stageTasks = layout.stageTasks;
-  plan.edges = std::move(edges.edges);
   return plan;
 }
 
@@ -770,187 +746,6 @@ std::size_t ChannelPipeline::retainedBytes() const {
   for (const std::vector<const codegen::Task*>& stage : taskAt_)
     bytes += stage.capacity() * sizeof(const codegen::Task*);
   return bytes;
-}
-
-namespace {
-
-/// The channel TaskingLayer: buffer one run's CreateTask calls on the
-/// spawner thread, then execute them through a per-run channel engine.
-/// Stages are the distinct out-dependency idx values in first-appearance
-/// order; last-writer (idx, tag) resolution matches the other backends.
-class ChannelBackend final : public TaskingLayer {
-public:
-  explicit ChannelBackend(ChannelOptions options) : options_(options) {}
-
-  std::string_view name() const override { return "channel"; }
-
-  void reserveDependencySlots(std::size_t numSlots) override {
-    PIPOLY_CHECK_MSG(inRun_, "reserveDependencySlots outside of run()");
-    denseWriter_.assign(numSlots, kNoWriter);
-  }
-
-  void createTask(TaskFunction f, const void* input, std::size_t inputSize,
-                  std::int64_t outDepend, int outIdx,
-                  const std::int64_t* inDepend, const int* inIdx,
-                  std::size_t dependNum) override {
-    PIPOLY_CHECK_MSG(inRun_, "createTask outside of run()");
-    Rec rec;
-    rec.fn = f;
-    rec.payloadOffset = arena_.size();
-    rec.payloadSize = inputSize;
-    if (inputSize != 0) {
-      arena_.resize(arena_.size() + inputSize);
-      std::memcpy(arena_.data() + rec.payloadOffset, input, inputSize);
-    }
-    rec.outIdx = outIdx;
-    rec.depBegin = producers_.size();
-    for (std::size_t k = 0; k < dependNum; ++k) {
-      std::size_t producer = kNoWriter;
-      if (isDense(inDepend[k]))
-        producer = denseWriter_[static_cast<std::size_t>(inDepend[k])];
-      else {
-        const auto it = lastWriter_.find(key(inIdx[k], inDepend[k]));
-        if (it != lastWriter_.end())
-          producer = it->second;
-      }
-      if (producer != kNoWriter)
-        producers_.push_back(producer);
-    }
-    rec.depEnd = producers_.size();
-    const std::size_t id = recs_.size();
-    if (isDense(outDepend))
-      denseWriter_[static_cast<std::size_t>(outDepend)] = id;
-    else
-      lastWriter_[key(outIdx, outDepend)] = id;
-    recs_.push_back(rec);
-  }
-
-  void run(const std::function<void()>& spawner) override {
-    PIPOLY_CHECK_MSG(!inRun_, "nested run() on the channel backend");
-    inRun_ = true;
-    try {
-      spawner();
-      execute();
-    } catch (...) {
-      reset();
-      inRun_ = false;
-      throw;
-    }
-    reset();
-    inRun_ = false;
-  }
-
-  std::size_t retainedBytes() const override {
-    return recs_.capacity() * sizeof(Rec) + arena_.capacity() +
-           producers_.capacity() * sizeof(std::size_t) +
-           denseWriter_.capacity() * sizeof(std::size_t) +
-           lastWriter_.bucket_count() *
-               (sizeof(void*) +
-                sizeof(std::pair<const std::uint64_t, std::size_t>));
-  }
-
-private:
-  struct Rec {
-    TaskFunction fn = nullptr;
-    std::size_t payloadOffset = 0;
-    std::size_t payloadSize = 0;
-    int outIdx = 0;
-    std::size_t depBegin = 0;
-    std::size_t depEnd = 0;
-  };
-
-  static constexpr std::size_t kNoWriter = SIZE_MAX;
-
-  static std::uint64_t key(int idx, std::int64_t tag) {
-    // idx is a statement slot (small); fold it above the tag bits.
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(idx))
-            << 48) ^
-           static_cast<std::uint64_t>(tag);
-  }
-
-  /// Under the dense-slot hint the tag alone names the slot.
-  bool isDense(std::int64_t tag) const {
-    return tag >= 0 && static_cast<std::size_t>(tag) < denseWriter_.size();
-  }
-
-  void execute() {
-    if (recs_.empty())
-      return;
-    // Stages by out-dependency idx, in first-appearance order; tasks in
-    // creation order within their stage.
-    std::unordered_map<int, std::size_t> stageOf;
-    std::vector<std::size_t> stageTasks;
-    std::vector<std::pair<std::size_t, std::size_t>> place(recs_.size());
-    std::vector<std::vector<std::size_t>> taskAt;
-    for (std::size_t i = 0; i < recs_.size(); ++i) {
-      const auto [it, fresh] =
-          stageOf.try_emplace(recs_[i].outIdx, stageTasks.size());
-      if (fresh) {
-        stageTasks.push_back(0);
-        taskAt.emplace_back();
-      }
-      place[i] = {it->second, stageTasks[it->second]++};
-      taskAt[it->second].push_back(i);
-    }
-    EdgePlan edges(stageTasks);
-    for (std::size_t i = 0; i < recs_.size(); ++i) {
-      const auto [stage, pos] = place[i];
-      for (std::size_t d = recs_[i].depBegin; d < recs_[i].depEnd; ++d) {
-        const auto [srcStage, srcPos] = place[producers_[d]];
-        edges.require(srcStage, srcPos, stage, pos);
-      }
-    }
-    for (ChannelEngine::EdgeSpec& spec : edges.edges)
-      spec.capacitySlots = options_.defaultCapacitySlots;
-    ChannelEngine engine(std::move(stageTasks), std::move(edges.edges),
-                         options_);
-    engine.run(1, [this, &taskAt](std::size_t stage, std::size_t pos,
-                                  std::size_t) {
-      const Rec& rec = recs_[taskAt[stage][pos]];
-      rec.fn(rec.payloadSize != 0 ? arena_.data() + rec.payloadOffset
-                                  : nullptr);
-    });
-  }
-
-  void reset() {
-    // Reuse-or-release, mirroring the threadpool backend: keep the
-    // high-water capacity for steady-state replays, release it once a
-    // run needs much less than what is retained.
-    const std::size_t usedRecs = recs_.size();
-    const std::size_t usedArena = arena_.size();
-    const std::size_t usedProducers = producers_.size();
-    const std::size_t usedHash = lastWriter_.size();
-    const std::size_t usedDense = denseWriter_.size();
-    recs_.clear();
-    arena_.clear();
-    producers_.clear();
-    lastWriter_.clear();
-    denseWriter_.clear();
-    if (recs_.capacity() > 2 * std::max<std::size_t>(usedRecs, 64))
-      decltype(recs_)().swap(recs_);
-    if (arena_.capacity() > 2 * std::max<std::size_t>(usedArena, 1024))
-      decltype(arena_)().swap(arena_);
-    if (producers_.capacity() > 2 * std::max<std::size_t>(usedProducers, 64))
-      decltype(producers_)().swap(producers_);
-    if (lastWriter_.bucket_count() > 2 * std::max<std::size_t>(usedHash, 16))
-      decltype(lastWriter_)().swap(lastWriter_);
-    if (denseWriter_.capacity() > 2 * std::max<std::size_t>(usedDense, 64))
-      decltype(denseWriter_)().swap(denseWriter_);
-  }
-
-  ChannelOptions options_;
-  bool inRun_ = false;
-  std::vector<Rec> recs_;
-  std::vector<char> arena_;
-  std::vector<std::size_t> producers_;
-  std::unordered_map<std::uint64_t, std::size_t> lastWriter_;
-  std::vector<std::size_t> denseWriter_;
-};
-
-} // namespace
-
-std::unique_ptr<TaskingLayer> makeChannelBackend(ChannelOptions options) {
-  return std::make_unique<ChannelBackend>(options);
 }
 
 } // namespace pipoly::tasking

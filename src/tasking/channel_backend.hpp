@@ -4,7 +4,8 @@
 // connected by bounded lock-free SPSC rings (rt::SpscQueue) carrying
 // block-completion tokens — the process-network alternative to the
 // task-depend route (Alias, *Improving Communication Patterns in
-// Polyhedral Process Networks*).
+// Polyhedral Process Networks*). ChannelPipeline is its only front end:
+// it compiles a TaskProgram onto the engine once and replays it.
 //
 // One stage per statement (chain fusion inside a statement reduces the
 // token traffic but never merges statements, so the fused program's
@@ -46,7 +47,6 @@
 #include "runtime/placement.hpp"
 #include "runtime/topology.hpp"
 #include "tasking/replay_executor.hpp"
-#include "tasking/tasking.hpp"
 
 #include <cstddef>
 #include <cstdint>
@@ -149,14 +149,5 @@ private:
   std::vector<std::vector<const codegen::Task*>> taskAt_;
   std::unique_ptr<class ChannelEngine> engine_;
 };
-
-/// The fourth TaskingLayer ("channel"): buffers the CreateTask calls of
-/// one run() on the spawner thread, partitions them into stages by their
-/// out-dependency idx (the generated code publishes the statement index
-/// there), resolves the last-writer dependencies to stage-local token
-/// requirements, and executes the run through the channel engine.
-/// executeTaskProgram publishes the statement index as idx alongside its
-/// dense slot tags, so the stages survive the dense-slot protocol.
-std::unique_ptr<TaskingLayer> makeChannelBackend(ChannelOptions options = {});
 
 } // namespace pipoly::tasking

@@ -49,8 +49,9 @@ void executeTaskProgram(const codegen::TaskProgram& program,
     std::vector<int> inIdx;
     for (const codegen::Task& task : program.tasks) {
       // The tag is the dense slot (the producing task's id); the idx is
-      // the idx that task publishes, so backends that partition by idx
-      // (the channel layer's stages) still see the statement structure.
+      // the idx that task publishes, so generic (idx, tag) backends that
+      // key on it (examples/custom_backend.cpp) still see the statement
+      // structure.
       inDepend.clear();
       inIdx.clear();
       for (const std::uint32_t* s = slots.inBegin(task.id);

@@ -24,9 +24,9 @@ using StatementExecutor =
 /// backend is handed the reserveDependencySlots hint and dense keys: the
 /// tag is the producing task's id, the idx the statement slot that task
 /// publishes (task.out.idx). Backends that honour the hint resolve every
-/// dependency with O(1) array indexing on the tag; the channel layer
-/// still builds its stages from the idx. Blocks until every task
-/// finished.
+/// dependency with O(1) array indexing on the tag; generic (idx, tag)
+/// backends still see the statement structure in the idx. Blocks until
+/// every task finished.
 ///
 /// Lifetime: the launch records handed to the backend carry raw pointers
 /// into `program` (and into `exec`); both must stay alive until the call

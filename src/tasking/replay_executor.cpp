@@ -1,7 +1,6 @@
 #include "tasking/replay_executor.hpp"
 
 #include "support/assert.hpp"
-#include "tasking/channel_backend.hpp"
 #include "trace/trace.hpp"
 
 #include <thread>
@@ -77,9 +76,6 @@ CompiledPipeline::CompiledPipeline(codegen::TaskProgram program,
                            std::move(program)),
                        options) {}
 
-// Out of line: ChannelPipeline is incomplete in the header.
-CompiledPipeline::~CompiledPipeline() = default;
-
 void CompiledPipeline::compile(const opt::SlotTable* slots) {
   trace::Span span("replay.compile");
   numThreads_ = options_.numThreads != 0
@@ -143,18 +139,6 @@ void CompiledPipeline::compile(const opt::SlotTable* slots) {
     else
       linear_ = k == 1 && *slots->inBegin(i) == i - 1;
   }
-
-  if (options_.channels) {
-    ChannelOptions channelOptions;
-    channelOptions.numWorkers = options_.numThreads;
-    channelOptions.defaultCapacitySlots = options_.channelCapacitySlots;
-    channelOptions.topology = options_.topology;
-    channelOptions.placementLambda = options_.placementLambda;
-    channelOptions.topologyAwarePlacement = options_.topologyAwarePlacement;
-    channelOptions.emulateRemoteNsPerByte = options_.emulateRemoteNsPerByte;
-    channels_ = std::make_unique<ChannelPipeline>(program_, channelOptions,
-                                                  options_.comm);
-  }
 }
 
 void CompiledPipeline::ensurePool() {
@@ -177,13 +161,8 @@ void CompiledPipeline::replay(const StatementExecutor& exec) {
   ReplayGuard guard(*this);
   trace::Span span("replay.run");
   ++stats_.replays;
-  if (channels_ != nullptr) {
-    channels_->replay(exec);
-    return;
-  }
   const BatchStatementExecutor batched = dropBatch(exec);
-  if ((linear_ && options_.linearFastPath) || numThreads_ == 1 ||
-      program_->tasks.size() <= 1) {
+  if (linear_ || numThreads_ == 1 || program_->tasks.size() <= 1) {
     ++stats_.linearReplays;
     runSerial(1, batched);
     return;
@@ -201,10 +180,6 @@ void CompiledPipeline::replayBatches(std::size_t numBatches,
   trace::Span span("replay.stream");
   trace::counter("replay.batches", static_cast<double>(numBatches));
   stats_.batches += numBatches;
-  if (channels_ != nullptr) {
-    channels_->replayBatches(numBatches, exec);
-    return;
-  }
   // Streaming a linear chain is the classic Pipeflow case: parallelism
   // comes from overlapping batches, so the chain goes through the graph
   // machinery — only a single-threaded pipeline runs batches in-order.
@@ -218,10 +193,7 @@ void CompiledPipeline::replayBatches(std::size_t numBatches,
 }
 
 std::size_t CompiledPipeline::retainedBytes() const {
-  std::size_t bytes = graph_.storageBytes();
-  if (channels_ != nullptr)
-    bytes += channels_->retainedBytes();
-  return bytes;
+  return graph_.storageBytes();
 }
 
 } // namespace pipoly::tasking

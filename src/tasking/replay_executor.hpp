@@ -42,21 +42,13 @@
 
 #include "opt/optimizer.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/topology.hpp"
 #include "tasking/executor.hpp"
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
-
-namespace pipoly::pipeline {
-struct CommInfo;
-} // namespace pipoly::pipeline
 
 namespace pipoly::tasking {
-
-class ChannelPipeline;
 
 /// Executes one dynamic statement instance of one batch of a stream.
 using BatchStatementExecutor = std::function<void(
@@ -70,29 +62,6 @@ struct ReplayOptions {
   /// Worker threads of the persistent pool (0 = hardware concurrency).
   /// 1 executes replays in creation order on the calling thread.
   unsigned numThreads = 0;
-  /// Allow the serial in-order fast path when the program is a single
-  /// linear chain (mostly a testing/benchmarking toggle).
-  bool linearFastPath = true;
-  /// Route replay()/replayBatches() through the channel engine
-  /// (tasking/channel_backend.hpp): persistent per-stage workers
-  /// connected by bounded SPSC token rings instead of the ready-counter
-  /// graph. Same results, no shared counter cache lines, backpressure by
-  /// construction.
-  bool channels = false;
-  /// Optional communication analysis (pipeline::analyzeCommunication of
-  /// the SCoP this program was compiled from) used to size the per-edge
-  /// rings on the channel route. Borrowed only during construction.
-  const pipeline::CommInfo* comm = nullptr;
-  /// Ring capacity for channel edges `comm` did not size.
-  std::uint32_t channelCapacitySlots = 8;
-  /// Hardware topology for channel-route stage placement (see
-  /// ChannelOptions::topology). Unset = topology-agnostic placement.
-  std::optional<rt::Topology> topology;
-  /// λ of the topology placement objective and the A/B placement switch
-  /// + synthetic-NUMA knob, forwarded to ChannelOptions verbatim.
-  double placementLambda = 1.0;
-  bool topologyAwarePlacement = true;
-  double emulateRemoteNsPerByte = 0.0;
 };
 
 class CompiledPipeline {
@@ -115,8 +84,6 @@ public:
   explicit CompiledPipeline(codegen::TaskProgram program,
                             Options options = {});
 
-  ~CompiledPipeline();
-
   const codegen::TaskProgram& program() const { return *program_; }
   std::size_t numTasks() const { return program_->tasks.size(); }
   unsigned numThreads() const { return numThreads_; }
@@ -127,12 +94,8 @@ public:
   /// in-order on the calling thread with zero scheduling overhead.
   bool linear() const { return linear_; }
 
-  /// True when replays run through the channel engine (options.channels).
-  bool channelRoute() const { return channels_ != nullptr; }
-
   /// Approximate bytes kept allocated between replays: the frozen graph
-  /// (ready counters + CSR adjacency) and — on the channel route — the
-  /// per-edge rings and stage tables. Same
+  /// (ready counters + CSR adjacency + batch-group tables). Same
   /// diagnostic contract as TaskingLayer::retainedBytes().
   std::size_t retainedBytes() const;
 
@@ -167,7 +130,6 @@ private:
   bool linear_ = false;
   rt::ReplayGraph graph_;
   std::unique_ptr<rt::DependencyThreadPool> pool_; // lazily created
-  std::unique_ptr<ChannelPipeline> channels_;      // options.channels route
   std::atomic<bool> replaying_{false};
   Stats stats_;
 };

@@ -3,6 +3,8 @@
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 
+#include <utility>
+
 namespace pipoly::verify {
 
 InterpretedKernel::InterpretedKernel(const scop::Scop& scop) : scop_(&scop) {
@@ -89,21 +91,31 @@ std::uint64_t sequentialFingerprint(const scop::Scop& scop) {
   return kernel.fingerprint();
 }
 
-VerifyResult selfCheck(const scop::Scop& scop,
-                       const codegen::TaskProgram& program,
-                       tasking::TaskingLayer& layer, int repetitions) {
+VerifyResult selfCheck(const scop::Scop& scop, std::string backend,
+                       const Execution& run, int repetitions) {
   PIPOLY_CHECK(repetitions >= 1);
   VerifyResult result;
-  result.backend = std::string(layer.name());
+  result.backend = std::move(backend);
   result.expected = sequentialFingerprint(scop);
   result.ok = true;
   for (int rep = 0; rep < repetitions; ++rep) {
     InterpretedKernel kernel(scop);
-    tasking::executeTaskProgram(program, layer, kernel.executor());
+    run(kernel.executor());
     result.actual = kernel.fingerprint();
     result.ok = result.ok && result.actual == result.expected;
   }
   return result;
+}
+
+VerifyResult selfCheck(const scop::Scop& scop,
+                       const codegen::TaskProgram& program,
+                       tasking::TaskingLayer& layer, int repetitions) {
+  return selfCheck(
+      scop, std::string(layer.name()),
+      [&](const tasking::StatementExecutor& exec) {
+        tasking::executeTaskProgram(program, layer, exec);
+      },
+      repetitions);
 }
 
 } // namespace pipoly::verify

@@ -15,6 +15,7 @@
 #include "tasking/executor.hpp"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,9 +61,18 @@ struct VerifyResult {
   std::string backend;
 };
 
-/// Runs `program` on `layer` with interpreted bodies and compares against
-/// the sequential execution. `repetitions` > 1 re-runs the parallel
-/// execution to better expose races.
+/// One execution of the compiled program with the given statement
+/// executor (a TaskingLayer run, a ChannelPipeline replay, ...).
+using Execution = std::function<void(const tasking::StatementExecutor&)>;
+
+/// Runs `run` with interpreted bodies and compares against the
+/// sequential execution; `backend` names the route in the result.
+/// `repetitions` > 1 re-runs the parallel execution to better expose
+/// races.
+VerifyResult selfCheck(const scop::Scop& scop, std::string backend,
+                       const Execution& run, int repetitions = 1);
+
+/// selfCheck of `program` executed on `layer`.
 VerifyResult selfCheck(const scop::Scop& scop,
                        const codegen::TaskProgram& program,
                        tasking::TaskingLayer& layer, int repetitions = 1);

@@ -1,11 +1,11 @@
-// Tests for the channel execution route (tasking/channel_backend):
-// differential bit-identity against the sequential oracle across Table-9
-// × optimizer on/off × worker counts, the shared-state streaming
-// regression for the transitive-reduction hazard (batch acks must follow
-// the full statement readership, not just the surviving task edges — on
-// BOTH the task-depend graph and the channel network), the generic-route
-// TaskingLayer and its stage partitioning, statementReadership, and
-// retainedBytes accounting.
+// Tests for the channel execution route (tasking/channel_backend, whose
+// one front end is ChannelPipeline): differential bit-identity against
+// the sequential oracle across Table-9 × optimizer on/off × worker
+// counts, one stage per statement, the shared-state streaming regression
+// for the transitive-reduction hazard (batch acks must follow the full
+// statement readership, not just the surviving task edges — on BOTH the
+// task-depend graph and the channel network), statementReadership,
+// retainedBytes accounting and topology-aware placement.
 
 #include "tasking/channel_backend.hpp"
 
@@ -43,7 +43,9 @@ compileShared(const scop::Scop& scop, bool optimized) {
 TEST(ChannelDifferentialTest, Table9ReplayMatchesSequentialEverywhere) {
   // P1–P10 × optimizer on/off × worker counts: one replay through the
   // channel network must reproduce the sequential fingerprint bit for
-  // bit, with and without comm-sized rings.
+  // bit, with and without comm-sized rings. Every construction builds one
+  // stage per statement (chain fusion never merges statements) and
+  // reports it once as the channel.stages counter.
   for (const kernels::ProgramSpec& spec : kernels::table9Programs()) {
     const scop::Scop scop = kernels::buildProgram(spec, 10);
     const std::uint64_t expected = testing::sequentialFingerprint(scop);
@@ -52,12 +54,18 @@ TEST(ChannelDifferentialTest, Table9ReplayMatchesSequentialEverywhere) {
 
     for (bool optimized : {false, true}) {
       auto prog = compileShared(scop, optimized);
+      trace::Session session;
+      session.start();
+      std::size_t constructions = 0;
       for (unsigned workers : {1u, 2u, 4u}) {
         for (const pipeline::CommInfo* sized : {
                  static_cast<const pipeline::CommInfo*>(nullptr), &comm}) {
           ChannelOptions options;
           options.numWorkers = workers;
           ChannelPipeline pipe(prog, options, sized);
+          ++constructions;
+          EXPECT_EQ(pipe.numStages(), scop.numStatements())
+              << spec.name << " opt " << optimized;
           testing::InterpretedKernel kernel(scop);
           pipe.replay(kernel.executor());
           EXPECT_EQ(kernel.fingerprint(), expected)
@@ -65,6 +73,15 @@ TEST(ChannelDifferentialTest, Table9ReplayMatchesSequentialEverywhere) {
               << (sized != nullptr ? " comm-sized" : " default-sized");
         }
       }
+      session.stop();
+      std::vector<double> stages;
+      for (const trace::TraceEvent& e : session.trace().events)
+        if (e.kind == trace::EventKind::Counter && e.name == "channel.stages")
+          stages.push_back(e.value);
+      EXPECT_EQ(stages,
+                std::vector<double>(constructions, static_cast<double>(
+                                                       scop.numStatements())))
+          << spec.name << " opt " << optimized;
     }
   }
 }
@@ -84,71 +101,37 @@ TEST(ChannelStreamingTest, SharedStateStreamEqualsBackToBackRuns) {
     for (std::size_t b = 0; b < kBatches; ++b)
       executeSequential(scop, runner.executor());
     const std::uint64_t expected = runner.fingerprint();
+    const BatchStatementExecutor exec =
+        [&](std::size_t, std::size_t s, const pb::Tuple& it) {
+          runner.execute(s, it);
+        };
 
     const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
     const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
     for (bool optimized : {false, true}) {
       auto prog = compileShared(scop, optimized);
       for (unsigned threads : {2u, 4u}) {
-        for (bool channels : {false, true}) {
-          ReplayOptions options;
-          options.numThreads = threads;
-          options.channels = channels;
-          options.comm = channels ? &comm : nullptr;
-          CompiledPipeline pipe(prog, options);
-          EXPECT_EQ(pipe.channelRoute(), channels);
+        ReplayOptions taskDepOptions;
+        taskDepOptions.numThreads = threads;
+        CompiledPipeline taskDep(prog, taskDepOptions);
+        ChannelOptions channelOptions;
+        channelOptions.numWorkers = threads;
+        ChannelPipeline channel(prog, channelOptions, &comm);
+        for (bool onChannel : {false, true}) {
           // Repeat: skew bugs are scheduling-dependent, one run can luck
           // through.
           for (int rep = 0; rep < 3; ++rep) {
             runner.reset();
-            pipe.replayBatches(kBatches, [&](std::size_t, std::size_t s,
-                                             const pb::Tuple& it) {
-              runner.execute(s, it);
-            });
+            if (onChannel)
+              channel.replayBatches(kBatches, exec);
+            else
+              taskDep.replayBatches(kBatches, exec);
             ASSERT_EQ(runner.fingerprint(), expected)
                 << spec.name << " opt " << optimized << " threads " << threads
-                << (channels ? " channel" : " taskdep") << " rep " << rep;
+                << (onChannel ? " channel" : " taskdep") << " rep " << rep;
           }
         }
       }
-    }
-  }
-}
-
-TEST(ChannelBackendTest, GenericRouteLayerMatchesSequential) {
-  // The fourth TaskingLayer: executeTaskProgram spawns through the
-  // channel engine via createTask, exercising the buffering/stage
-  // partitioning path instead of ChannelPipeline's direct compile.
-  for (const char* name : {"P1", "P5", "P8"}) {
-    const kernels::ProgramSpec& spec = kernels::programByName(name);
-    const scop::Scop scop = kernels::buildProgram(spec, 10);
-    const std::uint64_t expected = testing::sequentialFingerprint(scop);
-    for (bool optimized : {false, true}) {
-      auto prog = compileShared(scop, optimized);
-      ChannelOptions options;
-      options.numWorkers = 2;
-      auto layer = makeChannelBackend(options);
-      ASSERT_NE(layer, nullptr);
-      testing::InterpretedKernel kernel(scop);
-      trace::Session session;
-      session.start();
-      executeTaskProgram(*prog, *layer, kernel.executor());
-      session.stop();
-      EXPECT_EQ(kernel.fingerprint(), expected) << name << " opt " << optimized;
-      // The statement idx published next to the dense slot tags splits
-      // the run into one stage per statement; without it the layer
-      // degenerates to one serial stage.
-      std::vector<double> stages;
-      for (const trace::TraceEvent& e : session.trace().events)
-        if (e.kind == trace::EventKind::Counter && e.name == "channel.stages")
-          stages.push_back(e.value);
-      EXPECT_EQ(stages, std::vector<double>{static_cast<double>(
-                            scop.numStatements())})
-          << name << " opt " << optimized;
-      // The layer is reusable across runs.
-      kernel.reset();
-      executeTaskProgram(*prog, *layer, kernel.executor());
-      EXPECT_EQ(kernel.fingerprint(), expected) << name << " rerun";
     }
   }
 }
@@ -205,24 +188,17 @@ TEST(ChannelRetainedBytesTest, RingsAndTablesAreCountedAndStable) {
   const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
   auto prog = compileShared(scop, true);
 
+  // The task-depend route retains its frozen graph (ready counters + CSR
+  // adjacency + group tables); the channel route its rings and
+  // stage/edge tables.
   ReplayOptions taskDepOptions;
   taskDepOptions.numThreads = 2;
   CompiledPipeline taskDep(prog, taskDepOptions);
-  ReplayOptions channelOptions;
-  channelOptions.numThreads = 2;
-  channelOptions.channels = true;
-  channelOptions.comm = &comm;
-  CompiledPipeline channel(prog, channelOptions);
-
-  // The frozen graph (ready counters + CSR adjacency + group tables) is
-  // retained on both; the channel route additionally holds the rings and
-  // stage/edge tables.
   EXPECT_GT(taskDep.retainedBytes(), 0u);
-  EXPECT_GT(channel.retainedBytes(), taskDep.retainedBytes());
 
-  ChannelOptions direct;
-  direct.numWorkers = 2;
-  ChannelPipeline pipe(prog, direct, &comm);
+  ChannelOptions channelOptions;
+  channelOptions.numWorkers = 2;
+  ChannelPipeline pipe(prog, channelOptions, &comm);
   const std::size_t before = pipe.retainedBytes();
   EXPECT_GT(before, 0u);
   testing::InterpretedKernel kernel(scop);

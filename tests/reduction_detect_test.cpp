@@ -11,8 +11,9 @@
 //    source keeps its Off result bit for bit.
 //  * The reduction kernel grid splits each accumulation nest into >1
 //    partial block plus one combine task, and executing the lowered
-//    programs on all four backends (serial / threadpool / OpenMP /
-//    channel), with and without the task-graph optimizer, reproduces the
+//    programs on the three TaskingLayer backends (serial / threadpool /
+//    OpenMP) and the channel pipeline at 1, 2 and 4 workers, with and
+//    without the task-graph optimizer, reproduces the
 //    sequential oracle fingerprint exactly — integer payloads, no
 //    tolerance. Replay and batch streaming stay bit-identical over long
 //    runs.
@@ -430,7 +431,6 @@ allBackends() {
   backends.emplace_back("threadpool", tasking::makeThreadPoolBackend(4));
   if (auto omp = tasking::makeOpenMPBackend())
     backends.emplace_back("openmp", std::move(omp));
-  backends.emplace_back("channel", tasking::makeChannelBackend());
   return backends;
 }
 
@@ -455,6 +455,18 @@ TEST(ReductionExecution, KernelOracleOnAllBackends) {
           EXPECT_EQ(runner.fingerprint(), expected)
               << spec.name << " mode=" << (mode == RMode::Auto ? "auto" : "off")
               << (optimize ? " optimized" : "") << " backend=" << name;
+        }
+        // The channel route: one ChannelPipeline replay per worker count.
+        for (unsigned workers : {1u, 2u, 4u}) {
+          tasking::ChannelOptions options;
+          options.numWorkers = workers;
+          tasking::ChannelPipeline pipe(prog, options);
+          kernels::ReductionRunner runner(scop, prog);
+          pipe.replay(runner.executor());
+          EXPECT_EQ(runner.fingerprint(), expected)
+              << spec.name << " mode=" << (mode == RMode::Auto ? "auto" : "off")
+              << (optimize ? " optimized" : "")
+              << " backend=channel workers=" << workers;
         }
       }
     }

@@ -25,12 +25,10 @@
 namespace pipoly::tasking {
 namespace {
 
-/// Replay options with `threads` workers, everything else at defaults.
-CompiledPipeline::Options onThreads(unsigned threads,
-                                    bool linearFastPath = true) {
+/// Replay options with `threads` workers.
+CompiledPipeline::Options onThreads(unsigned threads) {
   CompiledPipeline::Options options;
   options.numThreads = threads;
-  options.linearFastPath = linearFastPath;
   return options;
 }
 
@@ -260,14 +258,14 @@ TEST(ReplayLinearTest, LinearChainTakesTheSerialFastPath) {
 
 TEST(ReplayLinearTest, DisabledFastPathStillRunsChainInOrder) {
   constexpr std::size_t kTasks = 24;
-  CompiledPipeline pipe(linearChainProgram(kTasks), onThreads(4, false));
+  CompiledPipeline pipe(linearChainProgram(kTasks), onThreads(4));
   EXPECT_TRUE(pipe.linear());
 
-  // Through the graph machinery the chain's dependencies still admit
-  // exactly one order.
+  // A one-batch stream skips the serial fast path: through the graph
+  // machinery the chain's dependencies still admit exactly one order.
   std::mutex mutex;
   std::vector<pb::Value> order;
-  pipe.replay([&](std::size_t, const pb::Tuple& it) {
+  pipe.replayBatches(1, [&](std::size_t, std::size_t, const pb::Tuple& it) {
     std::lock_guard lock(mutex);
     order.push_back(it[0]);
   });
