@@ -34,8 +34,9 @@
 // is >= 5x faster than the cold compile, failing the run otherwise.
 //
 // --suite times serial end-to-end detection over the paper programs
-// P1-P10 at N=16 (the E17 reference metric); with --detect-cache it adds
-// a cold-vs-warm DetectCache pass over the whole suite. --json=FILE
+// P1-P10 at N=16 (the E17/E18 metric) and exits non-zero when a 4-thread
+// run of any program differs from the serial one; with --detect-cache it
+// adds a cold-vs-warm DetectCache pass over the whole suite. --json=FILE
 // writes the measurements as machine-readable JSON (BENCH_detect.json).
 
 #include "pipeline/detect.hpp"
@@ -117,12 +118,9 @@ bool infoEquals(const pipeline::PipelineInfo& a,
 }
 
 double timeDetect(const scop::Scop& scop, unsigned threads, int reps,
-                  pipeline::PipelineInfo* out = nullptr,
-                  pipeline::DetectOptions::ParametricMode mode =
-                      pipeline::DetectOptions::ParametricMode::Auto) {
+                  pipeline::PipelineInfo* out = nullptr) {
   pipeline::DetectOptions opt;
   opt.numThreads = threads;
-  opt.parametricMode = mode;
   double best = 0;
   for (int r = 0; r < reps; ++r) {
     Stopwatch sw;
@@ -192,8 +190,9 @@ int runSmoke(bool useCache) {
 }
 
 /// Serial end-to-end detection over the paper suite P1-P10 at N=16 (the
-/// EXPERIMENTS.md E17 reference), optionally with a cold/warm DetectCache
-/// pass and a JSON dump.
+/// EXPERIMENTS.md E17/E18 metric), checked against a 4-thread run of the
+/// same programs, optionally with a cold/warm DetectCache pass and a JSON
+/// dump.
 int runSuite(bool useCache, const std::string& jsonPath) {
   constexpr pb::Value kN = 16;
   constexpr int kReps = 10;
@@ -201,46 +200,36 @@ int runSuite(bool useCache, const std::string& jsonPath) {
   for (const kernels::ProgramSpec& spec : kernels::table9Programs())
     scops.push_back(kernels::buildProgram(spec, kN));
 
-  pipoly::bench::Table table(
-      {"program", "serial_ms", "parametric_ms", "maps", "blocks"});
-  std::vector<double> perProgram, perParametric;
+  pipoly::bench::Table table({"program", "parametric_ms", "maps", "blocks"});
+  std::vector<double> perProgram;
   std::vector<std::size_t> blocks;
-  double totalSerial = 0, totalParametric = 0;
+  double total = 0;
   const auto& specs = kernels::table9Programs();
   for (std::size_t p = 0; p < scops.size(); ++p) {
-    // serial_ms is the legacy route (ParametricMode::Off, the E17
-    // reference); parametric_ms is the default Auto route on the same
-    // scop — the closed forms plus per-pair fallback.
+    // parametric_ms is the serial route ladder: the closed forms plus
+    // per-pair fallback.
     pipeline::PipelineInfo info;
-    const double sec =
-        timeDetect(scops[p], 0, kReps, &info,
-                   pipeline::DetectOptions::ParametricMode::Off);
-    pipeline::PipelineInfo autoInfo;
-    const double autoSec =
-        timeDetect(scops[p], 0, kReps, &autoInfo,
-                   pipeline::DetectOptions::ParametricMode::Auto);
-    if (!infoEquals(info, autoInfo)) {
-      std::printf("bench_detect --suite: FAIL — parametric PipelineInfo "
-                  "differs from legacy on %s\n",
+    const double sec = timeDetect(scops[p], 0, kReps, &info);
+    pipeline::PipelineInfo parallel;
+    timeDetect(scops[p], 4, 1, &parallel);
+    if (!infoEquals(info, parallel)) {
+      std::printf("bench_detect --suite: FAIL — 4-thread PipelineInfo "
+                  "differs from serial on %s\n",
                   specs[p].name.c_str());
       return 1;
     }
     perProgram.push_back(sec);
-    perParametric.push_back(autoSec);
     blocks.push_back(info.totalBlocks());
-    totalSerial += sec;
-    totalParametric += autoSec;
+    total += sec;
     table.addRow({specs[p].name, pipoly::bench::fmt(sec * 1e3, 3),
-                  pipoly::bench::fmt(autoSec * 1e3, 3),
                   std::to_string(info.maps.size()),
                   std::to_string(info.totalBlocks())});
   }
   std::printf("bench_detect --suite: P1-P10, N=%lld, serial "
-              "(best-of-%d per program)\n",
+              "(best-of-%d per program), parallel(4) == serial\n",
               static_cast<long long>(kN), kReps);
   table.print();
-  std::printf("total serial: %.3f ms, parametric: %.3f ms\n",
-              totalSerial * 1e3, totalParametric * 1e3);
+  std::printf("total parametric: %.3f ms\n", total * 1e3);
 
   double coldTotal = 0, warmTotal = 0;
   if (useCache) {
@@ -277,12 +266,10 @@ int runSuite(bool useCache, const std::string& jsonPath) {
         << ",\n  \"reps\": " << kReps << ",\n  \"programs\": [\n";
     for (std::size_t p = 0; p < perProgram.size(); ++p)
       out << "    {\"name\": \"" << specs[p].name
-          << "\", \"serial_ms\": " << perProgram[p] * 1e3
-          << ", \"parametric_ms\": " << perParametric[p] * 1e3
+          << "\", \"parametric_ms\": " << perProgram[p] * 1e3
           << ", \"blocks\": " << blocks[p] << "}"
           << (p + 1 < perProgram.size() ? ",\n" : "\n");
-    out << "  ],\n  \"total_serial_ms\": " << totalSerial * 1e3
-        << ",\n  \"total_parametric_ms\": " << totalParametric * 1e3;
+    out << "  ],\n  \"total_parametric_ms\": " << total * 1e3;
     if (useCache)
       out << ",\n  \"cache\": {\"cold_ms\": " << coldTotal * 1e3
           << ", \"warm_ms\": " << warmTotal * 1e3

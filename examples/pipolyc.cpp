@@ -38,15 +38,12 @@
 //     --detect-cache  route detection through the process DetectCache
 //                   (a second lookup verifies the memoized result is
 //                   bit-identical) and report hit/miss stats on stderr
-//     --parametric=off|auto|force  select the detection route: off is the
-//                   bit-identical legacy path, auto (the default) takes the
-//                   closed-form parametric route with per-pair fallback,
-//                   force errors out on any pair the parametric route
-//                   cannot handle; route counters print on stderr
 //     --reduction=off|auto  off disables the reduction-aware route (the
 //                   bit-identical legacy behaviour); auto (the default)
 //                   relaxes classified `A[f] += g(...)` accumulations into
-//                   parallel partial blocks plus a combine task
+//                   parallel partial blocks plus a combine task; the
+//                   detection route counters (closed-form parametric
+//                   pairs, per-pair fallbacks) print on stderr
 //     --backend=serial|threadpool|openmp|channel  execution backend for
 //                   --verify and --replay. `channel` runs the communication
 //                   analysis and routes execution through the bounded-SPSC
@@ -120,7 +117,7 @@ int usage() {
                "usage: pipolyc [--maps] [--tree] [--ast] [--tasks] [--dot] "
                "[--optimize] [--emit-c] [--simulate N] [--timeline N] "
                "[--replay=N] [--trace=FILE] [--metrics] [--detect-cache] "
-               "[--parametric=off|auto|force] [--reduction=off|auto] "
+               "[--reduction=off|auto] "
                "[--backend=serial|threadpool|openmp|channel] "
                "[--topology=SPEC] [file]\n");
   return 2;
@@ -169,21 +166,6 @@ int main(int argc, char** argv) {
       metricsOut = true;
     else if (arg == "--detect-cache")
       detectCache = true;
-    else if (arg.rfind("--parametric=", 0) == 0) {
-      const std::string mode = arg.substr(13);
-      if (mode == "off")
-        detectOptions.parametricMode =
-            pipeline::DetectOptions::ParametricMode::Off;
-      else if (mode == "auto")
-        detectOptions.parametricMode =
-            pipeline::DetectOptions::ParametricMode::Auto;
-      else if (mode == "force")
-        detectOptions.parametricMode =
-            pipeline::DetectOptions::ParametricMode::Force;
-      else
-        return usage();
-      routeStats = true;
-    }
     else if (arg.rfind("--reduction=", 0) == 0) {
       const std::string mode = arg.substr(12);
       if (mode == "off")

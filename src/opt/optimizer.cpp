@@ -1,5 +1,6 @@
 #include "opt/optimizer.hpp"
 
+#include "runtime/placement.hpp"
 #include "support/assert.hpp"
 #include "trace/trace.hpp"
 
@@ -130,8 +131,7 @@ struct PlacedScore {
 
 PlacedScore scorePlacement(const TaskProgram& program,
                            const pipeline::CommInfo& comm,
-                           const std::optional<rt::Topology>& topology,
-                           double lambda) {
+                           const std::optional<rt::Topology>& topology) {
   PlacedScore score;
   score.maxClassOfStmt.assign(program.numStatements, 1.0);
 
@@ -171,10 +171,8 @@ PlacedScore scorePlacement(const TaskProgram& program,
                  ? *topology
                  : topology->resized(static_cast<unsigned>(numStages)))
           : rt::Topology::uma(static_cast<unsigned>(numStages));
-  rt::PlacementOptions popts;
-  popts.lambda = lambda;
   score.placement = rt::placeStagesTopology(
-      layout.stageTasks, static_cast<unsigned>(numStages), edges, topo, popts);
+      layout.stageTasks, static_cast<unsigned>(numStages), edges, topo);
 
   for (const rt::StageEdge& e : edges) {
     const unsigned da = score.placement.domainOfStage[e.src];
@@ -296,8 +294,8 @@ OptimizeStats optimize(codegen::TaskProgram& program,
   std::vector<std::size_t> stmtWidths;
   const bool placementAware = options.comm != nullptr;
   if (placementAware) {
-    const PlacedScore before = scorePlacement(
-        program, *options.comm, options.topology, options.placementLambda);
+    const PlacedScore before =
+        scorePlacement(program, *options.comm, options.topology);
     stats.placedCommCostBefore = before.placement.commCost;
     stats.crossDomainBytesBefore = before.placement.crossDomainBytes;
     if (options.fusionWidth > 1) {
@@ -320,8 +318,8 @@ OptimizeStats optimize(codegen::TaskProgram& program,
                                   stmtWidths.empty() ? nullptr : &stmtWidths);
   }
   if (placementAware) {
-    const PlacedScore after = scorePlacement(
-        program, *options.comm, options.topology, options.placementLambda);
+    const PlacedScore after =
+        scorePlacement(program, *options.comm, options.topology);
     stats.placedCommCostAfter = after.placement.commCost;
     stats.crossDomainBytesAfter = after.placement.crossDomainBytes;
   }

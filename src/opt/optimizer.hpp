@@ -42,7 +42,6 @@
 
 #include "codegen/task_program.hpp"
 #include "pipeline/comm.hpp"
-#include "runtime/placement.hpp"
 #include "runtime/topology.hpp"
 
 #include <cstdint>
@@ -69,8 +68,6 @@ struct OptimizeOptions {
   /// Topology the scoring places onto. Unset = uma over one worker per
   /// stage (the score then degenerates to total cross-stage bytes).
   std::optional<rt::Topology> topology;
-  /// λ of the scoring placement objective (rt::PlacementOptions).
-  double placementLambda = 1.0;
 };
 
 struct OptimizeStats {

@@ -12,6 +12,11 @@ namespace pipoly::pipeline {
 
 namespace {
 
+/// Bytes per array element (EdgeComm::totalBytes) and the floor of the
+/// sized ring capacity (EdgeComm::capacitySlots).
+constexpr std::uint64_t kElementBytes = 8;
+constexpr std::uint32_t kMinCapacitySlots = 2;
+
 // Floor/ceil division with a positive divisor (pb::Value is signed).
 pb::Value floorDiv(pb::Value a, pb::Value b) {
   return a >= 0 ? a / b : -((-a + b - 1) / b);
@@ -89,8 +94,8 @@ struct EdgeWork {
 
 } // namespace
 
-CommInfo analyzeCommunication(const scop::Scop& scop, const PipelineInfo& info,
-                              const CommOptions& options) {
+CommInfo analyzeCommunication(const scop::Scop& scop,
+                              const PipelineInfo& info) {
   trace::Span span("comm.analyze");
   CommInfo result;
   if (info.maps.empty())
@@ -139,7 +144,7 @@ CommInfo analyzeCommunication(const scop::Scop& scop, const PipelineInfo& info,
       rdRanges.push_back(std::move(rdRange));
     }
     w.comm.parametric = parametric;
-    w.comm.totalBytes = w.comm.elements * options.elementSize;
+    w.comm.totalBytes = w.comm.elements * kElementBytes;
 
     // Per producer block: consumed bytes and (implicitly, through the
     // requirement tokens below) the consumer blocks that read it.
@@ -161,7 +166,7 @@ CommInfo analyzeCommunication(const scop::Scop& scop, const PipelineInfo& info,
         elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
         blockElems += elems.size();
       }
-      const std::uint64_t bytes = blockElems * options.elementSize;
+      const std::uint64_t bytes = blockElems * kElementBytes;
       w.comm.maxBlockBytes = std::max(w.comm.maxBlockBytes, bytes);
       w.prefixBytes[p + 1] = w.prefixBytes[p] + bytes;
     }
@@ -251,7 +256,7 @@ CommInfo analyzeCommunication(const scop::Scop& scop, const PipelineInfo& info,
   for (EdgeWork& w : work) {
     w.comm.peakInFlightTokens = w.peakTokens;
     w.comm.peakInFlightBytes = w.peakBytes;
-    w.comm.capacitySlots = std::max(options.minCapacitySlots, w.peakTokens);
+    w.comm.capacitySlots = std::max(kMinCapacitySlots, w.peakTokens);
     result.edges.push_back(w.comm);
   }
   return result;

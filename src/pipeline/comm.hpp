@@ -35,16 +35,6 @@
 
 namespace pipoly::pipeline {
 
-struct CommOptions {
-  /// Bytes per array element. The kernel suite's arrays hold 64-bit
-  /// integers (exact oracle fingerprints), so 8 is the default.
-  std::size_t elementSize = 8;
-
-  /// Floor for the sized channel capacity. Two slots keep one block in
-  /// flight while the next is produced even on edges with lockstep peak 1.
-  std::uint32_t minCapacitySlots = 2;
-};
-
 /// Communication summary of one pipeline edge (one PipelineInfo::maps
 /// entry): statement `srcIdx` produces for statement `tgtIdx`.
 struct EdgeComm {
@@ -54,7 +44,9 @@ struct EdgeComm {
 
   /// Distinct array elements written by src and read by tgt.
   std::uint64_t elements = 0;
-  std::uint64_t totalBytes = 0; // elements * elementSize
+  /// elements * 8: the kernel suite's arrays hold 64-bit integers
+  /// (exact oracle fingerprints).
+  std::uint64_t totalBytes = 0;
   /// Largest number of bytes any single producer block feeds the edge.
   std::uint64_t maxBlockBytes = 0;
 
@@ -62,8 +54,9 @@ struct EdgeComm {
   /// schedule, and the live bytes at that peak.
   std::uint32_t peakInFlightTokens = 0;
   std::uint64_t peakInFlightBytes = 0;
-  /// max(minCapacitySlots, peakInFlightTokens): ring slots such that the
-  /// ASAP schedule never stalls on a full channel.
+  /// max(2, peakInFlightTokens): ring slots such that the ASAP schedule
+  /// never stalls on a full channel. The floor of two keeps one block in
+  /// flight while the next is produced even on edges with lockstep peak 1.
   std::uint32_t capacitySlots = 2;
 
   /// The volume came from the separable closed form (no intersection
@@ -112,8 +105,8 @@ struct CommInfo {
 };
 
 /// Computes the per-edge communication summary for a detection result.
-CommInfo analyzeCommunication(const scop::Scop& scop, const PipelineInfo& info,
-                              const CommOptions& options = {});
+CommInfo analyzeCommunication(const scop::Scop& scop,
+                              const PipelineInfo& info);
 
 /// Test oracle: the edge volume by brute-force point counting — enumerate
 /// every written and every read element through the raw affine accesses

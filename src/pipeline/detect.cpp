@@ -44,7 +44,7 @@ enum class PairRoute : unsigned char {
   Parametric,  // closed-form separable map (possibly empty: independent)
   Symbolic,    // per-point symbolic fast path
   Explicit,    // explicit Wr^-1(Rd) composition
-  Independent, // no dependence, discovered on the legacy route
+  Independent, // no dependence, discovered on the fallback route
   Reduction,   // source is a relaxed reduction: combine edge, no map
 };
 
@@ -67,12 +67,11 @@ struct PairResult {
 PairResult computePair(const scop::Scop& scop, std::size_t s, std::size_t t,
                        const DetectOptions& options,
                        const std::vector<ReductionInfo>& reductions) {
-  using ParametricMode = DetectOptions::ParametricMode;
   PairResult r;
   // A relaxed reduction source publishes its array only through its
   // combine step, so the pair contributes no pipeline map (and no
   // blocking): the dependence — if any — is a single combine edge. This
-  // check must precede the parametric/legacy ladder, whose map
+  // check must precede the parametric/fallback ladder, whose map
   // construction would serialize on (or throw over) the non-injective
   // accumulation write.
   if (!reductions.empty() && reductions[s].relaxed) {
@@ -91,32 +90,15 @@ PairResult computePair(const scop::Scop& scop, std::size_t s, std::size_t t,
     }
     return r; // else: route stays Independent
   }
+  const SeparablePairShape shape = classifySeparablePair(scop, s, t);
   pb::IntMap tMap;
-  bool haveMap = false;
-  if (options.parametricMode != ParametricMode::Off) {
-    const SeparablePairShape shape = classifySeparablePair(scop, s, t);
-    if (shape.ok()) {
-      // Closed form; an empty map *is* the no-dependence verdict, so the
-      // explicit dependence test is skipped entirely.
-      tMap = separablePipelineMap(scop, s, t, shape);
-      r.route = PairRoute::Parametric;
-      if (tMap.empty())
-        return r;
-      haveMap = true;
-    } else {
-      r.fallback = shape.fallback;
-      if (options.parametricMode == ParametricMode::Force &&
-          shape.fallback != ParametricFallback::NoSharedArray &&
-          scop::dependsOn(scop, t, s))
-        PIPOLY_CHECK_MSG(false,
-                         std::string("parametricMode=force: pair ") +
-                             scop.statement(s).name() + " -> " +
-                             scop.statement(t).name() +
-                             " is not parametric: " +
-                             toString(shape.fallback));
-    }
-  }
-  if (!haveMap) {
+  if (shape.ok()) {
+    // Closed form; an empty map *is* the no-dependence verdict, so the
+    // explicit dependence test is skipped entirely.
+    tMap = separablePipelineMap(scop, s, t, shape);
+    r.route = PairRoute::Parametric;
+  } else {
+    r.fallback = shape.fallback;
     if (!scop::dependsOn(scop, t, s))
       return r; // route stays Independent
     // The symbolic fast path covers identity-write sources (most
@@ -128,9 +110,9 @@ PairResult computePair(const scop::Scop& scop, std::size_t s, std::size_t t,
       tMap = pipelineMap(scop, s, t, options.allowNonInjectiveWrites);
       r.route = PairRoute::Explicit;
     }
-    if (tMap.empty())
-      return r;
   }
+  if (tMap.empty())
+    return r;
   r.srcBlocking = sourceBlockingMap(scop.statement(s).domain(), tMap);
   r.tgtBlocking = targetBlockingMap(scop.statement(t).domain(), tMap);
   r.map = std::move(tMap);

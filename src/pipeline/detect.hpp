@@ -11,6 +11,12 @@
 //   Q_S^out  the out-dependency map: the identity on Range(Σ_S).
 //
 // plus the list of pairwise pipeline maps T_{S,T} the blocks derive from.
+//
+// Every candidate pair takes one route ladder: a pair of symbolic.hpp's
+// separable shape gets its map in closed form; any other pair falls back,
+// on its own, to the dependence test and then the per-point symbolic fast
+// path or the explicit Wr^-1(Rd) composition. DetectStats records which
+// rung handled each pair.
 
 #include "pipeline/blocking.hpp"
 #include "pipeline/pipeline_map.hpp"
@@ -83,8 +89,8 @@ struct StatementPipelineInfo {
 /// Per-run route accounting for the candidate pairs of Algorithm 1,
 /// lines 1-7. Deterministic (gathered in the serial candidate order) and
 /// deliberately *not* part of the result's bit-identity contract: the
-/// semantic fields of PipelineInfo are equal across parametric modes,
-/// the stats record which route produced them.
+/// semantic fields of PipelineInfo are the same whichever route handled
+/// a pair, the stats record which route produced them.
 struct DetectStats {
   /// Ordered candidate pairs (s < t) examined.
   std::size_t candidatePairs = 0;
@@ -92,11 +98,11 @@ struct DetectStats {
   /// pairs it proved independent: an empty readers rectangle).
   std::size_t parametricPairs = 0;
   /// Pairs the per-point symbolic fast path handled after a parametric
-  /// fallback (or with the parametric route off).
+  /// fallback.
   std::size_t symbolicPairs = 0;
   /// Pairs that needed the explicit Wr^-1(Rd) composition.
   std::size_t explicitPairs = 0;
-  /// Pairs with no dependence, discovered on the legacy route (the
+  /// Pairs with no dependence, discovered on the fallback route (the
   /// parametric route counts its independent pairs as parametric).
   std::size_t independentPairs = 0;
   /// Dependent pairs whose source is a relaxed reduction statement: no
@@ -105,13 +111,13 @@ struct DetectStats {
   /// Statements the reduction classifier relaxed (reductionMode=auto).
   std::size_t reductionStatements = 0;
   /// Parametric-route rejections by reason, indexed by ParametricFallback
-  /// (only meaningful in Auto/Force modes; NoSharedArray rejections are
-  /// vacuous pairs, not fallbacks, but are tallied here too).
+  /// (NoSharedArray rejections are vacuous pairs, not fallbacks, but are
+  /// tallied here too).
   std::array<std::size_t, static_cast<std::size_t>(ParametricFallback::kCount)>
       fallbackByReason{};
 
-  /// Pairs that fell back from the parametric to a legacy route (excludes
-  /// vacuous no-shared-array pairs).
+  /// Pairs the parametric route rejected and handed to the symbolic or
+  /// explicit route (excludes vacuous no-shared-array pairs).
   std::size_t fallbackPairs() const {
     std::size_t n = 0;
     for (std::size_t i = 0; i < fallbackByReason.size(); ++i)
@@ -164,24 +170,6 @@ struct DetectOptions {
   /// (e.g. the fully parallel nmm nests, or nests whose dependences do
   /// not cross block boundaries).
   bool relaxSameNestOrdering = false;
-
-  /// The parametric-first route (the closed-form pipeline maps of
-  /// symbolic.hpp's separable shape).
-  enum class ParametricMode {
-    /// Bit-identical legacy: per-pair dependence test, then the
-    /// per-point symbolic fast path or the explicit composition.
-    Off,
-    /// The default: classify each candidate pair; separable pairs take
-    /// the closed form (skipping the explicit dependence test entirely),
-    /// the rest fall back per-pair to the legacy route. The resulting
-    /// PipelineInfo is bit-identical to Off.
-    Auto,
-    /// Like Auto, but a *dependent* pair that the parametric route
-    /// cannot handle throws pipoly::Error instead of falling back —
-    /// the regression guard for suites that must stay fully regular.
-    Force,
-  };
-  ParametricMode parametricMode = ParametricMode::Auto;
 
   /// Reduction dependence relaxation (reduction.hpp).
   enum class ReductionMode {

@@ -60,11 +60,6 @@ std::string detectFingerprint(const scop::Scop& scop,
   k.num(static_cast<std::int64_t>(options.coarsening));
   k.num(options.allowNonInjectiveWrites ? 1 : 0);
   k.num(options.relaxSameNestOrdering ? 1 : 0);
-  // parametricMode is part of the key even though the semantic result is
-  // bit-identical across modes: the DetectStats riding on PipelineInfo
-  // record the route, and a cached entry must replay the stats of the
-  // options it was computed under.
-  k.num(static_cast<std::int64_t>(options.parametricMode));
   // reductionMode changes the detected blocking and requirements for
   // reduction statements; reductionBlocks sizes their uniform split.
   // Both are result-affecting and must separate cache entries.

@@ -34,9 +34,9 @@ bool symbolicPipelineApplies(const scop::Scop& scop, std::size_t srcIdx,
                              std::size_t tgtIdx);
 
 // ---------------------------------------------------------------------
-// The parametric-first route (detect.hpp's ParametricMode): a stricter
-// shape than the per-point symbolic path above, in exchange for a fully
-// closed-form pipeline map. A pair qualifies when
+// The parametric-first route (the first rung of detect.hpp's route
+// ladder): a stricter shape than the per-point symbolic path above, in
+// exchange for a fully closed-form pipeline map. A pair qualifies when
 //
 //   * the target reads exactly one array the source writes, through
 //     exactly one access with no aux dims,

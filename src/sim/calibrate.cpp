@@ -1,16 +1,20 @@
 #include "sim/calibrate.hpp"
 
-#include "support/assert.hpp"
 #include "support/stopwatch.hpp"
 
 #include <algorithm>
 
 namespace pipoly::sim {
 
+namespace {
+
+constexpr std::size_t kSamplesPerStatement = 64;
+constexpr int kRepetitions = 3;
+
+} // namespace
+
 CostModel calibrate(const scop::Scop& scop,
-                    const tasking::StatementExecutor& exec,
-                    const CalibrationOptions& options) {
-  PIPOLY_CHECK(options.samplesPerStatement >= 1 && options.repetitions >= 1);
+                    const tasking::StatementExecutor& exec) {
   CostModel model;
   model.iterationCost.reserve(scop.numStatements());
 
@@ -18,8 +22,7 @@ CostModel calibrate(const scop::Scop& scop,
     const auto& points = scop.statement(s).domain().points();
     // Evenly spread sample of the domain.
     std::vector<pb::Tuple> sample;
-    const std::size_t count =
-        std::min(options.samplesPerStatement, points.size());
+    const std::size_t count = std::min(kSamplesPerStatement, points.size());
     for (std::size_t k = 0; k < count; ++k)
       sample.push_back(points[k * points.size() / count]);
 
@@ -27,12 +30,12 @@ CostModel calibrate(const scop::Scop& scop,
     for (const pb::Tuple& it : sample)
       exec(s, it);
     Stopwatch sw;
-    for (int rep = 0; rep < options.repetitions; ++rep)
+    for (int rep = 0; rep < kRepetitions; ++rep)
       for (const pb::Tuple& it : sample)
         exec(s, it);
     model.iterationCost.push_back(
         sw.seconds() /
-        (static_cast<double>(options.repetitions) *
+        (static_cast<double>(kRepetitions) *
          static_cast<double>(sample.size())));
   }
   return model;

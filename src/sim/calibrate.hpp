@@ -12,20 +12,14 @@
 
 namespace pipoly::sim {
 
-struct CalibrationOptions {
-  /// Instances sampled per statement (spread evenly over the domain).
-  std::size_t samplesPerStatement = 64;
-  /// Timing repetitions over the sample (averaged).
-  int repetitions = 3;
-};
-
-/// Runs samples of every statement through `exec` and returns a CostModel
-/// with measured per-iteration costs. The executor is invoked on real
-/// domain points, so statement bodies with data-dependent cost are
-/// averaged over a representative spread. `taskOverhead` is left at 0;
-/// combine with bench-style overhead measurement if needed.
+/// Runs up to 64 instances of every statement (spread evenly over its
+/// domain) through `exec`, once to warm up and three more times under the
+/// clock, and returns a CostModel with the averaged per-iteration costs. The
+/// executor is invoked on real domain points, so statement bodies with
+/// data-dependent cost are averaged over a representative spread.
+/// `taskOverhead` is left at 0; combine with bench-style overhead
+/// measurement if needed.
 CostModel calibrate(const scop::Scop& scop,
-                    const tasking::StatementExecutor& exec,
-                    const CalibrationOptions& options = {});
+                    const tasking::StatementExecutor& exec);
 
 } // namespace pipoly::sim

@@ -8,13 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cmath>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -35,48 +31,16 @@ namespace pipoly::tasking {
 // the simulator and the optimizer, so all three layers place against
 // the same objective.
 
-std::optional<unsigned> parseChannelBackoff(const char* text) {
-  if (text == nullptr)
-    return std::nullopt;
-  while (std::isspace(static_cast<unsigned char>(*text)))
-    ++text;
-  // strtoul silently accepts a leading minus (wrapping the value), so
-  // reject anything that does not start with a digit outright.
-  if (!std::isdigit(static_cast<unsigned char>(*text)))
-    return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(text, &end, 10);
-  if (errno == ERANGE || end == text)
-    return std::nullopt;
-  while (std::isspace(static_cast<unsigned char>(*end)))
-    ++end;
-  if (*end != '\0') // trailing garbage ("4k", "64 128", ...)
-    return std::nullopt;
-  if (v == 0 || v > UINT_MAX)
-    return std::nullopt;
-  return static_cast<unsigned>(v);
-}
-
 namespace {
 
-/// PIPOLY_CHANNEL_BACKOFF: idle-poll count at which a stage worker's
-/// backoff ladder moves from yielding to 50us sleeps. Parsed once;
-/// malformed input is a hard error (same parse-and-reject contract as
-/// PIPOLY_POOL_WAKE_CAP), never a silent default.
-unsigned channelBackoffCap() {
-  static const unsigned cap = [] {
-    const char* text = std::getenv("PIPOLY_CHANNEL_BACKOFF");
-    if (text == nullptr)
-      return 16384u;
-    const std::optional<unsigned> parsed = parseChannelBackoff(text);
-    PIPOLY_CHECK_MSG(parsed.has_value(),
-                     "PIPOLY_CHANNEL_BACKOFF must be a positive integer "
-                     "(idle polls before the worker sleeps)");
-    return *parsed;
-  }();
-  return cap;
-}
+/// A stage worker's backoff ladder (ChannelEngine::runStages): it spins
+/// for the first kSpinCap idle polls, yields until kBackoffCap, then
+/// sleeps 50us per poll.
+constexpr unsigned kSpinCap = 64;
+constexpr unsigned kBackoffCap = 16384;
+
+/// Ring capacity for edges the communication analysis did not size.
+constexpr std::uint32_t kDefaultCapacitySlots = 8;
 
 /// Deterministic producer-side transfer emulation (see
 /// ChannelOptions::emulateRemoteNsPerByte): burn `ns` on the clock, not
@@ -187,10 +151,8 @@ public:
           {spec.src, spec.tgt,
            std::max<std::uint64_t>(spec.weightBytes, 1)});
     if (hasTopology_ && options.topologyAwarePlacement) {
-      rt::PlacementOptions popts;
-      popts.lambda = options.placementLambda;
       placement_ = rt::placeStagesTopology(stageTasks, workers, weightedEdges,
-                                           topology_, popts);
+                                           topology_);
     } else {
       // The A/B baseline (old DP on a real topology) is still priced on
       // the topology: emulation, ring sizing and the placement diagnostics
@@ -407,12 +369,9 @@ private:
       }
       WorkerStats local;
       runStages(ownedStages_[w], local);
+      mergeStats(local);
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        stats_.tokensPushed += local.tokensPushed;
-        stats_.pushStalls += local.pushStalls;
-        stats_.tokenWaits += local.tokenWaits;
-        stats_.ackWaits += local.ackWaits;
         if (--remaining_ == 0)
           doneCv_.notify_all();
       }
@@ -420,8 +379,6 @@ private:
   }
 
   void runStages(const std::vector<std::size_t>& owned, WorkerStats& local) {
-    const unsigned backoffCap = channelBackoffCap();
-    const unsigned spinCap = std::min(64u, backoffCap);
     unsigned idle = 0;
     for (;;) {
       if (abort_.load(std::memory_order_relaxed)) {
@@ -455,9 +412,9 @@ private:
         return;
       if (progress) {
         idle = 0;
-      } else if (++idle < spinCap) {
+      } else if (++idle < kSpinCap) {
         // Tight spin: tokens usually arrive within a few polls.
-      } else if (idle < backoffCap) {
+      } else if (idle < kBackoffCap) {
         // Long yield phase before sleeping: on an oversubscribed host a
         // yield IS the handoff to the peer stage's worker (one scheduler
         // pass), while a timed sleep parks this worker for a fixed 50us
@@ -601,8 +558,7 @@ struct ProgramPlan {
 };
 
 ProgramPlan buildProgramPlan(const codegen::TaskProgram& program,
-                             const pipeline::CommInfo* comm,
-                             std::uint32_t defaultCapacity) {
+                             const pipeline::CommInfo* comm) {
   ProgramPlan plan;
   // Stages: the statements that own at least one task, ascending.
   const codegen::StageLayout layout = codegen::stageLayout(program);
@@ -653,9 +609,9 @@ ProgramPlan buildProgramPlan(const codegen::TaskProgram& program,
   for (ChannelEngine::EdgeSpec& spec : plan.edges) {
     const std::size_t src = stmtOf[spec.src];
     const std::size_t tgt = stmtOf[spec.tgt];
-    spec.capacitySlots = comm != nullptr
-                             ? comm->capacityFor(src, tgt, defaultCapacity)
-                             : defaultCapacity;
+    spec.capacitySlots =
+        comm != nullptr ? comm->capacityFor(src, tgt, kDefaultCapacitySlots)
+                        : kDefaultCapacitySlots;
     if (comm != nullptr)
       if (const pipeline::EdgeComm* edge = comm->edge(src, tgt))
         spec.weightBytes = std::max<std::uint64_t>(edge->totalBytes, 1);
@@ -691,8 +647,7 @@ ChannelPipeline::ChannelPipeline(
                    "ChannelPipeline needs a non-null program (it keeps the "
                    "program alive for the tasks' raw pointers)");
   trace::Span span("channel.compile");
-  ProgramPlan plan =
-      buildProgramPlan(*program_, comm, options.defaultCapacitySlots);
+  ProgramPlan plan = buildProgramPlan(*program_, comm);
   taskAt_ = std::move(plan.taskAt);
   engine_ = std::make_unique<ChannelEngine>(
       std::move(plan.stageTasks), std::move(plan.edges), options);

@@ -39,8 +39,7 @@
 // Ring capacities come from the communication analysis
 // (pipeline::analyzeCommunication): the per-edge peak in-flight token
 // count of the ASAP lockstep schedule, so a consumer keeping pace never
-// stalls its producer. Edges without an analyzed capacity use
-// ChannelOptions::defaultCapacitySlots.
+// stalls its producer. Edges without an analyzed capacity get 8 slots.
 
 #include "codegen/task_program.hpp"
 #include "pipeline/comm.hpp"
@@ -60,8 +59,6 @@ struct ChannelOptions {
   /// hardware concurrency). 1 runs the whole network cooperatively on
   /// the calling thread (no worker spawns at all).
   unsigned numWorkers = 0;
-  /// Ring capacity for edges the communication analysis did not size.
-  std::uint32_t defaultCapacitySlots = 8;
   /// Hardware topology for stage placement (rt/topology.hpp). Unset =
   /// the topology-agnostic PR 8 route, byte for byte. When set:
   /// placement is topology-weighted (placeStagesTopology), workers are
@@ -69,8 +66,6 @@ struct ChannelOptions {
   /// and cross-domain rings are sized larger (by the pair's cost class)
   /// to amortize the slower link.
   std::optional<rt::Topology> topology;
-  /// λ of the placement objective (rt::PlacementOptions::lambda).
-  double placementLambda = 1.0;
   /// Force the topology-agnostic PR 8 DP even when `topology` is set.
   /// Pinning, ring sizing and emulation still honor the topology — this
   /// is the A/B baseline of the `bench_channel --numa` gate (same
@@ -84,14 +79,6 @@ struct ChannelOptions {
   /// placement comparisons measure the placement, not scheduler noise.
   double emulateRemoteNsPerByte = 0.0;
 };
-
-/// Strict parser for PIPOLY_CHANNEL_BACKOFF (the idle-poll count at
-/// which a stage worker's backoff ladder moves from yielding to timed
-/// sleeps; see ChannelEngine::runStages). Same contract as
-/// rt::parseWakeCap: empty optional on garbage, zero, negative or
-/// out-of-range input — the engine turns that into a hard error, not a
-/// silent default. Exposed for tests.
-std::optional<unsigned> parseChannelBackoff(const char* text);
 
 /// A TaskProgram compiled onto the channel engine: built once (stages,
 /// edges, rings, persistent workers), replayed many times. The same

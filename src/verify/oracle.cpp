@@ -101,8 +101,11 @@ VerifyResult selfCheck(const scop::Scop& scop, std::string backend,
   for (int rep = 0; rep < repetitions; ++rep) {
     InterpretedKernel kernel(scop);
     run(kernel.executor());
-    result.actual = kernel.fingerprint();
-    result.ok = result.ok && result.actual == result.expected;
+    const std::uint64_t actual = kernel.fingerprint();
+    // Keep the first mismatch: a later matching run must not hide it.
+    if (result.ok)
+      result.actual = actual;
+    result.ok = result.ok && actual == result.expected;
   }
   return result;
 }

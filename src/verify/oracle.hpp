@@ -68,7 +68,8 @@ using Execution = std::function<void(const tasking::StatementExecutor&)>;
 /// Runs `run` with interpreted bodies and compares against the
 /// sequential execution; `backend` names the route in the result.
 /// `repetitions` > 1 re-runs the parallel execution to better expose
-/// races.
+/// races; `actual` is the first mismatching fingerprint (the last one
+/// when every run matched).
 VerifyResult selfCheck(const scop::Scop& scop, std::string backend,
                        const Execution& run, int repetitions = 1);
 

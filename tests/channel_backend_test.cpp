@@ -212,28 +212,6 @@ TEST(ChannelRetainedBytesTest, RingsAndTablesAreCountedAndStable) {
   EXPECT_EQ(pipe.stats().batches, 5u);
 }
 
-TEST(ChannelBackoffTest, StrictParseAndRejectContract) {
-  // PIPOLY_CHANNEL_BACKOFF follows PIPOLY_POOL_WAKE_CAP's contract: a
-  // positive decimal integer or a hard error — never a silent default.
-  EXPECT_EQ(parseChannelBackoff("1").value_or(0), 1u);
-  EXPECT_EQ(parseChannelBackoff("64").value_or(0), 64u);
-  EXPECT_EQ(parseChannelBackoff("16384").value_or(0), 16384u);
-  EXPECT_EQ(parseChannelBackoff("  42  ").value_or(0), 42u);
-
-  EXPECT_FALSE(parseChannelBackoff(nullptr).has_value());
-  EXPECT_FALSE(parseChannelBackoff("").has_value());
-  EXPECT_FALSE(parseChannelBackoff("   ").has_value());
-  EXPECT_FALSE(parseChannelBackoff("0").has_value());
-  EXPECT_FALSE(parseChannelBackoff("-1").has_value());
-  EXPECT_FALSE(parseChannelBackoff("+8").has_value());
-  EXPECT_FALSE(parseChannelBackoff("abc").has_value());
-  EXPECT_FALSE(parseChannelBackoff("12abc").has_value());
-  EXPECT_FALSE(parseChannelBackoff("12 34").has_value());
-  EXPECT_FALSE(parseChannelBackoff("0x10").has_value());
-  EXPECT_FALSE(parseChannelBackoff("3.5").has_value());
-  EXPECT_FALSE(parseChannelBackoff("99999999999999999999").has_value());
-}
-
 TEST(ChannelPlacementTest, UmaTopologyMatchesTheTopologyFreePlacement) {
   // The engine-level half of the uma differential: a ChannelPipeline
   // given an explicit uma topology must choose the same stage-to-worker

@@ -64,6 +64,17 @@ TEST(DetectCacheTest, HitReturnsBitIdenticalResult) {
   EXPECT_EQ(cold.hasPipeline(), direct.hasPipeline());
   EXPECT_EQ(warm.totalBlocks(), direct.totalBlocks());
 
+  // Warm hits replay the DetectStats of the run that computed the entry.
+  EXPECT_GT(direct.stats.parametricPairs, 0u);
+  for (const pipeline::PipelineInfo* info : {&cold, &warm}) {
+    EXPECT_EQ(info->stats.candidatePairs, direct.stats.candidatePairs);
+    EXPECT_EQ(info->stats.parametricPairs, direct.stats.parametricPairs);
+    EXPECT_EQ(info->stats.symbolicPairs, direct.stats.symbolicPairs);
+    EXPECT_EQ(info->stats.explicitPairs, direct.stats.explicitPairs);
+    EXPECT_EQ(info->stats.independentPairs, direct.stats.independentPairs);
+    EXPECT_EQ(info->stats.fallbackByReason, direct.stats.fallbackByReason);
+  }
+
   const pipeline::DetectCache::Stats s = cache.stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 1u);
@@ -148,9 +159,6 @@ TEST(DetectCacheTest, FingerprintKeyAuditCoversEveryResultAffectingOption) {
   differs([](pipeline::DetectOptions& o) { o.relaxSameNestOrdering = true; },
           "relaxSameNestOrdering");
   differs([](pipeline::DetectOptions& o) {
-    o.parametricMode = pipeline::DetectOptions::ParametricMode::Off;
-  }, "parametricMode");
-  differs([](pipeline::DetectOptions& o) {
     o.reductionMode = pipeline::DetectOptions::ReductionMode::Off;
   }, "reductionMode");
   differs([](pipeline::DetectOptions& o) { o.reductionBlocks = 4; },
@@ -167,7 +175,6 @@ TEST(DetectCacheTest, FingerprintKeyAuditCoversEveryResultAffectingOption) {
     std::size_t coarsening;
     bool allowNonInjectiveWrites;
     bool relaxSameNestOrdering;
-    pipeline::DetectOptions::ParametricMode parametricMode;
     pipeline::DetectOptions::ReductionMode reductionMode;
     std::size_t reductionBlocks;
     unsigned numThreads;

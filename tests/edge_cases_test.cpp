@@ -136,12 +136,10 @@ TEST(EdgeCaseTest, CalibrationProducesPlausibleCosts) {
     for (int k = 0; k < iters; ++k)
       sink = sink + k;
   };
-  sim::CostModel model = sim::calibrate(
-      scop,
-      [&](std::size_t stmt, const pb::Tuple&) {
+  sim::CostModel model =
+      sim::calibrate(scop, [&](std::size_t stmt, const pb::Tuple&) {
         spin(stmt == 0 ? 200 : 2000);
-      },
-      {32, 3});
+      });
   ASSERT_EQ(model.iterationCost.size(), 2u);
   EXPECT_GT(model.iterationCost[0], 0.0);
   EXPECT_GT(model.iterationCost[1], 2.0 * model.iterationCost[0]);

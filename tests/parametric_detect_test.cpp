@@ -1,12 +1,13 @@
 // The differential harness for the parametric-first detection route:
-// proves that DetectOptions::ParametricMode::Auto (the closed-form route
-// with per-pair fallback) produces a PipelineInfo bit-identical to Off
-// (the legacy route) — over all of Table 9 and hundreds of randomized
-// rectangular/affine-offset SCoPs, serial and parallel, cached and
-// uncached — and that the route counters and trace instants faithfully
-// record which route fired. The ParamScop side then checks that the
-// N-independent summaries (param_detect.hpp) agree with the explicit
-// results wherever both exist.
+// proves that detectPipeline's route ladder (the closed form with
+// per-pair fallback) produces the pipeline maps and Σ_S of the explicit
+// reference in testing/legacy_detect.hpp — over all of Table 9 and
+// hundreds of randomized rectangular/affine-offset SCoPs — that serial,
+// parallel and cached runs agree bit for bit, and that the route
+// counters and trace instants faithfully record which route fired. The
+// ParamScop side then checks that the N-independent summaries
+// (param_detect.hpp) agree with the explicit results wherever both
+// exist.
 
 #include "kernels/suite.hpp"
 #include "pipeline/detect.hpp"
@@ -16,6 +17,7 @@
 #include "scop/param_scop.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
+#include "testing/legacy_detect.hpp"
 #include "trace/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -29,14 +31,31 @@ namespace {
 
 using namespace pipoly;
 using pipeline::DetectOptions;
-using Mode = DetectOptions::ParametricMode;
 using pipeline::ParametricFallback;
+using pipoly::testing::legacyDetect;
+using pipoly::testing::LegacyDetection;
 
-DetectOptions optionsFor(Mode mode, unsigned threads = 0) {
+DetectOptions withThreads(unsigned threads) {
   DetectOptions opt;
-  opt.parametricMode = mode;
   opt.numThreads = threads;
   return opt;
+}
+
+/// The route ladder against the explicit reference: the same pipeline
+/// maps in the same order, and the same Σ_S for every statement.
+void expectMatchesLegacy(const LegacyDetection& ref,
+                         const pipeline::PipelineInfo& info,
+                         const std::string& what) {
+  ASSERT_EQ(ref.maps.size(), info.maps.size()) << what;
+  for (std::size_t i = 0; i < ref.maps.size(); ++i) {
+    EXPECT_EQ(ref.maps[i].srcIdx, info.maps[i].srcIdx) << what << " map " << i;
+    EXPECT_EQ(ref.maps[i].tgtIdx, info.maps[i].tgtIdx) << what << " map " << i;
+    EXPECT_TRUE(ref.maps[i].map == info.maps[i].map) << what << " map " << i;
+  }
+  ASSERT_EQ(ref.blocking.size(), info.statements.size()) << what;
+  for (std::size_t s = 0; s < ref.blocking.size(); ++s)
+    EXPECT_TRUE(ref.blocking[s] == info.statements[s].blocking)
+        << what << " S" << s;
 }
 
 /// Full bit-identity over the semantic fields of PipelineInfo. The stats
@@ -94,8 +113,8 @@ TEST(ParametricDetect, Table9BitIdenticalAcrossModesThreadsAndN) {
   for (const kernels::ProgramSpec& spec : kernels::table9Programs()) {
     for (pb::Value n : {2, 3, 4, 5, 8, 13, 16, 21, 27, 32}) {
       // Programs with strided reads reject N below their patterns (the
-      // clipped nest bound drops under 2); when they build, every mode
-      // and thread count must agree bit for bit.
+      // clipped nest bound drops under 2); when they build, the reference
+      // and every thread count must agree bit for bit.
       std::optional<scop::Scop> scop;
       try {
         scop.emplace(kernels::buildProgram(spec, n));
@@ -104,17 +123,12 @@ TEST(ParametricDetect, Table9BitIdenticalAcrossModesThreadsAndN) {
       }
       ++built;
       const std::string what = spec.name + " N=" + std::to_string(n);
-      const pipeline::PipelineInfo ref =
-          pipeline::detectPipeline(*scop, optionsFor(Mode::Off));
-      expectInfoEqual(ref,
-                      pipeline::detectPipeline(*scop, optionsFor(Mode::Auto)),
-                      what + " auto/serial");
-      expectInfoEqual(ref,
-                      pipeline::detectPipeline(*scop, optionsFor(Mode::Auto, 4)),
-                      what + " auto/parallel4");
-      expectInfoEqual(ref,
-                      pipeline::detectPipeline(*scop, optionsFor(Mode::Off, 4)),
-                      what + " off/parallel4");
+      const pipeline::PipelineInfo serial = pipeline::detectPipeline(*scop);
+      expectMatchesLegacy(legacyDetect(*scop), serial,
+                          what + " serial");
+      expectInfoEqual(serial,
+                      pipeline::detectPipeline(*scop, withThreads(4)),
+                      what + " parallel4");
     }
   }
   EXPECT_GE(built, 70u); // the skip path must stay the exception
@@ -127,8 +141,7 @@ TEST(ParametricDetect, Table9RouteCensus) {
   std::size_t nonSeparable = 0, noShared = 0;
   for (const kernels::ProgramSpec& spec : kernels::table9Programs()) {
     const scop::Scop scop = kernels::buildProgram(spec, 16);
-    const pipeline::PipelineInfo info =
-        pipeline::detectPipeline(scop, optionsFor(Mode::Auto));
+    const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
     expectStatsConsistent(info.stats, spec.name);
     total.candidatePairs += info.stats.candidatePairs;
     total.parametricPairs += info.stats.parametricPairs;
@@ -153,34 +166,24 @@ TEST(ParametricDetect, Table9RouteCensus) {
   EXPECT_EQ(noShared, 7u);
 }
 
-TEST(ParametricDetect, OffModeRunsNoParametricPairs) {
-  const scop::Scop scop = kernels::buildProgram(kernels::programByName("P3"), 16);
-  const pipeline::PipelineInfo info =
-      pipeline::detectPipeline(scop, optionsFor(Mode::Off));
-  EXPECT_EQ(info.stats.parametricPairs, 0u);
-  EXPECT_EQ(info.stats.fallbackPairs(), 0u);
-  EXPECT_EQ(info.stats.candidatePairs, 3u);
-  expectStatsConsistent(info.stats, "P3 off");
-}
-
 TEST(ParametricDetect, ForceAcceptsRegularProgramsAndRejectsCoupledReads) {
+  // The regular programs take the closed form for every pair; the
+  // coupled-read programs hand exactly their A[i+j][j] pairs down the
+  // ladder.
   for (const std::string& name : regularPrograms()) {
-    const scop::Scop scop =
-        kernels::buildProgram(kernels::programByName(name), 16);
-    pipeline::PipelineInfo info;
-    ASSERT_NO_THROW(info = pipeline::detectPipeline(scop, optionsFor(Mode::Force)))
-        << name;
+    const pipeline::PipelineInfo info = pipeline::detectPipeline(
+        kernels::buildProgram(kernels::programByName(name), 16));
     EXPECT_EQ(info.stats.fallbackPairs(), 0u) << name;
     EXPECT_EQ(info.stats.symbolicPairs, 0u) << name;
     EXPECT_EQ(info.stats.explicitPairs, 0u) << name;
-    expectInfoEqual(pipeline::detectPipeline(scop, optionsFor(Mode::Off)), info,
-                    name + " force");
   }
   for (const char* name : {"P4", "P6", "P10"}) {
-    const scop::Scop scop =
-        kernels::buildProgram(kernels::programByName(name), 16);
-    EXPECT_THROW(pipeline::detectPipeline(scop, optionsFor(Mode::Force)),
-                 pipoly::Error)
+    const pipeline::PipelineInfo info = pipeline::detectPipeline(
+        kernels::buildProgram(kernels::programByName(name), 16));
+    EXPECT_GT(info.stats.fallbacks(ParametricFallback::NonSeparableRead), 0u)
+        << name;
+    EXPECT_EQ(info.stats.fallbacks(ParametricFallback::NonSeparableRead),
+              info.stats.fallbackPairs())
         << name;
   }
 }
@@ -296,17 +299,11 @@ TEST(ParametricDetect, RandomizedDifferentialHarness) {
     const scop::Scop scop = randomScop(rng, iter);
     const std::string what = "iter " + std::to_string(iter);
 
-    const pipeline::PipelineInfo ref =
-        pipeline::detectPipeline(scop, optionsFor(Mode::Off));
-    const pipeline::PipelineInfo autoSerial =
-        pipeline::detectPipeline(scop, optionsFor(Mode::Auto));
-    expectInfoEqual(ref, autoSerial, what + " auto/serial");
-    expectInfoEqual(ref, pipeline::detectPipeline(scop, optionsFor(Mode::Auto, 4)),
-                    what + " auto/parallel4");
-    if (iter % 4 == 0)
-      expectInfoEqual(ref,
-                      pipeline::detectPipeline(scop, optionsFor(Mode::Off, 4)),
-                      what + " off/parallel4");
+    const pipeline::PipelineInfo autoSerial = pipeline::detectPipeline(scop);
+    expectMatchesLegacy(legacyDetect(scop), autoSerial,
+                        what + " serial");
+    expectInfoEqual(autoSerial, pipeline::detectPipeline(scop, withThreads(4)),
+                    what + " parallel4");
 
     expectStatsConsistent(autoSerial.stats, what);
     const std::size_t n = scop.numStatements();
@@ -314,25 +311,13 @@ TEST(ParametricDetect, RandomizedDifferentialHarness) {
     totalParametric += autoSerial.stats.parametricPairs;
     totalFallbacks += autoSerial.stats.fallbackPairs();
 
-    // Force either agrees bit for bit or rejects an irregular pair the
-    // Auto stats already know about.
-    try {
-      expectInfoEqual(ref,
-                      pipeline::detectPipeline(scop, optionsFor(Mode::Force)),
-                      what + " force");
-    } catch (const pipoly::Error&) {
-      EXPECT_GT(autoSerial.stats.fallbackPairs(), 0u) << what;
-    }
-
     // Cached results replay the same bits (and the same stats).
     if (iter % 8 == 0) {
       pipeline::DetectCache cache;
-      const pipeline::PipelineInfo cold =
-          cache.getOrCompute(scop, optionsFor(Mode::Auto));
-      const pipeline::PipelineInfo warm =
-          cache.getOrCompute(scop, optionsFor(Mode::Auto));
-      expectInfoEqual(ref, cold, what + " cache/cold");
-      expectInfoEqual(ref, warm, what + " cache/warm");
+      const pipeline::PipelineInfo cold = cache.getOrCompute(scop);
+      const pipeline::PipelineInfo warm = cache.getOrCompute(scop);
+      expectInfoEqual(autoSerial, cold, what + " cache/cold");
+      expectInfoEqual(autoSerial, warm, what + " cache/warm");
       EXPECT_EQ(warm.stats.parametricPairs, autoSerial.stats.parametricPairs)
           << what;
       EXPECT_EQ(cache.stats().hits, 1u) << what;
@@ -438,17 +423,15 @@ std::vector<FallbackCase> fallbackCases() {
 
 TEST(ParametricDetect, FallbackPairsMatchLegacyAndRecordTheirReason) {
   for (const FallbackCase& c : fallbackCases()) {
-    const pipeline::PipelineInfo ref =
-        pipeline::detectPipeline(c.scop, optionsFor(Mode::Off));
+    const LegacyDetection ref = legacyDetect(c.scop);
     ASSERT_FALSE(ref.maps.empty()) << c.name << ": case must be dependent";
 
     trace::Session session;
     session.start();
-    const pipeline::PipelineInfo info =
-        pipeline::detectPipeline(c.scop, optionsFor(Mode::Auto));
+    const pipeline::PipelineInfo info = pipeline::detectPipeline(c.scop);
     session.stop();
 
-    expectInfoEqual(ref, info, c.name);
+    expectMatchesLegacy(ref, info, c.name);
     EXPECT_EQ(info.stats.parametricPairs, 0u) << c.name;
     EXPECT_EQ(info.stats.fallbackPairs(), 1u) << c.name;
     EXPECT_EQ(info.stats.fallbacks(c.reason), 1u) << c.name;
@@ -466,11 +449,6 @@ TEST(ParametricDetect, FallbackPairsMatchLegacyAndRecordTheirReason) {
     }
     EXPECT_TRUE(sawReason) << c.name << ": missing " << c.traceName;
     EXPECT_TRUE(sawLegacyRoute) << c.name;
-
-    // Force refuses exactly these pairs.
-    EXPECT_THROW(pipeline::detectPipeline(c.scop, optionsFor(Mode::Force)),
-                 pipoly::Error)
-        << c.name;
   }
 }
 
@@ -478,7 +456,7 @@ TEST(ParametricDetect, ParametricRouteTracesItsPairs) {
   const scop::Scop scop = kernels::buildProgram(kernels::programByName("P1"), 16);
   trace::Session session;
   session.start();
-  (void)pipeline::detectPipeline(scop, optionsFor(Mode::Auto));
+  (void)pipeline::detectPipeline(scop);
   session.stop();
   std::size_t parametricInstants = 0;
   for (const trace::TraceEvent& e : session.trace().events)
@@ -486,32 +464,6 @@ TEST(ParametricDetect, ParametricRouteTracesItsPairs) {
         e.name == std::string("detect.route.parametric"))
       ++parametricInstants;
   EXPECT_EQ(parametricInstants, 1u);
-}
-
-// --- DetectCache interaction ------------------------------------------
-
-TEST(ParametricDetect, CacheKeySeparatesParametricModes) {
-  const scop::Scop scop = kernels::buildProgram(kernels::programByName("P3"), 16);
-  EXPECT_NE(pipeline::detectFingerprint(scop, optionsFor(Mode::Off)),
-            pipeline::detectFingerprint(scop, optionsFor(Mode::Auto)));
-  // numThreads stays excluded: serial and parallel share entries.
-  EXPECT_EQ(pipeline::detectFingerprint(scop, optionsFor(Mode::Auto)),
-            pipeline::detectFingerprint(scop, optionsFor(Mode::Auto, 4)));
-
-  pipeline::DetectCache cache;
-  const pipeline::PipelineInfo off = cache.getOrCompute(scop, optionsFor(Mode::Off));
-  const pipeline::PipelineInfo aut = cache.getOrCompute(scop, optionsFor(Mode::Auto));
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().entries, 2u);
-  expectInfoEqual(off, aut, "P3 off-vs-auto cached");
-  EXPECT_EQ(off.stats.parametricPairs, 0u);
-  EXPECT_EQ(aut.stats.parametricPairs, 3u);
-
-  // Warm hits replay the stats of the run that computed the entry.
-  const pipeline::PipelineInfo warmOff =
-      cache.getOrCompute(scop, optionsFor(Mode::Off));
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(warmOff.stats.parametricPairs, 0u);
 }
 
 // --- The N-independent route (ParamScop / detectParametric) -----------
@@ -524,8 +476,8 @@ TEST(ParamDetect, InstantiateReproducesBuildProgramExactly) {
     for (pb::Value n : {8, 16, 32}) {
       const scop::Scop inst = param.scop.instantiate(param.bindingsFor(n));
       const scop::Scop direct = kernels::buildProgram(spec, n);
-      EXPECT_EQ(pipeline::detectFingerprint(inst, optionsFor(Mode::Auto)),
-                pipeline::detectFingerprint(direct, optionsFor(Mode::Auto)))
+      EXPECT_EQ(pipeline::detectFingerprint(inst, {}),
+                pipeline::detectFingerprint(direct, {}))
           << spec.name << " N=" << n;
     }
   }
@@ -559,11 +511,10 @@ TEST(ParamDetect, SymbolicPlanMapsInstantiateToExplicitPipelineMaps) {
     for (pb::Value n : {8, 16}) {
       const pb::ParamBindings bindings = param.bindingsFor(n);
       const scop::Scop scop = kernels::buildProgram(param.spec, n);
-      const pipeline::PipelineInfo info =
-          pipeline::detectPipeline(scop, optionsFor(Mode::Off));
       // Every explicit pipeline map has a regular plan whose symbolic map
       // instantiates to exactly the same relation.
-      for (const pipeline::PipelineMapEntry& entry : info.maps) {
+      for (const pipeline::PipelineMapEntry& entry :
+           legacyDetect(scop).maps) {
         const auto it = std::find_if(
             det.plans().begin(), det.plans().end(),
             [&](const pipeline::ParamPairPlan& p) {
@@ -589,8 +540,7 @@ TEST(ParamDetect, SummariesAndBlockRepsMatchExplicitAtSmallN) {
     for (pb::Value n : {8, 13, 16, 32}) {
       const pb::ParamBindings bindings = param.bindingsFor(n);
       const scop::Scop scop = kernels::buildProgram(param.spec, n);
-      const pipeline::PipelineInfo info =
-          pipeline::detectPipeline(scop, optionsFor(Mode::Auto));
+      const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
       const pipeline::ParamSummary summary = det.summarize(bindings);
       const std::string what = name + " N=" + std::to_string(n);
 
@@ -625,8 +575,8 @@ TEST(ParamDetect, RequiredSourceRepsMatchExplicitInRequirements) {
     const pb::Value n = 16;
     const pb::ParamBindings bindings = param.bindingsFor(n);
     const scop::Scop scop = kernels::buildProgram(param.spec, n);
-    const pipeline::PipelineInfo info =
-        pipeline::detectPipeline(scop, optionsFor(Mode::Off));
+    const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
+    expectMatchesLegacy(legacyDetect(scop), info, name);
     for (const pipeline::PipelineMapEntry& entry : info.maps) {
       const auto planIt = std::find_if(
           det.plans().begin(), det.plans().end(),

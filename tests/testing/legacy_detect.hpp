@@ -1,0 +1,63 @@
+#pragma once
+
+// Test-only reference for Algorithm 1, lines 1-10: every candidate pair
+// goes through the dependence test and the explicit Wr^-1(Rd) pipeline
+// map, with no closed form and no per-point fast path. detectPipeline's
+// route ladder must reproduce its pipeline maps and Σ_S bit for bit.
+//
+// The reference models detectPipeline under default DetectOptions on
+// SCoPs without relaxed reductions: pairs whose source is a relaxed
+// reduction are skipped, and Σ_S is the eq.-3 integration of the
+// statement's blocking maps (one block when it has none, an empty map
+// over an empty domain), with no coarsening and no uniform reduction
+// split.
+
+#include "pipeline/blocking.hpp"
+#include "pipeline/detect.hpp"
+#include "pipeline/pipeline_map.hpp"
+#include "pipeline/reduction.hpp"
+#include "scop/dependences.hpp"
+
+#include <vector>
+
+namespace pipoly::testing {
+
+struct LegacyDetection {
+  /// Pipeline maps in detectPipeline's (t outer, s inner) order.
+  std::vector<pipeline::PipelineMapEntry> maps;
+  /// Σ_S per statement.
+  std::vector<pb::IntMap> blocking;
+};
+
+inline LegacyDetection legacyDetect(const scop::Scop& scop) {
+  const std::size_t n = scop.numStatements();
+  LegacyDetection out;
+  std::vector<std::vector<pb::IntMap>> blockingMaps(n);
+  for (std::size_t t = 0; t < n; ++t)
+    for (std::size_t s = 0; s < t; ++s) {
+      if (pipeline::classifyReduction(scop, s).relaxed ||
+          !scop::dependsOn(scop, t, s))
+        continue;
+      pb::IntMap map = pipeline::pipelineMap(scop, s, t);
+      if (map.empty())
+        continue;
+      blockingMaps[s].push_back(
+          pipeline::sourceBlockingMap(scop.statement(s).domain(), map));
+      blockingMaps[t].push_back(
+          pipeline::targetBlockingMap(scop.statement(t).domain(), map));
+      out.maps.push_back(pipeline::PipelineMapEntry{s, t, std::move(map)});
+    }
+  for (std::size_t s = 0; s < n; ++s) {
+    const pb::IntTupleSet& domain = scop.statement(s).domain();
+    if (domain.empty())
+      out.blocking.emplace_back(domain.space(), domain.space());
+    else if (blockingMaps[s].empty())
+      out.blocking.push_back(
+          pipeline::blockingMap(domain, pb::IntTupleSet(domain.space())));
+    else
+      out.blocking.push_back(pipeline::integrateBlockingMaps(blockingMaps[s]));
+  }
+  return out;
+}
+
+} // namespace pipoly::testing

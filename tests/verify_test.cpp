@@ -47,6 +47,26 @@ TEST(VerifyTest, SelfCheckCatchesWrongExecutionOrder) {
     EXPECT_TRUE(selfCheck(scop, prog, *layer).ok);
 }
 
+TEST(VerifyTest, SelfCheckReportsTheFirstMismatchingRepetition) {
+  // The first of three runs executes one extra instance, perturbing one
+  // array element; the later runs are correct. The check must fail and
+  // report the perturbed fingerprint, not the last run's.
+  scop::Scop scop = testing::listing1(10);
+  int runs = 0;
+  const VerifyResult r = selfCheck(
+      scop, "flaky",
+      [&](const tasking::StatementExecutor& exec) {
+        tasking::executeSequential(scop, exec);
+        if (runs++ == 0)
+          exec(0, scop.statement(0).domain().points().front());
+      },
+      3);
+  EXPECT_EQ(runs, 3);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.actual, r.expected);
+  EXPECT_EQ(r.backend, "flaky");
+}
+
 TEST(VerifyTest, SequentialFingerprintIsDeterministic) {
   scop::Scop scop = testing::chain(3, 8);
   EXPECT_EQ(sequentialFingerprint(scop), sequentialFingerprint(scop));
