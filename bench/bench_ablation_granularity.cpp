@@ -6,7 +6,7 @@
 //     accumulation nest splits into, trading combine fan-in against
 //     parallel partial work.
 // The reduction sweep prices each candidate with the topology-aware
-// channel simulator (sim::simulateChannels over a placeStagesTopology
+// channel simulator (sim::simulateChannels over an rt::placeStages
 // placement on the synthetic 2x-numa preset), so the chosen value
 // reflects where the partials land, not just how many there are. The
 // policy stays a knob — the sweep documents the auto-tuning path and
@@ -130,9 +130,8 @@ int main(int argc, char** argv) {
       std::vector<std::size_t> stmtOfStage(scop.numStatements());
       for (std::size_t s = 0; s < stmtOfStage.size(); ++s)
         stmtOfStage[s] = s;
-      const rt::Placement placed = rt::placeStagesTopology(
-          stageTasks, workers, comm.stageEdges(stmtOfStage), numa,
-          rt::PlacementOptions{});
+      const rt::Placement placed = rt::placeStages(
+          stageTasks, workers, comm.stageEdges(stmtOfStage), numa);
 
       sim::CostModel model;
       model.iterationCost.assign(scop.numStatements(), 5e-6);

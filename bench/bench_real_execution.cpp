@@ -38,8 +38,7 @@
 // `--smoke` it is the CI gate: any mismatch exits non-zero.
 //
 // `--json=FILE` writes the measurements of any mode as machine-readable
-// JSON (BENCH_real_execution.json / BENCH_channel.json), in the
-// bench_detect --json schema.
+// JSON (BENCH_real_execution.json), in the bench_detect --json schema.
 //
 // `--trace=FILE` traces the run (compile spans, per-task worker spans,
 // pool park/steal events) and writes Chrome Trace Event JSON.

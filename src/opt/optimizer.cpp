@@ -171,7 +171,7 @@ PlacedScore scorePlacement(const TaskProgram& program,
                  ? *topology
                  : topology->resized(static_cast<unsigned>(numStages)))
           : rt::Topology::uma(static_cast<unsigned>(numStages));
-  score.placement = rt::placeStagesTopology(
+  score.placement = rt::placeStages(
       layout.stageTasks, static_cast<unsigned>(numStages), edges, topo);
 
   for (const rt::StageEdge& e : edges) {

@@ -14,36 +14,54 @@ namespace {
 /// `workers` contiguous non-empty ranges, lexicographic (maxLoad,
 /// severed cut weight). `load` is the global task-count prefix sum and
 /// `cutWeight[p]` the traffic severed by a cut between stages p-1 and p
-/// — both global, so on [0, S) this is the original computation
-/// unchanged (bit-identity anchor for the uma differential test).
+/// — both global, so on [0, S) this is the uniform-topology placement.
 /// Returns the `workers - 1` interior cut positions (ascending, global
 /// stage indices); empty when workers == 1.
+///
+/// Two passes, because a prefix that is best in (maxLoad, cut weight)
+/// need not extend to the best whole partition: a later, heavier range
+/// can hide a prefix's lower load and leave only its larger cut weight.
+/// Pass 1 finds the optimal maxLoad; pass 2 minimizes the severed cut
+/// weight over partitions whose every range stays within it.
 std::vector<std::size_t>
 balancedCuts(const std::vector<std::uint64_t>& load,
              const std::vector<std::uint64_t>& cutWeight, std::size_t lo,
              std::size_t hi, unsigned workers) {
   const std::size_t numStages = hi - lo;
+  const auto rangeLoad = [&](std::size_t j, std::size_t i) {
+    return load[lo + i] - load[lo + j];
+  };
+  // minMax[w][i]: least max load of stages [lo, lo + i) over w workers.
+  std::vector<std::vector<std::uint64_t>> minMax(
+      workers + 1, std::vector<std::uint64_t>(numStages + 1, UINT64_MAX));
+  minMax[0][0] = 0;
+  for (unsigned w = 1; w <= workers; ++w)
+    for (std::size_t i = w; i + (workers - w) <= numStages; ++i)
+      for (std::size_t j = w - 1; j < i; ++j)
+        if (minMax[w - 1][j] != UINT64_MAX)
+          minMax[w][i] = std::min(minMax[w][i],
+                                  std::max(minMax[w - 1][j], rangeLoad(j, i)));
+  const std::uint64_t bound = minMax[workers][numStages];
+
   struct Cell {
-    std::uint64_t maxLoad = UINT64_MAX;
     std::uint64_t cross = UINT64_MAX;
     std::size_t prev = 0;
   };
-  // dp[w][i]: stages [lo, lo + i) over w workers.
+  // dp[w][i]: least cut weight of stages [lo, lo + i) over w workers,
+  // every range within `bound`; ties keep the earliest previous cut.
   std::vector<std::vector<Cell>> dp(workers + 1,
                                     std::vector<Cell>(numStages + 1));
-  dp[0][0] = {0, 0, 0};
+  dp[0][0] = {0, 0};
   for (unsigned w = 1; w <= workers; ++w)
     for (std::size_t i = w; i + (workers - w) <= numStages; ++i)
       for (std::size_t j = w - 1; j < i; ++j) {
         const Cell& base = dp[w - 1][j];
-        if (base.maxLoad == UINT64_MAX)
+        if (base.cross == UINT64_MAX || rangeLoad(j, i) > bound)
           continue;
-        Cell cand{std::max(base.maxLoad, load[lo + i] - load[lo + j]),
-                  base.cross + (j != 0 ? cutWeight[lo + j] : 0), j};
-        Cell& best = dp[w][i];
-        if (std::tie(cand.maxLoad, cand.cross) <
-            std::tie(best.maxLoad, best.cross))
-          best = cand;
+        const std::uint64_t cross =
+            base.cross + (j != 0 ? cutWeight[lo + j] : 0);
+        if (cross < dp[w][i].cross)
+          dp[w][i] = {cross, j};
       }
 
   std::vector<std::size_t> cuts(workers - 1, 0);
@@ -75,10 +93,11 @@ std::vector<std::uint64_t> cutWeights(std::size_t numStages,
 
 /// Fills workerOfStage/domainOfStage and every diagnostic from
 /// ownedStages; the scalarized objective uses `scale` precomputed by the
-/// caller (totalLoad / totalBytes) so candidates compare consistently.
+/// caller (totalLoad / totalBytes, or 0 for maxLoad alone) so candidates
+/// compare consistently.
 void finalize(Placement& p, const std::vector<std::size_t>& stageTasks,
-              const std::vector<StageEdge>& edges, const Topology* topology,
-              double lambda, double scale) {
+              const std::vector<StageEdge>& edges, const Topology& topology,
+              double scale) {
   const std::size_t numStages = stageTasks.size();
   p.workerOfStage.assign(numStages, 0);
   p.domainOfStage.assign(numStages, 0);
@@ -87,8 +106,8 @@ void finalize(Placement& p, const std::vector<std::size_t>& stageTasks,
     std::uint64_t load = 0;
     for (const std::size_t s : p.ownedStages[w]) {
       p.workerOfStage[s] = w;
-      if (topology != nullptr && w < topology->domainOfWorker.size())
-        p.domainOfStage[s] = topology->domainOfWorker[w];
+      if (w < topology.domainOfWorker.size())
+        p.domainOfStage[s] = topology.domainOfWorker[w];
       load += stageTasks[s];
     }
     p.maxLoad = std::max(p.maxLoad, load);
@@ -104,21 +123,18 @@ void finalize(Placement& p, const std::vector<std::size_t>& stageTasks,
     const unsigned db = p.domainOfStage[e.tgt];
     if (da != db)
       p.crossDomainBytes += e.bytes;
-    const double cls = topology != nullptr ? topology->costClass(da, db) : 1.0;
-    p.commCost += static_cast<double>(e.bytes) * cls;
+    p.commCost += static_cast<double>(e.bytes) * topology.costClass(da, db);
   }
-  p.objective =
-      static_cast<double>(p.maxLoad) + lambda * p.commCost * scale;
+  p.objective = static_cast<double>(p.maxLoad) + p.commCost * scale;
 }
 
-} // namespace
-
-Placement placeStagesBalanced(const std::vector<std::size_t>& stageTasks,
-                              unsigned workers,
-                              const std::vector<StageEdge>& edges,
-                              const Topology* topology) {
+/// The uniform-topology branch: the PR 8 DP over all stages, on
+/// min(workers, stage count) non-empty contiguous ranges.
+Placement balancedPlacement(const std::vector<std::size_t>& stageTasks,
+                            unsigned workers,
+                            const std::vector<StageEdge>& edges,
+                            const Topology& topology) {
   Placement p;
-  workers = std::max(workers, 1u);
   p.ownedStages.assign(workers, {});
   const std::size_t numStages = stageTasks.size();
   if (numStages != 0) {
@@ -136,32 +152,26 @@ Placement placeStagesBalanced(const std::vector<std::size_t>& stageTasks,
       begin = end;
     }
   }
-  if (topology != nullptr && topology->numWorkers() != workers) {
-    const Topology respread = topology->resized(workers);
-    finalize(p, stageTasks, edges, &respread, 0.0, 0.0);
-  } else {
-    finalize(p, stageTasks, edges, topology, 0.0, 0.0);
-  }
+  finalize(p, stageTasks, edges, topology, 0.0);
   return p;
 }
 
-Placement placeStagesTopology(const std::vector<std::size_t>& stageTasks,
-                              unsigned workers,
-                              const std::vector<StageEdge>& edges,
-                              const Topology& topology,
-                              const PlacementOptions& options) {
+} // namespace
+
+Placement placeStages(const std::vector<std::size_t>& stageTasks,
+                      unsigned workers, const std::vector<StageEdge>& edges,
+                      const Topology& topology) {
   workers = std::max(workers, 1u);
   const std::size_t numStages = stageTasks.size();
-
-  // A uniform topology cannot distinguish placements by domain, so the
-  // result is *defined* to be the PR 8 DP's — bit-identical, which the
-  // uma differential test in channel_backend_test pins down.
-  if (topology.uniform() || numStages == 0)
-    return placeStagesBalanced(stageTasks, workers, edges, &topology);
-
   const Topology topo = topology.numWorkers() == workers
                             ? topology
                             : topology.resized(workers);
+
+  // A uniform topology cannot distinguish placements by domain: the
+  // load-balancing DP decides alone.
+  if (topo.uniform() || numStages == 0)
+    return balancedPlacement(stageTasks, workers, edges, topo);
+
   const unsigned numDomains = topo.numDomains();
 
   // Workers of each domain, ascending worker id: domain d's stage range
@@ -206,8 +216,7 @@ Placement placeStagesTopology(const std::vector<std::size_t>& stageTasks,
         begin = end;
       }
     }
-    finalize(p, stageTasks, edges, &topo, options.lambda, scale);
-    p.topologyAware = true;
+    finalize(p, stageTasks, edges, topo, scale);
     return true;
   };
 
@@ -277,8 +286,7 @@ Placement placeStagesTopology(const std::vector<std::size_t>& stageTasks,
     p.ownedStages.assign(workers, {});
     for (std::size_t s = 0; s < numStages; ++s)
       p.ownedStages[0].push_back(s);
-    finalize(p, stageTasks, edges, &topo, options.lambda, scale);
-    p.topologyAware = true;
+    finalize(p, stageTasks, edges, topo, scale);
     return p;
   }
   return best;

@@ -4,34 +4,30 @@
 // pipeline's stages (statement order = pipeline order, data flows
 // forward) into contiguous per-worker ranges.
 //
-// Two partitioners share this header:
+// One partitioner, placeStages, places the stages on a topology (uma for
+// a machine without one):
 //
-//   * placeStagesBalanced — the topology-agnostic PR 8 DP, kept bit for
-//     bit: primary objective is load balance (max per-worker task
-//     count), secondary the channel bytes severed by the chosen cuts,
-//     lexicographically. Every core pair is implicitly equidistant.
+//   * On a uniform topology (single domain, or all classes equal) every
+//     core pair is equidistant, and the result is the PR 8 comm-weighted
+//     contiguous DP: primary objective is load balance (max per-worker
+//     task count), secondary the channel bytes severed by the chosen
+//     cuts, lexicographically.
 //
-//   * placeStagesTopology — the NUMA-weighted partitioner: workers live
-//     in rt::Topology domains, and the objective trades load balance
-//     against the *class-weighted* bytes the placement moves across
-//     workers:
+//   * Otherwise workers live in rt::Topology domains, and the objective
+//     trades load balance against the *class-weighted* bytes the
+//     placement moves across workers:
 //
-//         minimize  maxWorkerLoad + lambda * commCost * scale
+//         minimize  maxWorkerLoad + commCost * scale
 //         commCost  = sum over cross-worker edges of
 //                     bytes * classCost(domain(src), domain(tgt))
-//         scale     = totalLoad / totalEdgeBytes   (dimensionless lambda)
+//         scale     = totalLoad / totalEdgeBytes
 //
-//     Domain ranges are contiguous in stage space (workers dealt out
-//     domain-major), chosen by exhaustive enumeration of the domain cut
-//     vector — stage counts are statement counts, tiny — with the PR 8
-//     DP splitting each domain's range among its own workers. On a
-//     uniform topology (single domain, or all classes equal) the result
-//     is defined to be placeStagesBalanced's, bit-identical, so uma
-//     placements never drift from the PR 8 baseline.
-//
-// lambda is the knob the E22 ablation sweeps: 0 recovers pure load
-// balance (topology only reorders tie-breaks), large values accept
-// imbalance to keep heavy edges domain-local.
+//     The scale fixes the load-vs-bytes exchange rate at 1 (a whole
+//     program's traffic weighs as much as its whole load). Domain ranges
+//     are contiguous in stage space (workers dealt out domain-major),
+//     chosen by exhaustive enumeration of the domain cut vector — stage
+//     counts are statement counts, tiny — with the PR 8 DP splitting
+//     each domain's range among its own workers.
 
 #include "runtime/topology.hpp"
 
@@ -50,15 +46,9 @@ struct StageEdge {
   std::uint64_t bytes = 1;
 };
 
-struct PlacementOptions {
-  /// Load-vs-bytes exchange rate of the scalarized objective (see file
-  /// comment); dimensionless thanks to the totalLoad/totalBytes scale.
-  double lambda = 1.0;
-};
-
 struct Placement {
   /// Per worker, the owned stages (each a contiguous ascending range;
-  /// possibly empty on the topology route when a domain is starved).
+  /// possibly empty when a domain is starved).
   std::vector<std::vector<std::size_t>> ownedStages;
   /// Per stage: owning worker and that worker's domain.
   std::vector<std::size_t> workerOfStage;
@@ -69,37 +59,20 @@ struct Placement {
   std::uint64_t crossWorkerBytes = 0; // bytes on edges spanning workers
   std::uint64_t crossDomainBytes = 0; // subset spanning domains
   double commCost = 0.0;   // class-weighted cross-worker bytes
-  double objective = 0.0;  // scalarized objective of the winner
-  bool topologyAware = false;
-
-  double costClassOf(std::size_t srcStage, std::size_t tgtStage,
-                     const Topology& topology) const {
-    return topology.costClass(domainOfStage[srcStage],
-                              domainOfStage[tgtStage]);
-  }
+  /// Scalarized objective of the winner (maxLoad alone on a uniform
+  /// topology, where the DP ranks cuts lexicographically instead).
+  double objective = 0.0;
 };
 
-/// The PR 8 comm-weighted contiguous DP (topology-agnostic): stages
-/// 0..S-1 over min(workers, stage count) non-empty contiguous ranges,
-/// lexicographic (maxLoad, severed bytes). Workers past the stage count
-/// own nothing (their ownedStages entry is empty); workers == 0 is
-/// treated as 1. The topology never influences the cuts; given one (it is
-/// re-spread over `workers` when its slot count differs), domainOfStage
-/// and the domain diagnostics — crossDomainBytes, class-weighted commCost
-/// — price this placement on it. Without one every worker is domain 0.
-Placement placeStagesBalanced(const std::vector<std::size_t>& stageTasks,
-                              unsigned workers,
-                              const std::vector<StageEdge>& edges,
-                              const Topology* topology = nullptr);
-
-/// The topology-weighted partitioner (see file comment). `workers` is
-/// clamped to the stage count by the caller (channel engine) exactly as
-/// on the balanced route; the topology is re-spread over that worker
-/// count when its slot count differs.
-Placement placeStagesTopology(const std::vector<std::size_t>& stageTasks,
-                              unsigned workers,
-                              const std::vector<StageEdge>& edges,
-                              const Topology& topology,
-                              const PlacementOptions& options = {});
+/// Places stages 0..S-1 on `workers` workers of `topology` (see file
+/// comment). The topology is re-spread over `workers` when its slot count
+/// differs; workers == 0 is treated as 1. On a uniform topology the
+/// stages go to min(workers, S) non-empty contiguous ranges and workers
+/// past the stage count own nothing (their ownedStages entry is empty).
+/// domainOfStage and the domain diagnostics always price the chosen
+/// cuts on the topology.
+Placement placeStages(const std::vector<std::size_t>& stageTasks,
+                      unsigned workers, const std::vector<StageEdge>& edges,
+                      const Topology& topology);
 
 } // namespace pipoly::rt

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -133,11 +134,12 @@ private:
 };
 
 /// Integer-valued spec fields (worker ids, cpu ids) must round-trip.
+/// Range and integrality are checked on the double: casting a value
+/// outside int's range (1e300, -1e300) would be undefined behaviour.
 int asIndex(double v, const char* what) {
-  const int i = static_cast<int>(v);
-  if (static_cast<double>(i) != v || i < 0)
+  if (!(v >= 0.0 && v <= static_cast<double>(INT_MAX)) || std::floor(v) != v)
     fail(std::string(what) + " must be a non-negative integer");
-  return i;
+  return static_cast<int>(v);
 }
 
 } // namespace

@@ -66,7 +66,7 @@ struct Topology {
 
   /// True when placement cannot distinguish domains: a single domain, or
   /// every class (including the diagonal) equal — the partitioner then
-  /// reproduces the topology-agnostic PR 8 DP bit for bit.
+  /// places by the topology-agnostic PR 8 DP alone.
   bool uniform() const;
 
   /// Throws std::runtime_error with a one-line diagnostic when the model
@@ -82,8 +82,8 @@ struct Topology {
   static Topology uma(unsigned workers);
 
   /// Two domains (sockets), workers split evenly domain-major, remote
-  /// class `remoteCost`. The synthetic gate topology of bench_channel
-  /// --numa.
+  /// class `remoteCost`. The synthetic topology the partitioner's
+  /// NUMA tests place on (`--topology=2x-numa`).
   static Topology numa2(unsigned workers, double remoteCost = 4.0);
 
   /// `domains` ring segments, workers split evenly; the class of a pair

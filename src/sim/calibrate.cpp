@@ -3,6 +3,7 @@
 #include "support/stopwatch.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace pipoly::sim {
 
@@ -26,17 +27,19 @@ CostModel calibrate(const scop::Scop& scop,
     for (std::size_t k = 0; k < count; ++k)
       sample.push_back(points[k * points.size() / count]);
 
-    // Warm-up pass, then timed repetitions.
+    // Warm-up pass, then timed repetitions; the fastest one counts, so
+    // a preemption inside one repetition cannot skew the estimate.
     for (const pb::Tuple& it : sample)
       exec(s, it);
-    Stopwatch sw;
-    for (int rep = 0; rep < kRepetitions; ++rep)
+    double best = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      Stopwatch sw;
       for (const pb::Tuple& it : sample)
         exec(s, it);
-    model.iterationCost.push_back(
-        sw.seconds() /
-        (static_cast<double>(kRepetitions) *
-         static_cast<double>(sample.size())));
+      best = std::min(best, sw.seconds());
+    }
+    model.iterationCost.push_back(best /
+                                  static_cast<double>(sample.size()));
   }
   return model;
 }

@@ -14,7 +14,8 @@ namespace pipoly::sim {
 
 /// Runs up to 64 instances of every statement (spread evenly over its
 /// domain) through `exec`, once to warm up and three more times under the
-/// clock, and returns a CostModel with the averaged per-iteration costs. The
+/// clock, and returns a CostModel with the per-iteration cost of the
+/// fastest timed pass (one stopwatch reading per pass). The
 /// executor is invoked on real domain points, so statement bodies with
 /// data-dependent cost are averaged over a representative spread.
 /// `taskOverhead` is left at 0; combine with bench-style overhead

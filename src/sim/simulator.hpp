@@ -140,9 +140,8 @@ ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
                                   const CostModel& model);
 
 /// Topology-aware variant: predicts the channel route under a concrete
-/// stage placement (rt::placeStagesTopology / placeStagesBalanced output
-/// for this program's stages) on a concrete topology. Differences from
-/// the placement-free overload:
+/// stage placement (rt::placeStages output for this program's stages) on
+/// a concrete topology. Differences from the placement-free overload:
 ///   * stages sharing a worker serialize — a worker clock joins the
 ///     per-stage clock, so the predicted makespan reflects worker
 ///     contention, not one-idealized-worker-per-stage;
@@ -152,9 +151,9 @@ ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
 ///               + commCostPerByte * bytesPerToken * classCost(da, db),
 ///     while a same-worker edge pays only channelTokenOverhead (nothing
 ///     moves).
-/// Ranking simulateChannels over candidate placements is the predicted
-/// side of the E22 ablation; the bench's measured ranking must agree
-/// (spot-checked in sim_test).
+/// Ranking simulateChannels over candidate placements is how sim_test
+/// checks that the partitioner's NUMA placement is predicted to beat
+/// the load-only cuts (TopologySimTest.NumaPlacementBeatsTheLoadOnlyCuts).
 ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
                                   const pipeline::CommInfo& comm,
                                   const CostModel& model,

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <deque>
@@ -25,11 +24,9 @@
 
 namespace pipoly::tasking {
 
-// Stage placement itself lives in rt/placement.{hpp,cpp}: the PR 8
-// comm-weighted DP (placeStagesBalanced, kept bit-identical) and the
-// topology-weighted partitioner (placeStagesTopology) are shared with
-// the simulator and the optimizer, so all three layers place against
-// the same objective.
+// Stage placement itself lives in rt/placement.{hpp,cpp}: the one
+// partitioner (placeStages) is shared with the simulator and the
+// optimizer, so all three layers place against the same objective.
 
 namespace {
 
@@ -41,17 +38,6 @@ constexpr unsigned kBackoffCap = 16384;
 
 /// Ring capacity for edges the communication analysis did not size.
 constexpr std::uint32_t kDefaultCapacitySlots = 8;
-
-/// Deterministic producer-side transfer emulation (see
-/// ChannelOptions::emulateRemoteNsPerByte): burn `ns` on the clock, not
-/// the scheduler, so an emulated remote push costs the same on every
-/// run and A/B placement ratios are stable.
-void spinNanos(std::uint32_t ns) {
-  const auto until =
-      std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < until) {
-  }
-}
 
 /// Best-effort affinity pin of the calling thread to a domain's cpu
 /// list. A failed pin degrades to an unpinned worker, never an error —
@@ -118,7 +104,7 @@ public:
     }
     // Validate and monotonize the specs up front; the edge objects are
     // only built after placement, which decides ring sizing (cross-domain
-    // rings grow by the pair's cost class) and transfer emulation.
+    // rings grow by the pair's cost class).
     for (EdgeSpec& spec : specs) {
       PIPOLY_CHECK_MSG(spec.src < numStages && spec.tgt < numStages &&
                            spec.src != spec.tgt,
@@ -136,13 +122,15 @@ public:
         std::min<std::size_t>(workers, std::max<std::size_t>(numStages, 1)));
     numWorkers_ = workers;
 
-    if (options.topology.has_value()) {
-      hasTopology_ = true;
-      topology_ = options.topology->numWorkers() == workers
-                      ? *options.topology
-                      : options.topology->resized(workers);
-      topology_.validate();
-    }
+    // Without a topology the machine is uma: one domain, class 1.0 and
+    // no cpu lists, so ring sizing and pinning below change nothing.
+    if (!options.topology.has_value())
+      topology_ = rt::Topology::uma(workers);
+    else if (options.topology->numWorkers() == workers)
+      topology_ = *options.topology;
+    else
+      topology_ = options.topology->resized(workers);
+    topology_.validate();
 
     std::vector<rt::StageEdge> weightedEdges;
     weightedEdges.reserve(specs.size());
@@ -150,16 +138,8 @@ public:
       weightedEdges.push_back(
           {spec.src, spec.tgt,
            std::max<std::uint64_t>(spec.weightBytes, 1)});
-    if (hasTopology_ && options.topologyAwarePlacement) {
-      placement_ = rt::placeStagesTopology(stageTasks, workers, weightedEdges,
-                                           topology_);
-    } else {
-      // The A/B baseline (old DP on a real topology) is still priced on
-      // the topology: emulation, ring sizing and the placement diagnostics
-      // see the same machine model, only the cuts differ.
-      placement_ = rt::placeStagesBalanced(stageTasks, workers, weightedEdges,
-                                           hasTopology_ ? &topology_ : nullptr);
-    }
+    placement_ =
+        rt::placeStages(stageTasks, workers, weightedEdges, topology_);
     ownedStages_ = placement_.ownedStages;
 
     for (EdgeSpec& spec : specs) {
@@ -176,35 +156,20 @@ public:
       std::uint64_t tokenCapacity = std::max<std::uint64_t>(
           spec.capacitySlots,
           std::min<std::size_t>(2 * stageTasks[spec.src] + 2, UINT32_MAX));
-      const bool crossWorker =
-          placement_.workerOfStage[spec.src] !=
-          placement_.workerOfStage[spec.tgt];
       const unsigned da = placement_.domainOfStage[spec.src];
       const unsigned db = placement_.domainOfStage[spec.tgt];
-      const double cls = hasTopology_ ? topology_.costClass(da, db) : 1.0;
+      const double cls = topology_.costClass(da, db);
       // A cross-domain ring is the slow link: size it up by the cost
-      // class so the producer can run further ahead and the (emulated or
-      // real) extra latency amortizes over a deeper ring.
+      // class so the producer can run further ahead and the extra
+      // latency amortizes over a deeper ring.
       if (da != db && cls > 1.0)
         tokenCapacity = std::min<std::uint64_t>(
             tokenCapacity *
                 static_cast<std::uint64_t>(std::ceil(cls)),
             UINT32_MAX);
-      std::uint32_t emulateNs = 0;
-      if (crossWorker && !spec.ackOnly &&
-          options.emulateRemoteNsPerByte > 0.0) {
-        const double bytesPerToken =
-            static_cast<double>(std::max<std::uint64_t>(spec.weightBytes,
-                                                        1)) /
-            static_cast<double>(std::max<std::size_t>(
-                stageTasks[spec.src], 1));
-        emulateNs = static_cast<std::uint32_t>(std::min(
-            options.emulateRemoteNsPerByte * bytesPerToken * cls, 1.0e9));
-      }
       edges_.emplace_back(spec.src, spec.tgt,
                           static_cast<std::uint32_t>(tokenCapacity),
                           spec.ackOnly, std::move(spec.reqTokens));
-      edges_.back().emulateNs = emulateNs;
       stages_[spec.src].outEdges.push_back(idx);
       stages_[spec.tgt].inEdges.push_back(idx);
     }
@@ -306,9 +271,6 @@ private:
     std::size_t src;
     std::size_t tgt;
     bool ackOnly;
-    /// Producer-side spin per pushed token (synthetic NUMA emulation;
-    /// 0 = off). Set once at construction from the placed domain pair.
-    std::uint32_t emulateNs = 0;
     std::vector<std::uint64_t> reqTokens;
     rt::SpscQueue<std::uint32_t> ring; // forward: block-completion tokens
     rt::SpscQueue<std::uint8_t> ack;   // reverse: one token per batch
@@ -355,7 +317,7 @@ private:
   void workerMain(unsigned w) {
     // Per-domain worker pinning: keep each stage worker on its domain's
     // cores so a domain-local ring really is socket-local traffic.
-    if (hasTopology_ && !topology_.cpusOfDomain.empty() &&
+    if (!topology_.cpusOfDomain.empty() &&
         w < topology_.domainOfWorker.size())
       pinThreadToCpus(topology_.cpusOfDomain[topology_.domainOfWorker[w]]);
     std::uint64_t seenGen = 0;
@@ -499,8 +461,6 @@ private:
           continue;
         ++e.pushed;
         ++local.tokensPushed;
-        if (e.emulateNs != 0)
-          spinNanos(e.emulateNs);
         if (!e.ring.tryPush(static_cast<std::uint32_t>(st.pos)))
           PIPOLY_CHECK_MSG(
               stages_[e.tgt].finished.load(std::memory_order_acquire),
@@ -526,7 +486,6 @@ private:
   std::deque<Edge> edges_;
   rt::Placement placement_;
   rt::Topology topology_;
-  bool hasTopology_ = false;
   std::vector<std::vector<std::size_t>> ownedStages_;
   std::vector<std::thread> threads_;
   unsigned numWorkers_ = 1;

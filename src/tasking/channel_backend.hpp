@@ -59,25 +59,12 @@ struct ChannelOptions {
   /// hardware concurrency). 1 runs the whole network cooperatively on
   /// the calling thread (no worker spawns at all).
   unsigned numWorkers = 0;
-  /// Hardware topology for stage placement (rt/topology.hpp). Unset =
-  /// the topology-agnostic PR 8 route, byte for byte. When set:
-  /// placement is topology-weighted (placeStagesTopology), workers are
-  /// pinned to their domain's cpu list when the topology carries one,
-  /// and cross-domain rings are sized larger (by the pair's cost class)
-  /// to amortize the slower link.
+  /// Hardware topology for stage placement (rt/topology.hpp), re-spread
+  /// over the worker count. Unset = uma. The engine places its stages
+  /// on it (rt::placeStages), pins workers to their domain's cpu list
+  /// when the topology carries one, and sizes cross-domain rings larger
+  /// (by the pair's cost class) to amortize the slower link.
   std::optional<rt::Topology> topology;
-  /// Force the topology-agnostic PR 8 DP even when `topology` is set.
-  /// Pinning, ring sizing and emulation still honor the topology — this
-  /// is the A/B baseline of the `bench_channel --numa` gate (same
-  /// machine model, old placement).
-  bool topologyAwarePlacement = true;
-  /// Synthetic NUMA emulation for benchmarks/tests on single-socket
-  /// hosts: every cross-worker token push costs
-  ///   emulateRemoteNsPerByte × (edge bytes per token) × cost class
-  /// nanoseconds of producer-side spin (same-worker edges are free —
-  /// nothing moves). 0 disables. Deterministic by construction, so A/B
-  /// placement comparisons measure the placement, not scheduler noise.
-  double emulateRemoteNsPerByte = 0.0;
 };
 
 /// A TaskProgram compiled onto the channel engine: built once (stages,

@@ -18,11 +18,11 @@
 #include "tasking/executor.hpp"
 #include "tasking/replay_executor.hpp"
 #include "testing/interpreted_kernel.hpp"
+#include "testing/placement_oracle.hpp"
 #include "trace/trace.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <set>
 #include <utility>
@@ -243,9 +243,21 @@ TEST(ChannelPlacementTest, UmaTopologyMatchesTheTopologyFreePlacement) {
 }
 
 TEST(ChannelPlacementTest, NumaTopologyKeepsReplayBitIdentical) {
-  // Placement, pinning, larger cross-domain rings and the synthetic
-  // remote-transfer emulation change the schedule, never the values:
-  // every topology variant must reproduce the sequential fingerprint.
+  // Placement, pinning and larger cross-domain rings change the
+  // schedule, never the values: every topology must reproduce the
+  // sequential fingerprint. The near-uniform 2-worker case is one where
+  // P5 and P8 really place across the domain boundary.
+  struct Machine {
+    const char* name;
+    unsigned workers;
+    rt::Topology topology;
+  };
+  const Machine machines[] = {
+      {"2x-numa", 4, rt::Topology::fromSpec("2x-numa", 4)},
+      {"ring", 4, rt::Topology::fromSpec("ring", 4)},
+      {"numa2(2, 1.25)", 2, rt::Topology::numa2(2, 1.25)},
+  };
+  std::uint64_t crossDomainBytes = 0;
   for (const char* name : {"P1", "P5", "P8"}) {
     const scop::Scop scop =
         kernels::buildProgram(kernels::programByName(name), 10);
@@ -253,35 +265,32 @@ TEST(ChannelPlacementTest, NumaTopologyKeepsReplayBitIdentical) {
     const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
     const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
     auto prog = compileShared(scop, true);
-    for (const char* preset : {"2x-numa", "ring"}) {
-      for (bool aware : {true, false}) {
-        ChannelOptions options;
-        options.numWorkers = 4;
-        options.topology = rt::Topology::fromSpec(preset, 4);
-        options.topologyAwarePlacement = aware;
-        options.emulateRemoteNsPerByte = 0.5;
-        ChannelPipeline pipe(prog, options, &comm);
-        EXPECT_EQ(pipe.placement().topologyAware, aware);
-        testing::InterpretedKernel kernel(scop);
-        pipe.replay(kernel.executor());
-        EXPECT_EQ(kernel.fingerprint(), expected)
-            << name << " " << preset << (aware ? " aware" : " baseline");
-        // Streaming under the same machine model.
-        kernel.reset();
-        pipe.replayBatches(3, [&](std::size_t, std::size_t s,
-                                  const pb::Tuple& it) {
-          kernel.execute(s, it);
-        });
-      }
+    for (const Machine& m : machines) {
+      ChannelOptions options;
+      options.numWorkers = m.workers;
+      options.topology = m.topology;
+      ChannelPipeline pipe(prog, options, &comm);
+      crossDomainBytes += pipe.placement().crossDomainBytes;
+      testing::InterpretedKernel kernel(scop);
+      pipe.replay(kernel.executor());
+      EXPECT_EQ(kernel.fingerprint(), expected) << name << " " << m.name;
+      // Streaming under the same machine model.
+      kernel.reset();
+      pipe.replayBatches(3, [&](std::size_t, std::size_t s,
+                                const pb::Tuple& it) {
+        kernel.execute(s, it);
+      });
     }
   }
+  EXPECT_GT(crossDomainBytes, 0u);
 }
 
 TEST(ChannelPlacementTest, CrossDomainRingsAreSizedUpByTheCostClass) {
-  // A cross-domain edge of class c > 1 gets a ring roughly c times the
-  // uma capacity (to amortize the slower link), so the topology pipeline
-  // retains strictly more ring storage whenever placement crosses
-  // domains.
+  // A cross-domain edge of class c > 1 gets a ring ceil(c) times the uma
+  // capacity (to amortize the slower link), so a pipeline whose
+  // placement crosses domains retains strictly more ring storage than
+  // the same placement without a topology. Optimized P5 on two workers
+  // over two near-uniform domains splits at the domain boundary.
   const scop::Scop scop =
       kernels::buildProgram(kernels::programByName("P5"), 10);
   const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
@@ -289,16 +298,16 @@ TEST(ChannelPlacementTest, CrossDomainRingsAreSizedUpByTheCostClass) {
   auto prog = compileShared(scop, true);
 
   ChannelOptions plain;
-  plain.numWorkers = 4;
+  plain.numWorkers = 2;
   ChannelPipeline base(prog, plain, &comm);
 
   ChannelOptions numa = plain;
-  numa.topology = rt::Topology::numa2(4, 4.0);
+  numa.topology = rt::Topology::numa2(2, 1.25);
   ChannelPipeline topo(prog, numa, &comm);
 
-  if (topo.placement().crossDomainBytes > 0) {
-    EXPECT_GT(topo.retainedBytes(), base.retainedBytes());
-  }
+  ASSERT_GT(topo.placement().crossDomainBytes, 0u);
+  ASSERT_EQ(topo.placement().ownedStages, base.placement().ownedStages);
+  EXPECT_GT(topo.retainedBytes(), base.retainedBytes());
   // And it still computes the right answer.
   const std::uint64_t expected = testing::sequentialFingerprint(scop);
   testing::InterpretedKernel kernel(scop);
@@ -307,56 +316,46 @@ TEST(ChannelPlacementTest, CrossDomainRingsAreSizedUpByTheCostClass) {
 }
 
 TEST(ChannelPlacementTest, DiagnosticsDependOnlyOnOwnedStagesAndTopology) {
-  // Both A/B arms on 2x-numa: whichever partitioner chose the cuts, the
-  // placement's domain diagnostics must be what its owned stages cost on
-  // that topology, recomputed here from the stage edges alone.
-  const scop::Scop scop =
-      kernels::buildProgram(kernels::programByName("P5"), 10);
-  const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
-  const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
-  // Unoptimized: every engine channel is one analyzed pipeline edge.
-  auto prog = compileShared(scop, false);
-  const rt::Topology numa = rt::Topology::fromSpec("2x-numa", 4);
-  std::vector<std::size_t> stmtOfStage;
-  for (const codegen::Task& t : prog->tasks)
-    if (std::find(stmtOfStage.begin(), stmtOfStage.end(), t.stmtIdx) ==
-        stmtOfStage.end())
-      stmtOfStage.push_back(t.stmtIdx);
-  std::sort(stmtOfStage.begin(), stmtOfStage.end());
-  const std::vector<rt::StageEdge> edges = comm.stageEdges(stmtOfStage);
-  ASSERT_FALSE(edges.empty());
-
+  // The engine's placement diagnostics must be what its owned stages
+  // cost on the topology it was given, recomputed by testing::priceOn
+  // from the stage edges alone. Unoptimized programs, so every engine
+  // channel is one analyzed pipeline edge. P10 at N=8 on two workers
+  // over two near-uniform domains crosses the boundary, so the domain
+  // pricing is really exercised.
+  struct Case {
+    const char* name;
+    pb::Value n;
+    unsigned workers;
+    rt::Topology topology;
+  };
+  const Case cases[] = {
+      {"P5", 10, 4, rt::Topology::fromSpec("2x-numa", 4)},
+      {"P10", 8, 2, rt::Topology::numa2(2, 1.25)},
+  };
   bool anyCrossDomain = false;
-  for (bool aware : {true, false}) {
+  for (const Case& c : cases) {
+    const scop::Scop scop =
+        kernels::buildProgram(kernels::programByName(c.name), c.n);
+    const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
+    const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
+    auto prog = compileShared(scop, false);
+    const codegen::StageLayout layout = codegen::stageLayout(*prog);
+    const std::vector<rt::StageEdge> edges = comm.stageEdges(layout.stmtOf);
+    ASSERT_FALSE(edges.empty()) << c.name;
+
     ChannelOptions options;
-    options.numWorkers = 4;
-    options.topology = numa;
-    options.topologyAwarePlacement = aware;
+    options.numWorkers = c.workers;
+    options.topology = c.topology;
     const ChannelPipeline pipe(prog, options, &comm);
     const rt::Placement& p = pipe.placement();
-    std::uint64_t crossDomain = 0;
-    double cost = 0.0;
-    for (std::size_t w = 0; w < p.ownedStages.size(); ++w)
-      for (std::size_t s : p.ownedStages[w]) {
-        EXPECT_EQ(p.workerOfStage[s], w);
-        EXPECT_EQ(p.domainOfStage[s], numa.domainOfWorker[w]);
-      }
-    for (const rt::StageEdge& e : edges) {
-      if (p.workerOfStage[e.src] == p.workerOfStage[e.tgt])
-        continue;
-      const unsigned da = p.domainOfStage[e.src];
-      const unsigned db = p.domainOfStage[e.tgt];
-      if (da != db)
-        crossDomain += e.bytes;
-      cost += static_cast<double>(e.bytes) * numa.costClass(da, db);
-    }
-    EXPECT_EQ(p.crossDomainBytes, crossDomain)
-        << (aware ? "aware" : "baseline");
-    EXPECT_DOUBLE_EQ(p.commCost, cost) << (aware ? "aware" : "baseline");
-    anyCrossDomain = anyCrossDomain || crossDomain > 0;
+    const rt::Placement priced =
+        testing::priceOn(p, layout.stageTasks, edges, c.topology);
+    EXPECT_EQ(p.workerOfStage, priced.workerOfStage) << c.name;
+    EXPECT_EQ(p.domainOfStage, priced.domainOfStage) << c.name;
+    EXPECT_EQ(p.crossDomainBytes, priced.crossDomainBytes) << c.name;
+    EXPECT_DOUBLE_EQ(p.commCost, priced.commCost) << c.name;
+    anyCrossDomain = anyCrossDomain || priced.crossDomainBytes > 0;
   }
-  // The load-balancing baseline splits P5 across both domains; without a
-  // crossing the check above would not exercise the domain pricing.
   EXPECT_TRUE(anyCrossDomain);
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 
 // Shared SCoP fixtures used across the pipeline/schedule/codegen tests:
-// the paper's Listing 1 and Listing 3, parameterised by N.
+// the paper's Listing 1 and Listing 3, parameterised by N, and two
+// nest chains.
 
 #include "scop/builder.hpp"
 #include "scop/scop.hpp"
@@ -92,6 +93,29 @@ inline scop::Scop chain(std::size_t nests, pb::Value n) {
     S.read(arrays[k], {S.dim(0) + 1, S.dim(1) + 1});
     if (k > 0)
       S.read(arrays[k - 1], {S.dim(0), S.dim(1)});
+  }
+  return b.build();
+}
+
+/// The chain() shape with one heavy channel edge, the middle one: S2
+/// reads S1's full array, while S1 and S3 read just one element of their
+/// producer. On 2x-numa with four workers the load-only cuts (one stage
+/// per worker) sever the heavy edge at the domain boundary; the NUMA
+/// partitioner keeps S1 and S2 in one domain.
+inline scop::Scop middleHeavyChain(pb::Value n) {
+  scop::ScopBuilder b("middle_heavy");
+  std::vector<std::size_t> arrays;
+  for (std::size_t k = 0; k < 4; ++k)
+    arrays.push_back(b.array(indexedName("A", k), {n + 1, n + 1}));
+  for (std::size_t k = 0; k < 4; ++k) {
+    auto S = b.statement(indexedName("S", k), 2);
+    S.bound(0, 0, n).bound(1, 0, n);
+    S.write(arrays[k], {S.dim(0), S.dim(1)});
+    S.read(arrays[k], {S.dim(0) + 1, S.dim(1) + 1}); // keeps the nest serial
+    if (k == 2)
+      S.read(arrays[1], {S.dim(0), S.dim(1)}); // heavy: the full array
+    else if (k > 0)
+      S.read(arrays[k - 1], {S.constant(0), S.constant(0)}); // one element
   }
   return b.build();
 }

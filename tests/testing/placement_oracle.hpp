@@ -1,0 +1,135 @@
+#pragma once
+
+// Test-only references for rt::placeStages (runtime/placement.hpp):
+//
+//   * bruteForceOptimum enumerates every contiguous partition of the
+//     stages over min(workers, stage count) non-empty worker ranges and
+//     returns the lexicographic (maxLoad, severed bytes) optimum that the
+//     uniform-topology DP must reach;
+//   * priceOn recomputes, from ownedStages alone, what a placement's
+//     cuts cost on a topology: the domain map, every diagnostic and the
+//     scalarized objective that placeStages minimizes on a non-uniform
+//     topology. It reprices one partitioner's cuts on another machine.
+
+#include "runtime/placement.hpp"
+#include "runtime/topology.hpp"
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <ostream>
+#include <tuple>
+#include <vector>
+
+namespace pipoly::testing {
+
+struct CutCost {
+  std::uint64_t maxLoad = 0;
+  /// Per cut, the bytes of every edge spanning it (an edge crossing k
+  /// cuts counts k times — the DP's cut weight).
+  std::uint64_t severed = 0;
+
+  bool operator==(const CutCost& o) const {
+    return maxLoad == o.maxLoad && severed == o.severed;
+  }
+  bool operator<(const CutCost& o) const {
+    return std::tie(maxLoad, severed) < std::tie(o.maxLoad, o.severed);
+  }
+  friend std::ostream& operator<<(std::ostream& os, const CutCost& c) {
+    return os << "(maxLoad " << c.maxLoad << ", severed " << c.severed << ")";
+  }
+};
+
+/// (maxLoad, severed) of the contiguous partition whose ranges start at
+/// `begins` (ascending, begins[0] == 0).
+inline CutCost cutCost(const std::vector<std::size_t>& stageTasks,
+                       const std::vector<rt::StageEdge>& edges,
+                       const std::vector<std::size_t>& begins) {
+  CutCost c;
+  for (std::size_t k = 0; k < begins.size(); ++k) {
+    const std::size_t end =
+        k + 1 < begins.size() ? begins[k + 1] : stageTasks.size();
+    std::uint64_t load = 0;
+    for (std::size_t s = begins[k]; s < end; ++s)
+      load += stageTasks[s];
+    c.maxLoad = std::max(c.maxLoad, load);
+  }
+  for (std::size_t k = 1; k < begins.size(); ++k)
+    for (const rt::StageEdge& e : edges)
+      if (std::min(e.src, e.tgt) < begins[k] &&
+          begins[k] <= std::max(e.src, e.tgt))
+        c.severed += e.bytes;
+  return c;
+}
+
+/// The optimum over every way to cut stageTasks.size() stages into
+/// min(workers, stage count) non-empty contiguous ranges.
+inline CutCost bruteForceOptimum(const std::vector<std::size_t>& stageTasks,
+                                 unsigned workers,
+                                 const std::vector<rt::StageEdge>& edges) {
+  const std::size_t ranges = std::min<std::size_t>(
+      std::max(workers, 1u), stageTasks.size());
+  CutCost best{UINT64_MAX, UINT64_MAX};
+  std::vector<std::size_t> begins{0};
+  auto rec = [&](auto&& self) -> void {
+    if (begins.size() == ranges) {
+      best = std::min(best, cutCost(stageTasks, edges, begins));
+      return;
+    }
+    // Leave at least one stage for each range still to open.
+    const std::size_t left = ranges - begins.size();
+    for (std::size_t b = begins.back() + 1; b + left <= stageTasks.size();
+         ++b) {
+      begins.push_back(b);
+      self(self);
+      begins.pop_back();
+    }
+  };
+  if (ranges != 0)
+    rec(rec);
+  return best;
+}
+
+/// `placed`'s cuts priced on `topology` (one slot per ownedStages entry):
+/// workerOfStage, domainOfStage, maxLoad, the cross-worker/-domain bytes,
+/// the class-weighted commCost and the objective
+/// maxLoad + commCost * totalLoad / totalBytes.
+inline rt::Placement priceOn(const rt::Placement& placed,
+                             const std::vector<std::size_t>& stageTasks,
+                             const std::vector<rt::StageEdge>& edges,
+                             const rt::Topology& topology) {
+  rt::Placement p;
+  p.ownedStages = placed.ownedStages;
+  p.workerOfStage.assign(stageTasks.size(), 0);
+  p.domainOfStage.assign(stageTasks.size(), 0);
+  std::uint64_t totalLoad = 0;
+  for (std::size_t w = 0; w < p.ownedStages.size(); ++w) {
+    std::uint64_t load = 0;
+    for (const std::size_t s : p.ownedStages[w]) {
+      p.workerOfStage[s] = w;
+      p.domainOfStage[s] = topology.domainOfWorker.at(w);
+      load += stageTasks[s];
+    }
+    p.maxLoad = std::max(p.maxLoad, load);
+    totalLoad += load;
+  }
+  std::uint64_t totalBytes = 0;
+  for (const rt::StageEdge& e : edges) {
+    totalBytes += e.bytes;
+    if (p.workerOfStage[e.src] == p.workerOfStage[e.tgt])
+      continue;
+    const unsigned da = p.domainOfStage[e.src];
+    const unsigned db = p.domainOfStage[e.tgt];
+    p.crossWorkerBytes += e.bytes;
+    if (da != db)
+      p.crossDomainBytes += e.bytes;
+    p.commCost += static_cast<double>(e.bytes) * topology.costClass(da, db);
+  }
+  const double scale =
+      static_cast<double>(totalLoad) /
+      static_cast<double>(std::max<std::uint64_t>(totalBytes, 1));
+  p.objective = static_cast<double>(p.maxLoad) + p.commCost * scale;
+  return p;
+}
+
+} // namespace pipoly::testing

@@ -4,15 +4,17 @@
 // pipolyc turns into exit 2), uniform()/resized()/costClass() semantics,
 // and the placement edge cases the channel engine depends on — one
 // stage, more workers than stages, more domains than stages, the uma
-// bit-identity of placeStagesTopology against the balanced DP, and
+// placement against a brute-force contiguous-partition oracle, and
 // placement diagnostics that depend only on the owned stages and the
 // topology.
 
 #include "runtime/placement.hpp"
 #include "runtime/topology.hpp"
+#include "testing/placement_oracle.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -163,11 +165,15 @@ TEST(TopologyJsonTest, StrictlyRejectsMalformedSpecs) {
       R"({"domains": [[0, 2]], "cost": [[1]]})",            // gap in ids
       R"({"domains": [[-1]], "cost": [[1]]})",              // negative id
       R"({"domains": [[0.5]], "cost": [[1]]})",             // fractional id
+      R"({"domains": [[1e300]], "cost": [[1]]})",           // id past int
+      R"({"domains": [[-1e300]], "cost": [[1]]})",          // id below int
       R"({"domains": [[0], [1]], "cost": [[1]]})",          // cost not DxD
       R"({"domains": [[0]], "cost": [[1, 2]]})",            // non-square
       R"({"domains": [[0]], "cost": [[0]]})",               // zero class
       R"({"domains": [[0]], "cost": [[-2]]})",              // negative class
       R"({"domains": [[0]], "cost": [[1]], "cpus": [[0], [1]]})", // extra cpus
+      R"({"domains": [[0]], "cost": [[1]], "cpus": [[1e300]]})",  // cpu past int
+      R"({"domains": [[0]], "cost": [[1]], "cpus": [[-1e300]]})", // cpu below int
       R"({"domains": [[0]], "domains": [[0]], "cost": [[1]]})",   // dup key
       R"({"name": "a\nb", "domains": [[0]], "cost": [[1]]})",     // escape
   };
@@ -220,7 +226,7 @@ TEST(PlacementTest, SingleStageLandsOnOneWorkerEverywhereElseEmpty) {
   const std::vector<std::size_t> tasks = {10};
   for (unsigned workers : {1u, 4u}) {
     const Placement p =
-        placeStagesBalanced(tasks, workers, chainEdges(1, 8));
+        placeStages(tasks, workers, chainEdges(1, 8), Topology::uma(workers));
     ASSERT_EQ(p.ownedStages.size(), workers);
     EXPECT_EQ(p.ownedStages[0], (std::vector<std::size_t>{0}));
     for (unsigned w = 1; w < workers; ++w)
@@ -230,8 +236,8 @@ TEST(PlacementTest, SingleStageLandsOnOneWorkerEverywhereElseEmpty) {
   }
   // On a topology the tie between domains is broken deterministically;
   // the invariant is exactly one owner, zero traffic.
-  const Placement p = placeStagesTopology(tasks, 4, chainEdges(1, 8),
-                                          Topology::numa2(4));
+  const Placement p =
+      placeStages(tasks, 4, chainEdges(1, 8), Topology::numa2(4));
   std::size_t owners = 0;
   for (const std::vector<std::size_t>& ws : p.ownedStages)
     if (!ws.empty()) {
@@ -245,7 +251,8 @@ TEST(PlacementTest, SingleStageLandsOnOneWorkerEverywhereElseEmpty) {
 
 TEST(PlacementTest, MoreWorkersThanStagesLeavesTrailingWorkersIdle) {
   const std::vector<std::size_t> tasks = {4, 4, 4};
-  const Placement p = placeStagesBalanced(tasks, 8, chainEdges(3, 16));
+  const Placement p =
+      placeStages(tasks, 8, chainEdges(3, 16), Topology::uma(8));
   ASSERT_EQ(p.ownedStages.size(), 8u);
   std::size_t owned = 0, nonEmpty = 0;
   for (const std::vector<std::size_t>& ws : p.ownedStages) {
@@ -262,102 +269,120 @@ TEST(PlacementTest, MoreDomainsThanStagesStillPlacesEveryStage) {
   // ring: 4 domains, but only 2 stages — some domains must stay empty and
   // the partitioner must not wedge or drop a stage.
   const std::vector<std::size_t> tasks = {6, 6};
-  const Placement p = placeStagesTopology(tasks, 8, chainEdges(2, 32),
-                                          Topology::ring(8, 4, 1.0));
+  const Topology ring = Topology::ring(8, 4, 1.0);
+  const Placement p = placeStages(tasks, 8, chainEdges(2, 32), ring);
   ASSERT_EQ(p.workerOfStage.size(), 2u);
   std::size_t owned = 0;
   for (const std::vector<std::size_t>& ws : p.ownedStages)
     owned += ws.size();
   EXPECT_EQ(owned, 2u);
-  EXPECT_TRUE(p.topologyAware);
   // The heavy edge should stay domain-local or adjacent — never pay the
   // far side of the ring (class 3) when a one-hop placement exists.
-  EXPECT_LE(p.costClassOf(0, 1, Topology::ring(8, 4, 1.0)), 2.0);
+  EXPECT_LE(ring.costClass(p.domainOfStage[0], p.domainOfStage[1]), 2.0);
 }
 
 TEST(PlacementTest, ZeroStagesYieldsAnEmptyPlacement) {
-  const Placement b = placeStagesBalanced({}, 4, {});
-  EXPECT_EQ(b.maxLoad, 0u);
-  EXPECT_TRUE(b.workerOfStage.empty());
-  const Placement t =
-      placeStagesTopology({}, 4, {}, Topology::numa2(4));
-  EXPECT_TRUE(t.workerOfStage.empty());
+  const Placement u = placeStages({}, 4, {}, Topology::uma(4));
+  EXPECT_EQ(u.maxLoad, 0u);
+  EXPECT_TRUE(u.workerOfStage.empty());
+  const Placement n = placeStages({}, 4, {}, Topology::numa2(4));
+  EXPECT_TRUE(n.workerOfStage.empty());
 }
 
-TEST(PlacementTest, UmaTopologyIsBitIdenticalToTheBalancedDp) {
-  // The placement-level half of the uma differential: on any uniform
-  // topology placeStagesTopology is DEFINED as the PR 8 DP result.
-  const std::vector<std::size_t> tasks = {5, 9, 2, 7, 7, 1};
-  std::vector<StageEdge> edges = chainEdges(6, 64);
-  edges.push_back({0, 3, 128});
-  edges.push_back({2, 5, 16});
-  for (unsigned workers : {1u, 2u, 3u, 4u, 8u}) {
-    const Placement dp = placeStagesBalanced(tasks, workers, edges);
-    const Placement uma = placeStagesTopology(tasks, workers, edges,
-                                              Topology::uma(workers));
-    EXPECT_EQ(uma.ownedStages, dp.ownedStages) << "workers " << workers;
-    EXPECT_EQ(uma.workerOfStage, dp.workerOfStage);
-    EXPECT_EQ(uma.maxLoad, dp.maxLoad);
-    EXPECT_EQ(uma.crossWorkerBytes, dp.crossWorkerBytes);
+TEST(PlacementTest, UmaPlacementReachesTheBruteForceOptimum) {
+  // On a uniform topology placeStages is the comm-weighted contiguous
+  // DP: its cuts must reach the lexicographic (maxLoad, severed bytes)
+  // optimum over every contiguous partition, here enumerated outright
+  // for up to 8 stages and 4 workers. Stage counts, loads and edges come
+  // from a fixed linear congruential stream, plus one hand-written case
+  // with long forward edges.
+  std::uint64_t state = 12345;
+  const auto next = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  struct Case {
+    std::vector<std::size_t> tasks;
+    std::vector<StageEdge> edges;
+  };
+  std::vector<Case> cases;
+  {
+    Case fixed{{5, 9, 2, 7, 7, 1}, chainEdges(6, 64)};
+    fixed.edges.push_back({0, 3, 128});
+    fixed.edges.push_back({2, 5, 16});
+    cases.push_back(fixed);
+  }
+  for (int k = 0; k < 200; ++k) {
+    Case c;
+    const std::size_t stages = 1 + next(8);
+    for (std::size_t s = 0; s < stages; ++s)
+      c.tasks.push_back(1 + next(9));
+    for (std::size_t s = 0; s + 1 < stages; ++s)
+      c.edges.push_back({s, s + 1, 1 + next(200)});
+    for (std::size_t e = next(3); e > 0 && stages > 2; --e) {
+      const std::size_t src = next(stages - 2);
+      const std::size_t tgt = src + 2 + next(stages - src - 2);
+      c.edges.push_back({src, tgt, 1 + next(200)});
+    }
+    cases.push_back(c);
+  }
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const Case& c = cases[k];
+    for (unsigned workers = 1; workers <= 4; ++workers) {
+      const Placement p =
+          placeStages(c.tasks, workers, c.edges, Topology::uma(workers));
+      // Contiguous, ascending, every stage owned once, and no idle worker
+      // ahead of a busy one.
+      std::vector<std::size_t> begins;
+      std::size_t expectedStage = 0;
+      for (const std::vector<std::size_t>& ws : p.ownedStages) {
+        if (ws.empty())
+          continue;
+        begins.push_back(ws.front());
+        for (const std::size_t s : ws)
+          ASSERT_EQ(s, expectedStage++) << "case " << k;
+      }
+      ASSERT_EQ(expectedStage, c.tasks.size()) << "case " << k;
+      ASSERT_EQ(begins.size(),
+                std::min<std::size_t>(workers, c.tasks.size()));
+      const testing::CutCost got = testing::cutCost(c.tasks, c.edges, begins);
+      EXPECT_EQ(got.maxLoad, p.maxLoad) << "case " << k;
+      EXPECT_EQ(got, testing::bruteForceOptimum(c.tasks, workers, c.edges))
+          << "case " << k << ", " << workers << " workers";
+    }
   }
 }
 
 TEST(PlacementTest, DiagnosticsDependOnlyOnOwnedStagesAndTopology) {
-  // Whichever entry point chose the cuts, a placement's stage->domain map
+  // Whatever cuts the partitioner chose, a placement's stage->domain map
   // and its diagnostics are what its owned stages cost on the topology it
-  // was given — recomputed here from ownedStages and the edges alone.
+  // was given — recomputed by testing::priceOn from ownedStages and the
+  // edges alone. One heavy edge and light traffic elsewhere, so on numa
+  // load balance pays for crossing the domain boundary and the class
+  // pricing is really exercised.
   const std::vector<std::size_t> tasks = {5, 9, 2, 7, 7, 1};
-  std::vector<StageEdge> edges = chainEdges(6, 64);
-  edges.push_back({0, 3, 128});
+  std::vector<StageEdge> edges = chainEdges(6, 1);
+  edges[0].bytes = 1000;
+  edges.push_back({0, 3, 2});
   constexpr unsigned kWorkers = 4;
   const Topology numa = Topology::numa2(kWorkers, 4.0);
   const Topology flat = Topology::numa2(kWorkers, 1.0); // domains, one class
   const Topology uma = Topology::uma(kWorkers);
   ASSERT_TRUE(flat.uniform());
-  struct Case {
-    const char* name;
-    Placement placement;
-    const Topology& topology;
-  };
-  const Case cases[] = {
-      {"balanced/numa", placeStagesBalanced(tasks, kWorkers, edges, &numa),
-       numa},
-      {"topology/numa", placeStagesTopology(tasks, kWorkers, edges, numa),
-       numa},
-      {"balanced/flat", placeStagesBalanced(tasks, kWorkers, edges, &flat),
-       flat},
-      {"topology/flat", placeStagesTopology(tasks, kWorkers, edges, flat),
-       flat},
-      {"balanced/none", placeStagesBalanced(tasks, kWorkers, edges), uma},
-  };
-  for (const Case& c : cases) {
-    const Placement& p = c.placement;
-    for (std::size_t w = 0; w < p.ownedStages.size(); ++w)
-      for (std::size_t s : p.ownedStages[w]) {
-        EXPECT_EQ(p.workerOfStage[s], w) << c.name;
-        EXPECT_EQ(p.domainOfStage[s], c.topology.domainOfWorker[w]) << c.name;
-      }
-    std::uint64_t crossWorker = 0, crossDomain = 0;
-    double cost = 0.0;
-    for (const StageEdge& e : edges) {
-      const std::size_t wa = p.workerOfStage[e.src];
-      const std::size_t wb = p.workerOfStage[e.tgt];
-      if (wa == wb)
-        continue;
-      const unsigned da = c.topology.domainOfWorker[wa];
-      const unsigned db = c.topology.domainOfWorker[wb];
-      crossWorker += e.bytes;
-      if (da != db)
-        crossDomain += e.bytes;
-      cost += static_cast<double>(e.bytes) * c.topology.costClass(da, db);
+  for (const Topology* t : {&numa, &flat, &uma}) {
+    const Placement p = placeStages(tasks, kWorkers, edges, *t);
+    const Placement priced = testing::priceOn(p, tasks, edges, *t);
+    EXPECT_EQ(p.workerOfStage, priced.workerOfStage) << t->name;
+    EXPECT_EQ(p.domainOfStage, priced.domainOfStage) << t->name;
+    EXPECT_EQ(p.maxLoad, priced.maxLoad) << t->name;
+    EXPECT_EQ(p.crossWorkerBytes, priced.crossWorkerBytes) << t->name;
+    EXPECT_EQ(p.crossDomainBytes, priced.crossDomainBytes) << t->name;
+    EXPECT_DOUBLE_EQ(p.commCost, priced.commCost) << t->name;
+    if (t == &numa) {
+      EXPECT_DOUBLE_EQ(p.objective, priced.objective);
+      EXPECT_GT(p.crossDomainBytes, 0u);
     }
-    EXPECT_EQ(p.crossWorkerBytes, crossWorker) << c.name;
-    EXPECT_EQ(p.crossDomainBytes, crossDomain) << c.name;
-    EXPECT_DOUBLE_EQ(p.commCost, cost) << c.name;
   }
-  // The load-balanced cuts straddle the two domains, so the domain
-  // pricing above is really exercised.
-  EXPECT_GT(cases[0].placement.crossDomainBytes, 0u);
 }
 
 TEST(PlacementTest, RemoteClassPushesHeavyEdgesDomainLocal) {
@@ -369,33 +394,18 @@ TEST(PlacementTest, RemoteClassPushesHeavyEdgesDomainLocal) {
   const std::vector<StageEdge> edges = {
       {0, 1, 1000}, {1, 2, 1}, {2, 3, 1000}};
   const Topology numa = Topology::numa2(4, 8.0);
-  const Placement p =
-      placeStagesTopology(tasks, 4, edges, numa, PlacementOptions{4.0});
+  const Placement p = placeStages(tasks, 4, edges, numa);
   EXPECT_EQ(p.domainOfStage[0], p.domainOfStage[1])
       << "heavy edge 0->1 crosses domains";
   EXPECT_EQ(p.domainOfStage[2], p.domainOfStage[3])
       << "heavy edge 2->3 crosses domains";
-  // At most the cheap middle edge may cross; at this lambda the
-  // objective actually packs everything into one domain (cross-worker
-  // class-1 traffic beats class-8 traffic even at half the parallelism).
+  // At most the cheap middle edge may cross; the objective actually
+  // packs everything into one domain (cross-worker class-1 traffic beats
+  // class-8 traffic even at half the parallelism).
   EXPECT_LE(p.crossDomainBytes, 1u);
   EXPECT_LE(p.commCost,
             1000.0) // never pays a heavy edge at the remote class
       << "objective " << p.objective;
-  EXPECT_TRUE(p.topologyAware);
-}
-
-TEST(PlacementTest, LambdaZeroRecoversPureLoadBalance) {
-  // With lambda = 0 the objective is maxLoad alone: the placement's
-  // maxLoad must equal the balanced DP's even on a skewed topology.
-  const std::vector<std::size_t> tasks = {9, 1, 1, 9};
-  const std::vector<StageEdge> edges = {{0, 1, 500}, {1, 2, 500},
-                                        {2, 3, 500}};
-  const Placement dp = placeStagesBalanced(tasks, 2, edges);
-  const Placement p = placeStagesTopology(tasks, 2, edges,
-                                          Topology::numa2(2, 16.0),
-                                          PlacementOptions{0.0});
-  EXPECT_EQ(p.maxLoad, dp.maxLoad);
 }
 
 } // namespace
