@@ -1,9 +1,6 @@
 #include "baselines/ordered_nowait.hpp"
 
 #include "scop/dependences.hpp"
-#include "support/assert.hpp"
-
-#include <algorithm>
 
 namespace pipoly::baselines {
 
@@ -37,39 +34,6 @@ OrderedNowaitApplicability orderedNowaitApplicable(const scop::Scop& scop) {
     }
   }
   return {true, ""};
-}
-
-std::optional<double> orderedNowaitTime(const scop::Scop& scop,
-                                        const sim::CostModel& model,
-                                        unsigned threads) {
-  PIPOLY_CHECK(threads >= 1);
-  if (!orderedNowaitApplicable(scop).applicable)
-    return std::nullopt;
-
-  // All nests share one domain and run concurrently on one thread each
-  // (the [40] scheme binds one nest per thread within a parallel region);
-  // iteration i of nest k starts after iteration i of nest k-1. With
-  // per-iteration costs c_k, steady state runs at the pace of the
-  // slowest nest; the fill adds one iteration of every earlier nest.
-  const std::size_t nests = scop.numStatements();
-  const auto usable = static_cast<std::size_t>(
-      std::min<std::size_t>(threads, nests));
-  const double iterations =
-      static_cast<double>(scop.statement(0).domain().size());
-
-  // If fewer threads than nests, the surplus nests serialize round-robin:
-  // model as ceil(nests / threads) nests stacked per thread.
-  const double stacking = static_cast<double>((nests + usable - 1) / usable);
-
-  double maxCost = 0.0, fill = 0.0, total = 0.0;
-  for (std::size_t k = 0; k < nests; ++k) {
-    maxCost = std::max(maxCost, model.iterationCost.at(k));
-    total += model.iterationCost.at(k);
-    if (k + 1 < nests)
-      fill += model.iterationCost.at(k);
-  }
-  const double steady = iterations * maxCost * stacking;
-  return std::min(fill + steady, iterations * total);
 }
 
 } // namespace pipoly::baselines

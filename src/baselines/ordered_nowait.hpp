@@ -11,14 +11,12 @@
 //       iterations of its source (a lexicographically non-positive...
 //       i.e. non-forward dependence pattern).
 //
-// This module implements the *applicability test* and an analytic time
-// model for the cases where it applies, so benchmarks can show where the
+// This module implements the *applicability test*, which shows where the
 // paper's general task-based approach wins simply by being applicable.
 
 #include "scop/scop.hpp"
-#include "sim/simulator.hpp"
 
-#include <optional>
+#include <string>
 
 namespace pipoly::baselines {
 
@@ -31,13 +29,5 @@ struct OrderedNowaitApplicability {
 /// nests in the SCoP.
 OrderedNowaitApplicability
 orderedNowaitApplicable(const scop::Scop& scop);
-
-/// Analytic execution time when applicable: all nests run concurrently,
-/// iteration i of nest k+1 waits for iteration i of nest k — time is the
-/// max nest time plus the per-stage fill delay of one iteration.
-/// Returns nullopt when the technique does not apply.
-std::optional<double> orderedNowaitTime(const scop::Scop& scop,
-                                        const sim::CostModel& model,
-                                        unsigned threads);
 
 } // namespace pipoly::baselines

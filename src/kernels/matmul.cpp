@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <vector>
 
 namespace pipoly::kernels {
@@ -78,13 +79,18 @@ scop::Scop matmulChain(MatmulVariant variant, std::size_t chainLength,
 }
 
 namespace {
+// Warm-up call, then timed repetitions; the fastest one counts, so a
+// single preemption cannot skew the result.
 double timeLoop(const std::function<double()>& body, int reps) {
-  volatile double sink = body(); // warm-up
-  Stopwatch sw;
-  for (int r = 0; r < reps; ++r)
+  volatile double sink = body();
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < reps; ++r) {
+    Stopwatch sw;
     sink = body();
+    best = std::min(best, sw.seconds());
+  }
   (void)sink;
-  return sw.seconds() / reps;
+  return best;
 }
 } // namespace
 
@@ -128,7 +134,7 @@ double measureTiledMatmulCostPerElement(pb::Value n) {
                 }
         return c[size + 1];
       },
-      2);
+      5);
   return perCall / static_cast<double>(size * size); // per element
 }
 

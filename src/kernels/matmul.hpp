@@ -34,10 +34,11 @@ bool isGeneralized(MatmulVariant v);
 scop::Scop matmulChain(MatmulVariant variant, std::size_t chainLength,
                        pb::Value n);
 
-/// Measures the per-element cost (seconds) of the dot-product body on this
-/// host: a length-n dot product with column access (plain), row access
-/// (transposed), or the per-element cost of a cache-tiled multiplication
-/// (what Polly's tiling achieves).
+/// Measures the cost (seconds) of one statement instance — one output
+/// element M_k[i][j] — on this host: a length-n dot product with column
+/// access (plain) or row access (transposed), or one element's share of a
+/// cache-tiled n x n multiplication (what Polly's tiling achieves). Each
+/// is the fastest of several timed repetitions.
 double measureDotCost(pb::Value n, bool transposed);
 double measureTiledMatmulCostPerElement(pb::Value n);
 

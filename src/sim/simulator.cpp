@@ -51,33 +51,12 @@ SimResult simulate(const codegen::TaskProgram& program,
       cp[d] = std::max(cp[d], cp[i]);
   }
 
-  // Bottom level (longest path from a task to the exit, inclusive), the
-  // priority of critical-path-first scheduling.
-  std::vector<double> bottomLevel(n, 0.0);
-  for (std::size_t i = n; i-- > 0;) {
-    double best = 0.0;
-    for (std::size_t d : dependents[i])
-      best = std::max(best, bottomLevel[d]);
-    bottomLevel[i] = cost[i] + best;
-  }
-
-  // Greedy list scheduling with the configured ready-queue policy.
-  auto priority = [&](std::size_t task) -> double {
-    switch (config.policy) {
-    case SimConfig::Policy::CreationOrder:
-      return 0.0;
-    case SimConfig::Policy::CriticalPathFirst:
-      return -bottomLevel[task];
-    case SimConfig::Policy::LongestTaskFirst:
-      return -cost[task];
-    }
-    PIPOLY_UNREACHABLE("policy");
-  };
-  using ReadyKey = std::pair<double, std::size_t>; // (priority, id)
-  std::set<ReadyKey> ready;
+  // Greedy list scheduling; the ready set dispatches lowest id first.
+  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>>
+      ready;
   for (std::size_t i = 0; i < n; ++i)
     if (indegree[i] == 0)
-      ready.emplace(priority(i), i);
+      ready.push(i);
 
   // (finish time, task, worker)
   using Event = std::tuple<double, std::size_t, unsigned>;
@@ -92,8 +71,8 @@ SimResult simulate(const codegen::TaskProgram& program,
   while (finished < n) {
     // Dispatch as many ready tasks as there are free workers.
     while (!ready.empty() && !freeWorkers.empty()) {
-      std::size_t task = ready.begin()->second;
-      ready.erase(ready.begin());
+      std::size_t task = ready.top();
+      ready.pop();
       unsigned worker = freeWorkers.back();
       freeWorkers.pop_back();
       result.events.push_back(
@@ -109,7 +88,7 @@ SimResult simulate(const codegen::TaskProgram& program,
     ++finished;
     for (std::size_t d : dependents[task])
       if (--indegree[d] == 0)
-        ready.emplace(priority(d), d);
+        ready.push(d);
   }
   result.makespan = now;
   return result;

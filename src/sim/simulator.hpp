@@ -46,18 +46,6 @@ struct CostModel {
 
 struct SimConfig {
   unsigned workers = 8;
-
-  /// Dispatch order among ready tasks.
-  enum class Policy {
-    /// Task creation order (what an OpenMP runtime roughly does with a
-    /// FIFO queue) — the default used for all paper reproductions.
-    CreationOrder,
-    /// Highest bottom-level first (critical-path scheduling).
-    CriticalPathFirst,
-    /// Longest task first.
-    LongestTaskFirst,
-  };
-  Policy policy = Policy::CreationOrder;
 };
 
 /// One scheduled task execution (for timeline rendering, cf. Fig. 2).
@@ -85,7 +73,8 @@ struct SimResult {
 };
 
 /// Greedy non-preemptive list scheduling of the task graph on `workers`
-/// identical workers; ready tasks are dispatched by `config.policy`. The
+/// identical workers; ready tasks are dispatched in creation order (lowest
+/// task id first, roughly an OpenMP runtime's FIFO queue). The
 /// dependency edges come from the interned slot table
 /// (opt::buildSlotTable of this very program).
 SimResult simulate(const codegen::TaskProgram& program,

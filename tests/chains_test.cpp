@@ -121,29 +121,5 @@ TEST(MatmulRunnerTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
 }
 
-TEST(SchedulingPolicyTest, PoliciesAreCorrectAndComparable) {
-  scop::Scop scop = shrinkingChain(4, 18, 3);
-  codegen::TaskProgram prog = codegen::compilePipeline(scop);
-  sim::CostModel model;
-  model.iterationCost.assign(scop.numStatements(), 1e-5);
-  double fifo = 0;
-  for (auto policy : {sim::SimConfig::Policy::CreationOrder,
-                      sim::SimConfig::Policy::CriticalPathFirst,
-                      sim::SimConfig::Policy::LongestTaskFirst}) {
-    sim::SimConfig cfg{4};
-    cfg.policy = policy;
-    sim::SimResult r = sim::simulate(prog, model, cfg);
-    // All policies obey dependencies: makespan >= critical path, and all
-    // tasks run.
-    EXPECT_GE(r.makespan, r.criticalPath - 1e-12);
-    EXPECT_EQ(r.events.size(), prog.tasks.size());
-    if (policy == sim::SimConfig::Policy::CreationOrder)
-      fifo = r.makespan;
-    else
-      // Alternative policies must stay within 2x of FIFO here (sanity).
-      EXPECT_LT(r.makespan, 2.0 * fifo);
-  }
-}
-
 } // namespace
 } // namespace pipoly::kernels

@@ -1,6 +1,8 @@
 // Direct checks of claims the paper states in prose.
 
+#include "baselines/polly_tasks.hpp"
 #include "codegen/task_program.hpp"
+#include "kernels/matmul.hpp"
 #include "kernels/suite.hpp"
 #include "sim/simulator.hpp"
 #include "testing/fixtures.hpp"
@@ -8,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace pipoly {
 namespace {
@@ -117,6 +120,63 @@ TEST(PaperClaimsTest, TwoNestProgramsSaturateAtTwo) {
   const double speedup = r.speedupOver(sim::sequentialTime(scop, model));
   EXPECT_GT(speedup, 1.5);
   EXPECT_LE(speedup, 2.0 + 1e-9);
+}
+
+TEST(PaperClaimsTest, Figure11Shapes) {
+  // Fig. 11 and the §7 combination on a fixed cost model (uniform
+  // per-instance cost, Polly's tiled cost = the plain one, a small task
+  // overhead), 8 workers: Polly wins on nmm, gains nothing on gnmm, where
+  // only pipelining gains and gains more the longer the chain; relaxed
+  // same-nest ordering reaches Polly on nmm and changes nothing on gnmm.
+  constexpr pb::Value kN = 32;
+  sim::CostModel model;
+  model.taskOverhead = 1e-7;
+  pipeline::DetectOptions relaxed;
+  relaxed.relaxSameNestOrdering = true;
+  auto log2Speedup = [](double seq, double time) {
+    return std::log2(seq / time);
+  };
+
+  using V = kernels::MatmulVariant;
+  for (V v : {V::NMM, V::GNMM}) {
+    double previous = 0.0;
+    for (std::size_t len : {2u, 3u, 4u}) {
+      SCOPED_TRACE(kernels::variantName(v) + std::to_string(len));
+      scop::Scop scop = kernels::matmulChain(v, len, kN);
+      model.iterationCost.assign(scop.numStatements(), 1e-6);
+      const double seq = sim::sequentialTime(scop, model);
+      const auto lenThreads = static_cast<unsigned>(len);
+
+      const double pipe = sim::simulate(codegen::compilePipeline(scop),
+                                        model, sim::SimConfig{8})
+                              .makespan;
+      const double pipePar =
+          sim::simulate(codegen::compilePipeline(scop, relaxed), model,
+                        sim::SimConfig{8})
+              .makespan;
+      const double polly8 =
+          sim::simulate(baselines::pollyTaskProgram(scop, 8), model,
+                        sim::SimConfig{8})
+              .makespan;
+      const double pollyN =
+          sim::simulate(baselines::pollyTaskProgram(scop, lenThreads),
+                        model, sim::SimConfig{lenThreads})
+              .makespan;
+
+      const double speedup = log2Speedup(seq, pipe);
+      EXPECT_GT(speedup, previous);
+      previous = speedup;
+      if (v == V::NMM) {
+        EXPECT_LT(polly8, pipe);
+        EXPECT_NEAR(log2Speedup(seq, pipePar), log2Speedup(seq, polly8),
+                    0.1);
+      } else {
+        EXPECT_GE(polly8, seq);
+        EXPECT_GE(pollyN, seq);
+        EXPECT_EQ(pipePar, pipe);
+      }
+    }
+  }
 }
 
 } // namespace

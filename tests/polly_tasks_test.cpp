@@ -1,13 +1,15 @@
 #include "baselines/polly_tasks.hpp"
 
-#include "baselines/polly_like.hpp"
 #include "kernels/matmul.hpp"
+#include "kernels/suite.hpp"
 #include "sim/simulator.hpp"
 #include "tasking/tasking.hpp"
 #include "testing/fixtures.hpp"
 #include "verify/oracle.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 namespace pipoly::baselines {
 namespace {
@@ -49,17 +51,42 @@ TEST(PollyTasksTest, ExecutionMatchesSequential) {
   }
 }
 
-TEST(PollyTasksTest, SimulatedTimeMatchesAnalyticModel) {
+TEST(PollyTasksTest, SimulatedNmmChainIsSequentialOverThreads) {
+  // 16 rows split into 4 equal chunks per nest, barriers between nests:
+  // with uniform cost and no overhead the makespan is exactly seq / 4.
   scop::Scop scop = kernels::matmulChain(kernels::MatmulVariant::NMM, 3, 16);
   sim::CostModel model;
-  model.iterationCost.assign(scop.numStatements(), 1e-4);
+  model.iterationCost.assign(scop.numStatements(), 1.0);
 
   codegen::TaskProgram prog = pollyTaskProgram(scop, 4);
-  double simulated =
-      sim::simulate(prog, model, sim::SimConfig{4}).makespan;
-  double analytic =
-      pollyLikeSchedule(scop, model, PollyConfig{4}).totalTime;
-  EXPECT_NEAR(simulated, analytic, 0.05 * analytic);
+  EXPECT_EQ(sim::simulate(prog, model, sim::SimConfig{4}).makespan,
+            sim::sequentialTime(scop, model) / 4.0);
+}
+
+TEST(PollyTasksTest, Table9ProgramsAreAllSerial) {
+  // The paper designed the first benchmark set so Polly finds nothing:
+  // every nest stays one task.
+  for (const kernels::ProgramSpec& spec : kernels::table9Programs()) {
+    scop::Scop scop = kernels::buildProgram(spec, 16);
+    EXPECT_EQ(pollyTaskProgram(scop, 8).tasks.size(), scop.numStatements())
+        << spec.name;
+  }
+}
+
+TEST(PollyTasksTest, NmmNestsAreParallelGnmmAreNot) {
+  scop::Scop nmm = kernels::matmulChain(kernels::MatmulVariant::NMM, 2, 16);
+  codegen::TaskProgram nmmProg = pollyTaskProgram(nmm, 8);
+  EXPECT_EQ(nmmProg.tasks.size(), 2u * 8u);
+  for (std::size_t s = 0; s < nmm.numStatements(); ++s)
+    EXPECT_EQ(std::count_if(nmmProg.tasks.begin(), nmmProg.tasks.end(),
+                            [&](const codegen::Task& t) {
+                              return t.stmtIdx == s;
+                            }),
+              8)
+        << "nest " << s << " runs 8 chunks";
+
+  scop::Scop gnmm = kernels::matmulChain(kernels::MatmulVariant::GNMM, 2, 16);
+  EXPECT_EQ(pollyTaskProgram(gnmm, 8).tasks.size(), gnmm.numStatements());
 }
 
 TEST(PollyTasksTest, MoreThreadsMoreChunksUpToRows) {
