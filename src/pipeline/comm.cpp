@@ -47,40 +47,93 @@ std::uint64_t separableVolume(const SeparablePairShape& shape) {
   return total;
 }
 
-/// Sorted intersection of two sorted id vectors (arraysWrittenBy /
-/// arraysReadBy results are ascending).
-std::vector<std::size_t> sharedArrays(std::vector<std::size_t> written,
-                                      std::vector<std::size_t> read) {
-  std::sort(written.begin(), written.end());
-  std::sort(read.begin(), read.end());
-  std::vector<std::size_t> out;
-  std::set_intersection(written.begin(), written.end(), read.begin(),
-                        read.end(), std::back_inserter(out));
-  return out;
-}
-
-/// Ordinal of a block representative within a statement's ordered rep
-/// list (blockReps rows are sorted, which is execution order).
-std::size_t repOrdinal(const std::vector<pb::Tuple>& reps,
-                       const pb::Tuple& rep) {
-  const auto it = std::lower_bound(reps.begin(), reps.end(), rep);
-  PIPOLY_CHECK_MSG(it != reps.end() && *it == rep,
+/// Ordinal of a block representative (a row of `rep`, the statement's
+/// arity wide) within the statement's sorted rep rows — execution order.
+std::size_t repOrdinal(const pb::IntTupleSet& reps, const pb::Value* rep) {
+  const std::size_t w = reps.arity(), n = reps.size();
+  const pb::Value* base = reps.rowData().data();
+  const std::size_t i = pb::rows::lowerBound(base, n, w, 0, rep, w);
+  PIPOLY_CHECK_MSG(i < n && pb::rows::equal(base + i * w, rep, w),
                    "block representative not found in its statement");
-  return static_cast<std::size_t>(it - reps.begin());
+  return i;
 }
 
-std::vector<pb::Tuple> materializeReps(const pb::IntTupleSet& reps) {
-  std::vector<pb::Tuple> out;
-  out.reserve(reps.size());
-  for (const pb::Tuple& rep : reps.points())
-    out.push_back(rep);
-  return out;
+/// Adds to blockElems[p] the distinct elements of `rdRange` that the
+/// iterations of producer block p write through `wr`. One sweep over the
+/// write relation's sorted rows: a galloping cursor over Σ's rows names
+/// each iteration's block, a binary search keeps the elements the
+/// consumer reads, and one sort of the (block ordinal, element) rows
+/// removes duplicates before counting.
+void addBlockElements(const pb::IntMap& wr, const pb::IntTupleSet& rdRange,
+                      const pb::IntMap& blocking, const pb::IntTupleSet& reps,
+                      std::vector<std::uint64_t>& blockElems) {
+  const std::size_t depth = wr.domainSpace().arity();
+  const std::size_t rank = rdRange.arity();
+  const std::size_t wrW = depth + rank, sigW = 2 * depth, keptW = 1 + rank;
+  const pb::Value* wrRows = wr.rowData().data();
+  const pb::Value* sigma = blocking.rowData().data();
+  const pb::Value* read = rdRange.rowData().data();
+  const std::size_t numSigma = blocking.size(), numRead = rdRange.size();
+  pb::RowBuffer kept;
+  std::size_t cursor = 0, ordinal = 0;
+  const pb::Value* lastRep = nullptr;
+  for (std::size_t r = 0; r < wr.size(); ++r) {
+    const pb::Value* it = wrRows + r * wrW;
+    const pb::Value* elem = it + depth;
+    const std::size_t e =
+        pb::rows::lowerBound(read, numRead, rank, 0, elem, rank);
+    if (e == numRead || !pb::rows::equal(read + e * rank, elem, rank))
+      continue;
+    cursor = pb::rows::gallopLowerBound(sigma, numSigma, sigW, cursor, it,
+                                        depth);
+    if (cursor == numSigma ||
+        !pb::rows::equal(sigma + cursor * sigW, it, depth))
+      continue; // in no block
+    const pb::Value* rep = sigma + cursor * sigW + depth;
+    if (lastRep == nullptr || !pb::rows::equal(rep, lastRep, depth)) {
+      ordinal = repOrdinal(reps, rep);
+      lastRep = rep;
+    }
+    kept.push_back(static_cast<pb::Value>(ordinal));
+    pb::rows::append(kept, elem, rank);
+  }
+  pb::rows::sortUnique(kept, keptW);
+  for (std::size_t i = 0; i < kept.size(); i += keptW)
+    ++blockElems[static_cast<std::size_t>(kept[i])];
+}
+
+/// Tokens (producer blocks, by ordinal) each consumer block needs before
+/// it may run, from the eq.-4 map's rows (target rep, source rep): the
+/// highest required source ordinal + 1, or 0 without a requirement.
+std::vector<std::uint64_t> requirementTokens(const pb::IntMap& req,
+                                             const pb::IntTupleSet& tgtReps,
+                                             const pb::IntTupleSet& srcReps) {
+  const std::size_t tgtW = tgtReps.arity(), w = tgtW + srcReps.arity();
+  const pb::Value* reqRows = req.rowData().data();
+  const pb::Value* tgt = tgtReps.rowData().data();
+  const std::size_t numTgt = tgtReps.size();
+  std::vector<std::uint64_t> need(numTgt, 0);
+  std::size_t k = 0;
+  for (std::size_t r = 0; r < req.size(); ++r) {
+    const pb::Value* row = reqRows + r * w;
+    k = pb::rows::gallopLowerBound(tgt, numTgt, tgtW, k, row, tgtW);
+    if (k == numTgt)
+      break;
+    if (pb::rows::equal(tgt + k * tgtW, row, tgtW))
+      need[k] = std::max<std::uint64_t>(need[k],
+                                        repOrdinal(srcReps, row + tgtW) + 1);
+  }
+  return need;
 }
 
 /// Per-edge scheduling data kept alongside the public EdgeComm while the
 /// lockstep occupancy simulation runs.
 struct EdgeWork {
   EdgeComm comm;
+  /// The shared arrays' write relations and read ranges, held from the
+  /// volume pass to the per-block pass.
+  std::vector<pb::IntMap> wrRels;
+  std::vector<pb::IntTupleSet> rdRanges;
   /// Tokens (producer blocks, by ordinal) consumer block k needs before
   /// it may run; 0 = no requirement from this edge.
   std::vector<std::uint64_t> reqTokens;
@@ -102,113 +155,89 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
     return result;
 
   const std::size_t numStmts = scop.numStatements();
-  std::vector<std::vector<pb::Tuple>> reps(numStmts);
-  for (std::size_t s = 0; s < numStmts; ++s)
-    if (s < info.statements.size())
-      reps[s] = materializeReps(info.statements[s].blockReps);
+  std::vector<EdgeWork> work(info.maps.size());
 
-  // Phase A: per-edge volumes, per-block consumed bytes, and the token
-  // requirement of every consumer block.
-  std::vector<EdgeWork> work;
-  work.reserve(info.maps.size());
-  std::vector<std::size_t> inReqSeen(numStmts, 0); // inRequirements cursor
-  for (std::size_t m = 0; m < info.maps.size(); ++m) {
-    const PipelineMapEntry& entry = info.maps[m];
-    const std::size_t src = entry.srcIdx;
-    const std::size_t tgt = entry.tgtIdx;
-    EdgeWork w;
-    w.comm.srcIdx = src;
-    w.comm.tgtIdx = tgt;
-    w.comm.mapIdx = m;
-
-    const std::vector<std::size_t> shared =
-        sharedArrays(scop.arraysWrittenBy(src), scop.arraysReadBy(tgt));
-
-    // Volume: the separable closed form when the pair qualifies,
-    // otherwise the explicit range intersection per shared array.
-    const SeparablePairShape shape = classifySeparablePair(scop, src, tgt);
-    const bool parametric = shape.ok() && !shape.vacuous;
-    if (parametric)
-      w.comm.elements = separableVolume(shape);
-    // The per-array relations are needed for the per-block pass anyway.
-    std::vector<pb::IntMap> wrRels, rdInvRels;
-    std::vector<pb::IntTupleSet> rdRanges;
-    for (const std::size_t a : shared) {
-      pb::IntMap wr = scop.writeRelation(src, a);
-      pb::IntMap rd = scop.readRelation(tgt, a);
-      pb::IntTupleSet rdRange = rd.range();
-      if (!parametric)
-        w.comm.elements += wr.range().intersect(rdRange).size();
-      wrRels.push_back(std::move(wr));
-      rdInvRels.push_back(rd.inverse());
-      rdRanges.push_back(std::move(rdRange));
-    }
-    w.comm.parametric = parametric;
-    w.comm.totalBytes = w.comm.elements * kElementBytes;
-
-    // Per producer block: consumed bytes and (implicitly, through the
-    // requirement tokens below) the consumer blocks that read it.
-    const std::vector<pb::Tuple>& srcReps = reps[src];
-    const StatementPipelineInfo& srcInfo = info.statements[src];
-    w.prefixBytes.assign(srcReps.size() + 1, 0);
-    std::vector<pb::Tuple> elems;
-    for (std::size_t p = 0; p < srcReps.size(); ++p) {
-      const std::vector<pb::Tuple> members =
-          srcInfo.expansion.imagesOf(srcReps[p]);
-      std::uint64_t blockElems = 0;
-      for (std::size_t ai = 0; ai < shared.size(); ++ai) {
-        elems.clear();
-        for (const pb::Tuple& it : members)
-          for (const pb::Tuple& elem : wrRels[ai].imagesOf(it))
-            if (rdRanges[ai].contains(elem))
-              elems.push_back(elem);
-        std::sort(elems.begin(), elems.end());
-        elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
-        blockElems += elems.size();
+  // Per-edge volumes: the separable closed form when the pair qualifies,
+  // otherwise the explicit range intersection per shared array.
+  {
+    trace::Span phase("comm.volume");
+    for (std::size_t m = 0; m < info.maps.size(); ++m) {
+      EdgeWork& w = work[m];
+      const std::size_t src = info.maps[m].srcIdx;
+      const std::size_t tgt = info.maps[m].tgtIdx;
+      w.comm.srcIdx = src;
+      w.comm.tgtIdx = tgt;
+      w.comm.mapIdx = m;
+      const SeparablePairShape shape = classifySeparablePair(scop, src, tgt);
+      w.comm.parametric = shape.ok() && !shape.vacuous;
+      if (w.comm.parametric)
+        w.comm.elements = separableVolume(shape);
+      // The per-array relations are needed for the per-block pass anyway.
+      for (const std::size_t a : scop.arraysWrittenBy(src)) {
+        pb::IntTupleSet rdRange = scop.readRelation(tgt, a).range();
+        if (rdRange.empty())
+          continue; // the target reads nothing of it
+        pb::IntMap wr = scop.writeRelation(src, a);
+        if (!w.comm.parametric)
+          w.comm.elements += wr.range().intersect(rdRange).size();
+        w.wrRels.push_back(std::move(wr));
+        w.rdRanges.push_back(std::move(rdRange));
       }
-      const std::uint64_t bytes = blockElems * kElementBytes;
-      w.comm.maxBlockBytes = std::max(w.comm.maxBlockBytes, bytes);
-      w.prefixBytes[p + 1] = w.prefixBytes[p] + bytes;
+      w.comm.totalBytes = w.comm.elements * kElementBytes;
     }
-
-    // Requirement tokens per consumer block, from the eq.-4 map of this
-    // edge (inRequirements are appended in pipeline-map order, one per
-    // map targeting the statement).
-    const StatementPipelineInfo& tgtInfo = info.statements[tgt];
-    const std::size_t reqIdx = inReqSeen[tgt]++;
-    PIPOLY_CHECK_MSG(reqIdx < tgtInfo.inRequirements.size() &&
-                         tgtInfo.inRequirements[reqIdx].srcStmtIdx == src,
-                     "in-requirement order does not match the pipeline maps");
-    const pb::IntMap& req = tgtInfo.inRequirements[reqIdx].map;
-    const std::vector<pb::Tuple>& tgtReps = reps[tgt];
-    w.reqTokens.assign(tgtReps.size(), 0);
-    for (std::size_t k = 0; k < tgtReps.size(); ++k) {
-      std::uint64_t need = 0;
-      for (const pb::Tuple& srcRep : req.imagesOf(tgtReps[k]))
-        need = std::max(need, static_cast<std::uint64_t>(
-                                  repOrdinal(srcReps, srcRep) + 1));
-      w.reqTokens[k] = need;
-    }
-    work.push_back(std::move(w));
   }
 
-  // Phase B: the unthrottled ASAP lockstep schedule. Every stage finishes
-  // at most one block per round, starting its next block as soon as each
+  // Per producer block the consumed bytes, and per consumer block the
+  // requirement tokens from the eq.-4 map of the edge (inRequirements are
+  // appended in pipeline-map order, one per map targeting the statement).
+  {
+    trace::Span phase("comm.blocks");
+    std::vector<std::size_t> inReqSeen(numStmts, 0); // inRequirements cursor
+    for (EdgeWork& w : work) {
+      const StatementPipelineInfo& srcInfo = info.statements[w.comm.srcIdx];
+      std::vector<std::uint64_t> blockElems(srcInfo.blockReps.size(), 0);
+      for (std::size_t ai = 0; ai < w.wrRels.size(); ++ai)
+        addBlockElements(w.wrRels[ai], w.rdRanges[ai], srcInfo.blocking,
+                         srcInfo.blockReps, blockElems);
+      w.wrRels.clear();
+      w.rdRanges.clear();
+      w.prefixBytes.assign(blockElems.size() + 1, 0);
+      for (std::size_t p = 0; p < blockElems.size(); ++p) {
+        const std::uint64_t bytes = blockElems[p] * kElementBytes;
+        w.comm.maxBlockBytes = std::max(w.comm.maxBlockBytes, bytes);
+        w.prefixBytes[p + 1] = w.prefixBytes[p] + bytes;
+      }
+
+      const StatementPipelineInfo& tgtInfo = info.statements[w.comm.tgtIdx];
+      const std::size_t reqIdx = inReqSeen[w.comm.tgtIdx]++;
+      PIPOLY_CHECK_MSG(
+          reqIdx < tgtInfo.inRequirements.size() &&
+              tgtInfo.inRequirements[reqIdx].srcStmtIdx == w.comm.srcIdx,
+          "in-requirement order does not match the pipeline maps");
+      w.reqTokens = requirementTokens(tgtInfo.inRequirements[reqIdx].map,
+                                      tgtInfo.blockReps, srcInfo.blockReps);
+    }
+  }
+
+  // The unthrottled ASAP lockstep schedule. Every stage finishes at most
+  // one block per round, starting its next block as soon as each
   // in-edge's producer had completed the required tokens by the end of
   // the previous round. Channel occupancy peaks under this schedule give
   // the capacity that never throttles it.
+  trace::Span phase("comm.lockstep");
   std::vector<std::size_t> completed(numStmts, 0), totals(numStmts, 0);
-  for (std::size_t s = 0; s < numStmts; ++s)
-    totals[s] = reps[s].size();
+  for (std::size_t s = 0; s < numStmts && s < info.statements.size(); ++s)
+    totals[s] = info.statements[s].blockReps.size();
   // Statements with blocks but outside every edge still terminate the
   // loop; they just advance unconstrained.
-  bool done = false;
   std::vector<std::size_t> advancing;
-  while (!done) {
+  while (true) {
     advancing.clear();
+    bool done = true;
     for (std::size_t s = 0; s < numStmts; ++s) {
       if (completed[s] >= totals[s])
         continue;
+      done = false;
       bool ready = true;
       for (const EdgeWork& w : work)
         if (w.comm.tgtIdx == s &&
@@ -220,10 +249,6 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
       if (ready)
         advancing.push_back(s);
     }
-    done = true;
-    for (std::size_t s = 0; s < numStmts; ++s)
-      if (completed[s] < totals[s])
-        done = false;
     if (done)
       break;
     PIPOLY_CHECK_MSG(!advancing.empty(),
@@ -260,61 +285,6 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
     result.edges.push_back(w.comm);
   }
   return result;
-}
-
-std::uint64_t commVolumeNaive(const scop::Scop& scop, std::size_t srcIdx,
-                              std::size_t tgtIdx) {
-  // Enumerate every accessed element through the raw affine subscripts —
-  // no relation machinery shared with the analyzed path.
-  const auto elementsOf = [&scop](std::size_t stmtIdx,
-                                  const std::vector<scop::Access>& accesses,
-                                  std::size_t arrayId) {
-    std::vector<pb::Tuple> out;
-    const scop::Statement& stmt = scop.statements()[stmtIdx];
-    for (const scop::Access& access : accesses) {
-      if (access.arrayId != arrayId)
-        continue;
-      for (const pb::Tuple& point : stmt.domain().points()) {
-        // Odometer over the auxiliary dimensions (multi-element reads).
-        std::vector<pb::Value> ext(point.size() + access.numAuxDims());
-        for (std::size_t d = 0; d < point.size(); ++d)
-          ext[d] = point[d];
-        std::vector<pb::Value> aux(access.numAuxDims(), 0);
-        bool more = true;
-        while (more) {
-          for (std::size_t d = 0; d < aux.size(); ++d)
-            ext[point.size() + d] = aux[d];
-          out.push_back(access.subscripts.evaluate(pb::Tuple(ext)));
-          more = false;
-          for (std::size_t d = aux.size(); d-- > 0;) {
-            if (++aux[d] < access.auxExtents[d]) {
-              more = true;
-              break;
-            }
-            aux[d] = 0;
-          }
-        }
-      }
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  };
-
-  std::uint64_t total = 0;
-  for (std::size_t a = 0; a < scop.arrays().size(); ++a) {
-    const std::vector<pb::Tuple> written =
-        elementsOf(srcIdx, scop.statements()[srcIdx].writes(), a);
-    if (written.empty())
-      continue;
-    const std::vector<pb::Tuple> read =
-        elementsOf(tgtIdx, scop.statements()[tgtIdx].reads(), a);
-    std::vector<pb::Tuple> both;
-    std::set_intersection(written.begin(), written.end(), read.begin(),
-                          read.end(), std::back_inserter(both));
-    total += both.size();
-  }
-  return total;
 }
 
 std::vector<rt::StageEdge>

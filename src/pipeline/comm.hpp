@@ -20,6 +20,11 @@
 // Separable pairs (symbolic.hpp's closed-form shape) get a parametric
 // volume fast path mirroring param_detect: the element count is a product
 // of per-dimension interval counts, no set intersection materialized.
+// They still build the per-array write relations and read ranges for the
+// per-block pass, which is a sorted sweep for every edge: one pass over
+// each write relation's rows, blocks found through Σ's rows, one sort of
+// the (block, element) rows. The requirement tokens come from one walk
+// over the eq.-4 map's rows.
 //
 // The result feeds the channel tasking backend (ring capacities), the
 // simulator's communication cost model, the JSON/DOT exports and the
@@ -107,11 +112,5 @@ struct CommInfo {
 /// Computes the per-edge communication summary for a detection result.
 CommInfo analyzeCommunication(const scop::Scop& scop,
                               const PipelineInfo& info);
-
-/// Test oracle: the edge volume by brute-force point counting — enumerate
-/// every written and every read element through the raw affine accesses
-/// (no IntMap machinery) and count the distinct elements in both sets.
-std::uint64_t commVolumeNaive(const scop::Scop& scop, std::size_t srcIdx,
-                              std::size_t tgtIdx);
 
 } // namespace pipoly::pipeline

@@ -259,9 +259,10 @@ void computeStatementInfo(const scop::Scop& scop, std::size_t s,
 /// Algorithm 1, lines 11-12, for one pipeline map: the in-dependency map
 /// (eq. 4). Reads the per-statement info computed by computeStatementInfo
 /// (all of it must be complete) and returns the requirement to attach to
-/// the target statement.
+/// the target statement. `tgtBlocking` is the map's Y_T from phase 1.
 InRequirement computeInRequirement(const scop::Scop& scop,
                                    const PipelineMapEntry& entry,
+                                   const pb::IntMap& tgtBlocking,
                                    const PipelineInfo& info,
                                    const DetectOptions& options) {
   const scop::Statement& tgt = scop.statement(entry.tgtIdx);
@@ -289,41 +290,33 @@ InRequirement computeInRequirement(const scop::Scop& scop,
 
   // Q = T^-1 ( Y_T ( Range(Σ_T) ) ): every block of the target needs the
   // last source block that enables it.
-  pb::IntMap y = targetBlockingMap(tgt.domain(), entry.map);
-  pb::IntMap tInv = entry.map.inverse(); // single-valued (T is injective)
-  pb::IntTupleSet tRange = entry.map.range();
+  const pb::IntMap tInv = entry.map.inverse(); // single-valued (T injective)
   const pb::Tuple lastSource = entry.map.domain().lexmax();
-
-  std::vector<pb::IntMap::Pair> pairs;
-  for (const pb::Tuple& rep : tgtInfo.blockReps.points()) {
-    std::optional<pb::Tuple> boundary = y.singleImageOf(rep);
+  const auto requiredBlock = [&](const pb::Tuple& rep) {
+    std::optional<pb::Tuple> boundary = tgtBlocking.singleImageOf(rep);
     PIPOLY_CHECK_MSG(boundary.has_value(),
                      "target blocking map not total on block reps");
-    pb::Tuple required;
-    if (tRange.contains(*boundary)) {
-      std::optional<pb::Tuple> req = tInv.singleImageOf(*boundary);
-      PIPOLY_CHECK(req.has_value());
-      required = std::move(*req);
-    } else {
-      // The block maps past the last pipeline boundary. With the
-      // integrated Σ of eq. 3 such a block provably contains no reader
-      // of this source, but under coarsening or FirstMapOnly it may;
-      // require the whole pipelined source prefix (conservative, and a
-      // no-op when the block truly reads nothing).
-      required = lastSource;
-    }
+    // A boundary outside Range(T) means the block maps past the last
+    // pipeline boundary. With the integrated Σ of eq. 3 such a block
+    // provably contains no reader of this source, but under coarsening or
+    // FirstMapOnly it may; require the whole pipelined source prefix
+    // (conservative, and a no-op when the block truly reads nothing).
+    const pb::Tuple required =
+        tInv.singleImageOf(*boundary).value_or(lastSource);
     // The required iteration is a blocking boundary of the source map,
     // so mapping through Σ_src names the block that produces it (with a
     // coarsened Σ it lands on the enclosing, later block — still safe).
     std::optional<pb::Tuple> srcBlock =
         srcInfo.blocking.singleImageOf(required);
     PIPOLY_CHECK(srcBlock.has_value());
-    pairs.emplace_back(rep, std::move(*srcBlock));
-  }
-  return InRequirement{entry.srcIdx,
-                       pb::IntMap(tgt.space(),
-                                  scop.statement(entry.srcIdx).space(),
-                                  std::move(pairs))};
+    return std::move(*srcBlock);
+  };
+  // The block reps arrive in order, so the rows are written sorted.
+  return InRequirement{
+      entry.srcIdx,
+      pb::IntMap::fromFunction(tgtInfo.blockReps,
+                               scop.statement(entry.srcIdx).space(),
+                               requiredBlock)};
 }
 
 /// Runs `fn(0) .. fn(count-1)` — inline when `pool` is null (the serial
@@ -411,6 +404,8 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
   // Per target, the relaxed-reduction sources it depends on (combine
   // edges), in the deterministic candidate order.
   std::vector<std::vector<std::size_t>> combineSources(n);
+  // Y_T of every pipeline map, in map order (eq. 4 reuses it).
+  std::vector<pb::IntMap> mapTgtBlockings;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     PairResult& r = pairResults[i];
     switch (r.route) {
@@ -442,7 +437,8 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
       continue;
     const auto [s, t] = candidates[i];
     blockingMaps[s].push_back(std::move(r.srcBlocking));
-    blockingMaps[t].push_back(std::move(r.tgtBlocking));
+    blockingMaps[t].push_back(r.tgtBlocking); // shares the rows
+    mapTgtBlockings.push_back(std::move(r.tgtBlocking));
     info.maps.push_back(PipelineMapEntry{s, t, std::move(r.map)});
   }
   pairResults.clear();
@@ -465,8 +461,8 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
     trace::Span phase("detect.requirements");
     forEachUnit(poolPtr, info.maps.size(), [&](std::size_t i) {
       trace::Span unit("detect.requirement", static_cast<std::int64_t>(i));
-      requirements[i] =
-          computeInRequirement(scop, info.maps[i], info, options);
+      requirements[i] = computeInRequirement(
+          scop, info.maps[i], mapTgtBlockings[i], info, options);
     });
   }
   for (std::size_t i = 0; i < info.maps.size(); ++i)

@@ -319,13 +319,18 @@ std::vector<Tuple> IntMap::imagesOf(const Tuple& in) const {
 }
 
 std::optional<Tuple> IntMap::singleImageOf(const Tuple& in) const {
-  std::vector<Tuple> imgs = imagesOf(in);
-  if (imgs.empty())
+  if (in.size() != inArity() || empty())
     return std::nullopt;
-  PIPOLY_CHECK_MSG(imgs.size() == 1, "map is not single-valued at " +
-                                         in.toString() + " in space " +
-                                         in_.name());
-  return imgs.front();
+  const std::size_t inA = inArity(), w = width();
+  const Value* base = rowData().data();
+  const std::size_t i = rows::lowerBound(base, count_, w, 0, in.data(), inA);
+  if (i == count_ || !rows::equal(base + i * w, in.data(), inA))
+    return std::nullopt;
+  PIPOLY_CHECK_MSG(i + 1 == count_ ||
+                       !rows::equal(base + (i + 1) * w, in.data(), inA),
+                   "map is not single-valued at " + in.toString() +
+                       " in space " + in_.name());
+  return Tuple(base + i * w + inA, outArity());
 }
 
 IntMap IntMap::lexmaxPerDomain() const {

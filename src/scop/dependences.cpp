@@ -45,7 +45,23 @@ pb::IntMap flowDependences(const Scop& scop, std::size_t srcIdx,
 bool dependsOn(const Scop& scop, std::size_t tgtIdx, std::size_t srcIdx) {
   PIPOLY_CHECK_MSG(srcIdx <= tgtIdx,
                    "dependsOn expects source textually before target");
-  return !flowDependences(scop, srcIdx, tgtIdx).empty();
+  // Within one nest only lex-increasing pairs count, which needs the
+  // relation itself.
+  if (srcIdx == tgtIdx)
+    return !flowDependences(scop, srcIdx, tgtIdx).empty();
+  // Across nests every iteration pair counts: a dependence exists iff
+  // some element the source writes is one the target reads.
+  for (std::size_t arrayId : scop.arraysWrittenBy(srcIdx)) {
+    const pb::IntMap rd = scop.readRelation(tgtIdx, arrayId);
+    if (rd.empty())
+      continue;
+    const pb::IntTupleSet written =
+        scop.writeRelation(srcIdx, arrayId).range();
+    for (const auto& [j, elem] : rd.pairs())
+      if (written.contains(elem))
+        return true;
+  }
+  return false;
 }
 
 pb::IntMap selfDependences(const Scop& scop, std::size_t stmtIdx) {
@@ -70,15 +86,21 @@ void validateProgramModel(const Scop& scop) {
   for (std::size_t t = 0; t < scop.numStatements(); ++t) {
     for (std::size_t arrayId : scop.arraysWrittenBy(t)) {
       for (std::size_t s = 0; s < t; ++s) {
-        const bool earlierWrites =
-            !scop.writeRelation(s, arrayId).empty();
-        const bool earlierReads = !scop.readRelation(s, arrayId).empty();
+        // An access touches its array iff its statement runs and every
+        // aux extent is positive (its access relation is non-empty).
+        const Statement& stmt = scop.statement(s);
+        bool touches = false;
+        for (const auto* accesses : {&stmt.writes(), &stmt.reads()})
+          for (const Access& a : *accesses)
+            touches = touches ||
+                      (a.arrayId == arrayId && !stmt.domain().empty() &&
+                       std::ranges::all_of(a.auxExtents,
+                                           [](pb::Value e) { return e > 0; }));
         PIPOLY_CHECK_MSG(
-            !earlierWrites && !earlierReads,
+            !touches,
             "statement " + scop.statement(t).name() + " writes array " +
                 scop.array(arrayId).name + " that earlier statement " +
-                scop.statement(s).name() +
-                " accesses — outside the paper's program model");
+                stmt.name() + " accesses — outside the paper's program model");
       }
     }
   }

@@ -1,21 +1,32 @@
 // Tests for pipeline::analyzeCommunication: per-edge volumes validated
 // against the brute-force counting oracle on every Table-9 program (the
-// parametric, separable closed-form, fast path included), capacity/peak
-// invariants, and the CommInfo lookup API the channel backend builds its
-// ring sizes from.
+// parametric, separable closed-form, fast path included), every EdgeComm
+// field against the per-point legacy pass over a matrix of programs and
+// detection options, capacity/peak invariants, and the CommInfo lookup
+// API the channel backend builds its ring sizes from.
 
 #include "pipeline/comm.hpp"
 
+#include "kernels/matmul.hpp"
+#include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
 #include "pipeline/detect.hpp"
+#include "testing/fixtures.hpp"
+#include "testing/legacy_comm.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace pipoly::pipeline {
 namespace {
+
+using pipoly::testing::commVolumeNaive;
+using pipoly::testing::legacyAnalyzeCommunication;
 
 TEST(CommVolumeTest, EdgeVolumesMatchTheBruteForceOracleOnTable9) {
   for (const kernels::ProgramSpec& spec : kernels::table9Programs()) {
@@ -51,6 +62,69 @@ TEST(CommVolumeTest, ParametricFastPathEqualsTheExplicitIntersection) {
       anyParametric = anyParametric || e.parametric;
   }
   EXPECT_TRUE(anyParametric);
+}
+
+/// The oracle matrix's programs: Table 9 at N = 8 and 16, the matmul
+/// chains of length 2-4 in every variant, the reduction grid, and a pair
+/// of loop-free statements.
+std::vector<std::pair<std::string, scop::Scop>> oraclePrograms() {
+  std::vector<std::pair<std::string, scop::Scop>> out;
+  for (const kernels::ProgramSpec& spec : kernels::table9Programs())
+    for (pb::Value n : {8, 16})
+      out.emplace_back(spec.name + " N=" + std::to_string(n),
+                       kernels::buildProgram(spec, n));
+  for (kernels::MatmulVariant v :
+       {kernels::MatmulVariant::NMM, kernels::MatmulVariant::NMMT,
+        kernels::MatmulVariant::GNMM, kernels::MatmulVariant::GNMMT})
+    for (std::size_t len : {std::size_t{2}, std::size_t{3}, std::size_t{4}})
+      out.emplace_back(kernels::variantName(v) + std::to_string(len),
+                       kernels::matmulChain(v, len, 8));
+  for (const kernels::ReductionKernelSpec& k : kernels::reductionKernels())
+    out.emplace_back(k.name, k.build(16));
+  out.emplace_back("scalar_pair", testing::scalarPair());
+  return out;
+}
+
+TEST(CommOracleTest, EveryFieldMatchesTheLegacyPassAcrossTheMatrix) {
+  std::vector<std::pair<std::string, DetectOptions>> configs(4);
+  configs[0].first = "default";
+  configs[1].first = "coarsening=3";
+  configs[1].second.coarsening = 3;
+  configs[2].first = "FirstMapOnly";
+  configs[2].second.integration = DetectOptions::Integration::FirstMapOnly;
+  configs[3].first = "reduction=Off";
+  configs[3].second.reductionMode = DetectOptions::ReductionMode::Off;
+  configs[3].second.allowNonInjectiveWrites = true;
+
+  std::size_t edges = 0;
+  for (const auto& [name, scop] : oraclePrograms()) {
+    for (const auto& [config, options] : configs) {
+      const std::string what = name + " " + config;
+      const PipelineInfo info = detectPipeline(scop, options);
+      const CommInfo got = analyzeCommunication(scop, info);
+      const CommInfo want = legacyAnalyzeCommunication(scop, info);
+      ASSERT_EQ(got.edges.size(), want.edges.size()) << what;
+      for (std::size_t i = 0; i < got.edges.size(); ++i) {
+        const EdgeComm& g = got.edges[i];
+        const EdgeComm& w = want.edges[i];
+        const std::string edge = what + " edge " + std::to_string(i);
+        EXPECT_EQ(g.srcIdx, w.srcIdx) << edge;
+        EXPECT_EQ(g.tgtIdx, w.tgtIdx) << edge;
+        EXPECT_EQ(g.mapIdx, w.mapIdx) << edge;
+        EXPECT_EQ(g.elements, w.elements) << edge;
+        EXPECT_EQ(g.totalBytes, w.totalBytes) << edge;
+        EXPECT_EQ(g.maxBlockBytes, w.maxBlockBytes) << edge;
+        EXPECT_EQ(g.peakInFlightTokens, w.peakInFlightTokens) << edge;
+        EXPECT_EQ(g.peakInFlightBytes, w.peakInFlightBytes) << edge;
+        EXPECT_EQ(g.capacitySlots, w.capacitySlots) << edge;
+        EXPECT_EQ(g.parametric, w.parametric) << edge;
+      }
+      edges += got.edges.size();
+    }
+  }
+  // Guards the matrix itself: a builder regression that empties it would
+  // pass the loop above vacuously.
+  EXPECT_GT(edges, 300u);
 }
 
 TEST(CommCapacityTest, CapacityCoversThePeakAndRespectsTheFloor) {

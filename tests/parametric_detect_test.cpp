@@ -9,6 +9,7 @@
 // (param_detect.hpp) agree with the explicit results wherever both
 // exist.
 
+#include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
 #include "pipeline/detect.hpp"
 #include "pipeline/detect_cache.hpp"
@@ -17,6 +18,7 @@
 #include "scop/param_scop.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
+#include "testing/fixtures.hpp"
 #include "testing/legacy_detect.hpp"
 #include "trace/trace.hpp"
 
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -33,6 +36,7 @@ using namespace pipoly;
 using pipeline::DetectOptions;
 using pipeline::ParametricFallback;
 using pipoly::testing::legacyDetect;
+using pipoly::testing::legacyInRequirement;
 using pipoly::testing::LegacyDetection;
 
 DetectOptions withThreads(unsigned threads) {
@@ -41,11 +45,31 @@ DetectOptions withThreads(unsigned threads) {
   return opt;
 }
 
+/// Every map-based in-requirement against the eq.-4 reference. They are
+/// appended to their targets in map order, ahead of any combine edge.
+void expectInRequirementsMatchLegacy(const scop::Scop& scop,
+                                     const pipeline::PipelineInfo& info,
+                                     const std::string& what) {
+  std::vector<std::size_t> seen(info.statements.size(), 0);
+  for (std::size_t i = 0; i < info.maps.size(); ++i) {
+    const pipeline::PipelineMapEntry& entry = info.maps[i];
+    const std::vector<pipeline::InRequirement>& reqs =
+        info.statements[entry.tgtIdx].inRequirements;
+    const std::size_t r = seen[entry.tgtIdx]++;
+    ASSERT_LT(r, reqs.size()) << what << " map " << i;
+    EXPECT_EQ(reqs[r].srcStmtIdx, entry.srcIdx) << what << " map " << i;
+    EXPECT_TRUE(reqs[r].map == legacyInRequirement(scop, entry, info))
+        << what << " map " << i;
+  }
+}
+
 /// The route ladder against the explicit reference: the same pipeline
-/// maps in the same order, and the same Σ_S for every statement.
-void expectMatchesLegacy(const LegacyDetection& ref,
+/// maps in the same order, the same Σ_S for every statement, and the same
+/// eq.-4 in-requirements.
+void expectMatchesLegacy(const scop::Scop& scop, const LegacyDetection& ref,
                          const pipeline::PipelineInfo& info,
                          const std::string& what) {
+  expectInRequirementsMatchLegacy(scop, info, what);
   ASSERT_EQ(ref.maps.size(), info.maps.size()) << what;
   for (std::size_t i = 0; i < ref.maps.size(); ++i) {
     EXPECT_EQ(ref.maps[i].srcIdx, info.maps[i].srcIdx) << what << " map " << i;
@@ -124,7 +148,7 @@ TEST(ParametricDetect, Table9BitIdenticalAcrossModesThreadsAndN) {
       ++built;
       const std::string what = spec.name + " N=" + std::to_string(n);
       const pipeline::PipelineInfo serial = pipeline::detectPipeline(*scop);
-      expectMatchesLegacy(legacyDetect(*scop), serial,
+      expectMatchesLegacy(*scop, legacyDetect(*scop), serial,
                           what + " serial");
       expectInfoEqual(serial,
                       pipeline::detectPipeline(*scop, withThreads(4)),
@@ -300,7 +324,7 @@ TEST(ParametricDetect, RandomizedDifferentialHarness) {
     const std::string what = "iter " + std::to_string(iter);
 
     const pipeline::PipelineInfo autoSerial = pipeline::detectPipeline(scop);
-    expectMatchesLegacy(legacyDetect(scop), autoSerial,
+    expectMatchesLegacy(scop, legacyDetect(scop), autoSerial,
                         what + " serial");
     expectInfoEqual(autoSerial, pipeline::detectPipeline(scop, withThreads(4)),
                     what + " parallel4");
@@ -329,6 +353,34 @@ TEST(ParametricDetect, RandomizedDifferentialHarness) {
   // would hollow the suite out silently.
   EXPECT_GT(totalParametric, 100u);
   EXPECT_GT(totalFallbacks, 20u);
+}
+
+TEST(ParametricDetect, InRequirementsMatchLegacyUnderEveryBlockingOption) {
+  // Coarsening and FirstMapOnly change the blocks eq. 4 looks up; the
+  // random programs reach its whole-prefix branch (blocks past the last
+  // pipeline boundary); the reduction grid puts combine edges after the
+  // map-based requirements; the scalar pair has zero-width rows.
+  std::vector<std::pair<std::string, scop::Scop>> programs;
+  for (const kernels::ProgramSpec& spec : kernels::table9Programs())
+    programs.emplace_back(spec.name, kernels::buildProgram(spec, 16));
+  for (const kernels::ReductionKernelSpec& k : kernels::reductionKernels())
+    programs.emplace_back(k.name, k.build(16));
+  programs.emplace_back("scalar_pair", pipoly::testing::scalarPair());
+  SplitMix64 rng(0x6a09e667f3bcc908ULL);
+  for (std::uint64_t iter = 0; iter < 60; ++iter)
+    programs.emplace_back("random " + std::to_string(iter),
+                          randomScop(rng, iter));
+  DetectOptions coarse, firstMap;
+  coarse.coarsening = 3;
+  firstMap.integration = DetectOptions::Integration::FirstMapOnly;
+  for (const auto& [name, scop] : programs)
+    for (const auto& [config, options] :
+         {std::pair<const char*, DetectOptions>{"default", {}},
+          {"coarsening=3", coarse},
+          {"FirstMapOnly", firstMap}})
+      expectInRequirementsMatchLegacy(
+          scop, pipeline::detectPipeline(scop, options),
+          name + " " + config);
 }
 
 // --- Fallback coverage (pairs that *almost* match) --------------------
@@ -431,7 +483,7 @@ TEST(ParametricDetect, FallbackPairsMatchLegacyAndRecordTheirReason) {
     const pipeline::PipelineInfo info = pipeline::detectPipeline(c.scop);
     session.stop();
 
-    expectMatchesLegacy(ref, info, c.name);
+    expectMatchesLegacy(c.scop, ref, info, c.name);
     EXPECT_EQ(info.stats.parametricPairs, 0u) << c.name;
     EXPECT_EQ(info.stats.fallbackPairs(), 1u) << c.name;
     EXPECT_EQ(info.stats.fallbacks(c.reason), 1u) << c.name;
@@ -576,7 +628,7 @@ TEST(ParamDetect, RequiredSourceRepsMatchExplicitInRequirements) {
     const pb::ParamBindings bindings = param.bindingsFor(n);
     const scop::Scop scop = kernels::buildProgram(param.spec, n);
     const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
-    expectMatchesLegacy(legacyDetect(scop), info, name);
+    expectMatchesLegacy(scop, legacyDetect(scop), info, name);
     for (const pipeline::PipelineMapEntry& entry : info.maps) {
       const auto planIt = std::find_if(
           det.plans().begin(), det.plans().end(),

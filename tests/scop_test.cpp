@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace pipoly::scop {
 namespace {
 
@@ -135,6 +137,46 @@ TEST(DependencesTest, NoDependenceBetweenUnrelatedStatements) {
   T.bound(0, 0, 4).write(B, {T.dim(0)}).read(B, {T.dim(0)});
   Scop scop = b.build();
   EXPECT_FALSE(dependsOn(scop, 1, 0));
+}
+
+TEST(DependencesTest, ProgramModelRejectsALaterWriteToAnAccessedArray) {
+  // U writes A, which S wrote and T read before it.
+  ScopBuilder b("late_write");
+  std::size_t A = b.array("A", {4});
+  std::size_t B = b.array("B", {4});
+  auto S = b.statement("S", 1);
+  S.bound(0, 0, 4).write(A, {S.dim(0)});
+  auto T = b.statement("T", 1);
+  T.bound(0, 0, 4).write(B, {T.dim(0)}).read(A, {T.dim(0)});
+  auto U = b.statement("U", 1);
+  U.bound(0, 0, 4).write(A, {U.dim(0)});
+  const Scop scop = b.build();
+  try {
+    validateProgramModel(scop);
+    FAIL() << "a later write to an accessed array must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "statement U writes array A that earlier statement S "
+                  "accesses"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DependencesTest, ProgramModelIgnoresAccessesThatTouchNothing) {
+  // S never runs (empty domain) and T's read sweeps an empty aux range:
+  // neither touches A, so U may write it.
+  ScopBuilder b("touch_nothing");
+  std::size_t A = b.array("A", {4});
+  std::size_t B = b.array("B", {4});
+  auto S = b.statement("S", 1);
+  S.bound(0, 0, 0).write(A, {S.dim(0)});
+  auto T = b.statement("T", 1);
+  T.bound(0, 0, 4).write(B, {T.dim(0)});
+  T.readRange(A, {T.rangeDim(0, 1) + T.rangeAux(0, 1)}, {0});
+  auto U = b.statement("U", 1);
+  U.bound(0, 0, 4).write(A, {U.dim(0)});
+  EXPECT_NO_THROW(validateProgramModel(b.build()));
 }
 
 TEST(DependencesTest, SelfDependencesSerialNest) {

@@ -1,8 +1,8 @@
 #pragma once
 
 // Shared SCoP fixtures used across the pipeline/schedule/codegen tests:
-// the paper's Listing 1 and Listing 3, parameterised by N, and two
-// nest chains.
+// the paper's Listing 1 and Listing 3, parameterised by N, two nest
+// chains, and a pair of loop-free statements.
 
 #include "scop/builder.hpp"
 #include "scop/scop.hpp"
@@ -117,6 +117,21 @@ inline scop::Scop middleHeavyChain(pb::Value n) {
     else if (k > 0)
       S.read(arrays[k - 1], {S.constant(0), S.constant(0)}); // one element
   }
+  return b.build();
+}
+
+/// Two depth-0 statements (no enclosing loop): S writes A[0], T reads it.
+/// Their maps and requirements have zero-width rows, the corner case of
+/// the row-buffer sweeps.
+inline scop::Scop scalarPair() {
+  scop::ScopBuilder b("scalar_pair");
+  const std::size_t A = b.array("A", {4});
+  const std::size_t B = b.array("B", {4});
+  auto S = b.statement("S", 0);
+  S.write(A, {S.constant(0)});
+  auto T = b.statement("T", 0);
+  T.write(B, {T.constant(0)});
+  T.read(A, {T.constant(0)});
   return b.build();
 }
 

@@ -4,6 +4,7 @@
 // goes through the dependence test and the explicit Wr^-1(Rd) pipeline
 // map, with no closed form and no per-point fast path. detectPipeline's
 // route ladder must reproduce its pipeline maps and Σ_S bit for bit.
+// legacyInRequirement is the matching reference for lines 11-12 (eq. 4).
 //
 // The reference models detectPipeline under default DetectOptions on
 // SCoPs without relaxed reductions: pairs whose source is a relaxed
@@ -17,7 +18,9 @@
 #include "pipeline/pipeline_map.hpp"
 #include "pipeline/reduction.hpp"
 #include "scop/dependences.hpp"
+#include "support/assert.hpp"
 
+#include <optional>
 #include <vector>
 
 namespace pipoly::testing {
@@ -58,6 +61,40 @@ inline LegacyDetection legacyDetect(const scop::Scop& scop) {
       out.blocking.push_back(pipeline::integrateBlockingMaps(blockingMaps[s]));
   }
   return out;
+}
+
+/// Eq. 4 for one pipeline map of `info` under chain ordering, one
+/// singleImageOf lookup per target block: Y_T names the boundary the
+/// block ends at, T^-1 the source iteration that enables it (the last
+/// pipelined source iteration for a block past every boundary), and Σ_S
+/// the source block that produces it. detectPipeline's requirement for
+/// the map must equal it bit for bit.
+inline pb::IntMap legacyInRequirement(const scop::Scop& scop,
+                                      const pipeline::PipelineMapEntry& entry,
+                                      const pipeline::PipelineInfo& info) {
+  const scop::Statement& tgt = scop.statement(entry.tgtIdx);
+  const pipeline::StatementPipelineInfo& srcInfo =
+      info.statements[entry.srcIdx];
+  const pb::IntMap y = pipeline::targetBlockingMap(tgt.domain(), entry.map);
+  const pb::IntMap tInv = entry.map.inverse();
+  const pb::IntTupleSet tRange = entry.map.range();
+  const pb::Tuple lastSource = entry.map.domain().lexmax();
+
+  std::vector<pb::IntMap::Pair> pairs;
+  const pb::IntTupleSet& reps = info.statements[entry.tgtIdx].blockReps;
+  for (const pb::Tuple& rep : reps.points()) {
+    const std::optional<pb::Tuple> boundary = y.singleImageOf(rep);
+    PIPOLY_CHECK(boundary.has_value());
+    const pb::Tuple required = tRange.contains(*boundary)
+                                   ? *tInv.singleImageOf(*boundary)
+                                   : lastSource;
+    const std::optional<pb::Tuple> srcBlock =
+        srcInfo.blocking.singleImageOf(required);
+    PIPOLY_CHECK(srcBlock.has_value());
+    pairs.emplace_back(rep, *srcBlock);
+  }
+  return pb::IntMap(tgt.space(), scop.statement(entry.srcIdx).space(),
+                    std::move(pairs));
 }
 
 } // namespace pipoly::testing
