@@ -26,7 +26,9 @@
 //                   ChannelPipeline under --backend=channel) and
 //                   replay it N times with interpreted bodies, checking
 //                   every run against the sequential fingerprint; prints
-//                   total/per-replay timing and the executor stats
+//                   total/per-replay timing, the executor stats and the
+//                   route the calibrated default chose (in-order or pool)
+//                   with its two per-run predictions
 //     --tune N      sweep task-granularity factors on N simulated workers
 //                   and report the best (the §7 granularity question)
 //     --trace=FILE  trace the whole run (compile-phase spans, a real
@@ -121,6 +123,36 @@ int usage() {
                "[--backend=serial|threadpool|openmp|channel] "
                "[--topology=SPEC] [file]\n");
   return 2;
+}
+
+/// The replay route line: the route the pipeline's latest call took and
+/// why; for the calibrated default, the two per-run predictions it
+/// compared.
+std::string routeLine(const tasking::CompiledPipeline& pipe) {
+  const tasking::CompiledPipeline::Stats& st = pipe.stats();
+  const char* route =
+      st.route == tasking::ReplayRoute::Pool ? "pool" : "in-order";
+  const char* why = "no call";
+  switch (st.reason) {
+  case tasking::RouteReason::None: break;
+  case tasking::RouteReason::LinearChain: why = "linear chain"; break;
+  case tasking::RouteReason::OneWorker: why = "one worker"; break;
+  case tasking::RouteReason::FewTasks: why = "at most one task"; break;
+  case tasking::RouteReason::Explicit: why = "explicit thread count"; break;
+  case tasking::RouteReason::Calibrated: {
+    const tasking::ReplayChoice& c = st.choice;
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "route: %s (predicted per run: in-order %.3f ms, pool "
+                  "%.3f ms = orchestration %.3f ms + simulated %.3f ms on %u "
+                  "workers; calibration %.3f ms)",
+                  route, c.inOrder * 1e3, c.pool * 1e3,
+                  st.price.orchestration * 1e3, st.price.makespan * 1e3,
+                  st.price.workers, st.calibrationSeconds * 1e3);
+    return buf;
+  }
+  }
+  return std::string("route: ") + route + " (" + why + ")";
 }
 
 } // namespace
@@ -459,7 +491,7 @@ int main(int argc, char** argv) {
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count();
-      std::printf("== replay (%zu runs, %u threads%s) ==\n"
+      std::printf("== replay (%zu runs, %u threads%s) ==\n%s%s"
                   "%s: %zu/%zu runs matched the sequential fingerprint\n"
                   "total %.3f ms, %.3f ms/replay\n\n",
                   replayRuns,
@@ -468,6 +500,8 @@ int main(int argc, char** argv) {
                   channel != nullptr ? ", channel route"
                   : graph->linear()  ? ", linear fast path"
                                      : "",
+                  graph != nullptr ? routeLine(*graph).c_str() : "",
+                  graph != nullptr ? "\n" : "",
                   mismatches == 0 ? "PASS" : "FAIL", replayRuns - mismatches,
                   replayRuns, total * 1e3,
                   total * 1e3 / static_cast<double>(replayRuns));

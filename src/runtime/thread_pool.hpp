@@ -169,6 +169,12 @@ public:
     return groupOffsets_.empty() ? 0 : groupOffsets_.size() - 1;
   }
 
+  /// The frozen predecessor lists in CSR form: node v's predecessors are
+  /// predecessors()[predOffsets()[v] .. predOffsets()[v + 1]), in the
+  /// order addNode received them. Empty before freeze().
+  std::span<const NodeId> predecessors() const { return preds_; }
+  std::span<const std::uint32_t> predOffsets() const { return predOffsets_; }
+
   /// Heap footprint of the frozen structures: ready counters, CSR
   /// adjacency, and batch-group tables (for retainedBytes accounting).
   std::size_t storageBytes() const;

@@ -14,8 +14,9 @@ constexpr int kRepetitions = 3;
 
 } // namespace
 
-CostModel calibrate(const scop::Scop& scop,
-                    const tasking::StatementExecutor& exec) {
+CostModel calibrate(
+    const scop::Scop& scop,
+    const std::function<void(std::size_t, const pb::Tuple&)>& exec) {
   CostModel model;
   model.iterationCost.reserve(scop.numStatements());
 

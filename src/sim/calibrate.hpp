@@ -8,7 +8,8 @@
 
 #include "scop/scop.hpp"
 #include "sim/simulator.hpp"
-#include "tasking/executor.hpp"
+
+#include <functional>
 
 namespace pipoly::sim {
 
@@ -19,8 +20,11 @@ namespace pipoly::sim {
 /// executor is invoked on real domain points, so statement bodies with
 /// data-dependent cost are averaged over a representative spread.
 /// `taskOverhead` is left at 0; combine with bench-style overhead
-/// measurement if needed.
-CostModel calibrate(const scop::Scop& scop,
-                    const tasking::StatementExecutor& exec);
+/// measurement if needed. `exec` has tasking::StatementExecutor's
+/// signature, spelled out so that sim does not depend on tasking (the
+/// replay executor prices its route choice with sim::simulate).
+CostModel calibrate(
+    const scop::Scop& scop,
+    const std::function<void(std::size_t, const pb::Tuple&)>& exec);
 
 } // namespace pipoly::sim

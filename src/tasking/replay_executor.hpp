@@ -22,6 +22,29 @@
 //     the only shape with no parallelism at all) skips the dependency
 //     machinery entirely: replay degenerates to an in-order loop on the
 //     calling thread;
+//   * with the default options (numThreads = 0) the pipeline measures
+//     whether the pool pays before using it, so that every call after
+//     the first is never slower than one thread by more than noise
+//     (§4.4's time(pipeline) <= time(sequential)). The first call pays
+//     for the measurement: besides its batches it prices the graph,
+//     starts the pool and runs the graph twice with empty bodies —
+//     several times one in-order batch on fine programs whose chains
+//     cross workers. The gain therefore needs repeated calls on one
+//     CompiledPipeline. The first call runs one
+//     batch in order on the calling thread — real work with real
+//     results — and times every task. It then times one empty-body run
+//     of the frozen graph on the pool (the orchestration cost of this
+//     graph on this host) and prices the pool as that orchestration
+//     plus sim::simulate's makespan for the measured per-statement
+//     costs (priceReplay). Every later call runs in order unless the
+//     predicted pool time beats in-order by kPoolMargin
+//     (chooseReplayRoute). When no batch count could make the pool pay,
+//     the pool is released. Construction measures nothing, and neither
+//     do calls whose route is known: a linear chain's replay() and a
+//     one-CPU host run in order. The choice is traced (a
+//     `replay.calibrate` span, then a `replay.route.pool` or
+//     `replay.route.in_order` instant with the predictions as
+//     `replay.route.*` counters) and kept in stats();
 //   * replayBatches(n, exec) streams n batches through the pipeline
 //     Pipeflow-style — stage s of batch b+1 may start once stage s of
 //     batch b finished (plus the write-after-read anti constraint
@@ -47,6 +70,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 namespace pipoly::tasking {
 
@@ -59,10 +83,87 @@ using BatchStatementExecutor = std::function<void(
 /// it — a nested aggregate with default member initializers cannot be a
 /// default argument inside its own enclosing class.
 struct ReplayOptions {
-  /// Worker threads of the persistent pool (0 = hardware concurrency).
-  /// 1 executes replays in creation order on the calling thread.
+  /// 0 (the default) = calibrated choice: the first call runs in order
+  /// and measures, and later calls use a pool of hardware-concurrency
+  /// workers only where it is predicted to beat the in-order loop (see
+  /// the header comment). N >= 2 = always a persistent pool of N
+  /// workers, never calibrated. 1 executes replays in creation order on
+  /// the calling thread.
   unsigned numThreads = 0;
 };
+
+/// The two executors a CompiledPipeline chooses between.
+enum class ReplayRoute : std::uint8_t {
+  InOrder, // creation order on the calling thread
+  Pool,    // the frozen graph on the persistent pool
+};
+
+/// Why a call took its route.
+enum class RouteReason : std::uint8_t {
+  None,        // no call yet
+  LinearChain, // replay() of a linear chain: in order
+  OneWorker,   // numThreads 1, or a one-CPU host: in order
+  FewTasks,    // replay() of at most one task, or an empty program
+  Explicit,    // explicit numThreads >= 2: always the pool
+  Calibrated,  // the calibrated choice (Stats::choice)
+};
+
+/// A route choice needs a margin: the pool is chosen only when its
+/// predicted time is below kPoolMargin x the in-order time, so a near
+/// tie (and the noise of one calibration batch) stays on the cheaper,
+/// simpler executor.
+inline constexpr double kPoolMargin = 0.9;
+
+/// What the route choice knows about one program on one host. All times
+/// are seconds of one batch.
+struct ReplayPrice {
+  unsigned workers = 0;        // pool size priced (0 = not calibrated)
+  double inOrder = 0.0;        // W: every task in creation order
+  double makespan = 0.0;       // M: sim::simulate on `workers`, bodies only
+  double batchBound = 0.0;     // B: least time a streamed batch can add
+  double orchestration = 0.0;  // t0: one empty-body batch on the pool
+                               // (0 when compute alone cannot pay)
+};
+
+/// A route and the two predictions it was chosen by, for `batches`
+/// batches.
+struct ReplayChoice {
+  ReplayRoute route = ReplayRoute::InOrder;
+  std::size_t batches = 0;
+  double inOrder = 0.0; // predicted in-order seconds: batches x W
+  double pool = 0.0;    // predicted pool seconds (chooseReplayRoute)
+};
+
+/// Prices a program from measured per-iteration statement costs
+/// (seconds, indexed by statement) on `workers` pool workers:
+///   W = the cost sum, M = sim::simulate's makespan (no task overhead —
+///   the pool's orchestration is measured, not modelled), and
+///   B = max(W / workers, the costliest chain of one statement's blocks).
+/// B bounds a stream from below: every statement is batch-serial (a
+/// statement starts batch b+1 only after all of its blocks finished
+/// batch b), so a batch adds at least the longest in-statement chain —
+/// the statement's whole work when its blocks form one chain — and at
+/// least W / workers. `orchestration` is left 0 for the caller to fill.
+ReplayPrice priceReplay(const codegen::TaskProgram& program,
+                        const opt::SlotTable& slots,
+                        const std::vector<double>& iterationCost,
+                        unsigned workers);
+
+/// The route for `batches` batches (>= 1). The model:
+///   in-order(n) = n W
+///   pool(n)     = n t0 + M + (n - 1) B
+/// The pool pays the measured orchestration per batch; the first batch
+/// fills and drains the pipeline (M), every further batch adds the
+/// stream bound B. So pool(1) = t0 + M, and pool(n) lies between
+/// n (t0 + B) and n x pool(1). Chooses the pool iff
+/// pool(n) < kPoolMargin x in-order(n).
+ReplayChoice chooseReplayRoute(const ReplayPrice& price, std::size_t batches);
+
+/// True when some batch count would choose the pool: t0 + B, the
+/// per-batch limit of pool(n) / n, beats kPoolMargin x W. With t0 = 0
+/// this is the compute-only test that decides whether orchestration is
+/// worth measuring at all.
+bool poolCanPay(const ReplayPrice& price);
 
 class CompiledPipeline {
 public:
@@ -86,6 +187,8 @@ public:
 
   const codegen::TaskProgram& program() const { return *program_; }
   std::size_t numTasks() const { return program_->tasks.size(); }
+  /// Pool workers: options.numThreads, or hardware concurrency for the
+  /// calibrated default (which may still run in order).
   unsigned numThreads() const { return numThreads_; }
 
   /// True when the task graph is one linear dependence chain in creation
@@ -114,13 +217,35 @@ public:
     std::uint64_t replays = 0;       // replay() calls
     std::uint64_t batches = 0;       // batches streamed via replayBatches
     std::uint64_t linearReplays = 0; // replays served by the linear path
+    std::uint64_t calibrations = 0;  // completed calibrations (0 or 1)
+    double calibrationSeconds = 0.0; // wall time of the calibration
+    ReplayPrice price;               // what the calibration measured
+    ReplayChoice choice;             // the latest calibrated choice
+    /// The route the latest call took, and why. The calibration call
+    /// ran its batch 0 in order and its other batches on `route`.
+    ReplayRoute route = ReplayRoute::InOrder;
+    RouteReason reason = RouteReason::None;
   };
   const Stats& stats() const { return stats_; }
 
 private:
   void compile(const opt::SlotTable* slots);
+  void took(ReplayRoute route, RouteReason reason) {
+    stats_.route = route;
+    stats_.reason = reason;
+  }
   void ensurePool();
-  void runSerial(std::size_t numBatches, const BatchStatementExecutor& exec);
+  void runSerial(std::size_t firstBatch, std::size_t numBatches,
+                 const BatchStatementExecutor& exec);
+  /// The calibrated default: calibrates on the first call (its batch 0
+  /// is the calibration batch), then runs the remaining batches on the
+  /// route chosen for a call of `numBatches` batches.
+  void runCalibrated(std::size_t numBatches,
+                     const BatchStatementExecutor& exec);
+  void calibrate(const BatchStatementExecutor& exec);
+  /// The cached choice for `numBatches`; recomputed (and traced) only
+  /// when the batch count differs from the previous call's.
+  const ReplayChoice& choiceFor(std::size_t numBatches);
 
   class ReplayGuard;
 

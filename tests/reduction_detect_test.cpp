@@ -477,7 +477,8 @@ TEST(ReductionExecution, ReplayBitIdentityOverThousandRuns) {
   // One compile, 1000 replays with shared state: the accumulators keep
   // evolving (each replay folds fresh contributions computed from the
   // arrays the previous replay left behind), and the result must equal
-  // 1000 back-to-back sequential runs exactly.
+  // 1000 back-to-back sequential runs exactly. Four workers keep the
+  // pool covered whatever the calibrated default (0) picks.
   const scop::Scop scop = kernels::dotProductChain(8);
   const std::uint64_t expected = sequentialOracle(scop, 1000);
 
@@ -485,12 +486,14 @@ TEST(ReductionExecution, ReplayBitIdentityOverThousandRuns) {
       pipeline::detectPipeline(scop, optionsFor(RMode::Auto));
   codegen::TaskProgram prog = lowerProgram(scop, info);
   auto shared = std::make_shared<const codegen::TaskProgram>(std::move(prog));
-  tasking::CompiledPipeline pipe(shared);
-  kernels::ReductionRunner runner(scop, *shared);
-  for (std::size_t r = 0; r < 1000; ++r)
-    pipe.replay(runner.executor());
-  EXPECT_EQ(runner.fingerprint(), expected);
-  EXPECT_EQ(pipe.stats().replays, 1000u);
+  for (unsigned threads : {0u, 4u}) {
+    tasking::CompiledPipeline pipe(shared, tasking::ReplayOptions{threads});
+    kernels::ReductionRunner runner(scop, *shared);
+    for (std::size_t r = 0; r < 1000; ++r)
+      pipe.replay(runner.executor());
+    EXPECT_EQ(runner.fingerprint(), expected) << threads << " threads";
+    EXPECT_EQ(pipe.stats().replays, 1000u);
+  }
 }
 
 TEST(ReductionExecution, BatchStreamingMatchesBackToBackReplays) {
@@ -502,13 +505,17 @@ TEST(ReductionExecution, BatchStreamingMatchesBackToBackReplays) {
         pipeline::detectPipeline(scop, optionsFor(RMode::Auto));
     auto shared = std::make_shared<const codegen::TaskProgram>(
         lowerProgram(scop, info));
-    tasking::CompiledPipeline pipe(shared);
-    kernels::ReductionRunner runner(scop, *shared);
-    pipe.replayBatches(50, [&](std::size_t, std::size_t stmtIdx,
-                               const pb::Tuple& it) {
-      runner.execute(stmtIdx, it);
-    });
-    EXPECT_EQ(runner.fingerprint(), expected) << spec.name;
+    // The calibrated default (0) and the pool (4 workers).
+    for (unsigned threads : {0u, 4u}) {
+      tasking::CompiledPipeline pipe(shared, tasking::ReplayOptions{threads});
+      kernels::ReductionRunner runner(scop, *shared);
+      pipe.replayBatches(50, [&](std::size_t, std::size_t stmtIdx,
+                                 const pb::Tuple& it) {
+        runner.execute(stmtIdx, it);
+      });
+      EXPECT_EQ(runner.fingerprint(), expected)
+          << spec.name << " threads=" << threads;
+    }
   }
 }
 

@@ -1,7 +1,9 @@
 // Tests for the persistent replay executor (tasking::CompiledPipeline):
 // bit-identity against executeTaskProgram and the sequential oracle,
 // long-run determinism on every engine, batch streaming semantics, the
-// linear fast path, and the TaskProgram lifetime contract.
+// linear fast path, the TaskProgram lifetime contract, and the
+// calibrated route choice of the default options (the pure pricing and
+// choice functions on injected costs, then real calibrating pipelines).
 
 #include "tasking/replay_executor.hpp"
 
@@ -9,15 +11,20 @@
 #include "kernels/suite.hpp"
 #include "opt/optimizer.hpp"
 #include "support/assert.hpp"
+#include "support/stopwatch.hpp"
 #include "tasking/tasking.hpp"
 #include "testing/fixtures.hpp"
 #include "testing/interpreted_kernel.hpp"
+#include "trace/metrics.hpp"
+#include "trace/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -254,6 +261,8 @@ TEST(ReplayLinearTest, LinearChainTakesTheSerialFastPath) {
   for (std::size_t i = 0; i < kTasks; ++i)
     EXPECT_EQ(order[i], static_cast<pb::Value>(i));
   EXPECT_EQ(pipe.stats().linearReplays, 1u);
+  EXPECT_EQ(pipe.stats().route, ReplayRoute::InOrder);
+  EXPECT_EQ(pipe.stats().reason, RouteReason::LinearChain);
 }
 
 TEST(ReplayLinearTest, DisabledFastPathStillRunsChainInOrder) {
@@ -273,6 +282,8 @@ TEST(ReplayLinearTest, DisabledFastPathStillRunsChainInOrder) {
   for (std::size_t i = 0; i < kTasks; ++i)
     EXPECT_EQ(order[i], static_cast<pb::Value>(i));
   EXPECT_EQ(pipe.stats().linearReplays, 0u);
+  EXPECT_EQ(pipe.stats().route, ReplayRoute::Pool);
+  EXPECT_EQ(pipe.stats().reason, RouteReason::Explicit);
 }
 
 TEST(ReplayLinearTest, PipelineProgramsAreNotMisdetectedAsLinear) {
@@ -379,6 +390,351 @@ TEST(ReplayThroughTest, BackendPathMatchesOnEveryBackend) {
           << layer->name() << " opt " << optimized;
     }
   }
+}
+
+// ---- The calibrated route choice (ReplayOptions::numThreads = 0) ----
+
+/// One statement whose task i depends on tasks i - 1 and i - 2: a single
+/// chain, but not the linear shape replay() short-cuts, so the default
+/// options calibrate it.
+codegen::TaskProgram braidedChainProgram(std::size_t n) {
+  codegen::TaskProgram prog = linearChainProgram(n);
+  for (std::size_t i = 2; i < n; ++i)
+    prog.tasks[i].in.push_back({0, static_cast<std::int64_t>(i - 2), true});
+  return prog;
+}
+
+/// `stmts` statements of `blocks` independent one-iteration tasks each.
+codegen::TaskProgram independentProgram(std::size_t stmts,
+                                        std::size_t blocks) {
+  codegen::TaskProgram prog;
+  prog.numStatements = stmts;
+  for (std::size_t s = 0; s < stmts; ++s)
+    for (std::size_t b = 0; b < blocks; ++b) {
+      codegen::Task task;
+      task.id = prog.tasks.size();
+      task.stmtIdx = s;
+      task.blockRep = pb::Tuple{static_cast<pb::Value>(b)};
+      task.iterations = {pb::Tuple{static_cast<pb::Value>(b)}};
+      task.out = {static_cast<int>(s), static_cast<std::int64_t>(b)};
+      prog.tasks.push_back(std::move(task));
+    }
+  return prog;
+}
+
+ReplayPrice priced(const codegen::TaskProgram& prog,
+                   const std::vector<double>& iterationCost,
+                   unsigned workers) {
+  return priceReplay(prog, opt::buildSlotTable(prog), iterationCost, workers);
+}
+
+TEST(ReplayRouteTest, FineChainGoesInOrder) {
+  // 0.1 us bodies in one chain: the simulated makespan is the whole work,
+  // so no orchestration cost can make the pool pay, for any batch count.
+  ReplayPrice price = priced(braidedChainProgram(64), {0.1e-6}, 4);
+  EXPECT_NEAR(price.inOrder, 6.4e-6, 1e-12);
+  EXPECT_NEAR(price.makespan, price.inOrder, 1e-12);
+  EXPECT_NEAR(price.batchBound, price.inOrder, 1e-12);
+  EXPECT_FALSE(poolCanPay(price)); // compute alone: no gain to measure
+  price.orchestration = 20e-6;
+  for (std::size_t n : {1u, 2u, 32u, 1000u}) {
+    const ReplayChoice c = chooseReplayRoute(price, n);
+    EXPECT_EQ(c.route, ReplayRoute::InOrder) << n;
+    EXPECT_EQ(c.batches, n);
+    EXPECT_NEAR(c.inOrder, static_cast<double>(n) * price.inOrder, 1e-12);
+  }
+}
+
+TEST(ReplayRouteTest, HeavyParallelStagesGoToThePool) {
+  // 50 us bodies: four statements of eight independent blocks, and an
+  // optimized three-statement pipeline.
+  ReplayPrice wide = priced(independentProgram(4, 8), {50e-6, 50e-6, 50e-6,
+                                                       50e-6},
+                            4);
+  EXPECT_NEAR(wide.inOrder, 32 * 50e-6, 1e-12);
+  EXPECT_NEAR(wide.makespan, 8 * 50e-6, 1e-12);
+  wide.orchestration = 50e-6;
+  EXPECT_TRUE(poolCanPay(wide));
+  for (std::size_t n : {1u, 8u})
+    EXPECT_EQ(chooseReplayRoute(wide, n).route, ReplayRoute::Pool) << n;
+
+  const scop::Scop scop = testing::chain(3, 8);
+  auto prog = compileShared(scop, true);
+  ReplayPrice pipeline = priced(*prog, {50e-6, 50e-6, 50e-6}, 4);
+  pipeline.orchestration = 50e-6;
+  EXPECT_LT(pipeline.makespan, 0.5 * pipeline.inOrder);
+  for (std::size_t n : {1u, 8u})
+    EXPECT_EQ(chooseReplayRoute(pipeline, n).route, ReplayRoute::Pool) << n;
+}
+
+TEST(ReplayRouteTest, TheBoundarySitsAtTheMargin) {
+  ReplayPrice price;
+  price.workers = 4;
+  price.inOrder = 1e-3;
+  price.makespan = 0.25e-3;
+  price.batchBound = 0.25e-3;
+  // One batch: the pool wins iff t0 + M < kPoolMargin x W.
+  const double edge = kPoolMargin * price.inOrder - price.makespan;
+  price.orchestration = edge * (1 - 1e-6);
+  EXPECT_EQ(chooseReplayRoute(price, 1).route, ReplayRoute::Pool);
+  EXPECT_TRUE(poolCanPay(price));
+  price.orchestration = edge * (1 + 1e-6);
+  EXPECT_EQ(chooseReplayRoute(price, 1).route, ReplayRoute::InOrder);
+  // A stream: per batch the limit is t0 + B against kPoolMargin x W, so
+  // with B = M the same t0 loses for every batch count too.
+  EXPECT_EQ(chooseReplayRoute(price, 1000).route, ReplayRoute::InOrder);
+  EXPECT_FALSE(poolCanPay(price));
+  // With a cheaper stream bound a long stream amortizes the first
+  // batch's fill and drain, while a single batch still loses.
+  price.batchBound = 0.1e-3;
+  EXPECT_EQ(chooseReplayRoute(price, 1).route, ReplayRoute::InOrder);
+  EXPECT_EQ(chooseReplayRoute(price, 1000).route, ReplayRoute::Pool);
+  EXPECT_TRUE(poolCanPay(price));
+}
+
+TEST(ReplayRouteTest, TheStreamIsBoundedByItsBatchSerialStatements) {
+  const scop::Scop scop = testing::listing1(12);
+  auto prog = compileShared(scop, true);
+  ReplayPrice price = priced(*prog, {50e-6, 20e-6}, 4);
+  price.orchestration = 10e-6;
+  EXPECT_GE(price.batchBound, price.inOrder / 4);
+  EXPECT_LE(price.batchBound, price.makespan);
+  for (std::size_t n : {1u, 2u, 8u, 64u}) {
+    const double b = static_cast<double>(n);
+    const ReplayChoice c = chooseReplayRoute(price, n);
+    // Never better than n batches at the stream bound, never worse than
+    // n separate single-batch runs.
+    EXPECT_GE(c.pool, b * (price.orchestration + price.batchBound) * (1 - 1e-12))
+        << n;
+    EXPECT_LE(c.pool, b * (price.orchestration + price.makespan) * (1 + 1e-12))
+        << n;
+  }
+  EXPECT_NEAR(chooseReplayRoute(price, 1).pool,
+              price.orchestration + price.makespan, 1e-15);
+
+  // A statement whose blocks form one chain bounds the stream by its
+  // whole work: even free orchestration never makes the pool pay.
+  const ReplayPrice chain = priced(braidedChainProgram(16), {1e-6}, 4);
+  EXPECT_NEAR(chain.batchBound, chain.inOrder, 1e-12);
+  EXPECT_EQ(chooseReplayRoute(chain, 1000).route, ReplayRoute::InOrder);
+  // Independent blocks of one statement overlap inside a batch: the
+  // bound is W / workers, not the statement's work.
+  const ReplayPrice wide = priced(independentProgram(1, 8), {1e-6}, 4);
+  EXPECT_NEAR(wide.batchBound, wide.inOrder / 4, 1e-12);
+}
+
+/// Fingerprint of `runs` back-to-back sequential executions.
+std::uint64_t sequentialRuns(const scop::Scop& scop, std::size_t runs) {
+  testing::InterpretedKernel kernel(scop);
+  for (std::size_t r = 0; r < runs; ++r)
+    executeSequential(scop, kernel.executor());
+  return kernel.fingerprint();
+}
+
+/// Busy-waits `seconds` of wall time: a body whose cost survives
+/// sanitizer slow-downs.
+void spin(double seconds) {
+  const Stopwatch watch;
+  while (watch.seconds() < seconds) {
+  }
+}
+
+TEST(ReplayCalibrationTest, EveryCallMatchesTheSequentialOracle) {
+  const scop::Scop scop = testing::listing3(10);
+  for (bool optimized : {false, true}) {
+    auto prog = compileShared(scop, optimized);
+
+    // First call replay(): it is the calibration batch.
+    CompiledPipeline pipe(prog);
+    testing::InterpretedKernel kernel(scop);
+    for (int rep = 0; rep < 3; ++rep) {
+      kernel.reset();
+      pipe.replay(kernel.executor());
+      EXPECT_EQ(kernel.fingerprint(), sequentialRuns(scop, 1))
+          << "rep " << rep << " opt " << optimized;
+    }
+    kernel.reset();
+    pipe.replayBatches(4, [&](std::size_t, std::size_t s, const pb::Tuple& it) {
+      kernel.execute(s, it);
+    });
+    EXPECT_EQ(kernel.fingerprint(), sequentialRuns(scop, 4));
+
+    // First call replayBatches(5): batch 0 calibrates, 1..4 follow it.
+    CompiledPipeline streamed(prog);
+    kernel.reset();
+    std::mutex mutex;
+    std::set<std::size_t> batchesSeen;
+    streamed.replayBatches(
+        5, [&](std::size_t b, std::size_t s, const pb::Tuple& it) {
+          {
+            std::lock_guard lock(mutex);
+            batchesSeen.insert(b);
+          }
+          kernel.execute(s, it);
+        });
+    EXPECT_EQ(kernel.fingerprint(), sequentialRuns(scop, 5));
+    EXPECT_EQ(batchesSeen, (std::set<std::size_t>{0, 1, 2, 3, 4}));
+    kernel.reset();
+    streamed.replay(kernel.executor());
+    EXPECT_EQ(kernel.fingerprint(), sequentialRuns(scop, 1));
+
+    if (pipe.numThreads() > 1) {
+      EXPECT_EQ(pipe.stats().calibrations, 1u);
+      EXPECT_EQ(streamed.stats().calibrations, 1u);
+    }
+  }
+}
+
+TEST(ReplayCalibrationTest, FineChainBoundProgramRunsInOrderOnTheCaller) {
+  constexpr std::size_t kTasks = 48;
+  CompiledPipeline pipe(braidedChainProgram(kTasks));
+  if (pipe.numThreads() < 2)
+    GTEST_SKIP() << "one hardware thread: the default never calibrates";
+  EXPECT_FALSE(pipe.linear());
+
+  const std::thread::id caller = std::this_thread::get_id();
+  bool offThread = false;
+  std::vector<pb::Value> order;
+  auto record = [&](std::size_t, const pb::Tuple& it) {
+    if (std::this_thread::get_id() != caller)
+      offThread = true;
+    order.push_back(it[0]);
+  };
+  for (int rep = 0; rep < 3; ++rep)
+    pipe.replay(record);
+  pipe.replayBatches(2, [&](std::size_t, std::size_t s, const pb::Tuple& it) {
+    record(s, it);
+  });
+  EXPECT_FALSE(offThread);
+  ASSERT_EQ(order.size(), 5 * kTasks);
+  for (std::size_t i = 0; i < order.size(); ++i)
+    EXPECT_EQ(order[i], static_cast<pb::Value>(i % kTasks));
+
+  const CompiledPipeline::Stats& st = pipe.stats();
+  EXPECT_EQ(st.calibrations, 1u);
+  EXPECT_EQ(st.price.workers, pipe.numThreads());
+  EXPECT_GT(st.price.inOrder, 0.0);
+  EXPECT_EQ(st.price.orchestration, 0.0); // compute alone showed no gain
+  EXPECT_EQ(st.choice.route, ReplayRoute::InOrder);
+  EXPECT_EQ(st.choice.batches, 2u);
+  EXPECT_EQ(st.route, ReplayRoute::InOrder);
+  EXPECT_EQ(st.reason, RouteReason::Calibrated);
+}
+
+TEST(ReplayCalibrationTest, HeavyParallelProgramChoosesThePool) {
+  // 16 independent 200 us bodies: a 4-worker pool takes about a quarter
+  // of the in-order time, far beyond any orchestration cost.
+  CompiledPipeline pipe(independentProgram(4, 4));
+  if (pipe.numThreads() < 2)
+    GTEST_SKIP() << "one hardware thread: the default never calibrates";
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> runs{0}, offThread{0};
+  auto heavy = [&](std::size_t, const pb::Tuple&) {
+    spin(200e-6);
+    if (std::this_thread::get_id() != caller)
+      offThread.fetch_add(1);
+    runs.fetch_add(1);
+  };
+  pipe.replay(heavy); // calibration: in order on the caller
+  EXPECT_EQ(offThread.load(), 0);
+  pipe.replay(heavy);
+  EXPECT_EQ(runs.load(), 32);
+  EXPECT_EQ(offThread.load(), 16);
+
+  const CompiledPipeline::Stats& st = pipe.stats();
+  EXPECT_EQ(st.calibrations, 1u);
+  EXPECT_GE(st.price.inOrder, 16 * 200e-6);
+  EXPECT_GT(st.price.orchestration, 0.0);
+  EXPECT_EQ(st.choice.route, ReplayRoute::Pool);
+  EXPECT_LT(st.choice.pool, kPoolMargin * st.choice.inOrder);
+  EXPECT_EQ(st.route, ReplayRoute::Pool);
+  EXPECT_EQ(st.reason, RouteReason::Calibrated);
+}
+
+TEST(ReplayCalibrationTest, ExplicitThreadCountNeverCalibrates) {
+  const scop::Scop scop = testing::listing3(10);
+  CompiledPipeline pipe(compileShared(scop, true), onThreads(4));
+  testing::InterpretedKernel kernel(scop);
+  pipe.replay(kernel.executor());
+  EXPECT_EQ(kernel.fingerprint(), sequentialRuns(scop, 1));
+  kernel.reset();
+  pipe.replayBatches(3, [&](std::size_t, std::size_t s, const pb::Tuple& it) {
+    kernel.execute(s, it);
+  });
+  EXPECT_EQ(kernel.fingerprint(), sequentialRuns(scop, 3));
+  EXPECT_EQ(pipe.stats().calibrations, 0u);
+  EXPECT_EQ(pipe.stats().price.workers, 0u);
+  EXPECT_EQ(pipe.stats().choice.batches, 0u);
+  EXPECT_EQ(pipe.stats().route, ReplayRoute::Pool);
+  EXPECT_EQ(pipe.stats().reason, RouteReason::Explicit);
+}
+
+TEST(ReplayCalibrationTest, AThrowDuringCalibrationRethrowsAndTheNextCallCalibrates) {
+  const scop::Scop scop = testing::listing3(10);
+  CompiledPipeline pipe(compileShared(scop, false));
+  if (pipe.numThreads() < 2)
+    GTEST_SKIP() << "one hardware thread: the default never calibrates";
+  EXPECT_THROW(pipe.replay([](std::size_t, const pb::Tuple&) {
+    throw Error("executor failure");
+  }),
+               Error);
+  EXPECT_EQ(pipe.stats().calibrations, 0u);
+  EXPECT_EQ(pipe.stats().reason, RouteReason::None);
+
+  testing::InterpretedKernel kernel(scop);
+  pipe.replay(kernel.executor());
+  EXPECT_EQ(kernel.fingerprint(), sequentialRuns(scop, 1));
+  EXPECT_EQ(pipe.stats().calibrations, 1u);
+}
+
+TEST(ReplayCalibrationTest, TheRouteIsExplainedInTheTrace) {
+  CompiledPipeline pipe(braidedChainProgram(32));
+  if (pipe.numThreads() < 2)
+    GTEST_SKIP() << "one hardware thread: the default never calibrates";
+  trace::Session session;
+  session.start();
+  auto nop = [](std::size_t, const pb::Tuple&) {};
+  pipe.replay(nop);
+  pipe.replay(nop); // same batch count: the cached choice, no new instant
+  pipe.replayBatches(4, [](std::size_t, std::size_t, const pb::Tuple&) {});
+  session.stop();
+
+  const trace::MetricsSummary m = trace::summarizeTrace(session.trace());
+  auto spanCount = [&](const std::string& name) {
+    for (const trace::SpanStat& s : m.spans)
+      if (s.name == name)
+        return s.count;
+    return std::uint64_t{0};
+  };
+  auto instantCount = [&](const std::string& name) {
+    for (const trace::InstantStat& s : m.instants)
+      if (s.name == name)
+        return s.count;
+    return std::uint64_t{0};
+  };
+  auto counter = [&](const std::string& name) -> const trace::CounterStat* {
+    for (const trace::CounterStat& s : m.counters)
+      if (s.name == name)
+        return &s;
+    return nullptr;
+  };
+  EXPECT_EQ(spanCount("replay.calibrate"), 1u);
+  EXPECT_EQ(instantCount("replay.route.in_order"), 2u); // 1 and 4 batches
+  EXPECT_EQ(instantCount("replay.route.pool"), 0u);
+  const CompiledPipeline::Stats& st = pipe.stats();
+  for (const char* name :
+       {"replay.route.batches", "replay.route.in_order_s",
+        "replay.route.orchestration_s", "replay.route.simulated_s",
+        "replay.route.pool_s"}) {
+    const trace::CounterStat* c = counter(name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->count, 2u) << name;
+  }
+  EXPECT_EQ(counter("replay.route.batches")->last, 4.0);
+  EXPECT_DOUBLE_EQ(counter("replay.route.in_order_s")->last, st.choice.inOrder);
+  EXPECT_DOUBLE_EQ(counter("replay.route.pool_s")->last, st.choice.pool);
+  EXPECT_DOUBLE_EQ(counter("replay.route.simulated_s")->last,
+                   st.price.makespan);
 }
 
 } // namespace
