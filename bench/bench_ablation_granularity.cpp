@@ -18,6 +18,7 @@
 #include "codegen/task_program.hpp"
 #include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
+#include "opt/optimizer.hpp"
 #include "pipeline/comm.hpp"
 #include "pipeline/detect.hpp"
 #include "runtime/placement.hpp"
@@ -94,12 +95,12 @@ int main(int argc, char** argv) {
   // flat rows document that; norm_accumulate takes the pure-accumulation
   // route where the knob is the only source of partial blocks.
   //
-  // The two execution routes want opposite settings, and the sweep
-  // records a chosen value per route: the channel route runs all of a
-  // statement's partials on its one stage worker, so extra blocks only
-  // widen the combine fan-in (fewest blocks win); the task-graph route
-  // spreads partials across the pool, so blocks near the worker count
-  // win. The channel-route prediction is the topology-aware one.
+  // The sweep records a chosen value per route. The task-graph route
+  // spreads partials across the pool. The channel route runs partials
+  // fed by a producer on one stage, so for them extra blocks only widen
+  // the combine fan-in; norm_accumulate's unfed partials split into up
+  // to one lane stage per worker. The channel-route prediction is the
+  // topology-aware one.
   std::printf("\n== Ablation: reduction partial blocks "
               "(DetectOptions::reductionBlocks) ==\n");
   const unsigned workers = 8;
@@ -124,14 +125,10 @@ int main(int argc, char** argv) {
           pipeline::analyzeCommunication(scop, info);
       const codegen::TaskProgram prog = codegen::compilePipeline(scop, opt);
 
-      std::vector<std::size_t> stageTasks(scop.numStatements(), 0);
-      for (const codegen::Task& t : prog.tasks)
-        ++stageTasks[t.stmtIdx];
-      std::vector<std::size_t> stmtOfStage(scop.numStatements());
-      for (std::size_t s = 0; s < stmtOfStage.size(); ++s)
-        stmtOfStage[s] = s;
-      const rt::Placement placed = rt::placeStages(
-          stageTasks, workers, comm.stageEdges(stmtOfStage), numa);
+      const codegen::StageLayout layout = codegen::stageLayout(prog, workers);
+      const rt::Placement placed =
+          rt::placeStages(layout.stageTasks, workers,
+                          opt::channelStageEdges(prog, layout, comm), numa);
 
       sim::CostModel model;
       model.iterationCost.assign(scop.numStatements(), 5e-6);

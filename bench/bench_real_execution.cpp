@@ -33,8 +33,9 @@
 // `--reduction` runs the reduction kernel grid (experiment E21): the
 // sequential oracle, the legacy serialized route (reductionMode=off) and
 // the partial-reduction route (privatized partial accumulators plus one
-// combine task) must all produce the same exact integer fingerprint,
-// with compile-once replay throughput reported per kernel. With
+// combine task) on the pool and on the channel engine must all produce
+// the same exact integer fingerprint, with compile-once replay
+// throughput reported per kernel. With
 // `--smoke` it is the CI gate: any mismatch exits non-zero.
 //
 // `--json=FILE` writes the measurements of any mode as machine-readable
@@ -271,9 +272,11 @@ int runReplay(bool smoke, const std::string& jsonPath) {
 /// Reduction kernel grid execution (EXPERIMENTS.md E21): the sequential
 /// oracle, the legacy serialized route (reductionMode=off) and the
 /// partial-reduction route (auto, privatized partial accumulators plus a
-/// combine task) must produce the same exact integer fingerprint; the
-/// auto program is additionally replayed through a CompiledPipeline for
-/// the per-batch throughput column. With `smoke` this is the CI gate:
+/// combine task) must produce the same exact integer fingerprint, on the
+/// pool and on a ChannelPipeline at nproc workers (where a source
+/// statement's partials run on lanes); the auto program is additionally
+/// replayed through a CompiledPipeline for the per-batch throughput
+/// column. With `smoke` this is the CI gate:
 /// any fingerprint mismatch exits non-zero.
 int runReduction(bool smoke, const std::string& jsonPath) {
   const pb::Value n = smoke ? 16 : 48;
@@ -284,8 +287,9 @@ int runReduction(bool smoke, const std::string& jsonPath) {
               "(N=%lld, SIZE=%d, batches=%zu, threads=%u) ==\n",
               static_cast<long long>(n), size, batches, hw);
 
-  bench::Table table({"kernel", "seq_ms", "off_ms", "auto_ms",
-                      "replay_ms_per_batch", "partials", "status"});
+  bench::Table table({"kernel", "seq_ms", "off_ms", "auto_ms", "channel_ms",
+                      "channel_stages", "replay_ms_per_batch", "partials",
+                      "status"});
   bench::JsonReport json;
   json.meta("mode", bench::JsonReport::str("reduction"));
   json.meta("n", bench::JsonReport::num(static_cast<std::uint64_t>(n)));
@@ -330,10 +334,20 @@ int runReduction(bool smoke, const std::string& jsonPath) {
     tasking::executeTaskProgram(autoProg, *layer, autoRunner.executor());
     const double autoSec = autoWatch.seconds();
     const bool autoOk = autoRunner.fingerprint() == seqFp;
-
-    // Compile-once replay throughput, with one fingerprint spot check.
     auto shared =
         std::make_shared<const codegen::TaskProgram>(std::move(autoProg));
+
+    // The same program on the channel engine.
+    tasking::ChannelOptions channelOptions;
+    channelOptions.numWorkers = hw;
+    tasking::ChannelPipeline channel(shared, channelOptions);
+    kernels::ReductionRunner channelRunner(scop, *shared, size);
+    Stopwatch channelWatch;
+    channel.replay(channelRunner.executor());
+    const double channelSec = channelWatch.seconds();
+    const bool channelOk = channelRunner.fingerprint() == seqFp;
+
+    // Compile-once replay throughput, with one fingerprint spot check.
     tasking::CompiledPipeline pipe(
         shared, pooledReplay(hw));
     kernels::ReductionRunner replayRunner(scop, *shared, size);
@@ -346,21 +360,28 @@ int runReduction(bool smoke, const std::string& jsonPath) {
       pipe.replay(counting);
     const double replaySec = replayWatch.seconds();
 
-    const bool ok = offOk && autoOk && replayOk && partials > 1;
+    const bool ok =
+        offOk && autoOk && channelOk && replayOk && partials > 1;
     failures += ok ? 0 : 1;
     table.addRow(
         {spec.name, bench::fmt(seqSec * 1e3, 3), bench::fmt(offSec * 1e3, 3),
-         bench::fmt(autoSec * 1e3, 3),
+         bench::fmt(autoSec * 1e3, 3), bench::fmt(channelSec * 1e3, 3),
+         std::to_string(channel.numStages()),
          bench::fmt(replaySec * 1e3 / static_cast<double>(batches), 3),
          std::to_string(partials),
          ok ? "ok"
-            : (!autoOk  ? "FAIL (auto)"
-               : !offOk ? "FAIL (off)"
-                        : (!replayOk ? "FAIL (replay)" : "FAIL (blocks)"))});
+            : (!autoOk      ? "FAIL (auto)"
+               : !offOk     ? "FAIL (off)"
+               : !channelOk ? "FAIL (channel)"
+                            : (!replayOk ? "FAIL (replay)" : "FAIL (blocks)"))});
     json.beginProgram(spec.name);
     json.field("seq_ms", bench::JsonReport::num(seqSec * 1e3));
     json.field("off_ms", bench::JsonReport::num(offSec * 1e3));
     json.field("auto_ms", bench::JsonReport::num(autoSec * 1e3));
+    json.field("channel_ms", bench::JsonReport::num(channelSec * 1e3));
+    json.field("channel_stages",
+               bench::JsonReport::num(
+                   static_cast<std::uint64_t>(channel.numStages())));
     json.field("replay_ms_per_batch",
                bench::JsonReport::num(replaySec * 1e3 /
                                       static_cast<double>(batches)));
@@ -370,8 +391,8 @@ int runReduction(bool smoke, const std::string& jsonPath) {
   }
   table.print();
   std::printf("%s\n", failures == 0
-                          ? "reduction PASS: off == auto == sequential, "
-                            "exact fingerprints on every kernel"
+                          ? "reduction PASS: off == auto == channel == "
+                            "sequential, exact fingerprints on every kernel"
                           : "reduction FAIL");
   if (!jsonPath.empty() && !json.write("bench_real_execution", jsonPath))
     return 1;

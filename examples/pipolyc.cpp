@@ -21,7 +21,10 @@
 //     --param X=V   override a declared parameter (repeatable)
 //     --verify      execute the task program with interpreted bodies on
 //                   the --backend (thread-pool by default) three times and
-//                   check against sequential
+//                   check against sequential; a program with reduction
+//                   combine tasks runs exact reduction payloads instead
+//                   (kernels::ReductionRunner), here and under --replay
+//                   and --trace
 //     --replay=N    compile the program once into a CompiledPipeline (a
 //                   ChannelPipeline under --backend=channel) and
 //                   replay it N times with interpreted bodies, checking
@@ -49,8 +52,10 @@
 //     --backend=serial|threadpool|openmp|channel  execution backend for
 //                   --verify and --replay. `channel` runs the communication
 //                   analysis and routes execution through the bounded-SPSC
-//                   channel engine; --report/--json/--dot then carry the
-//                   per-edge volumes and sized channel capacities
+//                   channel engine, printing each statement's stage count
+//                   (a source statement splits into per-worker lanes);
+//                   --report/--json/--dot then carry the per-edge volumes
+//                   and sized channel capacities
 //     --topology=SPEC  hardware topology for the channel backend's stage
 //                   placement: a synthetic preset (`uma`, `2x-numa`,
 //                   `ring`), `host` (Linux sysfs NUMA detection, uma
@@ -69,6 +74,7 @@
 #include "codegen/json_export.hpp"
 #include "codegen/task_program.hpp"
 #include "frontend/frontend.hpp"
+#include "kernels/reduction_runner.hpp"
 #include "opt/optimizer.hpp"
 #include "pipeline/comm.hpp"
 #include "pipeline/detect.hpp"
@@ -96,6 +102,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <variant>
 
 using namespace pipoly;
 
@@ -153,6 +160,57 @@ std::string routeLine(const tasking::CompiledPipeline& pipe) {
   }
   }
   return std::string("route: ") + route + " (" + why + ")";
+}
+
+/// The statement bodies --verify, --replay and --trace execute: the
+/// interpreted oracle, or for a program with reduction combine tasks
+/// ReductionRunner's exact partial accumulators (interpreted bodies
+/// cannot fold partials). Executors point into the payload, so it stays
+/// where it was built.
+struct Payload {
+  std::variant<verify::InterpretedKernel, kernels::ReductionRunner> kernel;
+
+  /// `program` null = the sequential oracle.
+  Payload(const scop::Scop& scop, const codegen::TaskProgram* program,
+          bool reductions)
+      : kernel(std::in_place_type<verify::InterpretedKernel>, scop) {
+    if (reductions && program != nullptr)
+      kernel.emplace<kernels::ReductionRunner>(scop, *program);
+    else if (reductions)
+      kernel.emplace<kernels::ReductionRunner>(scop);
+  }
+  void reset() {
+    std::visit([](auto& k) { k.reset(); }, kernel);
+  }
+  tasking::StatementExecutor executor() {
+    return std::visit([](auto& k) { return k.executor(); }, kernel);
+  }
+  std::uint64_t fingerprint() const {
+    return std::visit([](const auto& k) { return k.fingerprint(); }, kernel);
+  }
+};
+
+std::uint64_t sequentialFingerprint(const scop::Scop& scop,
+                                    bool reductions) {
+  Payload oracle(scop, nullptr, reductions);
+  tasking::executeSequential(scop, oracle.executor());
+  return oracle.fingerprint();
+}
+
+/// Per statement, the channel stages it runs on: "S: 4 lanes" for a
+/// source statement split over workers, "T: 1 stage" otherwise.
+std::string channelStagesText(const tasking::ChannelPipeline& pipe,
+                              const scop::Scop& scop) {
+  const std::vector<std::size_t>& stmtOf = pipe.stmtOfStage();
+  std::string out;
+  for (std::size_t s = 0; s < scop.numStatements(); ++s) {
+    const auto stages = std::count(stmtOf.begin(), stmtOf.end(), s);
+    if (stages == 0)
+      continue;
+    out += scop.statement(s).name() + ": " + std::to_string(stages) +
+           (stages > 1 ? " lanes\n" : " stage\n");
+  }
+  return out;
 }
 
 } // namespace
@@ -349,21 +407,13 @@ int main(int argc, char** argv) {
     codegen::TaskProgram prog = codegen::lowerToTasks(scop, lowered);
     prog.validate(scop);
 
-    // The interpreted oracle executes statements from their declared
-    // accesses alone and cannot run reduction combine tasks (those need
-    // the partial accumulators of a reduction-aware runner, see
-    // kernels/reduction_runner.hpp).
-    bool hasCombine = false;
-    for (const codegen::Task& t : prog.tasks)
-      if (t.kind == codegen::TaskKind::ReductionCombine)
-        hasCombine = true;
-    if (hasCombine && (verifyRun || replayRuns != 0 || tracing)) {
-      std::fprintf(stderr,
-                   "pipolyc: --verify/--replay/--trace interpret statement "
-                   "bodies and cannot execute reduction combine tasks; "
-                   "rerun with --reduction=off\n");
-      return 2;
-    }
+    // Programs with reduction combine tasks execute on ReductionRunner
+    // payloads (see Payload).
+    const bool hasCombine =
+        std::any_of(prog.tasks.begin(), prog.tasks.end(),
+                    [](const codegen::Task& t) {
+                      return t.kind == codegen::TaskKind::ReductionCombine;
+                    });
 
     // The channel backend sizes its rings from the communication
     // analysis; the exports and the report then carry the per-edge
@@ -434,19 +484,18 @@ int main(int argc, char** argv) {
       channelOptions.topology = topology;
       channel = std::make_unique<tasking::ChannelPipeline>(
           prog, channelOptions, commPtr);
+      std::printf("== channel stages (%zu on %u workers) ==\n%s\n",
+                  channel->numStages(), channel->numWorkers(),
+                  channelStagesText(*channel, scop).c_str());
     }
 
     if (verifyRun) {
-      verify::VerifyResult vr;
-      if (channel != nullptr) {
-        vr = verify::selfCheck(
-            scop, "channel",
-            [&](const tasking::StatementExecutor& exec) {
-              channel->replay(exec);
-            },
-            /*repetitions=*/3);
-      } else {
-        std::unique_ptr<tasking::TaskingLayer> layer;
+      std::string backend = "channel";
+      verify::Execution run = [&](const tasking::StatementExecutor& exec) {
+        channel->replay(exec);
+      };
+      std::unique_ptr<tasking::TaskingLayer> layer;
+      if (channel == nullptr) {
         if (backendName == "serial")
           layer = tasking::makeSerialBackend();
         else if (backendName == "openmp")
@@ -458,25 +507,35 @@ int main(int argc, char** argv) {
                        backendName.c_str());
           return 2;
         }
-        vr = verify::selfCheck(scop, prog, *layer, /*repetitions=*/3);
+        backend = layer->name();
+        run = [&](const tasking::StatementExecutor& exec) {
+          tasking::executeTaskProgram(prog, *layer, exec);
+        };
+      }
+      const std::uint64_t expected = sequentialFingerprint(scop, hasCombine);
+      bool ok = true;
+      for (int rep = 0; rep < 3 && ok; ++rep) {
+        Payload payload(scop, &prog, hasCombine);
+        run(payload.executor());
+        ok = payload.fingerprint() == expected;
       }
       std::printf("== verify ==\n%s on '%s' backend (3 runs)\n\n",
-                  vr.ok ? "PASS: pipelined execution matches sequential"
-                        : "FAIL: fingerprint mismatch",
-                  vr.backend.c_str());
-      if (!vr.ok)
+                  ok ? "PASS: pipelined execution matches sequential"
+                     : "FAIL: fingerprint mismatch",
+                  backend.c_str());
+      if (!ok)
         return 1;
     }
 
     if (replayRuns) {
       // Compile once into the persistent replay executor (the channel
       // pipeline under --backend=channel), then run the program N times
-      // against the interpreted oracle.
-      const std::uint64_t expected = verify::sequentialFingerprint(scop);
+      // against the sequential payload.
+      const std::uint64_t expected = sequentialFingerprint(scop, hasCombine);
       std::unique_ptr<tasking::CompiledPipeline> graph;
       if (channel == nullptr)
         graph = std::make_unique<tasking::CompiledPipeline>(prog);
-      verify::InterpretedKernel kernel(scop);
+      Payload kernel(scop, &prog, hasCombine);
       std::size_t mismatches = 0;
       const auto start = std::chrono::steady_clock::now();
       for (std::size_t r = 0; r < replayRuns; ++r) {
@@ -545,10 +604,10 @@ int main(int argc, char** argv) {
     }
 
     if (tracing) {
-      // A real 4-worker execution with interpreted bodies: per-task spans
+      // A real 4-worker execution of the payload: per-task spans
       // on the pool workers plus park/unpark/steal events.
       {
-        verify::InterpretedKernel kernel(scop);
+        Payload kernel(scop, &prog, hasCombine);
         tasking::TracingLayer layer(tasking::makeThreadPoolBackend(4));
         tasking::executeTaskProgram(prog, layer, kernel.executor());
       }

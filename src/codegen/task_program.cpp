@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
+#include <thread>
 
 namespace pipoly::codegen {
 
@@ -195,21 +196,53 @@ statementReadership(const TaskProgram& program) {
   return readers;
 }
 
-StageLayout stageLayout(const TaskProgram& program) {
+unsigned channelWorkers(unsigned requested) {
+  return requested != 0 ? requested
+                        : std::max(1u, std::thread::hardware_concurrency());
+}
+
+StageLayout stageLayout(const TaskProgram& program, unsigned workers) {
+  PIPOLY_CHECK_MSG(workers != 0, "stageLayout needs a resolved worker count "
+                                 "(see channelWorkers)");
   StageLayout layout;
-  layout.stageOf.assign(program.numStatements, SIZE_MAX);
-  for (const Task& t : program.tasks)
-    if (layout.stageOf[t.stmtIdx] == SIZE_MAX) {
-      layout.stageOf[t.stmtIdx] = 0; // mark; index assigned below
-      layout.stmtOf.push_back(t.stmtIdx);
+  const std::size_t numStmts = program.numStatements;
+  // Per statement: tasks, Block tasks, whether any Block task waits on an
+  // in-dependency (which keeps the statement on one stage), and whether
+  // it owns a combine (whose dependency on every partial ties the lanes
+  // together within a batch).
+  std::vector<std::size_t> tasks(numStmts, 0), blocks(numStmts, 0);
+  std::vector<bool> fed(numStmts, false), combined(numStmts, false);
+  for (const Task& t : program.tasks) {
+    ++tasks[t.stmtIdx];
+    if (t.kind == TaskKind::Block) {
+      ++blocks[t.stmtIdx];
+      fed[t.stmtIdx] = fed[t.stmtIdx] || !t.in.empty();
+    } else {
+      combined[t.stmtIdx] = true;
     }
-  std::sort(layout.stmtOf.begin(), layout.stmtOf.end());
-  for (std::size_t s = 0; s < layout.stmtOf.size(); ++s)
-    layout.stageOf[layout.stmtOf[s]] = s;
+  }
+  layout.stageOf.assign(numStmts, SIZE_MAX);
+  layout.lanesOf.assign(numStmts, 0);
+  for (std::size_t s = 0; s < numStmts; ++s) {
+    if (tasks[s] == 0)
+      continue;
+    const bool source = combined[s] && blocks[s] >= 2 && !fed[s];
+    layout.lanesOf[s] =
+        source ? std::min<std::size_t>(blocks[s], workers) : 1;
+    layout.stageOf[s] = layout.stmtOf.size();
+    layout.stmtOf.insert(layout.stmtOf.end(), layout.lanesOf[s], s);
+  }
+  // Block tasks are dealt round-robin over their statement's lanes in
+  // creation order; every other task (a combine) joins the first lane.
   layout.stageTasks.assign(layout.stmtOf.size(), 0);
   layout.place.resize(program.tasks.size());
+  std::vector<std::size_t> dealt(numStmts, 0);
   for (std::size_t i = 0; i < program.tasks.size(); ++i) {
-    const std::size_t stage = layout.stageOf[program.tasks[i].stmtIdx];
+    const Task& t = program.tasks[i];
+    const std::size_t lanes = layout.lanesOf[t.stmtIdx];
+    const std::size_t lane =
+        t.kind == TaskKind::Block ? dealt[t.stmtIdx]++ % lanes : 0;
+    const std::size_t stage = layout.stageOf[t.stmtIdx] + lane;
     layout.place[i] = {stage, layout.stageTasks[stage]++};
   }
   return layout;

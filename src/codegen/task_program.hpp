@@ -131,17 +131,33 @@ std::vector<std::vector<std::size_t>>
 statementReadership(const TaskProgram& program);
 
 /// The channel route's stage structure, shared by the channel engine, the
-/// channel simulator and the optimizer's placement score: one stage per
-/// statement that owns tasks, in ascending statement order; tasks keep
-/// creation order within their stage.
+/// channel simulator and the optimizer's placement score. Statements that
+/// own tasks map to consecutive stages in ascending statement order. A
+/// statement is one stage, except a *source* statement: a relaxed
+/// reduction whose Block tasks (at least 2) have no in-dependency, i.e.
+/// the independent partials of an accumulation over an input array. Its
+/// Block tasks are dealt round-robin, in creation order, onto
+/// min(blocks, workers) lane stages, and its combine runs at the end of
+/// the first lane; since the combine depends on every partial, no lane
+/// gets more than a batch ahead of the others. Tasks keep creation order
+/// within their stage; every cross-stage dependency, lane to lane
+/// included, becomes a channel.
 struct StageLayout {
-  std::vector<std::size_t> stageOf;    // per statement, SIZE_MAX if no task
+  std::vector<std::size_t> stageOf;    // per statement, its first stage;
+                                       // SIZE_MAX if it owns no task
+  std::vector<std::size_t> lanesOf;    // per statement, its stage count
   std::vector<std::size_t> stmtOf;     // per stage, the statement
   std::vector<std::size_t> stageTasks; // per stage, task count
   /// Per task: (stage, stage-local position).
   std::vector<std::pair<std::size_t, std::size_t>> place;
 };
-StageLayout stageLayout(const TaskProgram& program);
+/// The channel route's worker count for a requested one: `requested`, or
+/// hardware concurrency (at least 1) for 0. The one place that default is
+/// resolved; ChannelPipeline and the placement-free channel simulator
+/// both size their lanes by it.
+unsigned channelWorkers(unsigned requested);
+/// `workers` (nonzero, see channelWorkers) sizes the lanes.
+StageLayout stageLayout(const TaskProgram& program, unsigned workers);
 
 /// The paper's vector-to-integer linearisation. Every coordinate must be
 /// in [0, kLinearStride).

@@ -115,9 +115,10 @@ std::size_t transitiveReduce(TaskProgram& program) {
 }
 
 /// Placement score of the program's current channel structure: stage the
-/// statements exactly like the channel backend (distinct statements,
-/// ascending; one stage each), weight the surviving cross-stage
-/// dependency pairs with the analyzed per-edge bytes, place onto the
+/// statements exactly like the channel backend (codegen::stageLayout,
+/// lanes sized by the topology's workers; without a topology one stage
+/// per statement, so the score stays independent of the host), weight the surviving cross-stage dependency pairs with
+/// the analyzed per-edge bytes, place one stage per worker onto the
 /// topology, and read off the partitioner's communication objective.
 /// This is the bytes-moved-on-the-placed-topology number the
 /// placement-aware passes are scored by.
@@ -135,35 +136,19 @@ PlacedScore scorePlacement(const TaskProgram& program,
   PlacedScore score;
   score.maxClassOfStmt.assign(program.numStatements, 1.0);
 
-  // Stage structure: one stage per statement owning tasks, ascending.
-  const codegen::StageLayout layout = codegen::stageLayout(program);
-  const std::vector<std::size_t>& stageOf = layout.stageOf;
+  // Stage structure: the channel engine's, statements ascending with a
+  // source statement's lanes next to each other.
+  const codegen::StageLayout layout = codegen::stageLayout(
+      program, topology.has_value() ? topology->numWorkers() : 1);
   const std::vector<std::size_t>& stmtOf = layout.stmtOf;
   const std::size_t numStages = stmtOf.size();
   if (numStages == 0)
     return score;
 
   // Surviving cross-stage dependency pairs = the channels the backend
-  // would build; bytes from the analysis (1 when unanalyzed).
-  const PredLists lists = resolvePredecessors(program);
-  std::vector<std::vector<bool>> seen(numStages,
-                                      std::vector<bool>(numStages, false));
-  std::vector<rt::StageEdge> edges;
-  for (const Task& t : program.tasks) {
-    const std::size_t tgt = stageOf[t.stmtIdx];
-    for (std::size_t k = lists.offsets[t.id]; k < lists.offsets[t.id + 1];
-         ++k) {
-      const std::size_t src =
-          stageOf[program.tasks[lists.preds[k]].stmtIdx];
-      if (src == tgt || seen[src][tgt])
-        continue;
-      seen[src][tgt] = true;
-      std::uint64_t bytes = 1;
-      if (const pipeline::EdgeComm* e = comm.edge(stmtOf[src], stmtOf[tgt]))
-        bytes = std::max<std::uint64_t>(e->totalBytes, 1);
-      edges.push_back({src, tgt, bytes});
-    }
-  }
+  // would build.
+  const std::vector<rt::StageEdge> edges =
+      channelStageEdges(program, layout, comm);
 
   const rt::Topology topo =
       topology.has_value()
@@ -358,6 +343,32 @@ SlotTable buildSlotTable(const codegen::TaskProgram& program) {
   table.inSlots = std::move(lists.preds);
   table.inOffsets = std::move(lists.offsets);
   return table;
+}
+
+std::vector<rt::StageEdge>
+channelStageEdges(const codegen::TaskProgram& program,
+                  const codegen::StageLayout& layout,
+                  const pipeline::CommInfo& comm) {
+  const std::size_t numStages = layout.stmtOf.size();
+  const PredLists lists = resolvePredecessors(program);
+  std::vector<std::vector<bool>> seen(numStages,
+                                      std::vector<bool>(numStages, false));
+  std::vector<rt::StageEdge> edges;
+  for (std::size_t i = 0; i < program.tasks.size(); ++i) {
+    const std::size_t tgt = layout.place[i].first;
+    for (std::size_t k = lists.offsets[i]; k < lists.offsets[i + 1]; ++k) {
+      const std::size_t src = layout.place[lists.preds[k]].first;
+      if (src == tgt || seen[src][tgt])
+        continue;
+      seen[src][tgt] = true;
+      std::uint64_t bytes = 1;
+      if (const pipeline::EdgeComm* e =
+              comm.edge(layout.stmtOf[src], layout.stmtOf[tgt]))
+        bytes = std::max<std::uint64_t>(e->totalBytes, 1);
+      edges.push_back({src, tgt, bytes});
+    }
+  }
+  return edges;
 }
 
 } // namespace pipoly::opt

@@ -42,6 +42,7 @@
 
 #include "codegen/task_program.hpp"
 #include "pipeline/comm.hpp"
+#include "runtime/placement.hpp"
 #include "runtime/topology.hpp"
 
 #include <cstdint>
@@ -65,8 +66,10 @@ struct OptimizeOptions {
   /// than removing one cross-socket megabyte. The per-edge bytes come
   /// from this communication analysis (borrowed for the optimize() call).
   const pipeline::CommInfo* comm = nullptr;
-  /// Topology the scoring places onto. Unset = uma over one worker per
-  /// stage (the score then degenerates to total cross-stage bytes).
+  /// Topology the scoring places onto; its worker count also sizes a
+  /// source statement's lanes (codegen::stageLayout). Unset = uma over
+  /// one worker per statement, no lanes (the score then degenerates to
+  /// total cross-statement bytes).
   std::optional<rt::Topology> topology;
 };
 
@@ -133,5 +136,15 @@ struct SlotTable {
 
 /// Interns every (idx, tag) pair of the program. O(tasks + edges).
 SlotTable buildSlotTable(const codegen::TaskProgram& program);
+
+/// The channel edges stage placement weighs for `program` on `layout`:
+/// one per stage pair linked by a cross-stage dependency, in order of
+/// first use, weighted by the analyzed bytes of the pair's statements (1
+/// when unanalyzed). The channel engine adds a weight-1 edge per ack-only
+/// channel on top.
+std::vector<rt::StageEdge>
+channelStageEdges(const codegen::TaskProgram& program,
+                  const codegen::StageLayout& layout,
+                  const pipeline::CommInfo& comm);
 
 } // namespace pipoly::opt

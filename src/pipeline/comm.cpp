@@ -287,26 +287,4 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
   return result;
 }
 
-std::vector<rt::StageEdge>
-CommInfo::stageEdges(const std::vector<std::size_t>& stmtOfStage) const {
-  std::vector<std::size_t> stageOf;
-  for (std::size_t s = 0; s < stmtOfStage.size(); ++s) {
-    if (stmtOfStage[s] >= stageOf.size())
-      stageOf.resize(stmtOfStage[s] + 1, SIZE_MAX);
-    stageOf[stmtOfStage[s]] = s;
-  }
-  std::vector<rt::StageEdge> out;
-  out.reserve(edges.size());
-  for (const EdgeComm& e : edges) {
-    if (e.srcIdx >= stageOf.size() || e.tgtIdx >= stageOf.size())
-      continue;
-    const std::size_t src = stageOf[e.srcIdx];
-    const std::size_t tgt = stageOf[e.tgtIdx];
-    if (src == SIZE_MAX || tgt == SIZE_MAX)
-      continue;
-    out.push_back({src, tgt, std::max<std::uint64_t>(e.totalBytes, 1)});
-  }
-  return out;
-}
-
 } // namespace pipoly::pipeline

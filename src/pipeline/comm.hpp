@@ -31,7 +31,6 @@
 // pipolyc report.
 
 #include "pipeline/detect.hpp"
-#include "runtime/placement.hpp"
 #include "scop/scop.hpp"
 
 #include <cstddef>
@@ -96,17 +95,6 @@ struct CommInfo {
     const EdgeComm* e = edge(srcIdx, tgtIdx);
     return e != nullptr ? e->capacitySlots : fallback;
   }
-
-  /// The analyzed per-edge bytes as stage-partitioner weights:
-  /// `stmtOfStage` maps stage index -> statement index (the channel
-  /// backend's / simulator's stage order), and every analyzed edge whose
-  /// endpoints are both staged becomes one rt::StageEdge weighted by its
-  /// totalBytes (floor 1 so an empty-volume edge still counts as an
-  /// edge). This is the single place the polyhedral byte counts cross
-  /// into the placement layer — the channel backend, the simulator and
-  /// the optimizer's placement objective all weigh the same edges.
-  std::vector<rt::StageEdge>
-  stageEdges(const std::vector<std::size_t>& stmtOfStage) const;
 };
 
 /// Computes the per-edge communication summary for a detection result.

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <map>
 #include <queue>
-#include <set>
 
 namespace pipoly::sim {
 
@@ -96,19 +95,19 @@ SimResult simulate(const codegen::TaskProgram& program,
 
 namespace {
 
-/// Shared DES of the channel route. `topology`/`placement` null = the
-/// placement-free model (one idealized worker per stage, every transfer
-/// class 1) — the original PR 8 prediction, unchanged.
+/// Shared DES of the channel route on the stage layout for `workers`.
+/// `topology`/`placement` null = the placement-free model (one idealized
+/// worker per stage, every transfer class 1).
 ChannelSimResult
 simulateChannelsImpl(const codegen::TaskProgram& program,
                      const pipeline::CommInfo& comm, const CostModel& model,
-                     const rt::Topology* topology,
+                     unsigned workers, const rt::Topology* topology,
                      const rt::Placement* placement) {
   ChannelSimResult result;
   const std::size_t n = program.tasks.size();
   if (n == 0)
     return result;
-  const codegen::StageLayout p = codegen::stageLayout(program);
+  const codegen::StageLayout p = codegen::stageLayout(program, workers);
   result.numStages = p.stmtOf.size();
   if (placement != nullptr)
     PIPOLY_CHECK_MSG(placement->workerOfStage.size() == result.numStages,
@@ -239,8 +238,10 @@ simulateChannelsImpl(const codegen::TaskProgram& program,
 
 ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
                                   const pipeline::CommInfo& comm,
-                                  const CostModel& model) {
-  return simulateChannelsImpl(program, comm, model, nullptr, nullptr);
+                                  const CostModel& model, unsigned workers) {
+  return simulateChannelsImpl(program, comm, model,
+                              codegen::channelWorkers(workers), nullptr,
+                              nullptr);
 }
 
 ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
@@ -248,24 +249,11 @@ ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
                                   const CostModel& model,
                                   const rt::Topology& topology,
                                   const rt::Placement& placement) {
-  return simulateChannelsImpl(program, comm, model, &topology, &placement);
-}
-
-std::uint64_t crossStageBytes(const codegen::TaskProgram& program,
-                              const pipeline::CommInfo& comm) {
-  const codegen::StageLayout p = codegen::stageLayout(program);
-  const opt::SlotTable slots = opt::buildSlotTable(program);
-  std::set<std::pair<std::size_t, std::size_t>> pairs;
-  for (std::size_t i = 0; i < program.tasks.size(); ++i)
-    for (const std::uint32_t* s = slots.inBegin(i); s != slots.inEnd(i); ++s)
-      if (p.place[*s].first != p.place[i].first)
-        pairs.emplace(p.place[*s].first, p.place[i].first);
-  std::uint64_t bytes = 0;
-  for (const auto& [src, tgt] : pairs)
-    if (const pipeline::EdgeComm* e =
-            comm.edge(p.stmtOf[src], p.stmtOf[tgt]))
-      bytes += e->totalBytes;
-  return bytes;
+  return simulateChannelsImpl(
+      program, comm, model,
+      static_cast<unsigned>(std::max<std::size_t>(
+          placement.ownedStages.size(), 1)),
+      &topology, &placement);
 }
 
 double sequentialTime(const scop::Scop& scop, const CostModel& model) {

@@ -112,9 +112,10 @@ struct ChannelSimResult {
 };
 
 /// Predicts the channel execution route (tasking/channel_backend): one
-/// persistent worker per statement stage, tasks in creation order within
-/// a stage, a cross-stage dependency satisfied `edgeLatency` after its
-/// producer finishes, where
+/// persistent worker per stage of codegen::stageLayout(program,
+/// codegen::channelWorkers(workers)) (0 = the engine's default), tasks
+/// in creation order within a stage, a cross-stage dependency satisfied
+/// `edgeLatency` after its producer finishes, where
 ///   edgeLatency = channelTokenOverhead + commCostPerByte * bytesPerToken.
 /// Channels are modelled unbounded — capacities from the communication
 /// analysis are sized so a keeping-pace consumer never stalls its
@@ -126,11 +127,13 @@ struct ChannelSimResult {
 /// difference this model exposes against simulate().
 ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
                                   const pipeline::CommInfo& comm,
-                                  const CostModel& model);
+                                  const CostModel& model,
+                                  unsigned workers = 0);
 
 /// Topology-aware variant: predicts the channel route under a concrete
-/// stage placement (rt::placeStages output for this program's stages) on
-/// a concrete topology. Differences from the placement-free overload:
+/// stage placement (rt::placeStages output for the stages of
+/// codegen::stageLayout(program, its worker count)) on a concrete
+/// topology. Differences from the placement-free overload:
 ///   * stages sharing a worker serialize — a worker clock joins the
 ///     per-stage clock, so the predicted makespan reflects worker
 ///     contention, not one-idealized-worker-per-stage;
@@ -148,15 +151,6 @@ ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
                                   const CostModel& model,
                                   const rt::Topology& topology,
                                   const rt::Placement& placement);
-
-/// Bytes crossing statement boundaries through the program's dependency
-/// edges: for every statement pair connected by at least one cross-stage
-/// in-dependency, the analyzed volume of that pipeline edge. The
-/// optimizer's second objective — transitive reduction that removes the
-/// last dependency between two statements removes the whole channel, and
-/// this is the byte count that removal saves.
-std::uint64_t crossStageBytes(const codegen::TaskProgram& program,
-                              const pipeline::CommInfo& comm);
 
 /// Time of the original (un-pipelined) program: all iterations in order.
 double sequentialTime(const scop::Scop& scop, const CostModel& model);

@@ -61,8 +61,8 @@ void pinThreadToCpus(const std::vector<int>& cpus) {
 } // namespace
 
 /// The stage/edge state machines plus the persistent worker threads,
-/// owned by ChannelPipeline (stages = statements of a TaskProgram, see
-/// buildProgramPlan).
+/// owned by ChannelPipeline (stages = codegen::stageLayout's statements
+/// and lanes of a TaskProgram, see buildProgramPlan).
 class ChannelEngine {
 public:
   /// One directed channel: producer stage `src` feeds consumer `tgt`.
@@ -97,7 +97,6 @@ public:
   ChannelEngine(std::vector<std::size_t> stageTasks,
                 std::vector<EdgeSpec> specs, const ChannelOptions& options) {
     const std::size_t numStages = stageTasks.size();
-    trace::counter("channel.stages", static_cast<double>(numStages));
     for (std::size_t s = 0; s < numStages; ++s) {
       stages_.emplace_back();
       stages_.back().numTasks = stageTasks[s];
@@ -115,11 +114,10 @@ public:
       for (std::uint64_t& r : spec.reqTokens)
         r = runningMax = std::max(runningMax, r);
     }
-    unsigned workers = options.numWorkers != 0
-                           ? options.numWorkers
-                           : std::max(1u, std::thread::hardware_concurrency());
-    workers = static_cast<unsigned>(
-        std::min<std::size_t>(workers, std::max<std::size_t>(numStages, 1)));
+    PIPOLY_CHECK_MSG(options.numWorkers != 0,
+                     "ChannelEngine needs a resolved worker count");
+    const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
+        options.numWorkers, std::max<std::size_t>(numStages, 1)));
     numWorkers_ = workers;
 
     // Without a topology the machine is uma: one domain, class 1.0 and
@@ -508,22 +506,23 @@ private:
 
 namespace {
 
-/// Stage/edge plan of a TaskProgram: one stage per statement (in
-/// statement order), tasks in creation order within their stage.
+/// Stage/edge plan of a TaskProgram on codegen::stageLayout's stages,
+/// tasks in creation order within their stage.
 struct ProgramPlan {
   std::vector<std::size_t> stageTasks;
+  std::vector<std::size_t> stmtOf;
   std::vector<ChannelEngine::EdgeSpec> edges;
   std::vector<std::vector<const codegen::Task*>> taskAt;
 };
 
 ProgramPlan buildProgramPlan(const codegen::TaskProgram& program,
-                             const pipeline::CommInfo* comm) {
+                             const pipeline::CommInfo* comm,
+                             unsigned workers) {
   ProgramPlan plan;
-  // Stages: the statements that own at least one task, ascending.
-  const codegen::StageLayout layout = codegen::stageLayout(program);
-  const std::vector<std::size_t>& stageOf = layout.stageOf;
+  const codegen::StageLayout layout = codegen::stageLayout(program, workers);
   const std::vector<std::size_t>& stmtOf = layout.stmtOf;
   plan.stageTasks = layout.stageTasks;
+  plan.stmtOf = stmtOf;
   plan.taskAt.resize(stmtOf.size());
   for (std::size_t i = 0; i < program.tasks.size(); ++i)
     plan.taskAt[layout.place[i].first].push_back(&program.tasks[i]);
@@ -581,6 +580,9 @@ ProgramPlan buildProgramPlan(const codegen::TaskProgram& program,
   // path, but the reader still consumes the producer's arrays): an
   // ack-only channel carries the reader's per-batch release back to the
   // producer so it cannot lap a distant reader. See EdgeSpec::ackOnly.
+  // A split statement's first stage holds its combine, the only task of
+  // it that another statement reads or is reached from.
+  const std::vector<std::size_t>& stageOf = layout.stageOf;
   const std::vector<std::vector<std::size_t>> readership =
       codegen::statementReadership(program);
   for (std::size_t s = 0; s < readership.size(); ++s) {
@@ -606,8 +608,17 @@ ChannelPipeline::ChannelPipeline(
                    "ChannelPipeline needs a non-null program (it keeps the "
                    "program alive for the tasks' raw pointers)");
   trace::Span span("channel.compile");
-  ProgramPlan plan = buildProgramPlan(*program_, comm);
+  // Lanes are sized by the requested count (hardware concurrency for 0);
+  // the engine then runs at most one worker per stage.
+  options.numWorkers = codegen::channelWorkers(options.numWorkers);
+  ProgramPlan plan = buildProgramPlan(*program_, comm, options.numWorkers);
   taskAt_ = std::move(plan.taskAt);
+  stmtOf_ = std::move(plan.stmtOf);
+  std::vector<std::size_t> stmts = stmtOf_;
+  stmts.erase(std::unique(stmts.begin(), stmts.end()), stmts.end());
+  trace::counter("channel.stages", static_cast<double>(stmtOf_.size()));
+  trace::counter("channel.lanes",
+                 static_cast<double>(stmtOf_.size() - stmts.size()));
   engine_ = std::make_unique<ChannelEngine>(
       std::move(plan.stageTasks), std::move(plan.edges), options);
 }
@@ -656,7 +667,8 @@ ChannelPipeline::Stats ChannelPipeline::stats() const {
 }
 
 std::size_t ChannelPipeline::retainedBytes() const {
-  std::size_t bytes = engine_->retainedBytes();
+  std::size_t bytes = engine_->retainedBytes() +
+                      stmtOf_.capacity() * sizeof(std::size_t);
   for (const std::vector<const codegen::Task*>& stage : taskAt_)
     bytes += stage.capacity() * sizeof(const codegen::Task*);
   return bytes;

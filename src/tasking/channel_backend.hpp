@@ -8,8 +8,12 @@
 // it compiles a TaskProgram onto the engine once and replays it.
 //
 // One stage per statement (chain fusion inside a statement reduces the
-// token traffic but never merges statements, so the fused program's
-// statements *are* the stages). Stage workers run a cooperative state
+// token traffic but never merges statements), except that a source
+// statement — a relaxed reduction whose partial blocks (at least 2) have
+// no in-dependency, such as an accumulation over an input array — splits
+// into min(blocks, workers) lane stages that run its partials in
+// parallel, its combine last on the first lane (codegen::stageLayout).
+// Stage workers run a cooperative state
 // machine: a stage executes its next task once
 //   * every in-edge delivered the tokens the task's eq.-4 requirement
 //     asks for (tokens are drained eagerly into a counter at every poll,
@@ -51,13 +55,17 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 namespace pipoly::tasking {
 
 struct ChannelOptions {
-  /// Worker threads for the stage state machines. 0 = min(stage count,
-  /// hardware concurrency). 1 runs the whole network cooperatively on
-  /// the calling thread (no worker spawns at all).
+  /// Worker threads for the stage state machines, and the lane count a
+  /// source statement splits into (at most this many stages). 0 =
+  /// hardware concurrency (codegen::channelWorkers). The engine runs
+  /// min(stage count, this) workers. 1 runs the whole network, one stage
+  /// per statement, cooperatively on the calling thread (no worker
+  /// spawns at all).
   unsigned numWorkers = 0;
   /// Hardware topology for stage placement (rt/topology.hpp), re-spread
   /// over the worker count. Unset = uma. The engine places its stages
@@ -89,6 +97,9 @@ public:
   const codegen::TaskProgram& program() const { return *program_; }
   std::size_t numStages() const;
   unsigned numWorkers() const;
+  /// Per stage, the statement it runs (a split statement's lanes are
+  /// consecutive stages).
+  const std::vector<std::size_t>& stmtOfStage() const { return stmtOf_; }
 
   /// The stage placement the engine runs with (owned stages per worker,
   /// domain map, objective diagnostics). Stable for the pipeline's
@@ -121,6 +132,7 @@ private:
   std::shared_ptr<const codegen::TaskProgram> program_;
   /// Per stage, the program's tasks in stage-local position order.
   std::vector<std::vector<const codegen::Task*>> taskAt_;
+  std::vector<std::size_t> stmtOf_;
   std::unique_ptr<class ChannelEngine> engine_;
 };
 

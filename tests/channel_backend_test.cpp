@@ -1,7 +1,9 @@
 // Tests for the channel execution route (tasking/channel_backend, whose
 // one front end is ChannelPipeline): differential bit-identity against
 // the sequential oracle across Table-9 × optimizer on/off × worker
-// counts, one stage per statement, the shared-state streaming regression
+// counts, one stage per statement, a source statement's lanes (exact
+// reduction fingerprints, stage counts shared with the simulator, an
+// unchanged optimizer), the shared-state streaming regression
 // for the transitive-reduction hazard (batch acks must follow the full
 // statement readership, not just the surviving task edges — on BOTH the
 // task-depend graph and the channel network), statementReadership,
@@ -10,11 +12,17 @@
 #include "tasking/channel_backend.hpp"
 
 #include "codegen/task_program.hpp"
+#include "frontend/frontend.hpp"
+#include "kernels/matmul.hpp"
+#include "kernels/reduction_kernels.hpp"
+#include "kernels/reduction_runner.hpp"
 #include "kernels/suite.hpp"
 #include "kernels/suite_runner.hpp"
 #include "opt/optimizer.hpp"
 #include "pipeline/comm.hpp"
 #include "pipeline/detect.hpp"
+#include "scop/builder.hpp"
+#include "sim/simulator.hpp"
 #include "tasking/executor.hpp"
 #include "tasking/replay_executor.hpp"
 #include "testing/interpreted_kernel.hpp"
@@ -23,8 +31,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -339,8 +352,10 @@ TEST(ChannelPlacementTest, DiagnosticsDependOnlyOnOwnedStagesAndTopology) {
     const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
     const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
     auto prog = compileShared(scop, false);
-    const codegen::StageLayout layout = codegen::stageLayout(*prog);
-    const std::vector<rt::StageEdge> edges = comm.stageEdges(layout.stmtOf);
+    const codegen::StageLayout layout =
+        codegen::stageLayout(*prog, c.workers);
+    const std::vector<rt::StageEdge> edges =
+        opt::channelStageEdges(*prog, layout, comm);
     ASSERT_FALSE(edges.empty()) << c.name;
 
     ChannelOptions options;
@@ -357,6 +372,350 @@ TEST(ChannelPlacementTest, DiagnosticsDependOnlyOnOwnedStagesAndTopology) {
     anyCrossDomain = anyCrossDomain || priced.crossDomainBytes > 0;
   }
   EXPECT_TRUE(anyCrossDomain);
+}
+
+// --- Lanes: a source statement's blocks split over worker stages -----------
+
+std::uint64_t reductionOracle(const scop::Scop& scop, std::size_t runs) {
+  kernels::ReductionRunner oracle(scop);
+  for (std::size_t r = 0; r < runs; ++r)
+    executeSequential(scop, oracle.executor());
+  return oracle.fingerprint();
+}
+
+TEST(ChannelLaneTest, ReductionKernelsMatchTheOracleAtEveryWorkerCount) {
+  // Every reduction kernel, optimized or not, at 1-4 workers: one replay
+  // and a 50-batch stream with shared state must equal the sequential
+  // runs exactly. norm_accumulate's partials run on parallel lanes here,
+  // so this is where a lane lapping its combine (or a reader) shows.
+  constexpr std::size_t kBatches = 50;
+  for (const kernels::ReductionKernelSpec& spec : kernels::reductionKernels()) {
+    const scop::Scop scop = spec.build(16);
+    const std::uint64_t once = reductionOracle(scop, 1);
+    const std::uint64_t streamed = reductionOracle(scop, kBatches);
+    const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
+    const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
+    for (bool optimized : {false, true}) {
+      auto prog = compileShared(scop, optimized);
+      for (unsigned workers : {1u, 2u, 3u, 4u}) {
+        ChannelOptions options;
+        options.numWorkers = workers;
+        ChannelPipeline pipe(prog, options, &comm);
+        kernels::ReductionRunner runner(scop, *prog);
+        // Repeat: skew bugs are scheduling-dependent.
+        for (int rep = 0; rep < 3; ++rep) {
+          runner.reset();
+          pipe.replay(runner.executor());
+          ASSERT_EQ(runner.fingerprint(), once)
+              << spec.name << " opt " << optimized << " workers " << workers
+              << " rep " << rep;
+          runner.reset();
+          pipe.replayBatches(kBatches, [&](std::size_t, std::size_t s,
+                                           const pb::Tuple& it) {
+            runner.execute(s, it);
+          });
+          ASSERT_EQ(runner.fingerprint(), streamed)
+              << spec.name << " opt " << optimized << " workers " << workers
+              << " rep " << rep << " streamed";
+        }
+      }
+    }
+  }
+}
+
+TEST(ChannelLaneTest, ChainOrderedProgramsKeepOneStagePerStatement) {
+  // Table 9 and the matmul chains order every statement's blocks by a
+  // chain or feed them from a producer: no statement is a source, so
+  // lanes never appear and the stage count is the statement count.
+  std::vector<scop::Scop> scops;
+  for (const kernels::ProgramSpec& spec : kernels::table9Programs())
+    scops.push_back(kernels::buildProgram(spec, 16));
+  using V = kernels::MatmulVariant;
+  for (std::size_t len : {2u, 3u, 4u})
+    for (V v : {V::NMM, V::NMMT, V::GNMM, V::GNMMT})
+      scops.push_back(kernels::matmulChain(v, len, 4));
+  for (const scop::Scop& scop : scops) {
+    auto prog = compileShared(scop, true);
+    for (unsigned workers : {0u, 2u, 4u, 8u}) {
+      ChannelOptions options;
+      options.numWorkers = workers;
+      const ChannelPipeline pipe(prog, options);
+      EXPECT_EQ(pipe.numStages(), scop.numStatements())
+          << scop.name() << " workers " << workers;
+    }
+  }
+}
+
+TEST(ChannelLaneTest, NormAccumulateSplitsIntoOneLanePerWorker) {
+  // norm_accumulate's 8 partial blocks read only the input array: the
+  // accumulation splits into min(8, workers) lanes next to the consumer's
+  // one stage, and the channel.lanes counter reports the added stages.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  for (pb::Value n : {8, 48}) {
+    const scop::Scop scop = kernels::normAccumulate(n);
+    const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
+    const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
+    auto prog = compileShared(scop, true);
+    for (unsigned workers : {0u, 1u, 2u, 3u, 4u, 8u, 12u}) {
+      const std::size_t lanes = std::min(8u, workers == 0 ? hw : workers);
+      trace::Session session;
+      session.start();
+      ChannelOptions options;
+      options.numWorkers = workers;
+      const ChannelPipeline pipe(prog, options, &comm);
+      session.stop();
+      EXPECT_EQ(pipe.numStages(), 1 + lanes) << "N " << n << " w " << workers;
+      std::vector<std::size_t> stmtOf(lanes, 0);
+      stmtOf.push_back(1);
+      EXPECT_EQ(pipe.stmtOfStage(), stmtOf) << "N " << n << " w " << workers;
+      std::vector<double> added;
+      for (const trace::TraceEvent& e : session.trace().events)
+        if (e.kind == trace::EventKind::Counter && e.name == "channel.lanes")
+          added.push_back(e.value);
+      EXPECT_EQ(added, std::vector<double>{static_cast<double>(lanes - 1)});
+    }
+  }
+}
+
+/// A write-only statement filling A, then a serial sweep sampling one
+/// column of it: under relaxSameNestOrdering fill's blocks are mutually
+/// independent and fed by nothing, yet it owns no combine.
+scop::Scop fillThenSample(pb::Value n) {
+  scop::ScopBuilder b("fill_sample");
+  const std::size_t A = b.array("A", {n, n});
+  const std::size_t B = b.array("B", {n});
+  {
+    auto S = b.statement("fill", 2);
+    S.bound(0, 0, n).bound(1, 0, n);
+    S.write(A, {S.dim(0), S.dim(1)});
+  }
+  {
+    auto S = b.statement("sample", 1);
+    S.bound(0, 1, n);
+    S.write(B, {S.dim(0)});
+    S.read(A, {S.dim(0), S.constant(0)});
+    S.read(B, {S.dim(0) - 1});
+  }
+  return b.build();
+}
+
+TEST(ChannelLaneTest, BlocksWithoutACombineStayOnOneStage) {
+  // relaxSameNestOrdering frees the blocks of a producer-less statement
+  // from their chain, but without a combine nothing in a batch ties such
+  // blocks to each other, so a reader could lap a lane it does not read
+  // and overflow its ack ring: the statement stays one stage. Streaming
+  // 50 batches with shared state must still equal back-to-back
+  // sequential runs, on Table 9 and on a program whose first statement
+  // has exactly such free blocks.
+  constexpr std::size_t kBatches = 50;
+  pipeline::DetectOptions relaxed;
+  relaxed.relaxSameNestOrdering = true;
+  std::size_t freeStatements = 0;
+  const auto check = [&](const scop::Scop& scop, std::uint64_t expected,
+                         const std::function<void()>& reset,
+                         const BatchStatementExecutor& exec,
+                         const std::function<std::uint64_t()>& fingerprint) {
+    const pipeline::CommInfo comm = pipeline::analyzeCommunication(
+        scop, pipeline::detectPipeline(scop, relaxed));
+    for (bool optimized : {false, true}) {
+      auto prog = std::make_shared<codegen::TaskProgram>(
+          codegen::compilePipeline(scop, relaxed));
+      if (optimized)
+        opt::optimize(*prog);
+      // The statements a rule without the combine would split: at least
+      // 2 Block tasks, none with an in-dependency.
+      std::vector<std::size_t> blocks(scop.numStatements(), 0);
+      std::vector<bool> fed(scop.numStatements(), false);
+      for (const codegen::Task& t : prog->tasks) {
+        ++blocks[t.stmtIdx];
+        fed[t.stmtIdx] = fed[t.stmtIdx] || !t.in.empty();
+      }
+      for (std::size_t s = 0; s < blocks.size(); ++s)
+        freeStatements += blocks[s] >= 2 && !fed[s] ? 1u : 0u;
+      for (unsigned workers : {2u, 3u, 4u}) {
+        ChannelOptions options;
+        options.numWorkers = workers;
+        ChannelPipeline pipe(prog, options, &comm);
+        EXPECT_EQ(pipe.numStages(), scop.numStatements())
+            << scop.name() << " opt " << optimized << " workers " << workers;
+        reset();
+        pipe.replayBatches(kBatches, exec);
+        ASSERT_EQ(fingerprint(), expected)
+            << scop.name() << " opt " << optimized << " workers " << workers;
+      }
+    }
+  };
+  for (const kernels::ProgramSpec& spec : kernels::table9Programs()) {
+    const scop::Scop scop = kernels::buildProgram(spec, 10);
+    kernels::SuiteRunner runner(spec, scop, 1);
+    for (std::size_t b = 0; b < kBatches; ++b)
+      executeSequential(scop, runner.executor());
+    check(
+        scop, runner.fingerprint(), [&] { runner.reset(); },
+        [&](std::size_t, std::size_t s, const pb::Tuple& it) {
+          runner.execute(s, it);
+        },
+        [&] { return runner.fingerprint(); });
+  }
+  const scop::Scop scop = fillThenSample(16);
+  testing::InterpretedKernel kernel(scop);
+  for (std::size_t b = 0; b < kBatches; ++b)
+    executeSequential(scop, kernel.executor());
+  check(
+      scop, kernel.fingerprint(), [&] { kernel.reset(); },
+      [&](std::size_t, std::size_t s, const pb::Tuple& it) {
+        kernel.execute(s, it);
+      },
+      [&] { return kernel.fingerprint(); });
+  EXPECT_GT(freeStatements, 0u);
+}
+
+TEST(ChannelLaneTest, SimulatorStagesMatchTheEngineOnEveryKernel) {
+  // One stage layout for the engine and the channel simulator, on both
+  // simulator overloads: placement-free at the engine's worker count
+  // (0 = hardware concurrency on both), and under the engine's own
+  // placement.
+  std::vector<scop::Scop> scops;
+  for (const kernels::ProgramSpec& spec : kernels::table9Programs())
+    scops.push_back(kernels::buildProgram(spec, 8));
+  for (const kernels::ReductionKernelSpec& spec : kernels::reductionKernels())
+    scops.push_back(spec.build(8));
+  for (const scop::Scop& scop : scops) {
+    const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
+    const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
+    auto prog = compileShared(scop, true);
+    sim::CostModel model;
+    model.iterationCost.assign(scop.numStatements(), 1e-6);
+    for (unsigned workers : {0u, 1u, 2u, 4u, 8u}) {
+      ChannelOptions options;
+      options.numWorkers = workers;
+      const ChannelPipeline pipe(prog, options, &comm);
+      EXPECT_EQ(sim::simulateChannels(*prog, comm, model, workers).numStages,
+                pipe.numStages())
+          << scop.name() << " workers " << workers;
+      EXPECT_EQ(sim::simulateChannels(*prog, comm, model,
+                                      rt::Topology::uma(pipe.numWorkers()),
+                                      pipe.placement())
+                    .numStages,
+                pipe.numStages())
+          << scop.name() << " workers " << workers;
+    }
+  }
+}
+
+TEST(ChannelLaneTest, OptimizerOutputIsUnchangedOnTheBenchmarkPrograms) {
+  // Lanes live in the stage layout only: opt::optimize must return the
+  // same program, byte for byte, as before lanes existed, with default
+  // options and in placement-aware mode. The FNV-1a hashes of toString()
+  // were recorded from the one-stage-per-statement layout, over every
+  // program the end-to-end benchmark compiles.
+  const auto fnv1a = [](const std::string& text) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char c : text)
+      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    return h;
+  };
+  const std::map<std::string, std::uint64_t> expected = {
+      {"P1@8", 0x1c96b54183ab1db9ull},
+      {"P2@8", 0x15233dcec24807fdull},
+      {"P3@8", 0x344c40dcbcb8c9d0ull},
+      {"P4@8", 0xe52921e3a3791392ull},
+      {"P5@8", 0xb8eaaad4d2b876a4ull},
+      {"P6@8", 0xd6cae4e20bc9c326ull},
+      {"P7@8", 0x69951e72653ea439ull},
+      {"P8@8", 0xfe95f1c06a12e0ccull},
+      {"P9@8", 0xe474db5f1a6a1a92ull},
+      {"P10@8", 0xd6cae4e20bc9c326ull},
+      {"P1@16", 0xdc7dd7968d88eca9ull},
+      {"P2@16", 0xb7e98777642c454dull},
+      {"P3@16", 0xfed5f53741b4c8e2ull},
+      {"P4@16", 0xeb9900d5df00d315ull},
+      {"P5@16", 0xa7341fbf2d7abffbull},
+      {"P6@16", 0x9e7624bd7991b2f4ull},
+      {"P7@16", 0xfffe37d60db3bb0eull},
+      {"P8@16", 0xfc13e19a487724f1ull},
+      {"P9@16", 0x55f16f680f2dcd33ull},
+      {"P10@16", 0x9e7624bd7991b2f4ull},
+      {"P1@48", 0x79a8e64028c1f749ull},
+      {"P2@48", 0x403cd73e95a3bf42ull},
+      {"P3@48", 0xaf27d672c00f51baull},
+      {"P4@48", 0xde9cca1596e514f0ull},
+      {"P5@48", 0x407d27b39d0b4eafull},
+      {"P6@48", 0xe288ebd9843cadd3ull},
+      {"P7@48", 0x9dc0d58a665a16f7ull},
+      {"P8@48", 0x1cd9abd7a56ee26full},
+      {"P9@48", 0x354d4c218aba3512ull},
+      {"P10@48", 0xe288ebd9843cadd3ull},
+      {"nmm2@4", 0xe9a5ec5aa24dd4d6ull},
+      {"nmmt2@4", 0xe9a5ec5aa24dd4d6ull},
+      {"gnmm2@4", 0x7ca73990ea8dc783ull},
+      {"gnmmt2@4", 0x7ca73990ea8dc783ull},
+      {"nmm3@4", 0x996775f475e3afe6ull},
+      {"nmmt3@4", 0x996775f475e3afe6ull},
+      {"gnmm3@4", 0x42cbacd8b231126aull},
+      {"gnmmt3@4", 0x42cbacd8b231126aull},
+      {"nmm4@4", 0x10e4f58bb4a6ec76ull},
+      {"nmmt4@4", 0x10e4f58bb4a6ec76ull},
+      {"gnmm4@4", 0x34d82f6851f3e6a0ull},
+      {"gnmmt4@4", 0x34d82f6851f3e6a0ull},
+      {"nmm2@16", 0xcd249a16984efddfull},
+      {"nmmt2@16", 0xcd249a16984efddfull},
+      {"gnmm2@16", 0x67de95eaf20df85full},
+      {"gnmmt2@16", 0x67de95eaf20df85full},
+      {"nmm3@16", 0x8a8e4ca854681df6ull},
+      {"nmmt3@16", 0x8a8e4ca854681df6ull},
+      {"gnmm3@16", 0x5e4848c4aad95369ull},
+      {"gnmmt3@16", 0x5e4848c4aad95369ull},
+      {"nmm4@16", 0x59ff9479fc1de205ull},
+      {"nmmt4@16", 0x59ff9479fc1de205ull},
+      {"gnmm4@16", 0xdf19b0e43d3f3676ull},
+      {"gnmmt4@16", 0xdf19b0e43d3f3676ull},
+      {"dot_product_chain@8", 0xcb3695630e4549e6ull},
+      {"histogram@8", 0x8d116772b828ddf3ull},
+      {"stencil_accumulate@8", 0x007057a1e2927d4bull},
+      {"norm_accumulate@8", 0x74df0956b700078aull},
+      {"dot_product_chain@48", 0x080dd3dda3b81f0full},
+      {"histogram@48", 0xca701c9f8cfec14aull},
+      {"stencil_accumulate@48", 0x3f6fbfccc5486128ull},
+      {"norm_accumulate@48", 0xe1429da38ec469d3ull},
+  };
+  std::vector<std::pair<std::string, std::function<scop::Scop()>>> programs;
+  for (pb::Value n : {8, 16, 48})
+    for (const kernels::ProgramSpec& spec : kernels::table9Programs())
+      programs.emplace_back(spec.name + "@" + std::to_string(n), [&spec, n] {
+        return frontend::parseProgram(kernels::renderProgramSource(spec, n));
+      });
+  using V = kernels::MatmulVariant;
+  for (pb::Value n : {4, 16})
+    for (std::size_t len : {2u, 3u, 4u})
+      for (V v : {V::NMM, V::NMMT, V::GNMM, V::GNMMT})
+        programs.emplace_back(
+            kernels::variantName(v) + std::to_string(len) + "@" +
+                std::to_string(n),
+            [v, len, n] { return kernels::matmulChain(v, len, n); });
+  for (pb::Value n : {8, 48})
+    for (const kernels::ReductionKernelSpec& spec :
+         kernels::reductionKernels())
+      programs.emplace_back(spec.name + "@" + std::to_string(n),
+                            [&spec, n] { return spec.build(n); });
+  ASSERT_EQ(programs.size(), expected.size());
+
+  for (const auto& [name, build] : programs) {
+    const scop::Scop scop = build();
+    const codegen::TaskProgram lowered = codegen::compilePipeline(scop);
+    codegen::TaskProgram plain = lowered;
+    opt::optimize(plain);
+    EXPECT_EQ(fnv1a(plain.toString()), expected.at(name)) << name;
+
+    const pipeline::CommInfo comm =
+        pipeline::analyzeCommunication(scop, pipeline::detectPipeline(scop));
+    codegen::TaskProgram placed = lowered;
+    opt::OptimizeOptions options;
+    options.comm = &comm;
+    opt::optimize(placed, options);
+    EXPECT_EQ(fnv1a(placed.toString()), expected.at(name))
+        << name << " placement-aware";
+  }
 }
 
 } // namespace

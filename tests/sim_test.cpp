@@ -134,13 +134,6 @@ ChannelFixture channelFixture(pb::Value n) {
   return {std::move(scop), std::move(comm), std::move(prog)};
 }
 
-std::vector<std::size_t> stageTaskCounts(const codegen::TaskProgram& prog) {
-  std::vector<std::size_t> counts(prog.numStatements, 0);
-  for (const codegen::Task& t : prog.tasks)
-    ++counts[t.stmtIdx];
-  return counts;
-}
-
 TEST(TopologySimTest, UmaOneWorkerPerStageMatchesThePlacementFreeModel) {
   // One worker per stage on a uma topology is exactly the machine the
   // placement-free overload idealizes: every cross-stage transfer is
@@ -151,9 +144,10 @@ TEST(TopologySimTest, UmaOneWorkerPerStageMatchesThePlacementFreeModel) {
   m.channelTokenOverhead = 2e-6;
   m.commCostPerByte = 1e-7;
 
-  const std::vector<std::size_t> tasks = stageTaskCounts(f.prog);
+  const codegen::StageLayout layout = codegen::stageLayout(f.prog, 4);
+  const std::vector<std::size_t>& tasks = layout.stageTasks;
   const std::vector<rt::StageEdge> edges =
-      f.comm.stageEdges({0, 1, 2, 3});
+      opt::channelStageEdges(f.prog, layout, f.comm);
   const unsigned stages = static_cast<unsigned>(tasks.size());
   const rt::Topology uma = rt::Topology::uma(stages);
   const rt::Placement p = rt::placeStages(tasks, stages, edges, uma);
@@ -175,9 +169,10 @@ TEST(TopologySimTest, SameWorkerEdgesPayNoTransferCost) {
   CostModel m = uniformModel(4, 1e-6);
   m.commCostPerByte = 1e-3; // would dominate if anything moved
 
-  const std::vector<std::size_t> tasks = stageTaskCounts(f.prog);
+  const codegen::StageLayout layout = codegen::stageLayout(f.prog, 4);
+  const std::vector<std::size_t>& tasks = layout.stageTasks;
   const std::vector<rt::StageEdge> edges =
-      f.comm.stageEdges({0, 1, 2, 3});
+      opt::channelStageEdges(f.prog, layout, f.comm);
   const rt::Topology uma = rt::Topology::uma(1);
   const rt::Placement p = rt::placeStages(tasks, 1, edges, uma);
 
@@ -199,9 +194,10 @@ TEST(TopologySimTest, CrossDomainTrafficIsChargedTheClassCost) {
   CostModel m = uniformModel(4, 1e-6);
   m.commCostPerByte = 1e-7;
 
-  const std::vector<std::size_t> tasks = stageTaskCounts(f.prog);
+  const codegen::StageLayout layout = codegen::stageLayout(f.prog, 4);
+  const std::vector<std::size_t>& tasks = layout.stageTasks;
   const std::vector<rt::StageEdge> edges =
-      f.comm.stageEdges({0, 1, 2, 3});
+      opt::channelStageEdges(f.prog, layout, f.comm);
   const rt::Topology numa = rt::Topology::numa2(4, 8.0);
   // One stage per worker, forced: the heavy middle edge crosses domains.
   const rt::Placement onUma =
@@ -219,34 +215,6 @@ TEST(TopologySimTest, CrossDomainTrafficIsChargedTheClassCost) {
   EXPECT_GT(remote.crossDomainBytes, 0u);
   EXPECT_EQ(uma.crossDomainBytes, 0u);
   EXPECT_EQ(remote.bytesMoved, uma.bytesMoved);
-}
-
-/// The stage edges the channel engine places a program's stages by: one
-/// per stage pair linked by a cross-stage dependency that survived the
-/// optimizer, weighted by the pair's analyzed bytes. (The engine adds a
-/// weight-1 edge per ack-only channel; they are left out here.)
-std::vector<rt::StageEdge> channelStageEdges(const codegen::TaskProgram& prog,
-                                             const pipeline::CommInfo& comm) {
-  const codegen::StageLayout layout = codegen::stageLayout(prog);
-  const opt::SlotTable slots = opt::buildSlotTable(prog);
-  std::vector<rt::StageEdge> edges;
-  for (std::size_t i = 0; i < prog.tasks.size(); ++i)
-    for (auto it = slots.inBegin(i); it != slots.inEnd(i); ++it) {
-      const std::size_t src = layout.place[*it].first;
-      const std::size_t tgt = layout.place[i].first;
-      const bool known =
-          std::any_of(edges.begin(), edges.end(), [&](const rt::StageEdge& e) {
-            return e.src == src && e.tgt == tgt;
-          });
-      if (src == tgt || known)
-        continue;
-      const pipeline::EdgeComm* e =
-          comm.edge(layout.stmtOf[src], layout.stmtOf[tgt]);
-      edges.push_back(
-          {src, tgt, e != nullptr ? std::max<std::uint64_t>(e->totalBytes, 1)
-                                  : 1});
-    }
-  return edges;
 }
 
 TEST(TopologySimTest, NumaPlacementBeatsTheLoadOnlyCuts) {
@@ -276,8 +244,9 @@ TEST(TopologySimTest, NumaPlacementBeatsTheLoadOnlyCuts) {
         pipeline::analyzeCommunication(p.scop, info);
     codegen::TaskProgram prog = codegen::compilePipeline(p.scop);
     opt::optimize(prog);
-    const codegen::StageLayout layout = codegen::stageLayout(prog);
-    const std::vector<rt::StageEdge> edges = channelStageEdges(prog, comm);
+    const codegen::StageLayout layout = codegen::stageLayout(prog, kWorkers);
+    const std::vector<rt::StageEdge> edges =
+        opt::channelStageEdges(prog, layout, comm);
 
     const rt::Placement placed =
         rt::placeStages(layout.stageTasks, kWorkers, edges, numa);
