@@ -1,22 +1,14 @@
-// Serial vs parallel pipeline detection (EXPERIMENTS.md E15), the paper
-// suite serial-detection benchmark and the DetectCache gate (E17).
-//
-// Synthetic SCoPs with 8-64 consecutive nests over large rectangular
-// domains: nest k writes A_k[i][j], reads its own diagonal neighbour
-// (keeping every nest serial) and a strided element of a few earlier
-// arrays — so the number of dependent pairs, and with it the per-pair
-// Algorithm-1 work, grows with the statement count.
+// Pipeline-detection benchmarks: the paper-suite detection timing
+// (EXPERIMENTS.md E17/E18), the N-independent parametric route (E18) and
+// reduction-aware detection (E21).
 //
 // Usage:
-//   bench_detect [--smoke] [--suite] [--parametric] [--reduction]
-//                [--detect-cache] [--json=FILE] [--trace=FILE] [threads...]
-//                                              (default threads: 2 4 8)
+//   bench_detect --suite | --parametric | --reduction [--smoke]
+//                [--json=FILE] [--trace=FILE]
 //
-// --reduction benchmarks reductionMode=off vs auto over the reduction
-// kernel grid and gates on the partial-reduction structure (exactly one
-// relaxed statement per kernel, >1 partial block, one combine task);
-// with --smoke it runs the small CI configuration. --json=FILE writes
-// BENCH_reduction.json.
+// --suite times end-to-end detection over the paper programs P1-P10 at
+// N=16 (the E17/E18 metric). --json=FILE writes the measurements as
+// machine-readable JSON (BENCH_detect.json).
 //
 // --parametric times the N-independent route (detectParametric +
 // closed-form summaries) on the regular suite programs at N up to 10^6
@@ -24,176 +16,56 @@
 // an absolute time budget at N=10^5 — the CI hook for the
 // parametric-first headline.
 //
+// --reduction benchmarks reductionMode=off vs auto over the reduction
+// kernel grid and gates on the partial-reduction structure (exactly one
+// relaxed statement per kernel, >1 partial block, one combine task);
+// with --smoke it runs the small CI configuration. --json=FILE writes
+// BENCH_reduction.json.
+//
 // --trace=FILE traces the run (detection phase spans, per-unit spans)
 // and writes Chrome Trace Event JSON for chrome://tracing / Perfetto.
-//
-// --smoke runs one small configuration, verifies that parallel detection
-// is bit-identical to serial, and exits non-zero on mismatch — the CI
-// correctness hook. With --detect-cache it additionally verifies that a
-// cached result is bit-identical to recomputation and that a warm rerun
-// is >= 5x faster than the cold compile, failing the run otherwise.
-//
-// --suite times serial end-to-end detection over the paper programs
-// P1-P10 at N=16 (the E17/E18 metric) and exits non-zero when a 4-thread
-// run of any program differs from the serial one; with --detect-cache it
-// adds a cold-vs-warm DetectCache pass over the whole suite. --json=FILE
-// writes the measurements as machine-readable JSON (BENCH_detect.json).
 
 #include "pipeline/detect.hpp"
-#include "pipeline/detect_cache.hpp"
 #include "pipeline/param_detect.hpp"
 
 #include "bench_common.hpp"
 #include "codegen/task_program.hpp"
 #include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
-#include "scop/builder.hpp"
 #include "support/stopwatch.hpp"
-#include "support/str.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/trace.hpp"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace {
 
 using namespace pipoly;
 
-/// `stmts` consecutive nests over an `extent` x `extent` domain. Nest k
-/// reads nests k-1, k-2 and k-4 (where they exist) with mixed strides.
-scop::Scop syntheticScop(std::size_t stmts, pb::Value extent) {
-  scop::ScopBuilder b("synthetic");
-  std::vector<std::size_t> arrays;
-  arrays.reserve(stmts);
-  for (std::size_t k = 0; k < stmts; ++k)
-    arrays.push_back(
-        b.array(indexedName("A", k), {2 * extent + 2, 2 * extent + 2}));
-  for (std::size_t k = 0; k < stmts; ++k) {
-    auto S = b.statement(indexedName("S", k), 2);
-    S.bound(0, 0, extent).bound(1, 0, extent);
-    S.write(arrays[k], {S.dim(0), S.dim(1)});
-    S.read(arrays[k], {S.dim(0) + 1, S.dim(1) + 1}); // serial nest
-    for (std::size_t back : {std::size_t{1}, std::size_t{2}, std::size_t{4}})
-      if (back <= k)
-        S.read(arrays[k - back], back == 2
-                                     ? std::vector<pb::AffineExpr>{2 * S.dim(0),
-                                                                   S.dim(1)}
-                                     : std::vector<pb::AffineExpr>{S.dim(0),
-                                                                   S.dim(1)});
-  }
-  return b.build();
-}
-
-bool infoEquals(const pipeline::PipelineInfo& a,
-                const pipeline::PipelineInfo& b) {
-  if (a.maps.size() != b.maps.size() ||
-      a.statements.size() != b.statements.size())
-    return false;
-  for (std::size_t i = 0; i < a.maps.size(); ++i)
-    if (a.maps[i].srcIdx != b.maps[i].srcIdx ||
-        a.maps[i].tgtIdx != b.maps[i].tgtIdx || !(a.maps[i].map == b.maps[i].map))
-      return false;
-  for (std::size_t s = 0; s < a.statements.size(); ++s) {
-    const pipeline::StatementPipelineInfo& x = a.statements[s];
-    const pipeline::StatementPipelineInfo& y = b.statements[s];
-    if (!(x.blocking == y.blocking) || !(x.expansion == y.expansion) ||
-        !(x.blockReps == y.blockReps) ||
-        !(x.outDependency == y.outDependency) ||
-        x.chainOrdering != y.chainOrdering || !(x.selfEdges == y.selfEdges) ||
-        x.inRequirements.size() != y.inRequirements.size())
-      return false;
-    for (std::size_t r = 0; r < x.inRequirements.size(); ++r)
-      if (x.inRequirements[r].srcStmtIdx != y.inRequirements[r].srcStmtIdx ||
-          !(x.inRequirements[r].map == y.inRequirements[r].map))
-        return false;
-  }
-  return true;
-}
-
-double timeDetect(const scop::Scop& scop, unsigned threads, int reps,
-                  pipeline::PipelineInfo* out = nullptr) {
-  pipeline::DetectOptions opt;
-  opt.numThreads = threads;
+/// Best-of-`reps` detection time; `out` receives the first run's result.
+double timeDetect(const scop::Scop& scop, int reps,
+                  pipeline::PipelineInfo& out) {
   double best = 0;
   for (int r = 0; r < reps; ++r) {
     Stopwatch sw;
-    pipeline::PipelineInfo info = pipeline::detectPipeline(scop, opt);
+    pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
     const double t = sw.seconds();
     if (r == 0 || t < best)
       best = t;
-    if (out && r == 0)
-      *out = std::move(info);
+    if (r == 0)
+      out = std::move(info);
   }
   return best;
 }
 
-int runSmoke(bool useCache) {
-  const scop::Scop scop = syntheticScop(16, 24);
-  pipeline::PipelineInfo serial, parallel;
-  timeDetect(scop, 0, 1, &serial);
-  timeDetect(scop, 4, 1, &parallel);
-  if (!infoEquals(serial, parallel)) {
-    std::printf("bench_detect --smoke: FAIL — parallel PipelineInfo "
-                "differs from serial\n");
-    return 1;
-  }
-  std::printf("bench_detect --smoke: OK — 16 statements, %zu pipeline maps, "
-              "%zu blocks, parallel(4) == serial\n",
-              serial.maps.size(), serial.totalBlocks());
-  if (!useCache)
-    return 0;
-
-  pipeline::DetectCache cache;
-  Stopwatch coldSw;
-  pipeline::PipelineInfo cold = cache.getOrCompute(scop);
-  const double coldSec = coldSw.seconds();
-  double warmSec = 0;
-  pipeline::PipelineInfo warm;
-  for (int r = 0; r < 5; ++r) {
-    Stopwatch warmSw;
-    warm = cache.getOrCompute(scop);
-    const double t = warmSw.seconds();
-    if (r == 0 || t < warmSec)
-      warmSec = t;
-  }
-  const pipeline::DetectCache::Stats stats = cache.stats();
-  if (!infoEquals(serial, cold) || !infoEquals(serial, warm)) {
-    std::printf("bench_detect --smoke: FAIL — cached PipelineInfo differs "
-                "from recomputation\n");
-    return 1;
-  }
-  if (stats.misses != 1 || stats.hits != 5) {
-    std::printf("bench_detect --smoke: FAIL — expected 1 miss / 5 hits, "
-                "got %llu / %llu\n",
-                static_cast<unsigned long long>(stats.misses),
-                static_cast<unsigned long long>(stats.hits));
-    return 1;
-  }
-  const double speedup = coldSec / warmSec;
-  std::printf("bench_detect --smoke: cache cold %.3f ms, warm %.3f ms, "
-              "%.1fx\n",
-              coldSec * 1e3, warmSec * 1e3, speedup);
-  if (speedup < 5.0) {
-    std::printf("bench_detect --smoke: FAIL — warm rerun speedup %.1fx "
-                "below the 5x gate\n",
-                speedup);
-    return 1;
-  }
-  return 0;
-}
-
-/// Serial end-to-end detection over the paper suite P1-P10 at N=16 (the
-/// EXPERIMENTS.md E17/E18 metric), checked against a 4-thread run of the
-/// same programs, optionally with a cold/warm DetectCache pass and a JSON
-/// dump.
-int runSuite(bool useCache, const std::string& jsonPath) {
+/// End-to-end detection over the paper suite P1-P10 at N=16 (the
+/// EXPERIMENTS.md E17/E18 metric), with an optional JSON dump.
+int runSuite(const std::string& jsonPath) {
   constexpr pb::Value kN = 16;
   constexpr int kReps = 10;
   std::vector<scop::Scop> scops;
@@ -206,18 +78,10 @@ int runSuite(bool useCache, const std::string& jsonPath) {
   double total = 0;
   const auto& specs = kernels::table9Programs();
   for (std::size_t p = 0; p < scops.size(); ++p) {
-    // parametric_ms is the serial route ladder: the closed forms plus
+    // parametric_ms is the route ladder: the closed forms plus
     // per-pair fallback.
     pipeline::PipelineInfo info;
-    const double sec = timeDetect(scops[p], 0, kReps, &info);
-    pipeline::PipelineInfo parallel;
-    timeDetect(scops[p], 4, 1, &parallel);
-    if (!infoEquals(info, parallel)) {
-      std::printf("bench_detect --suite: FAIL — 4-thread PipelineInfo "
-                  "differs from serial on %s\n",
-                  specs[p].name.c_str());
-      return 1;
-    }
+    const double sec = timeDetect(scops[p], kReps, info);
     perProgram.push_back(sec);
     blocks.push_back(info.totalBlocks());
     total += sec;
@@ -225,36 +89,11 @@ int runSuite(bool useCache, const std::string& jsonPath) {
                   std::to_string(info.maps.size()),
                   std::to_string(info.totalBlocks())});
   }
-  std::printf("bench_detect --suite: P1-P10, N=%lld, serial "
-              "(best-of-%d per program), parallel(4) == serial\n",
+  std::printf("bench_detect --suite: P1-P10, N=%lld "
+              "(best-of-%d per program)\n",
               static_cast<long long>(kN), kReps);
   table.print();
   std::printf("total parametric: %.3f ms\n", total * 1e3);
-
-  double coldTotal = 0, warmTotal = 0;
-  if (useCache) {
-    pipeline::DetectCache cache;
-    Stopwatch coldSw;
-    for (const scop::Scop& s : scops)
-      (void)cache.getOrCompute(s);
-    coldTotal = coldSw.seconds();
-    warmTotal = 0;
-    for (int r = 0; r < kReps; ++r) {
-      Stopwatch warmSw;
-      for (const scop::Scop& s : scops)
-        (void)cache.getOrCompute(s);
-      const double t = warmSw.seconds();
-      if (r == 0 || t < warmTotal)
-        warmTotal = t;
-    }
-    const pipeline::DetectCache::Stats stats = cache.stats();
-    std::printf("detect cache: cold %.3f ms, warm %.3f ms, %.1fx "
-                "(%llu hits, %llu misses, %zu entries)\n",
-                coldTotal * 1e3, warmTotal * 1e3, coldTotal / warmTotal,
-                static_cast<unsigned long long>(stats.hits),
-                static_cast<unsigned long long>(stats.misses),
-                stats.entries);
-  }
 
   if (!jsonPath.empty()) {
     std::ofstream out(jsonPath);
@@ -269,12 +108,7 @@ int runSuite(bool useCache, const std::string& jsonPath) {
           << "\", \"parametric_ms\": " << perProgram[p] * 1e3
           << ", \"blocks\": " << blocks[p] << "}"
           << (p + 1 < perProgram.size() ? ",\n" : "\n");
-    out << "  ],\n  \"total_parametric_ms\": " << total * 1e3;
-    if (useCache)
-      out << ",\n  \"cache\": {\"cold_ms\": " << coldTotal * 1e3
-          << ", \"warm_ms\": " << warmTotal * 1e3
-          << ", \"speedup\": " << coldTotal / warmTotal << "}";
-    out << "\n}\n";
+    out << "  ],\n  \"total_parametric_ms\": " << total * 1e3 << "\n}\n";
     std::printf("bench_detect: wrote '%s'\n", jsonPath.c_str());
   }
   return 0;
@@ -505,10 +339,6 @@ int runReduction(bool smoke, const std::string& jsonPath) {
   return 0;
 }
 
-} // namespace
-
-namespace {
-
 /// Stops `session` and writes its trace to `path` (no-op on empty path).
 int dumpTrace(trace::Session& session, const std::string& path) {
   if (path.empty())
@@ -524,13 +354,17 @@ int dumpTrace(trace::Session& session, const std::string& path) {
   return 0;
 }
 
+int usage() {
+  std::fprintf(stderr, "usage: bench_detect --suite | --parametric | "
+                       "--reduction [--smoke] [--json=FILE] [--trace=FILE]\n");
+  return 2;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
-  std::vector<unsigned> threadCounts;
   std::string tracePath, jsonPath;
-  bool smoke = false, suite = false, parametric = false, useCache = false;
-  bool reduction = false;
+  bool smoke = false, suite = false, parametric = false, reduction = false;
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--smoke") == 0)
       smoke = true;
@@ -540,15 +374,15 @@ int main(int argc, char** argv) {
       parametric = true;
     else if (std::strcmp(argv[a], "--reduction") == 0)
       reduction = true;
-    else if (std::strcmp(argv[a], "--detect-cache") == 0)
-      useCache = true;
     else if (std::strncmp(argv[a], "--trace=", 8) == 0)
       tracePath = argv[a] + 8;
     else if (std::strncmp(argv[a], "--json=", 7) == 0)
       jsonPath = argv[a] + 7;
     else
-      threadCounts.push_back(static_cast<unsigned>(std::atoi(argv[a])));
+      return usage();
   }
+  if (!reduction && !suite && !parametric)
+    return usage();
 
   trace::Session session;
   if (!tracePath.empty()) {
@@ -556,60 +390,9 @@ int main(int argc, char** argv) {
     session.start();
   }
 
-  if (reduction) {
-    const int rc = runReduction(smoke, jsonPath);
-    const int traceRc = dumpTrace(session, tracePath);
-    return rc != 0 ? rc : traceRc;
-  }
-  if (smoke) {
-    const int rc = runSmoke(useCache);
-    const int traceRc = dumpTrace(session, tracePath);
-    return rc != 0 ? rc : traceRc;
-  }
-  if (suite) {
-    const int rc = runSuite(useCache, jsonPath);
-    const int traceRc = dumpTrace(session, tracePath);
-    return rc != 0 ? rc : traceRc;
-  }
-  if (parametric) {
-    const int rc = runParametric(jsonPath);
-    const int traceRc = dumpTrace(session, tracePath);
-    return rc != 0 ? rc : traceRc;
-  }
-  if (threadCounts.empty())
-    threadCounts = {2, 4, 8};
-
-  std::printf("bench_detect: serial vs parallel detectPipeline\n");
-  std::printf("hardware_concurrency = %u\n\n",
-              std::thread::hardware_concurrency());
-
-  struct Config {
-    std::size_t stmts;
-    pb::Value extent;
-  };
-  const Config configs[] = {{8, 48}, {16, 40}, {32, 28}, {64, 20}};
-
-  pipoly::bench::Table table({"stmts", "domain", "pairs", "serial_ms",
-                              "threads", "parallel_ms", "speedup"});
-  for (const Config& c : configs) {
-    const scop::Scop scop = syntheticScop(c.stmts, c.extent);
-    pipeline::PipelineInfo serialInfo;
-    const double serial = timeDetect(scop, 0, 3, &serialInfo);
-    for (unsigned t : threadCounts) {
-      pipeline::PipelineInfo parallelInfo;
-      const double par = timeDetect(scop, t, 3, &parallelInfo);
-      if (!infoEquals(serialInfo, parallelInfo)) {
-        std::printf("MISMATCH at stmts=%zu threads=%u\n", c.stmts, t);
-        return 1;
-      }
-      table.addRow({std::to_string(c.stmts),
-                    std::to_string(c.extent) + "x" + std::to_string(c.extent),
-                    std::to_string(serialInfo.maps.size()),
-                    pipoly::bench::fmt(serial * 1e3), std::to_string(t),
-                    pipoly::bench::fmt(par * 1e3),
-                    pipoly::bench::fmt(serial / par) + "x"});
-    }
-  }
-  table.print();
-  return dumpTrace(session, tracePath);
+  const int rc = reduction ? runReduction(smoke, jsonPath)
+                 : suite   ? runSuite(jsonPath)
+                           : runParametric(jsonPath);
+  const int traceRc = dumpTrace(session, tracePath);
+  return rc != 0 ? rc : traceRc;
 }

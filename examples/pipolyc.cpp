@@ -40,9 +40,6 @@
 //                   write Chrome Trace Event JSON — open in
 //                   chrome://tracing or https://ui.perfetto.dev
 //     --metrics     print aggregated span/counter metrics as JSON
-//     --detect-cache  route detection through the process DetectCache
-//                   (a second lookup verifies the memoized result is
-//                   bit-identical) and report hit/miss stats on stderr
 //     --reduction=off|auto  off disables the reduction-aware route (the
 //                   bit-identical legacy behaviour); auto (the default)
 //                   relaxes classified `A[f] += g(...)` accumulations into
@@ -78,7 +75,6 @@
 #include "opt/optimizer.hpp"
 #include "pipeline/comm.hpp"
 #include "pipeline/detect.hpp"
-#include "pipeline/detect_cache.hpp"
 #include "pipeline/report.hpp"
 #include "runtime/topology.hpp"
 #include "schedule/build.hpp"
@@ -125,7 +121,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: pipolyc [--maps] [--tree] [--ast] [--tasks] [--dot] "
                "[--optimize] [--emit-c] [--simulate N] [--timeline N] "
-               "[--replay=N] [--trace=FILE] [--metrics] [--detect-cache] "
+               "[--replay=N] [--trace=FILE] [--metrics] "
                "[--reduction=off|auto] "
                "[--backend=serial|threadpool|openmp|channel] "
                "[--topology=SPEC] [file]\n");
@@ -219,7 +215,7 @@ int main(int argc, char** argv) {
   bool maps = false, tree = false, astOut = false, annotated = false,
        tasks = false, dot = false, json = false, report = false,
        emitC = false, verifyRun = false, optimizeRun = false;
-  bool metricsOut = false, detectCache = false;
+  bool metricsOut = false;
   pipeline::DetectOptions detectOptions;
   bool routeStats = false;
   unsigned simulateWorkers = 0, timelineWorkers = 0, tuneWorkers = 0;
@@ -254,8 +250,6 @@ int main(int argc, char** argv) {
       emitC = true;
     else if (arg == "--metrics")
       metricsOut = true;
-    else if (arg == "--detect-cache")
-      detectCache = true;
     else if (arg.rfind("--reduction=", 0) == 0) {
       const std::string mode = arg.substr(12);
       if (mode == "off")
@@ -367,22 +361,8 @@ int main(int argc, char** argv) {
       for (std::size_t s = 0; s < scop.numStatements(); ++s)
         if (scop.statement(s).reductionOp() != scop::ReductionOp::None)
           detectOptions.allowNonInjectiveWrites = true;
-    pipeline::PipelineInfo info;
-    if (detectCache) {
-      static pipeline::DetectCache cache;
-      info = cache.getOrCompute(scop, detectOptions);
-      // Warm lookup: exercises the hit path.
-      info = cache.getOrCompute(scop, detectOptions);
-      const pipeline::DetectCache::Stats st = cache.stats();
-      std::fprintf(stderr,
-                   "pipolyc: detect cache %llu hit(s), %llu miss(es), "
-                   "%zu entr%s\n",
-                   static_cast<unsigned long long>(st.hits),
-                   static_cast<unsigned long long>(st.misses), st.entries,
-                   st.entries == 1 ? "y" : "ies");
-    } else {
-      info = pipeline::detectPipeline(scop, detectOptions);
-    }
+    const pipeline::PipelineInfo info =
+        pipeline::detectPipeline(scop, detectOptions);
     if (routeStats)
       std::fprintf(stderr,
                    "pipolyc: detect routes — %zu candidate pair(s): "

@@ -1,7 +1,6 @@
 #include "pipeline/detect.hpp"
 
 #include "pipeline/symbolic.hpp"
-#include "runtime/thread_pool.hpp"
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
 #include "trace/trace.hpp"
@@ -120,9 +119,7 @@ PairResult computePair(const scop::Scop& scop, std::size_t s, std::size_t t,
   return r;
 }
 
-/// Trace instants for the per-pair route decisions (static names only;
-/// emitted from the serial gather loop so serial and parallel runs
-/// produce identical event streams).
+/// Trace instants for the per-pair route decisions (static names only).
 void traceRoute(const PairResult& r, std::int64_t pairIdx) {
   if (!trace::enabled())
     return;
@@ -319,29 +316,12 @@ InRequirement computeInRequirement(const scop::Scop& scop,
                                requiredBlock)};
 }
 
-/// Runs `fn(0) .. fn(count-1)` — inline when `pool` is null (the serial
-/// reference path), otherwise as independent tasks on the pool with a
-/// barrier at the end. Each unit writes only its own result slot, so the
-/// outcome is identical either way; waitAll() rethrows the first failure.
-template <typename Fn>
-void forEachUnit(rt::DependencyThreadPool* pool, std::size_t count, Fn&& fn) {
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < count; ++i)
-      fn(i);
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i)
-    pool->submit([&fn, i] { fn(i); }, {});
-  pool->waitAll();
-}
-
 } // namespace
 
 PipelineInfo detectPipeline(const scop::Scop& scop,
                             const DetectOptions& options) {
-  // Algorithm-1 phase spans; the per-unit spans inside the phases land in
-  // each pool worker's own trace buffer on the parallel path. All probes
-  // cost one relaxed load when no trace session is active.
+  // Algorithm-1 phase spans, each holding one span per unit of work. All
+  // probes cost one relaxed load when no trace session is active.
   trace::Span detectSpan("detect.pipeline");
   scop::validateProgramModel(scop);
   PIPOLY_CHECK(options.coarsening >= 1);
@@ -349,131 +329,108 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
   PipelineInfo info;
   info.statements.resize(n);
 
-  // numThreads == 0 keeps everything inline on the caller's thread; any
-  // other value runs the three phases' units on a work-stealing pool.
-  // Results are gathered positionally in the serial iteration order, so
-  // PipelineInfo is bit-identical regardless of the thread count.
-  std::optional<rt::DependencyThreadPool> pool;
-  if (options.numThreads > 0)
-    pool.emplace(options.numThreads);
-  rt::DependencyThreadPool* poolPtr = pool ? &*pool : nullptr;
-
   // Reduction pre-pass (reduction.hpp): classify every statement once.
   // Off leaves the vector empty — computePair and computeStatementInfo
   // then behave bit-identically to the legacy route.
   std::vector<ReductionInfo> reductions;
   if (options.reductionMode == DetectOptions::ReductionMode::Auto) {
     trace::Span phase("detect.reductions");
-    reductions.resize(n);
-    forEachUnit(poolPtr, n, [&](std::size_t s) {
-      reductions[s] = classifyReduction(scop, s);
-    });
-    for (std::size_t s = 0; s < n; ++s)
-      if (reductions[s].relaxed) {
+    reductions.reserve(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      reductions.push_back(classifyReduction(scop, s));
+      if (reductions.back().relaxed) {
         ++info.stats.reductionStatements;
         trace::instant("detect.reduction.relax",
                        static_cast<std::int64_t>(s));
       }
+    }
   }
   static const ReductionInfo kNoReduction{};
 
   // Phase 1 (Algorithm 1, lines 1-7): pipeline maps and per-pair blocking
-  // maps for every candidate pair, enumerated in the serial (t outer,
-  // s inner) order.
-  std::vector<std::pair<std::size_t, std::size_t>> candidates; // (s, t)
-  candidates.reserve(n * n / 2);
-  for (std::size_t t = 0; t < n; ++t)
-    for (std::size_t s = 0; s < t; ++s)
-      candidates.emplace_back(s, t);
-
-  std::vector<PairResult> pairResults(candidates.size());
-  {
-    trace::Span phase("detect.pairs");
-    forEachUnit(poolPtr, candidates.size(), [&](std::size_t i) {
-      trace::Span unit("detect.pair", static_cast<std::int64_t>(i));
-      pairResults[i] = computePair(scop, candidates[i].first,
-                                   candidates[i].second, options, reductions);
-    });
-  }
-
-  // Deterministic gather preserving the serial push order; the route
-  // counters and their trace instants are tallied here (not in the
-  // workers) so they are identical for every thread count.
-  info.stats.candidatePairs = candidates.size();
+  // maps for every candidate pair (s < t), t outer and s inner.
   std::vector<std::vector<pb::IntMap>> blockingMaps(n);
   // Per target, the relaxed-reduction sources it depends on (combine
-  // edges), in the deterministic candidate order.
+  // edges), in candidate order.
   std::vector<std::vector<std::size_t>> combineSources(n);
   // Y_T of every pipeline map, in map order (eq. 4 reuses it).
   std::vector<pb::IntMap> mapTgtBlockings;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    PairResult& r = pairResults[i];
-    switch (r.route) {
-    case PairRoute::Parametric:
-      ++info.stats.parametricPairs;
-      break;
-    case PairRoute::Symbolic:
-      ++info.stats.symbolicPairs;
-      break;
-    case PairRoute::Explicit:
-      ++info.stats.explicitPairs;
-      break;
-    case PairRoute::Independent:
-      ++info.stats.independentPairs;
-      break;
-    case PairRoute::Reduction:
-      ++info.stats.reductionPairs;
-      break;
+  {
+    trace::Span phase("detect.pairs");
+    std::int64_t pairIdx = 0;
+    for (std::size_t t = 0; t < n; ++t) {
+      for (std::size_t s = 0; s < t; ++s, ++pairIdx) {
+        trace::Span unit("detect.pair", pairIdx);
+        PairResult r = computePair(scop, s, t, options, reductions);
+        switch (r.route) {
+        case PairRoute::Parametric:
+          ++info.stats.parametricPairs;
+          break;
+        case PairRoute::Symbolic:
+          ++info.stats.symbolicPairs;
+          break;
+        case PairRoute::Explicit:
+          ++info.stats.explicitPairs;
+          break;
+        case PairRoute::Independent:
+          ++info.stats.independentPairs;
+          break;
+        case PairRoute::Reduction:
+          ++info.stats.reductionPairs;
+          break;
+        }
+        if (r.fallback != ParametricFallback::None)
+          ++info.stats
+                .fallbackByReason[static_cast<std::size_t>(r.fallback)];
+        traceRoute(r, pairIdx);
+        if (r.combineEdge) {
+          combineSources[t].push_back(s);
+          if (!r.srcBlocking.empty())
+            blockingMaps[s].push_back(std::move(r.srcBlocking));
+        }
+        if (!r.hasMap)
+          continue;
+        blockingMaps[s].push_back(std::move(r.srcBlocking));
+        blockingMaps[t].push_back(r.tgtBlocking); // shares the rows
+        mapTgtBlockings.push_back(std::move(r.tgtBlocking));
+        info.maps.push_back(PipelineMapEntry{s, t, std::move(r.map)});
+      }
     }
-    if (r.fallback != ParametricFallback::None)
-      ++info.stats.fallbackByReason[static_cast<std::size_t>(r.fallback)];
-    traceRoute(r, static_cast<std::int64_t>(i));
-    if (r.combineEdge) {
-      combineSources[candidates[i].second].push_back(candidates[i].first);
-      if (!r.srcBlocking.empty())
-        blockingMaps[candidates[i].first].push_back(std::move(r.srcBlocking));
-    }
-    if (!r.hasMap)
-      continue;
-    const auto [s, t] = candidates[i];
-    blockingMaps[s].push_back(std::move(r.srcBlocking));
-    blockingMaps[t].push_back(r.tgtBlocking); // shares the rows
-    mapTgtBlockings.push_back(std::move(r.tgtBlocking));
-    info.maps.push_back(PipelineMapEntry{s, t, std::move(r.map)});
+    info.stats.candidatePairs = static_cast<std::size_t>(pairIdx);
   }
-  pairResults.clear();
 
   // Phase 2 (lines 8-10): integrate blocking maps (eq. 3) per statement.
   {
     trace::Span phase("detect.integrate");
-    forEachUnit(poolPtr, n, [&](std::size_t s) {
+    for (std::size_t s = 0; s < n; ++s) {
       trace::Span unit("detect.statement", static_cast<std::int64_t>(s));
       computeStatementInfo(scop, s, blockingMaps[s], options,
                            reductions.empty() ? kNoReduction : reductions[s],
                            info.statements[s]);
-    });
+    }
   }
 
   // Phase 3 (lines 11-12): in-dependency maps (eq. 4), one per pipeline
-  // map, attached to the targets in map order.
-  std::vector<InRequirement> requirements(info.maps.size());
+  // map, attached to the targets in map order. computeInRequirement reads
+  // only the phase-2 fields, never inRequirements, so each result is
+  // appended as soon as it is computed.
   {
     trace::Span phase("detect.requirements");
-    forEachUnit(poolPtr, info.maps.size(), [&](std::size_t i) {
+    for (std::size_t i = 0; i < info.maps.size(); ++i) {
       trace::Span unit("detect.requirement", static_cast<std::int64_t>(i));
-      requirements[i] = computeInRequirement(
-          scop, info.maps[i], mapTgtBlockings[i], info, options);
-    });
+      InRequirement req = computeInRequirement(scop, info.maps[i],
+                                               mapTgtBlockings[i], info,
+                                               options);
+      info.statements[info.maps[i].tgtIdx].inRequirements.push_back(
+          std::move(req));
+    }
   }
-  for (std::size_t i = 0; i < info.maps.size(); ++i)
-    info.statements[info.maps[i].tgtIdx].inRequirements.push_back(
-        std::move(requirements[i]));
 
   // Combine-edge requirements: a target of a relaxed reduction source
   // waits for the source's combine step. Appended after the map-based
-  // requirements in the deterministic (target, source) candidate order;
-  // the map relates every target block to the lexmax source block (the
-  // lowering rewrites it to the combine task's tag).
+  // requirements in (target, source) candidate order; the map relates
+  // every target block to the lexmax source block (the lowering rewrites
+  // it to the combine task's tag).
   for (std::size_t t = 0; t < n; ++t) {
     for (std::size_t s : combineSources[t]) {
       const StatementPipelineInfo& srcInfo = info.statements[s];

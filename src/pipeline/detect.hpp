@@ -87,10 +87,9 @@ struct StatementPipelineInfo {
 };
 
 /// Per-run route accounting for the candidate pairs of Algorithm 1,
-/// lines 1-7. Deterministic (gathered in the serial candidate order) and
-/// deliberately *not* part of the result's bit-identity contract: the
-/// semantic fields of PipelineInfo are the same whichever route handled
-/// a pair, the stats record which route produced them.
+/// lines 1-7, tallied in candidate order. The semantic fields of
+/// PipelineInfo are the same whichever route handled a pair; the stats
+/// record which route produced them.
 struct DetectStats {
   /// Ordered candidate pairs (s < t) examined.
   std::size_t candidatePairs = 0;
@@ -188,18 +187,8 @@ struct DetectOptions {
   /// Target number of partial-reduction blocks for a relaxed statement
   /// that no incoming pipeline map subdivides (a pure accumulation nest):
   /// its domain is split into min(reductionBlocks, |domain|) contiguous
-  /// chunks. Result-affecting, so part of the DetectCache fingerprint.
+  /// chunks.
   std::size_t reductionBlocks = 8;
-
-  /// Workers for the detection pass itself. 0 (the default) runs
-  /// everything inline on the caller's thread — the serial reference
-  /// path. Any other value dispatches the per-pair pipeline/blocking-map
-  /// computations, the per-statement integrations and the per-map
-  /// in-dependency derivations as independent tasks on a work-stealing
-  /// DependencyThreadPool; results are gathered positionally in the
-  /// serial iteration order, so the returned PipelineInfo is
-  /// bit-identical for every thread count.
-  unsigned numThreads = 0;
 };
 
 /// Algorithm 1. Computes pipeline maps for every dependent statement pair,

@@ -24,9 +24,9 @@
 namespace pipoly {
 namespace {
 
-/// Field-by-field PipelineInfo equality (same comparator bench_detect's
-/// smoke gate uses): the detection result has no operator== because the
-/// presburger containers compare element-wise, so spell it out.
+/// Field-by-field PipelineInfo equality: the detection result has no
+/// operator== because the presburger containers compare element-wise, so
+/// spell it out.
 bool infoEquals(const pipeline::PipelineInfo& a,
                 const pipeline::PipelineInfo& b) {
   if (a.maps.size() != b.maps.size() ||
@@ -59,44 +59,33 @@ constexpr pb::Value kN = 8;
 TEST(TraceInvarianceTest, DetectionIsBitIdenticalUnderTracing) {
   for (const kernels::ProgramSpec& spec : kernels::table9Programs()) {
     const scop::Scop scop = kernels::buildProgram(spec, kN);
-    for (unsigned threads : {0u, 4u}) {
-      pipeline::DetectOptions options;
-      options.numThreads = threads;
-      const pipeline::PipelineInfo plain =
-          pipeline::detectPipeline(scop, options);
+    const pipeline::PipelineInfo plain = pipeline::detectPipeline(scop);
 
-      trace::Session session;
-      session.start();
-      const pipeline::PipelineInfo traced =
-          pipeline::detectPipeline(scop, options);
-      session.stop();
+    trace::Session session;
+    session.start();
+    const pipeline::PipelineInfo traced = pipeline::detectPipeline(scop);
+    session.stop();
 
-      EXPECT_TRUE(infoEquals(plain, traced))
-          << spec.name << " threads=" << threads
-          << ": tracing changed the detection result";
-      EXPECT_FALSE(session.trace().events.empty())
-          << spec.name << ": traced detection recorded nothing";
-    }
+    EXPECT_TRUE(infoEquals(plain, traced))
+        << spec.name << ": tracing changed the detection result";
+    EXPECT_FALSE(session.trace().events.empty())
+        << spec.name << ": traced detection recorded nothing";
   }
 }
 
 TEST(TraceInvarianceTest, DetectionTraceCoversEveryPhase) {
   const scop::Scop scop =
       kernels::buildProgram(kernels::programByName("P3"), kN);
-  for (unsigned threads : {0u, 4u}) {
-    pipeline::DetectOptions options;
-    options.numThreads = threads;
-    trace::Session session;
-    session.start();
-    (void)pipeline::detectPipeline(scop, options);
-    session.stop();
-    for (const char* phase : {"detect.pipeline", "detect.pairs",
-                              "detect.integrate", "detect.requirements"}) {
-      bool found = false;
-      for (const trace::TraceEvent& ev : session.trace().events)
-        found = found || ev.name == phase;
-      EXPECT_TRUE(found) << "missing " << phase << " with threads=" << threads;
-    }
+  trace::Session session;
+  session.start();
+  (void)pipeline::detectPipeline(scop);
+  session.stop();
+  for (const char* phase : {"detect.pipeline", "detect.pairs",
+                            "detect.integrate", "detect.requirements"}) {
+    bool found = false;
+    for (const trace::TraceEvent& ev : session.trace().events)
+      found = found || ev.name == phase;
+    EXPECT_TRUE(found) << "missing " << phase;
   }
 }
 
