@@ -121,17 +121,16 @@ int main() {
         sim::simulate(optimized, slots, model, simCfg).makespan;
 
     // Dependency-resolution cost: what a backend pays per execution to
-    // turn (idx, tag) pairs into producer tasks. Legacy: a hashed index
-    // built and probed per run. Optimized: O(1) walks of the prebuilt
-    // interned slot table.
+    // turn (idx, tag) pairs into producer tasks. Legacy: the raw program
+    // resolved per run. Optimized: O(1) walks of the prebuilt interned
+    // slot table.
     constexpr int kReps = 50;
     std::uint64_t sink = 0;
     Stopwatch mapWatch;
     for (int rep = 0; rep < kReps; ++rep) {
-      const codegen::OutOwnerIndex owner = prog.buildOutOwnerIndex();
-      for (const codegen::Task& t : prog.tasks)
-        for (const codegen::TaskDep& d : t.in)
-          sink += owner.find({d.idx, d.tag})->second;
+      const codegen::ResolvedDependencies deps = prog.resolveDependencies();
+      for (const std::uint32_t p : deps.producers)
+        sink += p;
     }
     const double resolveMap = mapWatch.seconds() / kReps;
     Stopwatch slotWatch;

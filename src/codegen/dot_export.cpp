@@ -42,21 +42,21 @@ std::string toDot(const TaskProgram& program, const scop::Scop& scop,
     os << "  }\n";
   }
 
-  // Resolve edges through the owner index built once — the per-edge
-  // taskWithOut() scan was O(tasks * edges) on large graphs.
-  const OutOwnerIndex owner = program.buildOutOwnerIndex();
+  // Every edge resolved once up front — the per-edge taskWithOut() scan
+  // was O(tasks * edges) on large graphs.
+  const ResolvedDependencies deps = program.resolveDependencies();
   std::set<std::pair<std::size_t, std::size_t>> labelled;
   for (const Task& t : program.tasks) {
-    for (const TaskDep& dep : t.in) {
-      auto src = owner.find({dep.idx, dep.tag});
-      PIPOLY_CHECK(src != owner.end());
-      os << "  t" << src->second << " -> t" << t.id;
+    for (std::size_t k = 0; k < t.in.size(); ++k) {
+      const TaskDep& dep = t.in[k];
+      const std::size_t src = deps.producers[deps.offsets[t.id] + k];
+      os << "  t" << src << " -> t" << t.id;
       if (dep.selfOrdering) {
         os << " [style=dashed]";
       } else if (comm != nullptr) {
         // Volume/capacity label on the first edge of each statement pair
         // only: the numbers are per-pair, repeating them is pure clutter.
-        const std::size_t srcStmt = program.tasks[src->second].stmtIdx;
+        const std::size_t srcStmt = program.tasks[src].stmtIdx;
         if (srcStmt != t.stmtIdx &&
             labelled.emplace(srcStmt, t.stmtIdx).second)
           if (const pipeline::EdgeComm* e = comm->edge(srcStmt, t.stmtIdx))

@@ -10,7 +10,7 @@ namespace pipoly::codegen {
 std::string toJson(const TaskProgram& program, const scop::Scop& scop,
                    const std::optional<ProgramCounts>& preOptCounts,
                    const pipeline::CommInfo* comm) {
-  const OutOwnerIndex owner = program.buildOutOwnerIndex();
+  const ResolvedDependencies deps = program.resolveDependencies();
 
   std::vector<std::size_t> blocksPerStmt(scop.numStatements(), 0);
   for (const Task& t : program.tasks)
@@ -62,9 +62,8 @@ std::string toJson(const TaskProgram& program, const scop::Scop& scop,
       os << ", \"combine\": true";
     os << ", \"deps\": [";
     for (std::size_t k = 0; k < t.in.size(); ++k) {
-      auto it = owner.find({t.in[k].idx, t.in[k].tag});
-      PIPOLY_CHECK(it != owner.end());
-      os << (k ? ", " : "") << "{\"task\": " << it->second << ", \"self\": "
+      os << (k ? ", " : "") << "{\"task\": "
+         << deps.producers[deps.offsets[t.id] + k] << ", \"self\": "
          << (t.in[k].selfOrdering ? "true" : "false") << '}';
     }
     os << "]}" << (t.id + 1 < program.tasks.size() ? "," : "") << '\n';

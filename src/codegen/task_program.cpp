@@ -37,12 +37,81 @@ std::optional<std::size_t> TaskProgram::taskWithOut(const TaskDep& dep) const {
   return std::nullopt;
 }
 
-OutOwnerIndex TaskProgram::buildOutOwnerIndex() const {
-  OutOwnerIndex owner;
-  owner.reserve(tasks.size() * 2);
-  for (const Task& t : tasks)
-    owner.emplace(std::make_pair(t.out.idx, t.out.tag), t.id);
-  return owner;
+namespace {
+
+/// (idx, tag) -> task position in one flat open-addressing table: the
+/// lookup structure of resolveDependencies, with no allocation per entry
+/// (a node-based hash map spent most of its time allocating).
+class OutTagIndex {
+public:
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  explicit OutTagIndex(const std::vector<Task>& tasks) {
+    PIPOLY_CHECK_MSG(tasks.size() < kNone, "task program too large");
+    std::size_t capacity = 16;
+    while (capacity < 2 * tasks.size())
+      capacity *= 2;
+    mask_ = capacity - 1;
+    slots_.assign(capacity, Slot{});
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const TaskDep& out = tasks[i].out;
+      std::size_t k = hash(out.idx, out.tag);
+      for (; slots_[k].id != kNone; k = (k + 1) & mask_)
+        PIPOLY_CHECK_MSG(slots_[k].idx != out.idx || slots_[k].tag != out.tag,
+                         "duplicate out-dependency tag");
+      slots_[k] = Slot{out.tag, out.idx, static_cast<std::uint32_t>(i)};
+    }
+  }
+
+  /// Position of the task whose out tag is (idx, tag), or kNone.
+  std::uint32_t find(int idx, std::int64_t tag) const {
+    for (std::size_t k = hash(idx, tag);; k = (k + 1) & mask_) {
+      const Slot& slot = slots_[k];
+      if (slot.id == kNone || (slot.tag == tag && slot.idx == idx))
+        return slot.id;
+    }
+  }
+
+private:
+  struct Slot {
+    std::int64_t tag = 0;
+    int idx = 0;
+    std::uint32_t id = kNone;
+  };
+
+  std::size_t hash(int idx, std::int64_t tag) const {
+    // splitmix64's finalizer: linearised block vectors differ mostly in
+    // their high bits, which the mask alone would drop.
+    std::uint64_t h = static_cast<std::uint64_t>(tag) ^
+                      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(idx))
+                       << 40);
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<std::size_t>(h ^ (h >> 31)) & mask_;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+};
+
+} // namespace
+
+ResolvedDependencies TaskProgram::resolveDependencies() const {
+  const OutTagIndex index(tasks);
+  ResolvedDependencies deps;
+  deps.offsets.reserve(tasks.size() + 1);
+  deps.offsets.push_back(0);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    for (const TaskDep& dep : tasks[i].in) {
+      const std::uint32_t p = index.find(dep.idx, dep.tag);
+      PIPOLY_CHECK_MSG(p != OutTagIndex::kNone,
+                       "in-dependency with no producing task");
+      PIPOLY_CHECK_MSG(p < i, "in-dependency on a later task (creation order)");
+      deps.producers.push_back(p);
+    }
+    deps.offsets.push_back(static_cast<std::uint32_t>(deps.producers.size()));
+  }
+  return deps;
 }
 
 ProgramCounts TaskProgram::counts() const {
@@ -62,41 +131,35 @@ void TaskProgram::validate(const scop::Scop& scop) const {
     for (std::size_t r : readers)
       PIPOLY_CHECK_MSG(r < numStatements, "stmtReaders index out of range");
 
-  // Out-dependencies are unique and tasks are creation-ordered by id.
-  // O(n) expected through the hashed owner index.
-  OutOwnerIndex outOwner;
-  outOwner.reserve(tasks.size() * 2);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
+  // Tasks are creation-ordered by id, out-dependencies are unique, and
+  // every in-dependency resolves to an earlier task (OpenMP depend "last
+  // writer" semantics with our creation order).
+  for (std::size_t i = 0; i < tasks.size(); ++i)
     PIPOLY_CHECK(tasks[i].id == i);
-    auto [it, fresh] = outOwner.try_emplace(
-        std::make_pair(tasks[i].out.idx, tasks[i].out.tag), i);
-    PIPOLY_CHECK_MSG(fresh, "duplicate out-dependency tag");
-  }
-
-  // Every in-dependency must resolve to an earlier task (OpenMP depend
-  // "last writer" semantics with our creation order). O(deps) expected.
-  for (const Task& t : tasks) {
-    for (const TaskDep& dep : t.in) {
-      auto it = outOwner.find({dep.idx, dep.tag});
-      PIPOLY_CHECK_MSG(it != outOwner.end(),
-                       "in-dependency with no producing task");
-      PIPOLY_CHECK_MSG(it->second < t.id,
-                       "in-dependency on a later task (creation order)");
-    }
-  }
+  const ResolvedDependencies deps = resolveDependencies();
 
   // Per statement: iterations across Block tasks partition the domain,
   // blocks in lexicographic order, and self-ordering chain intact. One
-  // pass over the task list with per-statement running state (the former
-  // per-statement rescan was O(statements * tasks)). Combine tasks are
-  // checked separately: fold steps enumerate the statement's partial
-  // blocks in order, and the in-dependencies cover every partial.
-  std::vector<const Task*> prev(scop.numStatements(), nullptr);
-  std::vector<std::vector<pb::Tuple>> all(scop.numStatements());
-  std::vector<const Task*> combine(scop.numStatements(), nullptr);
-  std::vector<std::vector<TaskDep>> blockOuts(scop.numStatements());
+  // pass over the task list with per-statement running state. Combine
+  // tasks are checked separately: fold steps enumerate the statement's
+  // partial blocks in order, and the in-dependencies cover every partial.
+  //
+  // The partition check streams: while a statement's iterations arrive
+  // in lexicographic order (lowering emits them so) they are compared in
+  // place against the domain's sorted rows. A statement whose stream
+  // leaves that order is checked by sorting its collected iterations.
+  const std::size_t numStmts = scop.numStatements();
+  std::vector<const Task*> prev(numStmts, nullptr);
+  std::vector<const Task*> combine(numStmts, nullptr);
+  std::vector<std::vector<std::uint32_t>> blockIds(numStmts);
+  std::vector<std::size_t> matched(numStmts, 0);
+  std::vector<bool> inOrder(numStmts);
+  for (std::size_t s = 0; s < numStmts; ++s) {
+    const scop::Statement& stmt = scop.statement(s);
+    inOrder[s] = stmt.depth() != 0 && stmt.space() == stmt.domain().space();
+  }
   for (const Task& t : tasks) {
-    PIPOLY_CHECK_MSG(t.stmtIdx < scop.numStatements(),
+    PIPOLY_CHECK_MSG(t.stmtIdx < numStmts,
                      "task statement index out of range");
     PIPOLY_CHECK(!t.iterations.empty());
     PIPOLY_CHECK_MSG(std::is_sorted(t.iterations.begin(), t.iterations.end()),
@@ -123,7 +186,7 @@ void TaskProgram::validate(const scop::Scop& scop) const {
     }
     PIPOLY_CHECK_MSG(combine[t.stmtIdx] == nullptr,
                      "partial blocks must precede their combine task");
-    blockOuts[t.stmtIdx].push_back(t.out);
+    blockIds[t.stmtIdx].push_back(static_cast<std::uint32_t>(t.id));
     if (const Task* p = prev[t.stmtIdx]) {
       PIPOLY_CHECK_MSG(p->blockRep < t.blockRep,
                        "blocks of one statement must be ordered");
@@ -137,27 +200,47 @@ void TaskProgram::validate(const scop::Scop& scop) const {
                          "missing same-statement ordering dependency");
       }
     }
-    all[t.stmtIdx].insert(all[t.stmtIdx].end(), t.iterations.begin(),
-                          t.iterations.end());
+    if (inOrder[t.stmtIdx]) {
+      const pb::IntTupleSet& domain = scop.statement(t.stmtIdx).domain();
+      const std::size_t w = domain.arity();
+      const pb::Value* rows = domain.rowData().data();
+      std::size_t& next = matched[t.stmtIdx];
+      for (const pb::Tuple& it : t.iterations) {
+        if (it.size() != w || next == domain.size() ||
+            !std::equal(it.data(), it.data() + w, rows + next * w)) {
+          inOrder[t.stmtIdx] = false;
+          break;
+        }
+        ++next;
+      }
+    }
     prev[t.stmtIdx] = &t;
   }
-  for (std::size_t s = 0; s < scop.numStatements(); ++s) {
-    std::sort(all[s].begin(), all[s].end());
-    PIPOLY_CHECK_MSG(pb::IntTupleSet(scop.statement(s).space(), all[s]) ==
-                         scop.statement(s).domain(),
-                     "task iterations must partition the statement domain");
+  for (std::size_t s = 0; s < numStmts; ++s) {
+    const scop::Statement& stmt = scop.statement(s);
+    if (!inOrder[s] || matched[s] != stmt.domain().size()) {
+      std::vector<pb::Tuple> all;
+      for (const std::uint32_t id : blockIds[s])
+        all.insert(all.end(), tasks[id].iterations.begin(),
+                   tasks[id].iterations.end());
+      std::sort(all.begin(), all.end());
+      PIPOLY_CHECK_MSG(pb::IntTupleSet(stmt.space(), std::move(all)) ==
+                           stmt.domain(),
+                       "task iterations must partition the statement domain");
+    }
     if (const Task* c = combine[s]) {
-      PIPOLY_CHECK_MSG(c->iterations.size() == blockOuts[s].size(),
+      PIPOLY_CHECK_MSG(c->iterations.size() == blockIds[s].size(),
                        "combine must fold exactly one partial per block "
                        "task");
-      for (const TaskDep& out : blockOuts[s]) {
-        const bool covered =
-            std::any_of(c->in.begin(), c->in.end(), [&](const TaskDep& d) {
-              return d.idx == out.idx && d.tag == out.tag;
-            });
-        PIPOLY_CHECK_MSG(covered,
+      // Out tags are unique, so depending on a partial's tag is naming
+      // its task among the combine's resolved producers.
+      std::vector<bool> folded(c->id, false);
+      for (std::uint32_t k = deps.offsets[c->id]; k < deps.offsets[c->id + 1];
+           ++k)
+        folded[deps.producers[k]] = true;
+      for (const std::uint32_t id : blockIds[s])
+        PIPOLY_CHECK_MSG(folded[id],
                          "combine task must depend on every partial block");
-      }
     }
   }
 }

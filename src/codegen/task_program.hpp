@@ -18,12 +18,10 @@
 #include "pipeline/detect.hpp"
 #include "presburger/tuple.hpp"
 #include "scop/scop.hpp"
-#include "support/hash.hpp"
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -61,11 +59,14 @@ struct Task {
   TaskKind kind = TaskKind::Block;
 };
 
-/// Hashed (idx, tag) -> producing task id index. Built once and shared by
-/// validation, the exports, the simulator and the optimizer so dependency
-/// resolution is O(1) expected instead of a per-lookup ordered-map walk.
-using OutOwnerIndex =
-    std::unordered_map<std::pair<int, std::int64_t>, std::size_t, PairHash>;
+/// Every in-dependency of a program resolved to its producing task:
+/// task i's producers are producers[offsets[i] .. offsets[i + 1]), in
+/// the order of its `in` list. The CSR form opt::SlotTable, the
+/// optimizer passes, validation and the exports share.
+struct ResolvedDependencies {
+  std::vector<std::uint32_t> producers;
+  std::vector<std::uint32_t> offsets; // tasks + 1 entries
+};
 
 /// Cheap census of a task program, used by the exports and benchmark
 /// reports to show pre/post-optimization graph shrinkage.
@@ -102,12 +103,15 @@ struct TaskProgram {
   std::vector<std::vector<std::size_t>> stmtReaders;
 
   /// Index of the task with the given out-dependency; tasks are unique per
-  /// (idx, tag). Linear scan — for bulk resolution build the owner index
-  /// once with buildOutOwnerIndex() instead.
+  /// (idx, tag). Linear scan — for bulk resolution use
+  /// resolveDependencies() instead.
   std::optional<std::size_t> taskWithOut(const TaskDep& dep) const;
 
-  /// Builds the (idx, tag) -> task id index in one O(tasks) pass.
-  OutOwnerIndex buildOutOwnerIndex() const;
+  /// Resolves every in-dependency to its producing task's position in
+  /// `tasks`. O(tasks + edges) expected through one flat hash table.
+  /// Throws when two tasks share an out tag or an in-dependency names no
+  /// task or a later one (creation order).
+  ResolvedDependencies resolveDependencies() const;
 
   /// Task and in-edge counts (for shrinkage reporting).
   ProgramCounts counts() const;

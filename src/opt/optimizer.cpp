@@ -24,32 +24,7 @@ std::size_t countEdges(const TaskProgram& program) {
   return edges;
 }
 
-/// Resolves every in-dependency of every task to the producing task id.
-/// Returns the flattened per-task predecessor lists (offsets like
-/// SlotTable). O(tasks + edges) through the hashed owner index.
-struct PredLists {
-  std::vector<std::uint32_t> preds;
-  std::vector<std::uint32_t> offsets;
-};
-
-PredLists resolvePredecessors(const TaskProgram& program) {
-  const codegen::OutOwnerIndex owner = program.buildOutOwnerIndex();
-  PredLists lists;
-  lists.offsets.reserve(program.tasks.size() + 1);
-  lists.offsets.push_back(0);
-  for (const Task& t : program.tasks) {
-    for (const TaskDep& dep : t.in) {
-      auto it = owner.find({dep.idx, dep.tag});
-      PIPOLY_CHECK_MSG(it != owner.end(),
-                       "optimizer: in-dependency with no producing task");
-      PIPOLY_CHECK_MSG(it->second < t.id,
-                       "optimizer: in-dependency on a later task");
-      lists.preds.push_back(static_cast<std::uint32_t>(it->second));
-    }
-    lists.offsets.push_back(static_cast<std::uint32_t>(lists.preds.size()));
-  }
-  return lists;
-}
+using codegen::ResolvedDependencies;
 
 /// Pass 1: transitive reduction. Creation order is a topological order
 /// (validated: every in-dependency names an earlier task), so one forward
@@ -62,55 +37,135 @@ PredLists resolvePredecessors(const TaskProgram& program) {
 /// implied — TaskProgram::validate() requires the chain to be explicit,
 /// and backends with funcCountOrdering re-derive it anyway.
 ///
-/// Bitset ancestor sets: O(V^2/64) memory, O(V*E/64) time. The programs
-/// this repository generates are a few thousand tasks at the extreme
-/// (P1-P10 at N=16 are tens to hundreds), so the dense representation is
-/// both the fastest and the simplest correct choice.
-std::size_t transitiveReduce(TaskProgram& program) {
+/// Ancestor sets without V^2 bits: tasks fall into groups, one per
+/// (statement, task kind), in creation order. A group is *chained* when
+/// each member depends directly on the member before it (the funcCount
+/// chain of a chain-ordered statement). A chained group's members among
+/// any task's ancestors then form a prefix — an ancestor's predecessor
+/// is an ancestor — so one counter per group holds them. Only members of
+/// the other groups (a relaxed reduction's partial blocks, a nest under
+/// relaxed same-nest ordering) and of chains too short to pay for a
+/// counter get a bit each. A chain-ordered Table 9 program at N=48 (8836
+/// tasks) needs a few counters per task instead of 9.8 MB of bitsets; a
+/// program without chains costs what the dense sweep costs.
+///
+/// `deps` (the program's resolved in-dependencies) is filtered in step
+/// with the `in` lists.
+std::size_t transitiveReduce(TaskProgram& program, ResolvedDependencies& deps) {
   const std::size_t n = program.tasks.size();
   if (n == 0)
     return 0;
-  const PredLists lists = resolvePredecessors(program);
-  const std::size_t words = (n + 63) / 64;
-  std::vector<std::uint64_t> ancestors(n * words, 0);
-  std::vector<std::uint64_t> predUnion(words);
+  // A counter (32 bits) pays for a chain of at least one bitset word.
+  constexpr std::size_t kMinCountedChain = 64;
+
+  // Groups in creation order, each member's position, and whether each
+  // group is a chain.
+  std::size_t groupKeys = 0;
+  for (const Task& t : program.tasks)
+    groupKeys = std::max(groupKeys, 2 * t.stmtIdx + 2);
+  std::vector<std::uint32_t> groupOfKey(groupKeys, UINT32_MAX);
+  std::vector<std::uint32_t> groupOf(n), posInGroup(n);
+  std::vector<std::uint32_t> groupSize, groupLast;
+  std::vector<bool> chained;
+  for (std::size_t v = 0; v < n; ++v) {
+    const Task& t = program.tasks[v];
+    std::uint32_t& g = groupOfKey[2 * t.stmtIdx +
+                                  (t.kind == TaskKind::Block ? 0 : 1)];
+    if (g == UINT32_MAX) {
+      g = static_cast<std::uint32_t>(groupSize.size());
+      groupSize.push_back(0);
+      groupLast.push_back(0);
+      chained.push_back(true);
+    } else if (chained[g]) {
+      const std::uint32_t* first = deps.producers.data() + deps.offsets[v];
+      const std::uint32_t* last = deps.producers.data() + deps.offsets[v + 1];
+      chained[g] = std::find(first, last, groupLast[g]) != last;
+    }
+    groupOf[v] = g;
+    posInGroup[v] = groupSize[g]++;
+    groupLast[g] = static_cast<std::uint32_t>(v);
+  }
+
+  // Ancestor rows: one counter per counted chain, one bit per other task.
+  constexpr std::uint32_t kBitTracked = UINT32_MAX;
+  std::vector<std::uint32_t> counterOf(groupSize.size(), kBitTracked);
+  std::size_t counters = 0;
+  for (std::size_t g = 0; g < groupSize.size(); ++g)
+    if (chained[g] && groupSize[g] >= kMinCountedChain)
+      counterOf[g] = static_cast<std::uint32_t>(counters++);
+  std::vector<std::uint32_t> bitOf(n, 0);
+  std::size_t bits = 0;
+  for (std::size_t v = 0; v < n; ++v)
+    if (counterOf[groupOf[v]] == kBitTracked)
+      bitOf[v] = static_cast<std::uint32_t>(bits++);
+  const std::size_t words = (bits + 63) / 64;
+  std::vector<std::uint32_t> prefixRows(n * counters, 0);
+  std::vector<std::uint64_t> bitRows(n * words, 0);
 
   std::size_t removed = 0;
-  for (Task& t : program.tasks) {
-    std::fill(predUnion.begin(), predUnion.end(), 0);
-    const std::uint32_t* predBegin = lists.preds.data() + lists.offsets[t.id];
-    const std::uint32_t* predEnd =
-        lists.preds.data() + lists.offsets[t.id + 1];
-    for (const std::uint32_t* p = predBegin; p != predEnd; ++p) {
-      const std::uint64_t* row = ancestors.data() + std::size_t{*p} * words;
+  std::size_t write = 0; // compaction cursor into deps.producers
+  std::vector<bool> implied;
+  for (std::size_t v = 0; v < n; ++v) {
+    Task& t = program.tasks[v];
+    const std::uint32_t predBegin = deps.offsets[v];
+    const std::uint32_t predEnd = deps.offsets[v + 1];
+    std::uint32_t* prefix = prefixRows.data() + v * counters;
+    std::uint64_t* row = bitRows.data() + v * words;
+
+    // Union of the predecessors' ancestor sets.
+    for (std::uint32_t k = predBegin; k < predEnd; ++k) {
+      const std::size_t p = deps.producers[k];
+      const std::uint32_t* pPrefix = prefixRows.data() + p * counters;
+      for (std::size_t c = 0; c < counters; ++c)
+        prefix[c] = std::max(prefix[c], pPrefix[c]);
+      const std::uint64_t* pRow = bitRows.data() + p * words;
       for (std::size_t w = 0; w < words; ++w)
-        predUnion[w] |= row[w];
+        row[w] |= pRow[w];
     }
 
     // An edge is redundant iff its producer is an ancestor of another
     // direct predecessor (a task is never its own ancestor, so membership
     // in the union is exactly that test).
-    std::vector<TaskDep> kept;
-    kept.reserve(t.in.size());
-    for (std::size_t k = 0; k < t.in.size(); ++k) {
-      const std::uint32_t p = predBegin[k];
-      const bool implied = (predUnion[p / 64] >> (p % 64)) & 1;
-      if (implied && !(program.chainOrdering && t.in[k].selfOrdering)) {
-        ++removed;
-        continue;
-      }
-      kept.push_back(t.in[k]);
+    implied.clear();
+    for (std::uint32_t k = predBegin; k < predEnd; ++k) {
+      const std::uint32_t p = deps.producers[k];
+      const std::uint32_t c = counterOf[groupOf[p]];
+      implied.push_back(c != kBitTracked
+                            ? posInGroup[p] < prefix[c]
+                            : ((row[bitOf[p] / 64] >> (bitOf[p] % 64)) & 1));
     }
-    t.in = std::move(kept);
 
     // ancestors(t) = union of predecessors' ancestors + the predecessors.
     // Computed from the *original* edges — the reduction preserves the
     // closure, so either edge set yields the same ancestor sets.
-    std::uint64_t* row = ancestors.data() + t.id * words;
-    std::copy(predUnion.begin(), predUnion.end(), row);
-    for (const std::uint32_t* p = predBegin; p != predEnd; ++p)
-      row[*p / 64] |= std::uint64_t{1} << (*p % 64);
+    for (std::uint32_t k = predBegin; k < predEnd; ++k) {
+      const std::uint32_t p = deps.producers[k];
+      const std::uint32_t c = counterOf[groupOf[p]];
+      if (c != kBitTracked)
+        prefix[c] = std::max(prefix[c], posInGroup[p] + 1);
+      else
+        row[bitOf[p] / 64] |= std::uint64_t{1} << (bitOf[p] % 64);
+    }
+
+    // Keep the rest, compacting `in` and the producers in step (the
+    // write cursor never passes the read one).
+    const std::uint32_t keptBegin = static_cast<std::uint32_t>(write);
+    std::size_t keep = 0;
+    for (std::uint32_t k = predBegin; k < predEnd; ++k) {
+      const TaskDep& dep = t.in[k - predBegin];
+      if (implied[k - predBegin] &&
+          !(program.chainOrdering && dep.selfOrdering)) {
+        ++removed;
+        continue;
+      }
+      t.in[keep++] = dep;
+      deps.producers[write++] = deps.producers[k];
+    }
+    t.in.resize(keep);
+    deps.offsets[v] = keptBegin;
   }
+  deps.offsets[n] = static_cast<std::uint32_t>(write);
+  deps.producers.resize(write);
   return removed;
 }
 
@@ -130,7 +185,33 @@ struct PlacedScore {
   std::vector<double> maxClassOfStmt;
 };
 
+/// channelStageEdges over already resolved dependencies.
+std::vector<rt::StageEdge>
+stageEdges(const TaskProgram& program, const ResolvedDependencies& deps,
+           const codegen::StageLayout& layout, const pipeline::CommInfo& comm) {
+  const std::size_t numStages = layout.stmtOf.size();
+  std::vector<std::vector<bool>> seen(numStages,
+                                      std::vector<bool>(numStages, false));
+  std::vector<rt::StageEdge> edges;
+  for (std::size_t i = 0; i < program.tasks.size(); ++i) {
+    const std::size_t tgt = layout.place[i].first;
+    for (std::size_t k = deps.offsets[i]; k < deps.offsets[i + 1]; ++k) {
+      const std::size_t src = layout.place[deps.producers[k]].first;
+      if (src == tgt || seen[src][tgt])
+        continue;
+      seen[src][tgt] = true;
+      std::uint64_t bytes = 1;
+      if (const pipeline::EdgeComm* e =
+              comm.edge(layout.stmtOf[src], layout.stmtOf[tgt]))
+        bytes = std::max<std::uint64_t>(e->totalBytes, 1);
+      edges.push_back({src, tgt, bytes});
+    }
+  }
+  return edges;
+}
+
 PlacedScore scorePlacement(const TaskProgram& program,
+                           const ResolvedDependencies& deps,
                            const pipeline::CommInfo& comm,
                            const std::optional<rt::Topology>& topology) {
   PlacedScore score;
@@ -148,7 +229,7 @@ PlacedScore scorePlacement(const TaskProgram& program,
   // Surviving cross-stage dependency pairs = the channels the backend
   // would build.
   const std::vector<rt::StageEdge> edges =
-      channelStageEdges(program, layout, comm);
+      stageEdges(program, deps, layout, comm);
 
   const rt::Topology topo =
       topology.has_value()
@@ -182,8 +263,13 @@ PlacedScore scorePlacement(const TaskProgram& program,
 ///   * `next`'s only in-dependency is on that tail, and
 ///   * the concatenated iteration list stays lexicographically sorted
 ///     (validate() and the sequential-per-task execution order need it).
-std::size_t fuseChains(TaskProgram& program, std::size_t width,
-                       const std::vector<std::size_t>* stmtWidth = nullptr) {
+///
+/// `deps` (the program's resolved in-dependencies) is remapped onto the
+/// fused tasks: a fused task keeps its first task's in-dependencies, and
+/// only the task folded in after it depended on a folded task's out tag.
+std::size_t fuseChains(TaskProgram& program, ResolvedDependencies& deps,
+                       std::size_t width,
+                       const std::vector<std::size_t>* stmtWidth) {
   const std::size_t n = program.tasks.size();
   const std::size_t maxWidth =
       stmtWidth != nullptr && !stmtWidth->empty()
@@ -191,10 +277,14 @@ std::size_t fuseChains(TaskProgram& program, std::size_t width,
           : width;
   if (n < 2 || maxWidth < 2)
     return 0;
-  const PredLists lists = resolvePredecessors(program);
   std::vector<std::uint32_t> dependents(n, 0);
-  for (std::uint32_t p : lists.preds)
+  for (std::uint32_t p : deps.producers)
     ++dependents[p];
+  std::vector<std::uint32_t> fusedId(n);
+  ResolvedDependencies fusedDeps;
+  fusedDeps.producers.reserve(deps.producers.size());
+  fusedDeps.offsets.reserve(n + 1);
+  fusedDeps.offsets.push_back(0);
 
   std::vector<Task> fused;
   fused.reserve(n);
@@ -208,6 +298,7 @@ std::size_t fuseChains(TaskProgram& program, std::size_t width,
         stmtWidth != nullptr && merged.stmtIdx < stmtWidth->size()
             ? (*stmtWidth)[merged.stmtIdx]
             : width;
+    const std::size_t head = i;
     std::size_t tail = i; // original id of the last task folded in
     std::size_t run = 1;
     while (run < effWidth && tail + 1 < n) {
@@ -231,10 +322,17 @@ std::size_t fuseChains(TaskProgram& program, std::size_t width,
       ++eliminated;
     }
     merged.id = fused.size();
+    for (std::size_t k = head; k <= tail; ++k)
+      fusedId[k] = static_cast<std::uint32_t>(merged.id);
+    for (std::uint32_t k = deps.offsets[head]; k < deps.offsets[head + 1]; ++k)
+      fusedDeps.producers.push_back(fusedId[deps.producers[k]]);
+    fusedDeps.offsets.push_back(
+        static_cast<std::uint32_t>(fusedDeps.producers.size()));
     fused.push_back(std::move(merged));
     i = tail + 1;
   }
   program.tasks = std::move(fused);
+  deps = std::move(fusedDeps);
   return eliminated;
 }
 
@@ -278,9 +376,13 @@ OptimizeStats optimize(codegen::TaskProgram& program,
   // the bytes-moved objective the mode optimizes for.
   std::vector<std::size_t> stmtWidths;
   const bool placementAware = options.comm != nullptr;
+  // Resolved once; each pass keeps it in step with the program.
+  ResolvedDependencies deps;
+  if (placementAware || options.transitiveReduction || options.fusionWidth > 1)
+    deps = program.resolveDependencies();
   if (placementAware) {
     const PlacedScore before =
-        scorePlacement(program, *options.comm, options.topology);
+        scorePlacement(program, deps, *options.comm, options.topology);
     stats.placedCommCostBefore = before.placement.commCost;
     stats.crossDomainBytesBefore = before.placement.crossDomainBytes;
     if (options.fusionWidth > 1) {
@@ -295,16 +397,17 @@ OptimizeStats optimize(codegen::TaskProgram& program,
   }
   if (options.transitiveReduction) {
     trace::Span pass("opt.transitive_reduction");
-    stats.edgesRemoved = transitiveReduce(program);
+    stats.edgesRemoved = transitiveReduce(program, deps);
   }
   if (options.fusionWidth > 1) {
     trace::Span pass("opt.chain_fusion");
-    stats.tasksFused = fuseChains(program, options.fusionWidth,
-                                  stmtWidths.empty() ? nullptr : &stmtWidths);
+    stats.tasksFused =
+        fuseChains(program, deps, options.fusionWidth,
+                   stmtWidths.empty() ? nullptr : &stmtWidths);
   }
   if (placementAware) {
     const PlacedScore after =
-        scorePlacement(program, *options.comm, options.topology);
+        scorePlacement(program, deps, *options.comm, options.topology);
     stats.placedCommCostAfter = after.placement.commCost;
     stats.crossDomainBytesAfter = after.placement.crossDomainBytes;
   }
@@ -337,11 +440,11 @@ bool SlotTable::compatibleWith(const codegen::TaskProgram& program) const {
 
 SlotTable buildSlotTable(const codegen::TaskProgram& program) {
   trace::Span span("opt.slot_table");
-  PredLists lists = resolvePredecessors(program);
+  ResolvedDependencies deps = program.resolveDependencies();
   SlotTable table;
   table.numSlots = static_cast<std::uint32_t>(program.tasks.size());
-  table.inSlots = std::move(lists.preds);
-  table.inOffsets = std::move(lists.offsets);
+  table.inSlots = std::move(deps.producers);
+  table.inOffsets = std::move(deps.offsets);
   return table;
 }
 
@@ -349,26 +452,7 @@ std::vector<rt::StageEdge>
 channelStageEdges(const codegen::TaskProgram& program,
                   const codegen::StageLayout& layout,
                   const pipeline::CommInfo& comm) {
-  const std::size_t numStages = layout.stmtOf.size();
-  const PredLists lists = resolvePredecessors(program);
-  std::vector<std::vector<bool>> seen(numStages,
-                                      std::vector<bool>(numStages, false));
-  std::vector<rt::StageEdge> edges;
-  for (std::size_t i = 0; i < program.tasks.size(); ++i) {
-    const std::size_t tgt = layout.place[i].first;
-    for (std::size_t k = lists.offsets[i]; k < lists.offsets[i + 1]; ++k) {
-      const std::size_t src = layout.place[lists.preds[k]].first;
-      if (src == tgt || seen[src][tgt])
-        continue;
-      seen[src][tgt] = true;
-      std::uint64_t bytes = 1;
-      if (const pipeline::EdgeComm* e =
-              comm.edge(layout.stmtOf[src], layout.stmtOf[tgt]))
-        bytes = std::max<std::uint64_t>(e->totalBytes, 1);
-      edges.push_back({src, tgt, bytes});
-    }
-  }
-  return edges;
+  return stageEdges(program, program.resolveDependencies(), layout, comm);
 }
 
 } // namespace pipoly::opt

@@ -132,7 +132,7 @@ struct EdgeWork {
   EdgeComm comm;
   /// The shared arrays' write relations and read ranges, held from the
   /// volume pass to the per-block pass.
-  std::vector<pb::IntMap> wrRels;
+  std::vector<const pb::IntMap*> wrRels; // into the call's relation table
   std::vector<pb::IntTupleSet> rdRanges;
   /// Tokens (producer blocks, by ordinal) consumer block k needs before
   /// it may run; 0 = no requirement from this edge.
@@ -156,6 +156,7 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
 
   const std::size_t numStmts = scop.numStatements();
   std::vector<EdgeWork> work(info.maps.size());
+  const scop::AccessRelations relations(scop);
 
   // Per-edge volumes: the separable closed form when the pair qualifies,
   // otherwise the explicit range intersection per shared array.
@@ -174,13 +175,13 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
         w.comm.elements = separableVolume(shape);
       // The per-array relations are needed for the per-block pass anyway.
       for (const std::size_t a : scop.arraysWrittenBy(src)) {
-        pb::IntTupleSet rdRange = scop.readRelation(tgt, a).range();
+        pb::IntTupleSet rdRange = relations.read(tgt, a).range();
         if (rdRange.empty())
           continue; // the target reads nothing of it
-        pb::IntMap wr = scop.writeRelation(src, a);
+        const pb::IntMap& wr = relations.write(src, a);
         if (!w.comm.parametric)
           w.comm.elements += wr.range().intersect(rdRange).size();
-        w.wrRels.push_back(std::move(wr));
+        w.wrRels.push_back(&wr);
         w.rdRanges.push_back(std::move(rdRange));
       }
       w.comm.totalBytes = w.comm.elements * kElementBytes;
@@ -197,7 +198,7 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
       const StatementPipelineInfo& srcInfo = info.statements[w.comm.srcIdx];
       std::vector<std::uint64_t> blockElems(srcInfo.blockReps.size(), 0);
       for (std::size_t ai = 0; ai < w.wrRels.size(); ++ai)
-        addBlockElements(w.wrRels[ai], w.rdRanges[ai], srcInfo.blocking,
+        addBlockElements(*w.wrRels[ai], w.rdRanges[ai], srcInfo.blocking,
                          srcInfo.blockReps, blockElems);
       w.wrRels.clear();
       w.rdRanges.clear();

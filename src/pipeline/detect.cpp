@@ -63,9 +63,10 @@ struct PairResult {
   ParametricFallback fallback = ParametricFallback::None;
 };
 
-PairResult computePair(const scop::Scop& scop, std::size_t s, std::size_t t,
-                       const DetectOptions& options,
+PairResult computePair(const scop::AccessRelations& rel, std::size_t s,
+                       std::size_t t, const DetectOptions& options,
                        const std::vector<ReductionInfo>& reductions) {
+  const scop::Scop& scop = rel.scop();
   PairResult r;
   // A relaxed reduction source publishes its array only through its
   // combine step, so the pair contributes no pipeline map (and no
@@ -74,7 +75,7 @@ PairResult computePair(const scop::Scop& scop, std::size_t s, std::size_t t,
   // construction would serialize on (or throw over) the non-injective
   // accumulation write.
   if (!reductions.empty() && reductions[s].relaxed) {
-    if (scop::dependsOn(scop, t, s)) {
+    if (scop::dependsOn(rel, t, s)) {
       r.route = PairRoute::Reduction;
       r.combineEdge = true;
       // Keep the legacy source-side blocking: the relaxed statement's
@@ -84,7 +85,7 @@ PairResult computePair(const scop::Scop& scop, std::size_t s, std::size_t t,
       // definition, so the explicit map is built with the relaxation
       // the Off route would need anyway.
       const pb::IntMap tMap =
-          pipelineMap(scop, s, t, /*allowNonInjective=*/true);
+          pipelineMap(rel, s, t, /*allowNonInjective=*/true);
       r.srcBlocking = sourceBlockingMap(scop.statement(s).domain(), tMap);
     }
     return r; // else: route stays Independent
@@ -98,7 +99,7 @@ PairResult computePair(const scop::Scop& scop, std::size_t s, std::size_t t,
     r.route = PairRoute::Parametric;
   } else {
     r.fallback = shape.fallback;
-    if (!scop::dependsOn(scop, t, s))
+    if (!scop::dependsOn(rel, t, s))
       return r; // route stays Independent
     // The symbolic fast path covers identity-write sources (most
     // kernels); the explicit Wr^-1(Rd) composition is the general case.
@@ -106,7 +107,7 @@ PairResult computePair(const scop::Scop& scop, std::size_t s, std::size_t t,
       tMap = std::move(*fast);
       r.route = PairRoute::Symbolic;
     } else {
-      tMap = pipelineMap(scop, s, t, options.allowNonInjectiveWrites);
+      tMap = pipelineMap(rel, s, t, options.allowNonInjectiveWrites);
       r.route = PairRoute::Explicit;
     }
   }
@@ -187,11 +188,12 @@ pb::IntMap uniformBlocking(const pb::IntTupleSet& domain, std::size_t k) {
 /// involved in any pipeline map become a single block (their whole domain
 /// as one task); statements with an empty iteration domain get zero
 /// blocks and no dependencies.
-void computeStatementInfo(const scop::Scop& scop, std::size_t s,
+void computeStatementInfo(const scop::AccessRelations& rel, std::size_t s,
                           const std::vector<pb::IntMap>& maps,
                           const DetectOptions& options,
                           const ReductionInfo& reduction,
                           StatementPipelineInfo& st) {
+  const scop::Scop& scop = rel.scop();
   const pb::IntTupleSet& domain = scop.statement(s).domain();
   if (options.relaxSameNestOrdering || reduction.relaxed)
     st.chainOrdering = false;
@@ -241,7 +243,7 @@ void computeStatementInfo(const scop::Scop& scop, std::size_t s,
     // from another block may run as soon as their cross-statement
     // requirements are met.
     std::vector<pb::IntMap::Pair> edges;
-    const pb::IntMap selfDeps = scop::selfDependences(scop, s);
+    const pb::IntMap selfDeps = scop::selfDependences(rel, s);
     for (const auto& [i, j] : selfDeps.pairs()) {
       pb::Tuple from = *st.blocking.singleImageOf(i);
       pb::Tuple to = *st.blocking.singleImageOf(j);
@@ -257,11 +259,12 @@ void computeStatementInfo(const scop::Scop& scop, std::size_t s,
 /// (eq. 4). Reads the per-statement info computed by computeStatementInfo
 /// (all of it must be complete) and returns the requirement to attach to
 /// the target statement. `tgtBlocking` is the map's Y_T from phase 1.
-InRequirement computeInRequirement(const scop::Scop& scop,
+InRequirement computeInRequirement(const scop::AccessRelations& rel,
                                    const PipelineMapEntry& entry,
                                    const pb::IntMap& tgtBlocking,
                                    const PipelineInfo& info,
                                    const DetectOptions& options) {
+  const scop::Scop& scop = rel.scop();
   const scop::Statement& tgt = scop.statement(entry.tgtIdx);
   const StatementPipelineInfo& tgtInfo = info.statements[entry.tgtIdx];
   const StatementPipelineInfo& srcInfo = info.statements[entry.srcIdx];
@@ -272,7 +275,7 @@ InRequirement computeInRequirement(const scop::Scop& scop,
   // edges: each target block depends on every source block it actually
   // reads from, derived from P = Wr^-1(Rd).
   if (options.relaxSameNestOrdering) {
-    pb::IntMap p = producerRelation(scop, entry.srcIdx, entry.tgtIdx,
+    pb::IntMap p = producerRelation(rel, entry.srcIdx, entry.tgtIdx,
                                     options.allowNonInjectiveWrites);
     std::vector<pb::IntMap::Pair> pairs;
     pairs.reserve(p.size());
@@ -328,6 +331,8 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
   const std::size_t n = scop.numStatements();
   PipelineInfo info;
   info.statements.resize(n);
+  // Every phase builds each (statement, array) relation once.
+  const scop::AccessRelations relations(scop);
 
   // Reduction pre-pass (reduction.hpp): classify every statement once.
   // Off leaves the vector empty — computePair and computeStatementInfo
@@ -337,7 +342,7 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
     trace::Span phase("detect.reductions");
     reductions.reserve(n);
     for (std::size_t s = 0; s < n; ++s) {
-      reductions.push_back(classifyReduction(scop, s));
+      reductions.push_back(classifyReduction(relations, s));
       if (reductions.back().relaxed) {
         ++info.stats.reductionStatements;
         trace::instant("detect.reduction.relax",
@@ -361,7 +366,7 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
     for (std::size_t t = 0; t < n; ++t) {
       for (std::size_t s = 0; s < t; ++s, ++pairIdx) {
         trace::Span unit("detect.pair", pairIdx);
-        PairResult r = computePair(scop, s, t, options, reductions);
+        PairResult r = computePair(relations, s, t, options, reductions);
         switch (r.route) {
         case PairRoute::Parametric:
           ++info.stats.parametricPairs;
@@ -404,7 +409,7 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
     trace::Span phase("detect.integrate");
     for (std::size_t s = 0; s < n; ++s) {
       trace::Span unit("detect.statement", static_cast<std::int64_t>(s));
-      computeStatementInfo(scop, s, blockingMaps[s], options,
+      computeStatementInfo(relations, s, blockingMaps[s], options,
                            reductions.empty() ? kNoReduction : reductions[s],
                            info.statements[s]);
     }
@@ -418,7 +423,7 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
     trace::Span phase("detect.requirements");
     for (std::size_t i = 0; i < info.maps.size(); ++i) {
       trace::Span unit("detect.requirement", static_cast<std::int64_t>(i));
-      InRequirement req = computeInRequirement(scop, info.maps[i],
+      InRequirement req = computeInRequirement(relations, info.maps[i],
                                                mapTgtBlockings[i], info,
                                                options);
       info.statements[info.maps[i].tgtIdx].inRequirements.push_back(

@@ -6,14 +6,16 @@
 
 namespace pipoly::pipeline {
 
-pb::IntMap producerRelation(const scop::Scop& scop, std::size_t srcIdx,
-                            std::size_t tgtIdx, bool allowNonInjective) {
+pb::IntMap producerRelation(const scop::AccessRelations& rel,
+                            std::size_t srcIdx, std::size_t tgtIdx,
+                            bool allowNonInjective) {
+  const scop::Scop& scop = rel.scop();
   const scop::Statement& src = scop.statement(srcIdx);
   const scop::Statement& tgt = scop.statement(tgtIdx);
   pb::IntMap p(tgt.space(), src.space());
   for (std::size_t arrayId : scop.arraysWrittenBy(srcIdx)) {
-    pb::IntMap wr = scop.writeRelation(srcIdx, arrayId);
-    pb::IntMap rd = scop.readRelation(tgtIdx, arrayId);
+    const pb::IntMap& wr = rel.write(srcIdx, arrayId);
+    const pb::IntMap& rd = rel.read(tgtIdx, arrayId);
     if (wr.empty() || rd.empty())
       continue;
     PIPOLY_CHECK_MSG(allowNonInjective || wr.isInjective(),
@@ -46,22 +48,23 @@ pb::IntMap lastRequirementMap(const pb::IntMap& producer) {
                     std::move(pairs));
 }
 
-pb::IntMap pipelineMap(const scop::Scop& scop, std::size_t srcIdx,
+pb::IntMap pipelineMap(const scop::AccessRelations& rel, std::size_t srcIdx,
                        std::size_t tgtIdx, bool allowNonInjective) {
-  pb::IntMap p = producerRelation(scop, srcIdx, tgtIdx, allowNonInjective);
+  pb::IntMap p = producerRelation(rel, srcIdx, tgtIdx, allowNonInjective);
   if (p.empty())
-    return pb::IntMap(scop.statement(srcIdx).space(),
-                      scop.statement(tgtIdx).space());
+    return pb::IntMap(rel.scop().statement(srcIdx).space(),
+                      rel.scop().statement(tgtIdx).space());
   pb::IntMap h = lastRequirementMap(p);
   return h.inverse().lexmaxPerDomain();
 }
 
-pb::IntMap pipelineMapNaive(const scop::Scop& scop, std::size_t srcIdx,
-                            std::size_t tgtIdx, bool allowNonInjective) {
-  pb::IntMap p = producerRelation(scop, srcIdx, tgtIdx, allowNonInjective);
+pb::IntMap pipelineMapNaive(const scop::AccessRelations& rel,
+                            std::size_t srcIdx, std::size_t tgtIdx,
+                            bool allowNonInjective) {
+  pb::IntMap p = producerRelation(rel, srcIdx, tgtIdx, allowNonInjective);
   if (p.empty())
-    return pb::IntMap(scop.statement(srcIdx).space(),
-                      scop.statement(tgtIdx).space());
+    return pb::IntMap(rel.scop().statement(srcIdx).space(),
+                      rel.scop().statement(tgtIdx).space());
   // D' maps each member of Dom(P) to all members lexle it.
   pb::IntMap dPrime = pb::IntMap::lexGeContains(p.domain());
   pb::IntMap h = p.compose(dPrime).lexmaxPerDomain();

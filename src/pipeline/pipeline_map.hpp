@@ -33,19 +33,19 @@ namespace pipoly::pipeline {
 /// the lexmax in H covers the last writer and a target block only runs
 /// once the location holds its final value — which is exactly the value
 /// the original sequential program reads.
-pb::IntMap producerRelation(const scop::Scop& scop, std::size_t srcIdx,
-                            std::size_t tgtIdx,
+pb::IntMap producerRelation(const scop::AccessRelations& rel,
+                            std::size_t srcIdx, std::size_t tgtIdx,
                             bool allowNonInjective = false);
 
 /// The pipeline map T_{S,T} (source space -> target space). Returns an
 /// empty map when the target does not read anything the source writes.
-pb::IntMap pipelineMap(const scop::Scop& scop, std::size_t srcIdx,
+pb::IntMap pipelineMap(const scop::AccessRelations& rel, std::size_t srcIdx,
                        std::size_t tgtIdx, bool allowNonInjective = false);
 
 /// Reference implementation by literal composition with the explicit D'
 /// map; quadratic in |Dom(P)|. Used to cross-check `pipelineMap`.
-pb::IntMap pipelineMapNaive(const scop::Scop& scop, std::size_t srcIdx,
-                            std::size_t tgtIdx,
+pb::IntMap pipelineMapNaive(const scop::AccessRelations& rel,
+                            std::size_t srcIdx, std::size_t tgtIdx,
                             bool allowNonInjective = false);
 
 /// The H relation (target iteration -> last transitively-required source

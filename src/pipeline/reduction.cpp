@@ -45,8 +45,9 @@ bool sameSubscripts(const pb::AffineMap& a, const pb::AffineMap& b) {
 
 } // namespace
 
-ReductionInfo classifyReduction(const scop::Scop& scop, std::size_t stmtIdx) {
-  const scop::Statement& stmt = scop.statement(stmtIdx);
+ReductionInfo classifyReduction(const scop::AccessRelations& rel,
+                                std::size_t stmtIdx) {
+  const scop::Statement& stmt = rel.scop().statement(stmtIdx);
   ReductionInfo info;
   auto reject = [&](ReductionReject r) {
     info.reject = r;
@@ -80,7 +81,7 @@ ReductionInfo classifyReduction(const scop::Scop& scop, std::size_t stmtIdx) {
   // A write relation that is injective over the domain accumulates into
   // each element at most once — no self-dependence, nothing to relax, and
   // the legacy route handles the statement as-is.
-  if (scop.writeRelation(stmtIdx, write.arrayId).isInjective())
+  if (rel.write(stmtIdx, write.arrayId).isInjective())
     return reject(ReductionReject::NoSelfDependence);
 
   info.relaxed = true;
@@ -90,9 +91,10 @@ ReductionInfo classifyReduction(const scop::Scop& scop, std::size_t stmtIdx) {
 }
 
 std::vector<ReductionInfo> classifyReductions(const scop::Scop& scop) {
+  const scop::AccessRelations rel(scop);
   std::vector<ReductionInfo> infos(scop.numStatements());
   for (std::size_t s = 0; s < scop.numStatements(); ++s)
-    infos[s] = classifyReduction(scop, s);
+    infos[s] = classifyReduction(rel, s);
   return infos;
 }
 

@@ -58,7 +58,8 @@ struct ReductionInfo {
 
 /// Classifies one statement. Pure structural analysis over the declared
 /// accesses plus one injectivity check of the write relation.
-ReductionInfo classifyReduction(const scop::Scop& scop, std::size_t stmtIdx);
+ReductionInfo classifyReduction(const scop::AccessRelations& rel,
+                                std::size_t stmtIdx);
 
 /// Classifies every statement of the SCoP.
 std::vector<ReductionInfo> classifyReductions(const scop::Scop& scop);

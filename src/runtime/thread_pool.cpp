@@ -55,13 +55,16 @@ std::optional<unsigned> parseWakeCap(const char* text) {
 
 ReplayGraph::NodeId ReplayGraph::addNode(std::span<const NodeId> deps) {
   PIPOLY_CHECK_MSG(!frozen_, "ReplayGraph::addNode after freeze()");
-  const auto id = static_cast<NodeId>(buildPreds_.size());
-  PIPOLY_CHECK_MSG(buildPreds_.size() < UINT32_MAX, "ReplayGraph too large");
+  const std::size_t id = size();
+  PIPOLY_CHECK_MSG(id < UINT32_MAX &&
+                       preds_.size() + deps.size() < UINT32_MAX,
+                   "ReplayGraph too large");
   for (NodeId dep : deps)
     PIPOLY_CHECK_MSG(dep < id,
                      "ReplayGraph dependency on a not-yet-added node");
-  buildPreds_.emplace_back(deps.begin(), deps.end());
-  return id;
+  preds_.insert(preds_.end(), deps.begin(), deps.end());
+  predOffsets_.push_back(static_cast<std::uint32_t>(preds_.size()));
+  return static_cast<NodeId>(id);
 }
 
 std::uint32_t ReplayGraph::addBatchGroup(std::span<const NodeId> members) {
@@ -69,7 +72,7 @@ std::uint32_t ReplayGraph::addBatchGroup(std::span<const NodeId> members) {
   if (members.empty())
     return kNoGroup;
   for (NodeId m : members)
-    PIPOLY_CHECK_MSG(m < buildPreds_.size(),
+    PIPOLY_CHECK_MSG(m < size(),
                      "ReplayGraph batch group names a not-yet-added node");
   buildGroups_.emplace_back(members.begin(), members.end());
   buildGroupEdges_.emplace_back();
@@ -89,17 +92,12 @@ void ReplayGraph::addGroupAntiEdge(std::uint32_t readerGroup,
 
 void ReplayGraph::freeze() {
   PIPOLY_CHECK_MSG(!frozen_, "ReplayGraph::freeze called twice");
-  const std::size_t n = buildPreds_.size();
-  predOffsets_.reserve(n + 1);
-  predOffsets_.push_back(0);
+  const std::size_t n = size();
+  preds_.shrink_to_fit();
+  predOffsets_.shrink_to_fit();
   std::vector<std::uint32_t> succCount(n, 0);
-  for (const std::vector<NodeId>& deps : buildPreds_) {
-    for (NodeId dep : deps) {
-      preds_.push_back(dep);
-      ++succCount[dep];
-    }
-    predOffsets_.push_back(static_cast<std::uint32_t>(preds_.size()));
-  }
+  for (NodeId dep : preds_)
+    ++succCount[dep];
   succOffsets_.assign(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i)
     succOffsets_[i + 1] = succOffsets_[i] + succCount[i];
@@ -159,8 +157,6 @@ void ReplayGraph::freeze() {
         static_cast<std::uint32_t>(groupEdgeTargets_.size()));
   }
 
-  buildPreds_.clear();
-  buildPreds_.shrink_to_fit();
   buildGroups_.clear();
   buildGroups_.shrink_to_fit();
   buildGroupEdges_.clear();

@@ -162,16 +162,15 @@ public:
   void freeze();
 
   bool frozen() const { return frozen_; }
-  std::size_t size() const { return predOffsets_.empty() ? buildPreds_.size()
-                                                         : predOffsets_.size() - 1; }
+  std::size_t size() const { return predOffsets_.size() - 1; }
   std::size_t numEdges() const { return preds_.size(); }
   std::size_t numGroups() const {
     return groupOffsets_.empty() ? 0 : groupOffsets_.size() - 1;
   }
 
-  /// The frozen predecessor lists in CSR form: node v's predecessors are
-  /// predecessors()[predOffsets()[v] .. predOffsets()[v + 1]), in the
-  /// order addNode received them. Empty before freeze().
+  /// The predecessor lists in CSR form, as addNode appends them: node v's
+  /// predecessors are predecessors()[predOffsets()[v] .. predOffsets()[v +
+  /// 1]), in the order addNode received them.
   std::span<const NodeId> predecessors() const { return preds_; }
   std::span<const std::uint32_t> predOffsets() const { return predOffsets_; }
 
@@ -189,14 +188,14 @@ private:
   };
 
   // Build-time state (cleared by freeze()).
-  std::vector<std::vector<NodeId>> buildPreds_;
   std::vector<std::vector<NodeId>> buildGroups_;
   // Per reader group: the writer groups its completion releases.
   std::vector<std::vector<std::uint32_t>> buildGroupEdges_;
 
-  // Frozen CSR adjacency + ready-count templates.
+  // CSR adjacency (predecessors appended by addNode, successors built by
+  // freeze) + ready-count templates.
   std::vector<NodeId> preds_, succs_;
-  std::vector<std::uint32_t> predOffsets_, succOffsets_;
+  std::vector<std::uint32_t> predOffsets_{0}, succOffsets_;
   std::vector<std::uint32_t> indegFirst_;  // batch 0: in-batch preds only
   std::vector<std::uint32_t> indegSteady_; // batch >= 1: preds+succs+self+group
   std::vector<NodeId> roots_;              // indegFirst == 0

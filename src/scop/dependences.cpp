@@ -25,14 +25,15 @@ pb::IntMap keepLexIncreasing(const pb::IntMap& m) {
 
 } // namespace
 
-pb::IntMap flowDependences(const Scop& scop, std::size_t srcIdx,
+pb::IntMap flowDependences(const AccessRelations& rel, std::size_t srcIdx,
                            std::size_t tgtIdx) {
+  const Scop& scop = rel.scop();
   const Statement& src = scop.statement(srcIdx);
   const Statement& tgt = scop.statement(tgtIdx);
   pb::IntMap result(src.space(), tgt.space());
   for (std::size_t arrayId : scop.arraysWrittenBy(srcIdx)) {
-    pb::IntMap wr = scop.writeRelation(srcIdx, arrayId);
-    pb::IntMap rd = scop.readRelation(tgtIdx, arrayId);
+    const pb::IntMap& wr = rel.write(srcIdx, arrayId);
+    const pb::IntMap& rd = rel.read(tgtIdx, arrayId);
     if (wr.empty() || rd.empty())
       continue;
     result = result.unite(joinOnArray(wr, rd));
@@ -42,21 +43,21 @@ pb::IntMap flowDependences(const Scop& scop, std::size_t srcIdx,
   return result;
 }
 
-bool dependsOn(const Scop& scop, std::size_t tgtIdx, std::size_t srcIdx) {
+bool dependsOn(const AccessRelations& rel, std::size_t tgtIdx,
+               std::size_t srcIdx) {
   PIPOLY_CHECK_MSG(srcIdx <= tgtIdx,
                    "dependsOn expects source textually before target");
   // Within one nest only lex-increasing pairs count, which needs the
   // relation itself.
   if (srcIdx == tgtIdx)
-    return !flowDependences(scop, srcIdx, tgtIdx).empty();
+    return !flowDependences(rel, srcIdx, tgtIdx).empty();
   // Across nests every iteration pair counts: a dependence exists iff
   // some element the source writes is one the target reads.
-  for (std::size_t arrayId : scop.arraysWrittenBy(srcIdx)) {
-    const pb::IntMap rd = scop.readRelation(tgtIdx, arrayId);
+  for (std::size_t arrayId : rel.scop().arraysWrittenBy(srcIdx)) {
+    const pb::IntMap& rd = rel.read(tgtIdx, arrayId);
     if (rd.empty())
       continue;
-    const pb::IntTupleSet written =
-        scop.writeRelation(srcIdx, arrayId).range();
+    const pb::IntTupleSet written = rel.write(srcIdx, arrayId).range();
     for (const auto& [j, elem] : rd.pairs())
       if (written.contains(elem))
         return true;
@@ -64,14 +65,14 @@ bool dependsOn(const Scop& scop, std::size_t tgtIdx, std::size_t srcIdx) {
   return false;
 }
 
-pb::IntMap selfDependences(const Scop& scop, std::size_t stmtIdx) {
-  const Statement& stmt = scop.statement(stmtIdx);
+pb::IntMap selfDependences(const AccessRelations& rel, std::size_t stmtIdx) {
+  const Statement& stmt = rel.scop().statement(stmtIdx);
   pb::IntMap result(stmt.space(), stmt.space());
 
-  for (std::size_t arrayId : scop.arraysWrittenBy(stmtIdx)) {
-    pb::IntMap wr = scop.writeRelation(stmtIdx, arrayId);
+  for (std::size_t arrayId : rel.scop().arraysWrittenBy(stmtIdx)) {
+    const pb::IntMap& wr = rel.write(stmtIdx, arrayId);
     // Flow: write at i, read at j.
-    pb::IntMap rd = scop.readRelation(stmtIdx, arrayId);
+    const pb::IntMap& rd = rel.read(stmtIdx, arrayId);
     if (!rd.empty()) {
       result = result.unite(joinOnArray(wr, rd)); // flow (i writes, j reads)
       result = result.unite(joinOnArray(rd, wr)); // anti (i reads, j writes)

@@ -21,12 +21,13 @@ namespace pipoly::scop {
 /// Flow dependences from iterations of `srcIdx` to iterations of `tgtIdx`
 /// (over all arrays): { i -> j : src writes some element at i that tgt
 /// reads at j }. For srcIdx == tgtIdx only pairs with i lex< j are kept.
-pb::IntMap flowDependences(const Scop& scop, std::size_t srcIdx,
+pb::IntMap flowDependences(const AccessRelations& rel, std::size_t srcIdx,
                            std::size_t tgtIdx);
 
 /// True when some iteration of `tgtIdx` reads a value written by `srcIdx`.
 /// Requires srcIdx < tgtIdx (textual order) or srcIdx == tgtIdx.
-bool dependsOn(const Scop& scop, std::size_t tgtIdx, std::size_t srcIdx);
+bool dependsOn(const AccessRelations& rel, std::size_t tgtIdx,
+               std::size_t srcIdx);
 
 /// Per-dimension parallelism of one statement's nest: dimension d is
 /// parallel iff no self-dependence (flow, anti or output) is carried at
@@ -35,7 +36,7 @@ std::vector<bool> parallelDims(const Scop& scop, std::size_t stmtIdx);
 
 /// All self-dependences (flow + anti + output) of one statement, restricted
 /// to lexicographically increasing pairs.
-pb::IntMap selfDependences(const Scop& scop, std::size_t stmtIdx);
+pb::IntMap selfDependences(const AccessRelations& rel, std::size_t stmtIdx);
 
 /// Enforces the paper's program model (§1): consecutive loop nests where
 /// an iteration may depend on earlier iterations of its own nest and on

@@ -137,6 +137,36 @@ pb::IntMap Scop::readRelation(std::size_t stmtIdx, std::size_t arrayId) const {
                                 statement(stmtIdx).reads());
 }
 
+AccessRelations::AccessRelations(const Scop& scop)
+    : scop_(scop),
+      writes_(scop.numStatements() * scop.arrays().size()),
+      reads_(scop.numStatements() * scop.arrays().size()) {}
+
+std::optional<pb::IntMap>&
+AccessRelations::slot(std::vector<std::optional<pb::IntMap>>& rels,
+                      std::size_t stmtIdx, std::size_t arrayId) const {
+  PIPOLY_CHECK_MSG(stmtIdx < scop_.numStatements() &&
+                       arrayId < scop_.arrays().size(),
+                   "access relation index out of range");
+  return rels[stmtIdx * scop_.arrays().size() + arrayId];
+}
+
+const pb::IntMap& AccessRelations::write(std::size_t stmtIdx,
+                                         std::size_t arrayId) const {
+  std::optional<pb::IntMap>& rel = slot(writes_, stmtIdx, arrayId);
+  if (!rel)
+    rel = scop_.writeRelation(stmtIdx, arrayId);
+  return *rel;
+}
+
+const pb::IntMap& AccessRelations::read(std::size_t stmtIdx,
+                                        std::size_t arrayId) const {
+  std::optional<pb::IntMap>& rel = slot(reads_, stmtIdx, arrayId);
+  if (!rel)
+    rel = scop_.readRelation(stmtIdx, arrayId);
+  return *rel;
+}
+
 std::vector<std::size_t> Scop::arraysWrittenBy(std::size_t stmtIdx) const {
   return uniqueArrayIds(statement(stmtIdx).writes());
 }

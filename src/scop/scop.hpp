@@ -12,6 +12,7 @@
 #include "presburger/set.hpp"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -123,6 +124,31 @@ private:
   std::string name_;
   std::vector<Array> arrays_;
   std::vector<Statement> statements_;
+};
+
+/// A Scop's write and read relations, each (statement, array) pair built
+/// on first use and then shared. One analysis call (detectPipeline,
+/// analyzeCommunication) keeps one on its stack, so its dependence tests,
+/// pipeline maps and volumes build each relation once and nothing outlives
+/// the call. Implicit from a Scop: a caller that passes one gets a table
+/// of its own.
+class AccessRelations {
+public:
+  AccessRelations(const Scop& scop);
+
+  const Scop& scop() const { return scop_; }
+  /// Scop::writeRelation / Scop::readRelation, memoized.
+  const pb::IntMap& write(std::size_t stmtIdx, std::size_t arrayId) const;
+  const pb::IntMap& read(std::size_t stmtIdx, std::size_t arrayId) const;
+
+private:
+  std::optional<pb::IntMap>& slot(std::vector<std::optional<pb::IntMap>>& rels,
+                                  std::size_t stmtIdx,
+                                  std::size_t arrayId) const;
+
+  const Scop& scop_;
+  // Per (statement, array), statement-major; filled lazily.
+  mutable std::vector<std::optional<pb::IntMap>> writes_, reads_;
 };
 
 } // namespace pipoly::scop

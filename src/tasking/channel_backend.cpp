@@ -171,25 +171,9 @@ public:
       stages_[spec.src].outEdges.push_back(idx);
       stages_[spec.tgt].inEdges.push_back(idx);
     }
-
-    // One worker runs the whole network cooperatively on the calling
-    // thread; threads exist only when there is real parallelism to host.
-    if (workers > 1) {
-      threads_.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w)
-        threads_.emplace_back([this, w] { workerMain(w); });
-    }
   }
 
-  ~ChannelEngine() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_)
-      t.join();
-  }
+  ~ChannelEngine() { stopWorkers(); }
 
   std::size_t numStages() const { return stages_.size(); }
   unsigned numWorkers() const { return numWorkers_; }
@@ -210,11 +194,13 @@ public:
     stats_.batches += numBatches;
     if (stages_.empty())
       return;
-    if (threads_.empty()) {
+    if (numWorkers_ == 1) {
       WorkerStats local;
       runStages(ownedStages_[0], local);
       mergeStats(local);
     } else {
+      if (threads_.empty())
+        startWorkers();
       {
         std::lock_guard<std::mutex> lock(mutex_);
         remaining_ = threads_.size();
@@ -312,13 +298,44 @@ private:
     stats_.ackWaits += local.ackWaits;
   }
 
-  void workerMain(unsigned w) {
+  /// One worker runs the whole network cooperatively on the calling
+  /// thread; threads exist only when there is real parallelism to host,
+  /// and only from the first run on, so an engine that is built but never
+  /// run (a set-up pass, a route that is not chosen) starts none. A
+  /// failed spawn joins the workers already started, so the next run
+  /// tries again from scratch.
+  void startWorkers() {
+    trace::Span span("channel.spawn");
+    threads_.reserve(numWorkers_);
+    try {
+      for (unsigned w = 0; w < numWorkers_; ++w)
+        threads_.emplace_back([this, w, gen = runGen_] { workerMain(w, gen); });
+    } catch (...) {
+      stopWorkers();
+      throw;
+    }
+  }
+
+  void stopWorkers() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    for (std::thread& t : threads_)
+      t.join();
+    threads_.clear();
+    stop_ = false;
+  }
+
+  /// `seenGen` is the run generation at spawn: the worker waits for the
+  /// next one.
+  void workerMain(unsigned w, std::uint64_t seenGen) {
     // Per-domain worker pinning: keep each stage worker on its domain's
     // cores so a domain-local ring really is socket-local traffic.
     if (!topology_.cpusOfDomain.empty() &&
         w < topology_.domainOfWorker.size())
       pinThreadToCpus(topology_.cpusOfDomain[topology_.domainOfWorker[w]]);
-    std::uint64_t seenGen = 0;
     for (;;) {
       {
         std::unique_lock<std::mutex> lock(mutex_);

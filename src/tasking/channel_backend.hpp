@@ -76,7 +76,9 @@ struct ChannelOptions {
 };
 
 /// A TaskProgram compiled onto the channel engine: built once (stages,
-/// edges, rings, persistent workers), replayed many times. The same
+/// edges, rings), replayed many times. The persistent workers start on
+/// the first replay (a `channel.spawn` span) and live until destruction,
+/// so a pipeline that is never replayed starts no thread. The same
 /// ownership and non-reentrancy contracts as CompiledPipeline.
 class ChannelPipeline {
 public:

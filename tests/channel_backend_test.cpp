@@ -32,10 +32,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -223,6 +225,104 @@ TEST(ChannelRetainedBytesTest, RingsAndTablesAreCountedAndStable) {
   EXPECT_EQ(pipe.retainedBytes(), before);
   EXPECT_EQ(pipe.stats().replays, 2u);
   EXPECT_EQ(pipe.stats().batches, 5u);
+}
+
+std::size_t countSpans(const trace::Trace& t, const std::string& name) {
+  return static_cast<std::size_t>(std::count_if(
+      t.events.begin(), t.events.end(), [&](const trace::TraceEvent& e) {
+        return e.kind == trace::EventKind::Begin && e.name == name;
+      }));
+}
+
+TEST(ChannelLifecycleTest, DestroyWithoutRunStartsNoWorker) {
+  // Building a pipeline only plans it; the workers start on the first
+  // run. A pipeline that is never run spawns nothing and tears down
+  // without waiting on any thread.
+  const scop::Scop scop = kernels::buildProgram(kernels::programByName("P5"), 8);
+  auto prog = compileShared(scop, true);
+  trace::Session session;
+  session.start();
+  for (unsigned workers : {1u, 2u, 4u}) {
+    ChannelOptions options;
+    options.numWorkers = workers;
+    const ChannelPipeline pipe(prog, options);
+    EXPECT_EQ(pipe.numWorkers(), std::min<unsigned>(workers, 4));
+  }
+  session.stop();
+  EXPECT_EQ(countSpans(session.trace(), "channel.compile"), 3u);
+  EXPECT_EQ(countSpans(session.trace(), "channel.spawn"), 0u);
+}
+
+TEST(ChannelLifecycleTest, FirstRunSpawnsOnceAndMatchesTheOracle) {
+  // At 1–4 workers the first run starts the workers (one channel.spawn
+  // span, inside channel.run, only when there is more than one worker)
+  // and reproduces the sequential fingerprint; later runs reuse them.
+  const scop::Scop scop = kernels::buildProgram(kernels::programByName("P5"), 8);
+  const std::uint64_t expected = testing::sequentialFingerprint(scop);
+  auto prog = compileShared(scop, true);
+  for (unsigned workers : {1u, 2u, 3u, 4u}) {
+    ChannelOptions options;
+    options.numWorkers = workers;
+    ChannelPipeline pipe(prog, options);
+    trace::Session session;
+    session.start();
+    for (int run = 0; run < 3; ++run) {
+      testing::InterpretedKernel kernel(scop);
+      pipe.replay(kernel.executor());
+      EXPECT_EQ(kernel.fingerprint(), expected)
+          << "workers " << workers << " run " << run;
+    }
+    session.stop();
+    EXPECT_EQ(countSpans(session.trace(), "channel.spawn"),
+              pipe.numWorkers() > 1 ? 1u : 0u)
+        << "workers " << workers;
+    const std::vector<trace::SpanInterval> spans =
+        trace::matchSpans(session.trace());
+    for (const trace::SpanInterval& spawn : spans) {
+      if (spawn.begin->name != "channel.spawn")
+        continue;
+      const bool nested = std::any_of(
+          spans.begin(), spans.end(), [&](const trace::SpanInterval& run) {
+            return run.begin->name == "channel.run" &&
+                   run.begin->tid == spawn.begin->tid &&
+                   run.begin->tsNanos <= spawn.begin->tsNanos &&
+                   spawn.endNanos <= run.endNanos;
+          });
+      EXPECT_TRUE(nested) << "channel.spawn must nest in channel.run";
+    }
+  }
+}
+
+TEST(ChannelLifecycleTest, RunAfterAThrowingBodyMatchesTheOracle) {
+  // A body that throws aborts the run and rethrows on the caller, on the
+  // first run (while the workers have just started) and on a later one;
+  // the next run still reproduces the oracle.
+  const scop::Scop scop = kernels::buildProgram(kernels::programByName("P5"), 8);
+  const std::uint64_t expected = testing::sequentialFingerprint(scop);
+  auto prog = compileShared(scop, true);
+  for (unsigned workers : {1u, 2u, 3u, 4u}) {
+    for (bool throwFirst : {true, false}) {
+      ChannelOptions options;
+      options.numWorkers = workers;
+      ChannelPipeline pipe(prog, options);
+      if (!throwFirst) {
+        testing::InterpretedKernel warm(scop);
+        pipe.replay(warm.executor());
+        EXPECT_EQ(warm.fingerprint(), expected);
+      }
+      std::atomic<std::size_t> calls{0}; // bodies run on the stage workers
+      EXPECT_THROW(pipe.replay([&](std::size_t, const pb::Tuple&) {
+        if (calls.fetch_add(1) == 4)
+          throw std::runtime_error("body failed");
+      }),
+                   std::runtime_error)
+          << "workers " << workers;
+      testing::InterpretedKernel kernel(scop);
+      pipe.replay(kernel.executor());
+      EXPECT_EQ(kernel.fingerprint(), expected)
+          << "workers " << workers << (throwFirst ? " first" : " later");
+    }
+  }
 }
 
 TEST(ChannelPlacementTest, UmaTopologyMatchesTheTopologyFreePlacement) {

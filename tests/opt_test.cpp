@@ -3,10 +3,13 @@
 // granularity as the raw lowering, preserve per-statement block order,
 // still validate, execute to bit-identical results on every backend
 // (including the interned-slot fast path), and be bit-identical to the
-// input when the optimizer is disabled.
+// input when the optimizer is disabled. The transitive reduction must
+// leave exactly the `in` lists of the dense reference sweep
+// (testing/legacy_opt.hpp) on the benchmark programs and on random DAGs.
 
 #include "codegen/task_program.hpp"
 #include "kernels/matmul.hpp"
+#include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
 #include "opt/optimizer.hpp"
 #include "scop/builder.hpp"
@@ -14,10 +17,12 @@
 #include "tasking/executor.hpp"
 #include "tasking/tasking.hpp"
 #include "testing/interpreted_kernel.hpp"
+#include "testing/legacy_opt.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <tuple>
@@ -36,11 +41,10 @@ public:
     const std::size_t n = program.tasks.size();
     words_ = (n + 63) / 64;
     reach_.assign(n * words_, 0);
-    const codegen::OutOwnerIndex owner = program.buildOutOwnerIndex();
     for (const codegen::Task& t : program.tasks) {
       std::uint64_t* row = &reach_[t.id * words_];
       for (const codegen::TaskDep& d : t.in) {
-        const std::size_t p = owner.at({d.idx, d.tag});
+        const std::size_t p = *program.taskWithOut(d);
         const std::uint64_t* prow = &reach_[p * words_];
         for (std::size_t w = 0; w < words_; ++w)
           row[w] |= prow[w];
@@ -291,12 +295,11 @@ TEST(OptTest, SlotTableMatchesProducers) {
   opt::optimize(prog);
   const opt::SlotTable slots = opt::buildSlotTable(prog);
   ASSERT_EQ(slots.numSlots, prog.tasks.size());
-  const codegen::OutOwnerIndex owner = prog.buildOutOwnerIndex();
   for (const codegen::Task& t : prog.tasks) {
     ASSERT_EQ(slots.inCount(t.id), t.in.size());
     const std::uint32_t* s = slots.inBegin(t.id);
     for (const codegen::TaskDep& d : t.in)
-      EXPECT_EQ(*s++, owner.at({d.idx, d.tag}));
+      EXPECT_EQ(*s++, prog.taskWithOut(d));
   }
 }
 
@@ -319,6 +322,130 @@ TEST(OptTest, SelfOrderingChainSurvives) {
     }
     prev[t.stmtIdx] = &t;
   }
+}
+
+// --- Transitive reduction against the dense reference sweep -----------
+
+/// Optimizes a copy of `program` three ways and checks them against the
+/// dense sweep: reduction alone leaves the reference's `in` lists and
+/// count, and reduction plus fusion equals the reference followed by
+/// fusion alone (fusion reads the reduced dependencies the pass hands
+/// on).
+void expectReductionMatchesLegacy(const codegen::TaskProgram& program,
+                                  const std::string& label) {
+  codegen::TaskProgram legacy = program;
+  const std::size_t legacyRemoved = testing::legacyTransitiveReduce(legacy);
+
+  codegen::TaskProgram reduced = program;
+  opt::OptimizeOptions reduceOnly;
+  reduceOnly.fusionWidth = 1;
+  EXPECT_EQ(opt::optimize(reduced, reduceOnly).edgesRemoved, legacyRemoved)
+      << label;
+  ASSERT_EQ(reduced.tasks.size(), legacy.tasks.size()) << label;
+  for (std::size_t i = 0; i < legacy.tasks.size(); ++i)
+    ASSERT_EQ(reduced.tasks[i].in, legacy.tasks[i].in)
+        << label << " task " << i;
+
+  codegen::TaskProgram full = program;
+  opt::optimize(full);
+  opt::OptimizeOptions fuseOnly;
+  fuseOnly.transitiveReduction = false;
+  opt::optimize(legacy, fuseOnly);
+  EXPECT_EQ(full.toString(), legacy.toString()) << label;
+}
+
+TEST(OptReductionOracleTest, MatchesTheDenseSweepOnTheBenchmarkPrograms) {
+  // Every Table 9 program, Fig. 11 matmul chain and reduction-grid
+  // kernel at N = 8, 16 and 48: chain-ordered statements (counted
+  // chains from N = 16 on), relaxed reductions' unchained partials and
+  // their combines.
+  using V = kernels::MatmulVariant;
+  for (const pb::Value n : {8, 16, 48}) {
+    std::vector<std::pair<std::string, std::function<scop::Scop()>>> programs;
+    for (const kernels::ProgramSpec& spec : kernels::table9Programs())
+      programs.emplace_back(spec.name, [&spec, n] {
+        return kernels::buildProgram(spec, n);
+      });
+    for (std::size_t len : {2u, 3u, 4u})
+      for (V v : {V::NMM, V::NMMT, V::GNMM, V::GNMMT})
+        programs.emplace_back(
+            kernels::variantName(v) + std::to_string(len),
+            [v, len, n] { return kernels::matmulChain(v, len, n); });
+    for (const kernels::ReductionKernelSpec& spec :
+         kernels::reductionKernels())
+      programs.emplace_back(spec.name, [&spec, n] { return spec.build(n); });
+    for (const auto& [name, build] : programs) {
+      const scop::Scop scop = build();
+      expectReductionMatchesLegacy(codegen::compilePipeline(scop),
+                                   name + "@" + std::to_string(n));
+    }
+  }
+}
+
+/// A random DAG in TaskProgram form. Each statement is either chained
+/// (every block names its predecessor with a selfOrdering dependency,
+/// sometimes long enough for a counted chain) or unchained (random
+/// earlier blocks of its own, or none), and may end in a combine task
+/// over all its blocks. Cross-statement dependencies name random blocks
+/// or combines of earlier statements. Out tags are unique per statement
+/// but not always ascending.
+codegen::TaskProgram randomDag(std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  codegen::TaskProgram prog;
+  prog.numStatements = 1 + rng.nextBelow(5);
+  prog.chainOrdering = rng.nextBelow(2) == 0;
+  std::vector<std::vector<codegen::TaskDep>> outsOf(prog.numStatements);
+  for (std::size_t s = 0; s < prog.numStatements; ++s) {
+    const bool chained = rng.nextBelow(2) == 0;
+    const std::size_t blocks =
+        1 + rng.nextBelow(rng.nextBelow(3) == 0 ? 150 : 20);
+    const bool shuffled = rng.nextBelow(3) == 0;
+    std::vector<codegen::TaskDep> own;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      codegen::Task t;
+      t.id = prog.tasks.size();
+      t.stmtIdx = s;
+      t.blockRep = pb::Tuple{static_cast<pb::Value>(b)};
+      t.iterations = {t.blockRep};
+      const std::int64_t tag =
+          shuffled ? static_cast<std::int64_t>((b * 7919) % 100003)
+                   : static_cast<std::int64_t>(b);
+      t.out = codegen::TaskDep{static_cast<int>(s), tag};
+      if (chained && b > 0)
+        t.in.push_back({own.back().idx, own.back().tag, true});
+      if (!chained)
+        for (const codegen::TaskDep& earlier : own)
+          if (rng.nextBelow(8) == 0)
+            t.in.push_back({earlier.idx, earlier.tag, true});
+      for (std::size_t src = 0; src < s; ++src)
+        for (const codegen::TaskDep& out : outsOf[src])
+          if (rng.nextBelow(12) == 0)
+            t.in.push_back(out);
+      own.push_back(t.out);
+      prog.tasks.push_back(std::move(t));
+    }
+    if (rng.nextBelow(3) == 0) {
+      codegen::Task c;
+      c.id = prog.tasks.size();
+      c.stmtIdx = s;
+      c.kind = codegen::TaskKind::ReductionCombine;
+      c.blockRep = pb::Tuple{0, 0};
+      c.iterations = {c.blockRep};
+      c.out = codegen::combineDep(prog.numStatements, s);
+      c.in = own;
+      outsOf[s].push_back(c.out);
+      prog.tasks.push_back(std::move(c));
+    } else {
+      outsOf[s].insert(outsOf[s].end(), own.begin(), own.end());
+    }
+  }
+  return prog;
+}
+
+TEST(OptReductionOracleTest, MatchesTheDenseSweepOnRandomDags) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed)
+    expectReductionMatchesLegacy(randomDag(seed),
+                                 "seed " + std::to_string(seed));
 }
 
 } // namespace

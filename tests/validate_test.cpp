@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace pipoly::codegen {
 namespace {
 
@@ -66,6 +68,39 @@ TEST(ValidateTest, RejectsLostIterations) {
     }
   }
   EXPECT_THROW(prog.validate(fixtureScop()), Error);
+}
+
+TEST(ValidateTest, RejectsAMissingTrailingBlock) {
+  // The iterations that remain still arrive in lexicographic order; only
+  // the end of the domain is never reached.
+  TaskProgram prog = freshProgram();
+  const std::size_t last = prog.tasks.back().stmtIdx;
+  ASSERT_GT(std::count_if(prog.tasks.begin(), prog.tasks.end(),
+                          [&](const Task& t) { return t.stmtIdx == last; }),
+            1);
+  prog.tasks.pop_back();
+  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+}
+
+TEST(ValidateTest, AcceptsAPartitionOutOfLexOrderAcrossTasks) {
+  // Moving a block's first iteration into the next block of the same
+  // statement keeps a partition, each task sorted and every block
+  // representative, but the statement's iterations no longer arrive in
+  // lexicographic order.
+  TaskProgram prog = freshProgram();
+  bool moved = false;
+  for (std::size_t i = 0; i + 1 < prog.tasks.size() && !moved; ++i) {
+    Task& a = prog.tasks[i];
+    Task& b = prog.tasks[i + 1];
+    if (a.stmtIdx != b.stmtIdx || a.iterations.size() < 2)
+      continue;
+    b.iterations.push_back(a.iterations.front());
+    std::sort(b.iterations.begin(), b.iterations.end());
+    a.iterations.erase(a.iterations.begin());
+    moved = true;
+  }
+  ASSERT_TRUE(moved);
+  EXPECT_NO_THROW(prog.validate(fixtureScop()));
 }
 
 TEST(ValidateTest, RejectsDuplicatedIterations) {
