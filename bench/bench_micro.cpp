@@ -186,16 +186,17 @@ void BM_FrontendParse(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontendParse);
 
-void BM_BlockingMap(benchmark::State& state) {
+void BM_BlockPartition(benchmark::State& state) {
   scop::Scop scop = listing1(state.range(0));
-  pb::IntMap t = pipeline::pipelineMap(scop, 0, 1);
+  const pb::IntTupleSet boundaries = pipeline::pipelineMap(scop, 0, 1).domain();
   const pb::IntTupleSet domain = scop.statement(0).domain();
   for (auto _ : state) {
-    auto v = pipeline::sourceBlockingMap(domain, t);
-    benchmark::DoNotOptimize(v);
+    auto starts = pipeline::blockStarts(
+        domain, pipeline::blockReps(domain, {boundaries}));
+    benchmark::DoNotOptimize(starts.data());
   }
 }
-BENCHMARK(BM_BlockingMap)->Arg(20)->Arg(80);
+BENCHMARK(BM_BlockPartition)->Arg(20)->Arg(80);
 
 void BM_DetectPipeline(benchmark::State& state) {
   scop::Scop scop = kernels::buildProgram(kernels::programByName("P5"),

@@ -24,11 +24,11 @@ Ast buildAst(const scop::Scop& scop, const sched::ScheduleNode& root) {
     nest.stmtIdx = info.stmtIdx;
     nest.stmtName = scop.statement(info.stmtIdx).name();
     nest.blockReps = domainNode.domainSet();
-    nest.expansion = expansion.contraction().inverse();
+    nest.blockStarts = expansion.blockStarts();
     nest.pipelineLoopDepth = nest.blockReps.space().arity() - 1;
     nest.annotation =
-        TaskAnnotation{info.stmtIdx, info.inRequirements, info.outDependency,
-                       info.chainOrdering, info.selfEdges, info.reduction};
+        TaskAnnotation{info.stmtIdx, info.inRequirements, info.chainOrdering,
+                       info.selfEdges, info.reduction};
     ast.nests.push_back(std::move(nest));
   }
   return ast;

@@ -7,8 +7,8 @@
 // tree's mark nodes) with the pipeline dependency information.
 //
 // Because the library operates on instantiated SCoPs, the AST keeps the
-// explicit block structure (block representatives + expansion relation)
-// rather than symbolic bounds; the printer renders Fig.-6-style pseudo-C
+// explicit block structure (block representatives + each block's interval
+// of the sorted domain) rather than symbolic bounds; the printer renders Fig.-6-style pseudo-C
 // with concrete bounds for inspection.
 
 #include "pipeline/detect.hpp"
@@ -25,7 +25,6 @@ namespace pipoly::ast {
 struct TaskAnnotation {
   std::size_t stmtIdx = 0;
   std::vector<pipeline::InRequirement> inRequirements;
-  pb::IntMap outDependency;
   /// Same-nest ordering mode; see pipeline::StatementPipelineInfo.
   bool chainOrdering = true;
   pb::IntMap selfEdges;
@@ -41,8 +40,10 @@ struct AstLoopNest {
   /// Iteration space of the block loops (= block representatives, walked
   /// lexicographically).
   pb::IntTupleSet blockReps;
-  /// block representative -> member iterations (intra-block loops).
-  pb::IntMap expansion;
+  /// The intra-block loops: block b runs the statement's domain rows
+  /// [blockStarts[b], blockStarts[b + 1]) (one entry per block, then
+  /// |D_S|).
+  std::vector<std::uint32_t> blockStarts;
   /// Depth of the pipeline loop within the block loops (the innermost
   /// block dimension).
   std::size_t pipelineLoopDepth;

@@ -14,6 +14,9 @@ codegen::TaskProgram pollyTaskProgram(const scop::Scop& scop,
   prog.numStatements = scop.numStatements();
   prog.chainOrdering = false; // chunks of one nest run concurrently
 
+  for (std::size_t s = 0; s < scop.numStatements(); ++s)
+    prog.rowTables.push_back(scop.statement(s).domain());
+
   std::vector<codegen::TaskDep> previousNest;
   for (std::size_t s = 0; s < scop.numStatements(); ++s) {
     const scop::Statement& stmt = scop.statement(s);
@@ -56,9 +59,8 @@ codegen::TaskProgram pollyTaskProgram(const scop::Scop& scop,
       codegen::Task task;
       task.id = prog.tasks.size();
       task.stmtIdx = s;
-      task.iterations.assign(
-          points.begin() + static_cast<long>(chunks[c].first),
-          points.begin() + static_cast<long>(chunks[c].second));
+      task.iterations = codegen::IterationRange(
+          prog.rowTables[s], chunks[c].first, chunks[c].second);
       PIPOLY_CHECK(!task.iterations.empty());
       task.blockRep = task.iterations.back();
       task.out = codegen::TaskDep{

@@ -7,12 +7,30 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <thread>
 
 namespace pipoly::codegen {
 
-std::int64_t linearizeBlockVector(const pb::Tuple& blockRep) {
+IterationRange::IterationRange(const pb::IntTupleSet& table,
+                               std::size_t rowBegin, std::size_t rowEnd)
+    : rows_(table.rowData().data()),
+      arity_(static_cast<std::uint32_t>(table.arity())),
+      begin_(static_cast<std::uint32_t>(rowBegin)),
+      end_(static_cast<std::uint32_t>(rowEnd)) {
+  PIPOLY_CHECK_MSG(rowBegin <= rowEnd && rowEnd <= table.size(),
+                   "iteration range outside its row table");
+  PIPOLY_CHECK_MSG(rowEnd <= std::numeric_limits<std::uint32_t>::max(),
+                   "row table too large for 32-bit row indices");
+}
+
+void IterationRange::extend(const IterationRange& next) {
+  PIPOLY_CHECK_MSG(adjoins(next), "only adjoining ranges extend");
+  end_ = next.end_;
+}
+
+std::int64_t linearizeBlockVector(pb::TupleView blockRep) {
   std::int64_t tag = 0;
   for (pb::Value v : blockRep) {
     PIPOLY_CHECK_MSG(v >= 0 && v < kLinearStride,
@@ -94,6 +112,21 @@ private:
   std::size_t mask_ = 0;
 };
 
+/// Calls f with every image of `rep` under `map`, advancing `cursor` over
+/// the map's rows; successive calls must pass increasing representatives.
+template <typename F>
+void forEachImage(const pb::IntMap& map, pb::TupleView rep,
+                  std::size_t& cursor, F&& f) {
+  const std::size_t inA = map.domainSpace().arity();
+  const std::size_t outA = map.rangeSpace().arity(), w = inA + outA;
+  const std::size_t n = map.size();
+  const pb::Value* rows = map.rowData().data();
+  cursor = pb::rows::gallopLowerBound(rows, n, w, cursor, rep.data(), inA);
+  for (; cursor < n && pb::rows::equal(rows + cursor * w, rep.data(), inA);
+       ++cursor)
+    f(pb::TupleView(rows + cursor * w + inA, outA));
+}
+
 } // namespace
 
 ResolvedDependencies TaskProgram::resolveDependencies() const {
@@ -138,32 +171,26 @@ void TaskProgram::validate(const scop::Scop& scop) const {
     PIPOLY_CHECK(tasks[i].id == i);
   const ResolvedDependencies deps = resolveDependencies();
 
-  // Per statement: iterations across Block tasks partition the domain,
-  // blocks in lexicographic order, and self-ordering chain intact. One
-  // pass over the task list with per-statement running state. Combine
-  // tasks are checked separately: fold steps enumerate the statement's
-  // partial blocks in order, and the in-dependencies cover every partial.
-  //
-  // The partition check streams: while a statement's iterations arrive
-  // in lexicographic order (lowering emits them so) they are compared in
-  // place against the domain's sorted rows. A statement whose stream
-  // leaves that order is checked by sorting its collected iterations.
+  // Per statement: its Block tasks tile the domain rows [0, |D_S|) in
+  // creation order (each starts where the previous one ended, in the
+  // statement's row table), the self-ordering chain is intact, and a
+  // combine task folds exactly one partial per block, in order, after
+  // depending on every partial. One pass over the task list with
+  // per-statement running state.
   const std::size_t numStmts = scop.numStatements();
+  PIPOLY_CHECK_MSG(rowTables.size() >= numStmts,
+                   "every statement needs its domain row table");
+  for (std::size_t s = 0; s < numStmts; ++s)
+    PIPOLY_CHECK_MSG(rowTables[s] == scop.statement(s).domain(),
+                     "row table does not hold the statement domain");
   std::vector<const Task*> prev(numStmts, nullptr);
   std::vector<const Task*> combine(numStmts, nullptr);
   std::vector<std::vector<std::uint32_t>> blockIds(numStmts);
-  std::vector<std::size_t> matched(numStmts, 0);
-  std::vector<bool> inOrder(numStmts);
-  for (std::size_t s = 0; s < numStmts; ++s) {
-    const scop::Statement& stmt = scop.statement(s);
-    inOrder[s] = stmt.depth() != 0 && stmt.space() == stmt.domain().space();
-  }
+  std::vector<std::uint32_t> covered(numStmts, 0);
   for (const Task& t : tasks) {
     PIPOLY_CHECK_MSG(t.stmtIdx < numStmts,
                      "task statement index out of range");
-    PIPOLY_CHECK(!t.iterations.empty());
-    PIPOLY_CHECK_MSG(std::is_sorted(t.iterations.begin(), t.iterations.end()),
-                     "task iterations must be in lexicographic order");
+    PIPOLY_CHECK_MSG(!t.iterations.empty(), "task iteration range is empty");
     PIPOLY_CHECK_MSG(t.iterations.back() == t.blockRep,
                      "block representative must be the last iteration");
     if (t.kind == TaskKind::ReductionCombine) {
@@ -171,63 +198,45 @@ void TaskProgram::validate(const scop::Scop& scop) const {
                        "at most one combine task per statement");
       combine[t.stmtIdx] = &t;
       const std::size_t arity = scop.statement(t.stmtIdx).depth() + 1;
-      for (std::size_t k = 0; k < t.iterations.size(); ++k) {
-        PIPOLY_CHECK_MSG(t.iterations[k].size() == arity,
-                         "combine fold tuple arity must be depth + 1");
-        PIPOLY_CHECK_MSG(t.iterations[k][0] ==
-                             static_cast<pb::Value>(k),
+      PIPOLY_CHECK_MSG(t.iterations.arity() == arity,
+                       "combine fold tuple arity must be depth + 1");
+      std::size_t k = 0;
+      for (const pb::TupleView fold : t.iterations) {
+        PIPOLY_CHECK_MSG(fold[0] == static_cast<pb::Value>(k++),
                          "combine fold steps must enumerate partials in "
                          "order");
         for (std::size_t d = 1; d < arity; ++d)
-          PIPOLY_CHECK_MSG(t.iterations[k][d] == 0,
+          PIPOLY_CHECK_MSG(fold[d] == 0,
                            "combine fold tuple padding must be zero");
       }
       continue;
     }
     PIPOLY_CHECK_MSG(combine[t.stmtIdx] == nullptr,
                      "partial blocks must precede their combine task");
+    const pb::IntTupleSet& domain = rowTables[t.stmtIdx];
+    PIPOLY_CHECK_MSG(t.iterations.table() == domain.rowData().data() &&
+                         t.iterations.arity() == domain.arity(),
+                     "block task iterations must be statement domain rows");
+    PIPOLY_CHECK_MSG(t.iterations.rowBegin() <= covered[t.stmtIdx],
+                     "gap between consecutive block tasks of a statement");
+    PIPOLY_CHECK_MSG(t.iterations.rowBegin() >= covered[t.stmtIdx],
+                     "overlapping block tasks of a statement");
+    covered[t.stmtIdx] = t.iterations.rowEnd();
     blockIds[t.stmtIdx].push_back(static_cast<std::uint32_t>(t.id));
-    if (const Task* p = prev[t.stmtIdx]) {
-      PIPOLY_CHECK_MSG(p->blockRep < t.blockRep,
-                       "blocks of one statement must be ordered");
-      if (chainOrdering) {
-        bool hasSelfDep =
-            std::any_of(t.in.begin(), t.in.end(), [&](const TaskDep& d) {
-              return d.selfOrdering && d.idx == p->out.idx &&
-                     d.tag == p->out.tag;
-            });
-        PIPOLY_CHECK_MSG(hasSelfDep,
-                         "missing same-statement ordering dependency");
-      }
-    }
-    if (inOrder[t.stmtIdx]) {
-      const pb::IntTupleSet& domain = scop.statement(t.stmtIdx).domain();
-      const std::size_t w = domain.arity();
-      const pb::Value* rows = domain.rowData().data();
-      std::size_t& next = matched[t.stmtIdx];
-      for (const pb::Tuple& it : t.iterations) {
-        if (it.size() != w || next == domain.size() ||
-            !std::equal(it.data(), it.data() + w, rows + next * w)) {
-          inOrder[t.stmtIdx] = false;
-          break;
-        }
-        ++next;
-      }
+    if (const Task* p = prev[t.stmtIdx]; p != nullptr && chainOrdering) {
+      bool hasSelfDep =
+          std::any_of(t.in.begin(), t.in.end(), [&](const TaskDep& d) {
+            return d.selfOrdering && d.idx == p->out.idx &&
+                   d.tag == p->out.tag;
+          });
+      PIPOLY_CHECK_MSG(hasSelfDep,
+                       "missing same-statement ordering dependency");
     }
     prev[t.stmtIdx] = &t;
   }
   for (std::size_t s = 0; s < numStmts; ++s) {
-    const scop::Statement& stmt = scop.statement(s);
-    if (!inOrder[s] || matched[s] != stmt.domain().size()) {
-      std::vector<pb::Tuple> all;
-      for (const std::uint32_t id : blockIds[s])
-        all.insert(all.end(), tasks[id].iterations.begin(),
-                   tasks[id].iterations.end());
-      std::sort(all.begin(), all.end());
-      PIPOLY_CHECK_MSG(pb::IntTupleSet(stmt.space(), std::move(all)) ==
-                           stmt.domain(),
-                       "task iterations must partition the statement domain");
-    }
+    PIPOLY_CHECK_MSG(covered[s] == rowTables[s].size(),
+                     "block tasks must cover the statement domain");
     if (const Task* c = combine[s]) {
       PIPOLY_CHECK_MSG(c->iterations.size() == blockIds[s].size(),
                        "combine must fold exactly one partial per block "
@@ -356,31 +365,62 @@ TaskProgram lowerToTasks(const scop::Scop& scop, const ast::Ast& ast) {
     readers.erase(std::unique(readers.begin(), readers.end()), readers.end());
   }
 
+  // Row tables: every statement's domain, then one fold table per fold
+  // arity, as long as the largest combine of that arity.
+  for (std::size_t s = 0; s < scop.numStatements(); ++s)
+    prog.rowTables.push_back(scop.statement(s).domain());
+  std::map<std::size_t, std::size_t> foldRows; // arity -> rows
+  for (const ast::AstLoopNest& nest : ast.nests)
+    if (nest.annotation.reduction.relaxed) {
+      std::size_t& rows = foldRows[nest.blockReps.arity() + 1];
+      rows = std::max(rows, nest.blockReps.size());
+    }
+  std::map<std::size_t, std::size_t> foldTable; // arity -> rowTables index
+  for (const auto& [arity, rows] : foldRows) {
+    pb::RowBuffer table(rows * arity, 0);
+    for (std::size_t k = 0; k < rows; ++k)
+      table[k * arity] = static_cast<pb::Value>(k);
+    foldTable[arity] = prog.rowTables.size();
+    prog.rowTables.push_back(pb::IntTupleSet::fromSortedRows(
+        pb::Space("fold", arity), std::move(table)));
+  }
+
   for (const ast::AstLoopNest& nest : ast.nests) {
     const int stmtSlot = static_cast<int>(nest.stmtIdx);
+    const pb::IntTupleSet& domain = prog.rowTables[nest.stmtIdx];
+    const std::size_t depth = nest.blockReps.arity();
+    const pb::Value* reps = nest.blockReps.rowData().data();
+    // One cursor per requirement map and one for the self edges: the
+    // maps' rows are sorted by block representative, and the blocks
+    // arrive in that order.
+    std::vector<std::size_t> reqCursor(nest.annotation.inRequirements.size(),
+                                       0);
+    std::size_t selfCursor = 0;
     std::optional<TaskDep> prevOut;
-    for (const pb::Tuple& rep : nest.blockReps.points()) {
+    for (std::size_t blk = 0; blk < nest.blockReps.size(); ++blk) {
+      const pb::TupleView rep(reps + blk * depth, depth);
       Task task;
       task.id = prog.tasks.size();
       task.stmtIdx = nest.stmtIdx;
       task.blockRep = rep;
-      task.iterations = nest.expansion.imagesOf(rep);
-      PIPOLY_CHECK(!task.iterations.empty());
+      task.iterations = IterationRange(domain, nest.blockStarts[blk],
+                                       nest.blockStarts[blk + 1]);
       task.out = TaskDep{stmtSlot, linearizeBlockVector(rep)};
 
       // Cross-statement in-dependencies from the Q_S maps (single-valued
       // under chain ordering; exact data-flow edges, possibly several,
       // under relaxed ordering). A viaCombine requirement depends on the
       // source's combine task instead of any block.
-      for (const pipeline::InRequirement& req :
-           nest.annotation.inRequirements) {
+      for (std::size_t r = 0; r < reqCursor.size(); ++r) {
+        const pipeline::InRequirement& req = nest.annotation.inRequirements[r];
         if (req.viaCombine) {
           task.in.push_back(combineDep(prog.numStatements, req.srcStmtIdx));
           continue;
         }
-        for (const pb::Tuple& image : req.map.imagesOf(rep))
+        forEachImage(req.map, rep, reqCursor[r], [&](pb::TupleView image) {
           task.in.push_back(TaskDep{static_cast<int>(req.srcStmtIdx),
                                     linearizeBlockVector(image)});
+        });
       }
 
       if (nest.annotation.chainOrdering) {
@@ -391,11 +431,12 @@ TaskProgram lowerToTasks(const scop::Scop& scop, const ast::Ast& ast) {
       } else {
         // §7 relaxation: only the actual cross-block self-dependences.
         prog.chainOrdering = false;
-        for (const pb::Tuple& required :
-             nest.annotation.selfEdges.imagesOf(rep))
-          task.in.push_back(TaskDep{stmtSlot,
-                                    linearizeBlockVector(required),
-                                    /*selfOrdering=*/true});
+        forEachImage(nest.annotation.selfEdges, rep, selfCursor,
+                     [&](pb::TupleView required) {
+                       task.in.push_back(TaskDep{stmtSlot,
+                                                 linearizeBlockVector(required),
+                                                 /*selfOrdering=*/true});
+                     });
       }
 
       // Deduplicate dependency slots (exact data-flow edges can name the
@@ -426,14 +467,13 @@ TaskProgram lowerToTasks(const scop::Scop& scop, const ast::Ast& ast) {
       task.id = prog.tasks.size();
       task.stmtIdx = nest.stmtIdx;
       task.kind = TaskKind::ReductionCombine;
-      const std::size_t arity = nest.blockReps.space().arity() + 1;
-      std::size_t k = 0;
-      for (const pb::Tuple& rep : nest.blockReps.points()) {
-        std::vector<pb::Value> fold(arity, 0);
-        fold[0] = static_cast<pb::Value>(k++);
-        task.iterations.emplace_back(fold.data(), arity);
-        task.in.push_back(TaskDep{stmtSlot, linearizeBlockVector(rep)});
-      }
+      task.iterations =
+          IterationRange(prog.rowTables[foldTable.at(depth + 1)], 0,
+                         nest.blockReps.size());
+      for (std::size_t b = 0; b < nest.blockReps.size(); ++b)
+        task.in.push_back(TaskDep{
+            stmtSlot, linearizeBlockVector(pb::TupleView(reps + b * depth,
+                                                         depth))});
       task.blockRep = task.iterations.back();
       task.out = combineDep(prog.numStatements, nest.stmtIdx);
       prog.tasks.push_back(std::move(task));

@@ -8,7 +8,8 @@
 // The result, TaskProgram, is the backend-agnostic task-parallel program:
 // a creation-ordered list of tasks, each with
 //   * its statement and block identity,
-//   * the block's member iterations (what the extracted function executes),
+//   * the block's member iterations (what the extracted function executes):
+//     a [begin, end) range of its statement's sorted domain rows,
 //   * one out-dependency (idx, tag),
 //   * in-dependencies (idx, tag) from the Q_S maps, plus the same-nest
 //     ordering dependency (the funcCount protocol of Fig. 8) expressed as
@@ -16,6 +17,7 @@
 
 #include "ast/ast.hpp"
 #include "pipeline/detect.hpp"
+#include "presburger/set.hpp"
 #include "presburger/tuple.hpp"
 #include "scop/scop.hpp"
 
@@ -43,17 +45,77 @@ struct TaskDep {
 /// in deterministic block order).
 enum class TaskKind : unsigned char { Block, ReductionCombine };
 
+/// A task's iterations: the rows [rowBegin, rowEnd) of one of its
+/// program's immutable row tables (TaskProgram::rowTables), walked as
+/// TupleViews. A plain view: copying one allocates nothing and touches no
+/// reference count; the program's tables keep the rows alive.
+class IterationRange {
+public:
+  class iterator {
+  public:
+    iterator(const pb::Value* rows, std::uint32_t arity, std::uint32_t row)
+        : rows_(rows), arity_(arity), row_(row) {}
+    pb::TupleView operator*() const {
+      return pb::TupleView(rows_ + std::size_t(row_) * arity_, arity_);
+    }
+    iterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    friend bool operator==(const iterator&, const iterator&) = default;
+
+  private:
+    const pb::Value* rows_;
+    std::uint32_t arity_;
+    std::uint32_t row_;
+  };
+
+  IterationRange() = default;
+  /// Rows [rowBegin, rowEnd) of `table`, which must outlive the range.
+  IterationRange(const pb::IntTupleSet& table, std::size_t rowBegin,
+                 std::size_t rowEnd);
+
+  std::size_t size() const { return end_ - begin_; }
+  bool empty() const { return begin_ == end_; }
+  std::size_t arity() const { return arity_; }
+  std::uint32_t rowBegin() const { return begin_; }
+  std::uint32_t rowEnd() const { return end_; }
+  /// The first row of the table the range points into.
+  const pb::Value* table() const { return rows_; }
+
+  pb::TupleView operator[](std::size_t k) const {
+    return pb::TupleView(rows_ + (begin_ + k) * arity_, arity_);
+  }
+  pb::TupleView back() const { return (*this)[size() - 1]; }
+  iterator begin() const { return iterator(rows_, arity_, begin_); }
+  iterator end() const { return iterator(rows_, arity_, end_); }
+
+  /// True when `next` continues this range in the same table.
+  bool adjoins(const IterationRange& next) const {
+    return rows_ == next.rows_ && arity_ == next.arity_ && end_ == next.begin_;
+  }
+  /// Extends this range over an adjoining `next`.
+  void extend(const IterationRange& next);
+
+private:
+  const pb::Value* rows_ = nullptr;
+  std::uint32_t arity_ = 0;
+  std::uint32_t begin_ = 0;
+  std::uint32_t end_ = 0;
+};
+
 struct Task {
   std::size_t id; // creation order, 0-based
   std::size_t stmtIdx;
   pb::Tuple blockRep;
-  /// For Block tasks: member iterations of the block (arity = statement
-  /// depth, lexicographic order). For ReductionCombine tasks: one fold
-  /// step per partial block, encoded as arity depth+1 tuples
-  /// (k, 0, ..., 0) for partial index k — executors pass them through
-  /// the same StatementExecutor callback, and reduction-aware runners
-  /// tell the two apart by tuple arity (see kernels/reduction_runner.hpp).
-  std::vector<pb::Tuple> iterations;
+  /// For Block tasks: the block's member iterations, a range of the
+  /// statement's domain rows (arity = statement depth, lexicographic
+  /// order). For ReductionCombine tasks: one fold step per partial block,
+  /// rows (k, 0, ..., 0) of arity depth+1 for partial index k, from the
+  /// program's fold table — executors pass them through the same
+  /// StatementExecutor callback, and reduction-aware runners tell the two
+  /// apart by tuple arity (see kernels/reduction_runner.hpp).
+  IterationRange iterations;
   TaskDep out;
   std::vector<TaskDep> in;
   TaskKind kind = TaskKind::Block;
@@ -84,6 +146,12 @@ struct ProgramCounts {
 /// handles can outlive the caller's scope (see tasking/replay_executor.hpp).
 struct TaskProgram {
   std::vector<Task> tasks; // creation order: statement order, blocks lex
+  /// The immutable row tables the tasks' iteration ranges point into.
+  /// Lowering puts statement s's sorted domain at index s (sharing the
+  /// SCoP's buffer) and one (k, 0, ..., 0) fold table per fold arity
+  /// after them. Copies of the program share the tables, so the ranges
+  /// stay valid for as long as any copy lives.
+  std::vector<pb::IntTupleSet> rowTables;
   std::size_t numStatements = 0;
   /// writeNum of §5.5: number of statements that are sources of others.
   std::size_t writeNum = 0;
@@ -117,8 +185,9 @@ struct TaskProgram {
   ProgramCounts counts() const;
 
   /// Checks the program is well formed: every in-dependency names the out
-  /// tag of an *earlier* task (OpenMP depend semantics), iterations
-  /// partition domains, etc. Throws on violation.
+  /// tag of an *earlier* task (OpenMP depend semantics), each statement's
+  /// Block tasks tile its domain rows [0, |D_S|) in creation order, a
+  /// combine folds one partial per block, etc. Throws on violation.
   void validate(const scop::Scop& scop) const;
 
   std::string toString() const;
@@ -166,7 +235,10 @@ StageLayout stageLayout(const TaskProgram& program, unsigned workers);
 /// The paper's vector-to-integer linearisation. Every coordinate must be
 /// in [0, kLinearStride).
 inline constexpr std::int64_t kLinearStride = std::int64_t(1) << 20;
-std::int64_t linearizeBlockVector(const pb::Tuple& blockRep);
+std::int64_t linearizeBlockVector(pb::TupleView blockRep);
+inline std::int64_t linearizeBlockVector(const pb::Tuple& blockRep) {
+  return linearizeBlockVector(pb::TupleView(blockRep));
+}
 
 /// The depend-clause slot of a statement's combine task. Offset by
 /// numStatements so combine tags can never collide with the statement's

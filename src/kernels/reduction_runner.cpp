@@ -4,11 +4,14 @@
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 
+#include <algorithm>
+
 namespace pipoly::kernels {
 
 ReductionRunner::ReductionRunner(const scop::Scop& scop, int computeSize)
     : scop_(&scop), computeSize_(computeSize),
-      slotOf_(scop.numStatements()), partials_(scop.numStatements()) {
+      slotOf_(scop.numStatements()), partials_(scop.numStatements()),
+      accumulated_(scop.numStatements()) {
   arrays_.reserve(scop.arrays().size());
   for (const scop::Array& a : scop.arrays()) {
     std::size_t total = 1;
@@ -34,7 +37,7 @@ ReductionRunner::ReductionRunner(const scop::Scop& scop,
     if (t.kind != codegen::TaskKind::Block || !hasCombine[t.stmtIdx])
       continue;
     const std::size_t slot = partials_[t.stmtIdx].size();
-    for (const pb::Tuple& it : t.iterations)
+    for (const pb::TupleView it : t.iterations)
       slotOf_[t.stmtIdx].emplace(it, slot);
     const scop::Statement& stmt = scop.statement(t.stmtIdx);
     PIPOLY_CHECK(stmt.reductionOp() != scop::ReductionOp::None);
@@ -42,6 +45,16 @@ ReductionRunner::ReductionRunner(const scop::Scop& scop,
     partials_[t.stmtIdx].emplace_back(
         arrays_[arrayId].size(),
         scop::reductionIdentity(stmt.reductionOp()));
+  }
+  for (std::size_t s = 0; s < scop.numStatements(); ++s) {
+    if (partials_[s].empty())
+      continue;
+    const scop::Access& write = scop.statement(s).writes().front();
+    std::vector<std::size_t>& flat = accumulated_[s];
+    for (const pb::TupleView it : scop.statement(s).domain().points())
+      flat.push_back(flatIndex(write.arrayId, write.subscripts.evaluate(it)));
+    std::sort(flat.begin(), flat.end());
+    flat.erase(std::unique(flat.begin(), flat.end()), flat.end());
   }
 }
 
@@ -104,7 +117,7 @@ void ReductionRunner::execute(std::size_t stmtIdx, const pb::Tuple& it) {
     std::vector<std::uint64_t>& partial = partials_[stmtIdx][k];
     std::vector<std::uint64_t>& arr = arrays_[arrayId];
     const std::uint64_t id = scop::reductionIdentity(op);
-    for (std::size_t e = 0; e < arr.size(); ++e) {
+    for (const std::size_t e : accumulated_[stmtIdx]) {
       arr[e] = scop::applyReductionOp(op, arr[e], partial[e]);
       partial[e] = id;
     }

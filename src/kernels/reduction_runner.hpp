@@ -70,6 +70,10 @@ private:
   std::vector<std::map<pb::Tuple, std::size_t>> slotOf_;
   // Per statement: one private accumulator array copy per partial slot.
   std::vector<std::vector<std::vector<std::uint64_t>>> partials_;
+  // Per statement with partial slots: the flat indices its accumulation
+  // writes, sorted. A combine fold touches these elements only, so it
+  // never writes an element that a task unordered with it may read.
+  std::vector<std::vector<std::size_t>> accumulated_;
 };
 
 } // namespace pipoly::kernels

@@ -310,11 +310,9 @@ std::size_t fuseChains(TaskProgram& program, ResolvedDependencies& deps,
           merged.kind != TaskKind::Block || dependents[tail] != 1 ||
           next.in.size() != 1 || next.in[0].idx != merged.out.idx ||
           next.in[0].tag != merged.out.tag ||
-          !(merged.iterations.back() < next.iterations.front()))
+          !merged.iterations.adjoins(next.iterations))
         break;
-      merged.iterations.insert(merged.iterations.end(),
-                               next.iterations.begin(),
-                               next.iterations.end());
+      merged.iterations.extend(next.iterations);
       merged.out = next.out;
       merged.blockRep = next.blockRep;
       ++tail;

@@ -2,131 +2,63 @@
 
 #include "support/assert.hpp"
 
-#include <algorithm>
+#include <limits>
 
 namespace pipoly::pipeline {
 
-pb::IntMap blockingMap(const pb::IntTupleSet& domain,
-                       const pb::IntTupleSet& boundaries) {
-  PIPOLY_CHECK(boundaries.isSubsetOf(domain));
-  PIPOLY_CHECK_MSG(!domain.empty(), "blocking an empty domain");
+pb::IntTupleSet blockReps(const pb::IntTupleSet& domain,
+                          const std::vector<pb::IntTupleSet>& boundarySets) {
+  if (domain.empty())
+    return domain;
   const std::size_t a = domain.arity();
   if (a == 0)
-    return pb::IntMap(domain.space(), domain.space(),
-                      {{pb::Tuple{}, pb::Tuple{}}});
-  const pb::RowBuffer& dom = domain.rowData();
-  const pb::RowBuffer& bnd = boundaries.rowData();
-  const std::size_t nd = domain.size(), nb = boundaries.size();
-  const pb::Tuple last = domain.lexmax();
+    return domain; // one point, one block
   pb::RowBuffer rows;
-  rows.reserve(nd * 2 * a);
-  // Both row buffers are sorted, so the smallest boundary lexge each
-  // iteration advances monotonically: one merge sweep instead of a
-  // binary search per iteration. Emission is keyed by the iteration, so
-  // the rows come out sorted.
-  std::size_t j = 0;
-  for (std::size_t i = 0; i < nd; ++i) {
-    const pb::Value* it = &dom[i * a];
-    while (j < nb && pb::rows::less(&bnd[j * a], it, a))
-      ++j;
-    pb::rows::append(rows, it, a);
-    pb::rows::append(rows, j == nb ? last.data() : &bnd[j * a], a);
+  for (const pb::IntTupleSet& b : boundarySets) {
+    PIPOLY_CHECK(b.space() == domain.space());
+    rows.insert(rows.end(), b.rowData().begin(), b.rowData().end());
   }
-  pb::IntMap result = pb::IntMap::fromSortedRows(
-      domain.space(), domain.space(), std::move(rows));
-  PIPOLY_ASSERT(result.isSingleValued());
-  return result;
+  const pb::Value* last = &domain.rowData()[(domain.size() - 1) * a];
+  pb::rows::append(rows, last, a);
+  return pb::IntTupleSet::fromRows(domain.space(), std::move(rows));
 }
 
-pb::IntMap blockingMapNaive(const pb::IntTupleSet& domain,
-                            const pb::IntTupleSet& boundaries) {
-  // Eq. 2: B' = lexleset(I, B); V = lexmin(B').
-  pb::IntMap covered = pb::IntMap::lexLeSet(domain, boundaries)
-                           .lexminPerDomain();
-  // Remainder rule: iterations past the last boundary map to lexmax(I).
-  pb::IntTupleSet rest = domain.subtract(covered.domain());
-  std::vector<pb::IntMap::Pair> extra;
-  for (const pb::Tuple& it : rest.points())
-    extra.emplace_back(it, domain.lexmax());
-  return covered.unite(
-      pb::IntMap(domain.space(), domain.space(), std::move(extra)));
-}
-
-pb::IntMap sourceBlockingMap(const pb::IntTupleSet& srcDomain,
-                             const pb::IntMap& pipelineMap) {
-  return blockingMap(srcDomain, pipelineMap.domain());
-}
-
-pb::IntMap targetBlockingMap(const pb::IntTupleSet& tgtDomain,
-                             const pb::IntMap& pipelineMap) {
-  return blockingMap(tgtDomain, pipelineMap.range());
-}
-
-pb::IntMap integrateBlockingMaps(const std::vector<pb::IntMap>& maps) {
-  PIPOLY_CHECK_MSG(!maps.empty(), "no blocking maps to integrate");
-  if (maps.size() == 1)
-    return maps.front().lexminPerDomain();
-
-  const pb::IntMap& first = maps.front();
-  const std::size_t inA = first.domainSpace().arity();
-  const std::size_t outA = first.rangeSpace().arity();
-  const std::size_t w = inA + outA;
-  if (w == 0) {
-    pb::IntMap acc = first;
-    for (const pb::IntMap& m : maps)
-      acc = acc.unite(m);
-    return acc;
+std::vector<std::uint32_t> blockStarts(const pb::IntTupleSet& domain,
+                                       const pb::IntTupleSet& reps) {
+  PIPOLY_CHECK_MSG(domain.size() < std::numeric_limits<std::uint32_t>::max(),
+                   "domain too large for 32-bit row indices");
+  std::vector<std::uint32_t> starts;
+  starts.reserve(reps.size() + 1);
+  starts.push_back(0);
+  const std::size_t a = domain.arity(), n = domain.size();
+  if (a == 0) {
+    if (!reps.empty())
+      starts.push_back(static_cast<std::uint32_t>(n));
+    return starts;
   }
-
-  // Blocking maps are total and single-valued on one shared domain, so
-  // every map lists the same domain points at the same row indices and Σ
-  // is a per-index lexmin over the k image columns — one O(k·|domain|)
-  // sweep instead of the old pairwise unite chain (O(k²·|domain|) with a
-  // full re-merge per step).
-  bool aligned = true;
-  for (const pb::IntMap& m : maps)
-    aligned = aligned && m.size() == first.size() &&
-              m.domainSpace() == first.domainSpace() &&
-              m.rangeSpace() == first.rangeSpace();
-  if (aligned) {
-    const std::size_t n = first.size();
-    std::vector<const pb::RowBuffer*> bufs;
-    bufs.reserve(maps.size());
-    for (const pb::IntMap& m : maps)
-      bufs.push_back(&m.rowData());
-    pb::RowBuffer rows;
-    rows.reserve(n * w);
-    for (std::size_t i = 0; i < n && aligned; ++i) {
-      const pb::Value* best = &(*bufs[0])[i * w];
-      for (std::size_t k = 1; k < maps.size(); ++k) {
-        const pb::Value* p = &(*bufs[k])[i * w];
-        if (!pb::rows::equal(p, best, inA)) {
-          aligned = false; // different domains after all; fall back
-          break;
-        }
-        if (pb::rows::less(p + inA, best + inA, outA))
-          best = p;
-      }
-      if (aligned)
-        pb::rows::append(rows, best, w);
-    }
-    if (aligned)
-      return pb::IntMap::fromRows(first.domainSpace(), first.rangeSpace(),
-                                  std::move(rows));
+  const pb::Value* dom = domain.rowData().data();
+  std::size_t row = 0;
+  for (const pb::TupleView rep : reps.points()) {
+    row = pb::rows::gallopLowerBound(dom, n, a, row, rep.data(), a);
+    PIPOLY_CHECK_MSG(row < n && pb::rows::equal(dom + row * a, rep.data(), a),
+                     "block representative outside the domain");
+    starts.push_back(static_cast<std::uint32_t>(++row));
   }
+  PIPOLY_CHECK_MSG(starts.back() == n,
+                   "the last block must end at the domain's lexmax");
+  return starts;
+}
 
-  // General fallback for maps over differing domains: concatenate all row
-  // buffers, sort once, then keep the smallest image per domain point.
-  pb::RowBuffer all;
-  std::size_t total = 0;
-  for (const pb::IntMap& m : maps)
-    total += m.size();
-  all.reserve(total * w);
-  for (const pb::IntMap& m : maps)
-    all.insert(all.end(), m.rowData().begin(), m.rowData().end());
-  return pb::IntMap::fromRows(first.domainSpace(), first.rangeSpace(),
-                              std::move(all))
-      .lexminPerDomain();
+std::size_t blockOf(const pb::IntTupleSet& reps, const pb::Value* iteration,
+                    std::size_t hint) {
+  const std::size_t a = reps.arity(), n = reps.size();
+  const pb::Value* base = reps.rowData().data();
+  // Gallop from the hint only when every representative before it is
+  // smaller than the iteration.
+  if (hint > n || (hint > 0 && !pb::rows::less(base + (hint - 1) * a,
+                                               iteration, a)))
+    hint = 0;
+  return pb::rows::gallopLowerBound(base, n, a, hint, iteration, a);
 }
 
 } // namespace pipoly::pipeline

@@ -47,36 +47,25 @@ std::uint64_t separableVolume(const SeparablePairShape& shape) {
   return total;
 }
 
-/// Ordinal of a block representative (a row of `rep`, the statement's
-/// arity wide) within the statement's sorted rep rows — execution order.
-std::size_t repOrdinal(const pb::IntTupleSet& reps, const pb::Value* rep) {
-  const std::size_t w = reps.arity(), n = reps.size();
-  const pb::Value* base = reps.rowData().data();
-  const std::size_t i = pb::rows::lowerBound(base, n, w, 0, rep, w);
-  PIPOLY_CHECK_MSG(i < n && pb::rows::equal(base + i * w, rep, w),
-                   "block representative not found in its statement");
-  return i;
-}
-
 /// Adds to blockElems[p] the distinct elements of `rdRange` that the
 /// iterations of producer block p write through `wr`. One sweep over the
-/// write relation's sorted rows: a galloping cursor over Σ's rows names
-/// each iteration's block, a binary search keeps the elements the
+/// write relation's sorted rows: a galloping cursor over the producer's
+/// block representatives names each iteration's block (the first
+/// representative lexge it), a binary search keeps the elements the
 /// consumer reads, and one sort of the (block ordinal, element) rows
 /// removes duplicates before counting.
 void addBlockElements(const pb::IntMap& wr, const pb::IntTupleSet& rdRange,
-                      const pb::IntMap& blocking, const pb::IntTupleSet& reps,
+                      const pb::IntTupleSet& reps,
                       std::vector<std::uint64_t>& blockElems) {
   const std::size_t depth = wr.domainSpace().arity();
   const std::size_t rank = rdRange.arity();
-  const std::size_t wrW = depth + rank, sigW = 2 * depth, keptW = 1 + rank;
+  const std::size_t wrW = depth + rank, keptW = 1 + rank;
   const pb::Value* wrRows = wr.rowData().data();
-  const pb::Value* sigma = blocking.rowData().data();
+  const pb::Value* repRows = reps.rowData().data();
   const pb::Value* read = rdRange.rowData().data();
-  const std::size_t numSigma = blocking.size(), numRead = rdRange.size();
+  const std::size_t numReps = reps.size(), numRead = rdRange.size();
   pb::RowBuffer kept;
-  std::size_t cursor = 0, ordinal = 0;
-  const pb::Value* lastRep = nullptr;
+  std::size_t block = 0;
   for (std::size_t r = 0; r < wr.size(); ++r) {
     const pb::Value* it = wrRows + r * wrW;
     const pb::Value* elem = it + depth;
@@ -84,17 +73,11 @@ void addBlockElements(const pb::IntMap& wr, const pb::IntTupleSet& rdRange,
         pb::rows::lowerBound(read, numRead, rank, 0, elem, rank);
     if (e == numRead || !pb::rows::equal(read + e * rank, elem, rank))
       continue;
-    cursor = pb::rows::gallopLowerBound(sigma, numSigma, sigW, cursor, it,
-                                        depth);
-    if (cursor == numSigma ||
-        !pb::rows::equal(sigma + cursor * sigW, it, depth))
-      continue; // in no block
-    const pb::Value* rep = sigma + cursor * sigW + depth;
-    if (lastRep == nullptr || !pb::rows::equal(rep, lastRep, depth)) {
-      ordinal = repOrdinal(reps, rep);
-      lastRep = rep;
-    }
-    kept.push_back(static_cast<pb::Value>(ordinal));
+    block = pb::rows::gallopLowerBound(repRows, numReps, depth, block, it,
+                                       depth);
+    if (block == numReps)
+      break; // past the last block: no later row is in a block either
+    kept.push_back(static_cast<pb::Value>(block));
     pb::rows::append(kept, elem, rank);
   }
   pb::rows::sortUnique(kept, keptW);
@@ -113,15 +96,16 @@ std::vector<std::uint64_t> requirementTokens(const pb::IntMap& req,
   const pb::Value* tgt = tgtReps.rowData().data();
   const std::size_t numTgt = tgtReps.size();
   std::vector<std::uint64_t> need(numTgt, 0);
-  std::size_t k = 0;
+  std::size_t k = 0, src = 0;
   for (std::size_t r = 0; r < req.size(); ++r) {
     const pb::Value* row = reqRows + r * w;
     k = pb::rows::gallopLowerBound(tgt, numTgt, tgtW, k, row, tgtW);
     if (k == numTgt)
       break;
-    if (pb::rows::equal(tgt + k * tgtW, row, tgtW))
-      need[k] = std::max<std::uint64_t>(need[k],
-                                        repOrdinal(srcReps, row + tgtW) + 1);
+    if (pb::rows::equal(tgt + k * tgtW, row, tgtW)) {
+      src = blockOf(srcReps, row + tgtW, src);
+      need[k] = std::max<std::uint64_t>(need[k], src + 1);
+    }
   }
   return need;
 }
@@ -198,8 +182,8 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
       const StatementPipelineInfo& srcInfo = info.statements[w.comm.srcIdx];
       std::vector<std::uint64_t> blockElems(srcInfo.blockReps.size(), 0);
       for (std::size_t ai = 0; ai < w.wrRels.size(); ++ai)
-        addBlockElements(*w.wrRels[ai], w.rdRanges[ai], srcInfo.blocking,
-                         srcInfo.blockReps, blockElems);
+        addBlockElements(*w.wrRels[ai], w.rdRanges[ai], srcInfo.blockReps,
+                         blockElems);
       w.wrRels.clear();
       w.rdRanges.clear();
       w.prefixBytes.assign(blockElems.size() + 1, 0);

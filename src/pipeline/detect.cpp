@@ -21,21 +21,18 @@ std::size_t PipelineInfo::totalBlocks() const {
 namespace {
 
 /// Merges every `factor` consecutive blocks into one by keeping every
-/// factor-th boundary (and always the last), then re-deriving the blocking
-/// map over the coarsened boundary set.
-pb::IntMap coarsenBlocking(const pb::IntTupleSet& domain,
-                           const pb::IntMap& blocking, std::size_t factor) {
-  if (factor <= 1)
-    return blocking;
-  const pb::IntTupleSet reps = blocking.range();
-  std::vector<pb::Tuple> kept;
-  const auto& points = reps.points();
-  for (std::size_t i = factor - 1; i < points.size(); i += factor)
-    kept.push_back(points[i]);
-  if (kept.empty() || kept.back() != points.back())
-    kept.push_back(points.back());
-  return blockingMap(domain,
-                     pb::IntTupleSet(domain.space(), std::move(kept)));
+/// factor-th representative (and always the last).
+pb::IntTupleSet coarsenReps(const pb::IntTupleSet& reps, std::size_t factor) {
+  if (factor <= 1 || reps.size() <= 1)
+    return reps;
+  const std::size_t a = reps.arity(), n = reps.size();
+  const pb::Value* rows = reps.rowData().data();
+  pb::RowBuffer kept;
+  for (std::size_t i = factor - 1; i < n; i += factor)
+    pb::rows::append(kept, rows + i * a, a);
+  if (n % factor != 0)
+    pb::rows::append(kept, rows + (n - 1) * a, a);
+  return pb::IntTupleSet::fromSortedRows(reps.space(), std::move(kept));
 }
 
 /// Which route produced (or dismissed) one candidate pair.
@@ -51,9 +48,8 @@ enum class PairRoute : unsigned char {
 /// candidate pair; `hasMap == false` when the pair yields no pipeline map
 /// (no dependence, or an empty map).
 struct PairResult {
-  pb::IntMap map;         // T_{S,T}
-  pb::IntMap srcBlocking; // V_S over the source domain
-  pb::IntMap tgtBlocking; // Y_T over the target domain
+  pb::IntMap map;               // T_{S,T}
+  pb::IntTupleSet srcBoundaries; // V_S's boundaries: Dom(T)
   bool hasMap = false;
   /// Dependent pair whose source is a relaxed reduction statement: the
   /// target must wait for the source's combine step (which materializes
@@ -84,9 +80,8 @@ PairResult computePair(const scop::AccessRelations& rel, std::size_t s,
       // suite checks). The accumulation write is non-injective by
       // definition, so the explicit map is built with the relaxation
       // the Off route would need anyway.
-      const pb::IntMap tMap =
-          pipelineMap(rel, s, t, /*allowNonInjective=*/true);
-      r.srcBlocking = sourceBlockingMap(scop.statement(s).domain(), tMap);
+      r.srcBoundaries =
+          pipelineMap(rel, s, t, /*allowNonInjective=*/true).domain();
     }
     return r; // else: route stays Independent
   }
@@ -113,8 +108,7 @@ PairResult computePair(const scop::AccessRelations& rel, std::size_t s,
   }
   if (tMap.empty())
     return r;
-  r.srcBlocking = sourceBlockingMap(scop.statement(s).domain(), tMap);
-  r.tgtBlocking = targetBlockingMap(scop.statement(t).domain(), tMap);
+  r.srcBoundaries = tMap.domain();
   r.map = std::move(tMap);
   r.hasMap = true;
   return r;
@@ -167,64 +161,56 @@ void traceRoute(const PairResult& r, std::int64_t pairIdx) {
   }
 }
 
-/// Contiguous uniform split of a non-empty domain into
-/// min(k, |domain|) blocks — the blocking a pure accumulation nest gets
-/// once its reduction self-dependences are relaxed and no incoming
-/// pipeline map subdivides it.
-pb::IntMap uniformBlocking(const pb::IntTupleSet& domain, std::size_t k) {
-  const std::size_t n = domain.size();
+/// Representatives of the contiguous uniform split of a non-empty domain
+/// into min(k, |domain|) blocks (block b ends at row n·(b+1)/k) — the
+/// blocking a pure accumulation nest gets once its reduction
+/// self-dependences are relaxed and no incoming pipeline map subdivides
+/// it.
+pb::IntTupleSet uniformReps(const pb::IntTupleSet& domain, std::size_t k) {
+  const std::size_t n = domain.size(), a = domain.arity();
   k = std::max<std::size_t>(1, std::min(k, n));
-  const auto& points = domain.points();
-  std::vector<pb::Tuple> boundaries;
-  boundaries.reserve(k);
+  const pb::Value* rows = domain.rowData().data();
+  pb::RowBuffer reps;
+  reps.reserve(k * a);
   for (std::size_t b = 1; b <= k; ++b)
-    boundaries.push_back(points[n * b / k - 1]);
-  return blockingMap(domain,
-                     pb::IntTupleSet(domain.space(), std::move(boundaries)));
+    pb::rows::append(reps, rows + (n * b / k - 1) * a, a);
+  return pb::IntTupleSet::fromSortedRows(domain.space(), std::move(reps));
 }
 
 /// Algorithm 1, lines 8-10, for one statement: integrate its blocking
-/// maps (eq. 3) and build the out-dependency identity. Statements not
-/// involved in any pipeline map become a single block (their whole domain
-/// as one task); statements with an empty iteration domain get zero
-/// blocks and no dependencies.
+/// boundaries (eq. 3). Statements not involved in any pipeline map become
+/// a single block (their whole domain as one task); statements with an
+/// empty iteration domain get zero blocks and no dependencies.
 void computeStatementInfo(const scop::AccessRelations& rel, std::size_t s,
-                          const std::vector<pb::IntMap>& maps,
+                          const std::vector<pb::IntTupleSet>& boundaries,
                           const DetectOptions& options,
                           const ReductionInfo& reduction,
                           StatementPipelineInfo& st) {
   const scop::Scop& scop = rel.scop();
-  const pb::IntTupleSet& domain = scop.statement(s).domain();
+  const scop::Statement& stmt = scop.statement(s);
+  const pb::IntTupleSet& domain = stmt.domain();
   if (options.relaxSameNestOrdering || reduction.relaxed)
     st.chainOrdering = false;
+  if (!st.chainOrdering)
+    st.selfEdges = pb::IntMap(stmt.space(), stmt.space());
   if (domain.empty()) {
-    st.blocking = pb::IntMap(domain.space(), domain.space());
-    st.expansion = st.blocking;
     st.blockReps = domain;
-    st.outDependency = st.blocking;
-    if (!st.chainOrdering)
-      st.selfEdges = pb::IntMap(scop.statement(s).space(),
-                                scop.statement(s).space());
+    st.blockStarts = {0};
     return;
   }
-  if (maps.empty()) {
-    st.blocking = blockingMap(domain, pb::IntTupleSet(domain.space()));
-  } else if (options.integration == DetectOptions::Integration::LexminUnion) {
-    st.blocking = integrateBlockingMaps(maps);
-  } else {
-    st.blocking = maps.front();
-  }
-  st.blocking = coarsenBlocking(domain, st.blocking, options.coarsening);
-  if (reduction.relaxed && st.blocking.range().size() <= 1 &&
-      domain.size() > 1) {
+  if (options.integration == DetectOptions::Integration::FirstMapOnly &&
+      boundaries.size() > 1)
+    st.blockReps = blockReps(domain, {boundaries.front()});
+  else
+    st.blockReps = blockReps(domain, boundaries);
+  st.blockReps = coarsenReps(st.blockReps, options.coarsening);
+  if (reduction.relaxed && st.blockReps.size() <= 1 && domain.size() > 1) {
     // A pure accumulation nest: nothing upstream subdivides it, and with
     // the reduction self-dependences relaxed its iterations are freely
     // re-partitionable — split into parallel partial blocks directly.
-    st.blocking = uniformBlocking(domain, options.reductionBlocks);
+    st.blockReps = uniformReps(domain, options.reductionBlocks);
   }
-  st.expansion = st.blocking.inverse();
-  st.blockReps = st.blocking.range();
-  st.outDependency = pb::IntMap::identity(st.blockReps);
+  st.blockStarts = blockStarts(domain, st.blockReps);
 
   if (reduction.relaxed) {
     // Every self-dependence of a classified reduction statement is
@@ -232,8 +218,6 @@ void computeStatementInfo(const scop::AccessRelations& rel, std::size_t s,
     // relaxed: the partial blocks are mutually independent. The combine
     // step the lowering appends restores the serial semantics.
     st.reduction = reduction;
-    st.selfEdges = pb::IntMap(scop.statement(s).space(),
-                              scop.statement(s).space());
     return;
   }
 
@@ -242,32 +226,45 @@ void computeStatementInfo(const scop::AccessRelations& rel, std::size_t s,
     // cross-block self-dependence edges. Blocks with no incoming edge
     // from another block may run as soon as their cross-statement
     // requirements are met.
-    std::vector<pb::IntMap::Pair> edges;
-    const pb::IntMap selfDeps = scop::selfDependences(rel, s);
-    for (const auto& [i, j] : selfDeps.pairs()) {
-      pb::Tuple from = *st.blocking.singleImageOf(i);
-      pb::Tuple to = *st.blocking.singleImageOf(j);
-      if (from != to)
-        edges.emplace_back(std::move(to), std::move(from));
+    const std::size_t a = domain.arity();
+    const pb::Value* reps = st.blockReps.rowData().data();
+    pb::RowBuffer edges;
+    std::size_t from = 0, to = 0;
+    for (const pb::PairView dep : scop::selfDependences(rel, s).pairs()) {
+      from = blockOf(st.blockReps, dep.first.data(), from);
+      to = blockOf(st.blockReps, dep.second.data(), to);
+      if (from == to)
+        continue;
+      pb::rows::append(edges, reps + to * a, a);
+      pb::rows::append(edges, reps + from * a, a);
     }
-    st.selfEdges = pb::IntMap(scop.statement(s).space(),
-                              scop.statement(s).space(), std::move(edges));
+    st.selfEdges =
+        pb::IntMap::fromRows(stmt.space(), stmt.space(), std::move(edges));
   }
 }
 
 /// Algorithm 1, lines 11-12, for one pipeline map: the in-dependency map
-/// (eq. 4). Reads the per-statement info computed by computeStatementInfo
-/// (all of it must be complete) and returns the requirement to attach to
-/// the target statement. `tgtBlocking` is the map's Y_T from phase 1.
+/// (eq. 4). Reads the per-statement blocks computed by
+/// computeStatementInfo (all of them must be complete) and returns the
+/// requirement to attach to the target statement.
 InRequirement computeInRequirement(const scop::AccessRelations& rel,
                                    const PipelineMapEntry& entry,
-                                   const pb::IntMap& tgtBlocking,
                                    const PipelineInfo& info,
                                    const DetectOptions& options) {
   const scop::Scop& scop = rel.scop();
   const scop::Statement& tgt = scop.statement(entry.tgtIdx);
+  const scop::Statement& src = scop.statement(entry.srcIdx);
   const StatementPipelineInfo& tgtInfo = info.statements[entry.tgtIdx];
   const StatementPipelineInfo& srcInfo = info.statements[entry.srcIdx];
+  const std::size_t tgtA = tgt.depth(), srcA = src.depth();
+  const pb::Value* tgtReps = tgtInfo.blockReps.rowData().data();
+  const pb::Value* srcReps = srcInfo.blockReps.rowData().data();
+  pb::RowBuffer rows;
+  const auto emit = [&](std::size_t tgtBlock, std::size_t srcBlock) {
+    PIPOLY_CHECK(srcBlock < srcInfo.blockReps.size());
+    pb::rows::append(rows, tgtReps + tgtBlock * tgtA, tgtA);
+    pb::rows::append(rows, srcReps + srcBlock * srcA, srcA);
+  };
 
   // With relaxed same-nest ordering the prefix argument behind eq. 4 no
   // longer holds (finishing a source block does not imply earlier source
@@ -275,48 +272,49 @@ InRequirement computeInRequirement(const scop::AccessRelations& rel,
   // edges: each target block depends on every source block it actually
   // reads from, derived from P = Wr^-1(Rd).
   if (options.relaxSameNestOrdering) {
-    pb::IntMap p = producerRelation(rel, entry.srcIdx, entry.tgtIdx,
-                                    options.allowNonInjectiveWrites);
-    std::vector<pb::IntMap::Pair> pairs;
-    pairs.reserve(p.size());
-    for (const auto& [j, i] : p.pairs())
-      pairs.emplace_back(*tgtInfo.blocking.singleImageOf(j),
-                         *srcInfo.blocking.singleImageOf(i));
+    const pb::IntMap p = producerRelation(rel, entry.srcIdx, entry.tgtIdx,
+                                          options.allowNonInjectiveWrites);
+    std::size_t tgtBlock = 0, srcBlock = 0;
+    for (const pb::PairView ji : p.pairs()) {
+      tgtBlock = blockOf(tgtInfo.blockReps, ji.first.data(), tgtBlock);
+      srcBlock = blockOf(srcInfo.blockReps, ji.second.data(), srcBlock);
+      emit(tgtBlock, srcBlock);
+    }
     return InRequirement{entry.srcIdx,
-                         pb::IntMap(tgt.space(),
-                                    scop.statement(entry.srcIdx).space(),
-                                    std::move(pairs))};
+                         pb::IntMap::fromRows(tgt.space(), src.space(),
+                                              std::move(rows))};
   }
 
   // Q = T^-1 ( Y_T ( Range(Σ_T) ) ): every block of the target needs the
-  // last source block that enables it.
-  const pb::IntMap tInv = entry.map.inverse(); // single-valued (T injective)
-  const pb::Tuple lastSource = entry.map.domain().lexmax();
-  const auto requiredBlock = [&](const pb::Tuple& rep) {
-    std::optional<pb::Tuple> boundary = tgtBlocking.singleImageOf(rep);
-    PIPOLY_CHECK_MSG(boundary.has_value(),
-                     "target blocking map not total on block reps");
-    // A boundary outside Range(T) means the block maps past the last
-    // pipeline boundary. With the integrated Σ of eq. 3 such a block
-    // provably contains no reader of this source, but under coarsening or
+  // last source block that enables it. Y_T names the first boundary of
+  // Range(T) lexge the block's representative; T^-1 is single-valued (T
+  // is injective), so its rows, sorted by target, walk Range(T) in order
+  // beside the target's representatives.
+  const pb::IntMap tInv = entry.map.inverse();
+  const pb::Value* inv = tInv.rowData().data();
+  const std::size_t invW = tgtA + srcA, numInv = tInv.size();
+  const pb::Value* lastSource = entry.map.rowData().data() +
+                                (entry.map.size() - 1) * invW;
+  std::size_t k = 0, srcBlock = 0;
+  for (std::size_t b = 0; b < tgtInfo.blockReps.size(); ++b) {
+    k = pb::rows::gallopLowerBound(inv, numInv, invW, k, tgtReps + b * tgtA,
+                                   tgtA);
+    // A block past every boundary of Range(T) maps past the last pipeline
+    // boundary. With the integrated Σ of eq. 3 such a block provably
+    // contains no reader of this source, but under coarsening or
     // FirstMapOnly it may; require the whole pipelined source prefix
     // (conservative, and a no-op when the block truly reads nothing).
-    const pb::Tuple required =
-        tInv.singleImageOf(*boundary).value_or(lastSource);
-    // The required iteration is a blocking boundary of the source map,
-    // so mapping through Σ_src names the block that produces it (with a
-    // coarsened Σ it lands on the enclosing, later block — still safe).
-    std::optional<pb::Tuple> srcBlock =
-        srcInfo.blocking.singleImageOf(required);
-    PIPOLY_CHECK(srcBlock.has_value());
-    return std::move(*srcBlock);
-  };
+    const pb::Value* required = k < numInv ? inv + k * invW + tgtA : lastSource;
+    // The required iteration is a blocking boundary of the source map, so
+    // the source block holding it produces it (with a coarsened Σ it lands
+    // on the enclosing, later block — still safe).
+    srcBlock = blockOf(srcInfo.blockReps, required, srcBlock);
+    emit(b, srcBlock);
+  }
   // The block reps arrive in order, so the rows are written sorted.
-  return InRequirement{
-      entry.srcIdx,
-      pb::IntMap::fromFunction(tgtInfo.blockReps,
-                               scop.statement(entry.srcIdx).space(),
-                               requiredBlock)};
+  return InRequirement{entry.srcIdx,
+                       pb::IntMap::fromSortedRows(tgt.space(), src.space(),
+                                                  std::move(rows))};
 }
 
 } // namespace
@@ -353,13 +351,11 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
   static const ReductionInfo kNoReduction{};
 
   // Phase 1 (Algorithm 1, lines 1-7): pipeline maps and per-pair blocking
-  // maps for every candidate pair (s < t), t outer and s inner.
-  std::vector<std::vector<pb::IntMap>> blockingMaps(n);
+  // boundaries for every candidate pair (s < t), t outer and s inner.
+  std::vector<std::vector<pb::IntTupleSet>> boundaries(n);
   // Per target, the relaxed-reduction sources it depends on (combine
   // edges), in candidate order.
   std::vector<std::vector<std::size_t>> combineSources(n);
-  // Y_T of every pipeline map, in map order (eq. 4 reuses it).
-  std::vector<pb::IntMap> mapTgtBlockings;
   {
     trace::Span phase("detect.pairs");
     std::int64_t pairIdx = 0;
@@ -390,26 +386,25 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
         traceRoute(r, pairIdx);
         if (r.combineEdge) {
           combineSources[t].push_back(s);
-          if (!r.srcBlocking.empty())
-            blockingMaps[s].push_back(std::move(r.srcBlocking));
+          boundaries[s].push_back(std::move(r.srcBoundaries));
         }
         if (!r.hasMap)
           continue;
-        blockingMaps[s].push_back(std::move(r.srcBlocking));
-        blockingMaps[t].push_back(r.tgtBlocking); // shares the rows
-        mapTgtBlockings.push_back(std::move(r.tgtBlocking));
+        boundaries[s].push_back(std::move(r.srcBoundaries));
+        boundaries[t].push_back(r.map.range());
         info.maps.push_back(PipelineMapEntry{s, t, std::move(r.map)});
       }
     }
     info.stats.candidatePairs = static_cast<std::size_t>(pairIdx);
   }
 
-  // Phase 2 (lines 8-10): integrate blocking maps (eq. 3) per statement.
+  // Phase 2 (lines 8-10): integrate blocking boundaries (eq. 3) per
+  // statement.
   {
     trace::Span phase("detect.integrate");
     for (std::size_t s = 0; s < n; ++s) {
       trace::Span unit("detect.statement", static_cast<std::int64_t>(s));
-      computeStatementInfo(relations, s, blockingMaps[s], options,
+      computeStatementInfo(relations, s, boundaries[s], options,
                            reductions.empty() ? kNoReduction : reductions[s],
                            info.statements[s]);
     }
@@ -423,9 +418,8 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
     trace::Span phase("detect.requirements");
     for (std::size_t i = 0; i < info.maps.size(); ++i) {
       trace::Span unit("detect.requirement", static_cast<std::int64_t>(i));
-      InRequirement req = computeInRequirement(relations, info.maps[i],
-                                               mapTgtBlockings[i], info,
-                                               options);
+      InRequirement req =
+          computeInRequirement(relations, info.maps[i], info, options);
       info.statements[info.maps[i].tgtIdx].inRequirements.push_back(
           std::move(req));
     }

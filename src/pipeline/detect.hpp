@@ -3,14 +3,17 @@
 // §4 / Algorithm 1 — the full pipeline detection pass. For a SCoP of
 // consecutive loop nests it computes, per statement S:
 //
-//   Σ_S      the integrated pipeline blocking map (eq. 3): iteration ->
-//            block representative. Each block is one atomic task.
+//   Σ_S      the integrated pipeline blocking (eq. 3): every iteration's
+//            block representative. Each block is one atomic task. Kept in
+//            interval form (blocking.hpp): the representatives and each
+//            block's start row in the lexicographically sorted domain.
 //   Q_S      the array of in-dependency maps (eq. 4): block representative
 //            of S -> last required block representative of a source
 //            statement, one map per pipeline map that targets S.
-//   Q_S^out  the out-dependency map: the identity on Range(Σ_S).
 //
 // plus the list of pairwise pipeline maps T_{S,T} the blocks derive from.
+// The out-dependency Q_S^out is the identity on the representatives: a
+// finished block publishes its own representative.
 //
 // Every candidate pair takes one route ladder: a pair of symbolic.hpp's
 // separable shape gets its map in closed form; any other pair falls back,
@@ -26,6 +29,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace pipoly::pipeline {
@@ -56,17 +60,15 @@ struct InRequirement {
 };
 
 struct StatementPipelineInfo {
-  /// Σ_S: iteration -> block representative (total, single-valued).
-  pb::IntMap blocking;
-  /// Σ_S^-1: block representative -> member iterations (the expansion /
-  /// contraction relation used by the schedule tree).
-  pb::IntMap expansion;
-  /// Range(Σ_S): all block representatives, in execution order.
+  /// Range(Σ_S): all block representatives, in execution order. A block's
+  /// representative is its last iteration.
   pb::IntTupleSet blockReps;
+  /// Σ_S as row intervals of the statement's sorted domain: block b owns
+  /// the domain rows [blockStarts[b], blockStarts[b + 1]). One entry per
+  /// block plus a final |D_S|, so an empty domain gives {0}.
+  std::vector<std::uint32_t> blockStarts;
   /// Q_S: one entry per pipeline map targeting this statement.
   std::vector<InRequirement> inRequirements;
-  /// Q_S^out: identity on blockReps (what finishing a block publishes).
-  pb::IntMap outDependency;
   /// Same-nest ordering. When `chainOrdering` is true (the paper's
   /// semantics, Fig. 8 funcCount protocol), blocks of this statement run
   /// strictly in order. Otherwise (the §7 combination with per-nest

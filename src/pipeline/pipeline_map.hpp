@@ -15,8 +15,10 @@
 //   T_{S,T} = lexmax(H^-1)
 //
 // Two implementations are provided: the literal composition (used by tests
-// as ground truth) and a streaming one that exploits the monotonicity of H
-// over the lexicographic order to avoid materialising the O(|J|^2) D' map.
+// as ground truth) and a streaming one. The streaming one needs only
+// lexmax P(j), which it reads off a per-element last-writer table instead
+// of composing Wr^-1 and Rd, and it exploits the monotonicity of H over
+// the lexicographic order to avoid materialising the O(|J|^2) D' map.
 
 #include "presburger/map.hpp"
 #include "scop/scop.hpp"

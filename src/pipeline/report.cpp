@@ -38,8 +38,8 @@ std::string describeStride(const pb::IntTupleSet& boundaries) {
 std::size_t medianBlockSize(const StatementPipelineInfo& st) {
   std::vector<std::size_t> sizes;
   sizes.reserve(st.blockReps.size());
-  for (const pb::Tuple& rep : st.blockReps.points())
-    sizes.push_back(st.expansion.imagesOf(rep).size());
+  for (std::size_t b = 0; b < st.blockReps.size(); ++b)
+    sizes.push_back(st.blockStarts[b + 1] - st.blockStarts[b]);
   PIPOLY_CHECK(!sizes.empty());
   std::sort(sizes.begin(), sizes.end());
   return sizes[sizes.size() / 2];

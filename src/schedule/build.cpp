@@ -9,9 +9,10 @@ buildStatementSchedule(const scop::Scop& scop,
                        const pipeline::PipelineInfo& info,
                        std::size_t stmtIdx) {
   const pipeline::StatementPipelineInfo& st = info.statements.at(stmtIdx);
-  const pb::IntTupleSet rangeSigma = st.blockReps;          // R_Σ
-  const pb::IntTupleSet domainSigma = st.blocking.domain(); // D_Σ
-  PIPOLY_CHECK_MSG(domainSigma == scop.statement(stmtIdx).domain(),
+  const pb::IntTupleSet& rangeSigma = st.blockReps;                  // R_Σ
+  const pb::IntTupleSet& domainSigma = scop.statement(stmtIdx).domain(); // D_Σ
+  PIPOLY_CHECK_MSG(st.blockStarts.size() == rangeSigma.size() + 1 &&
+                       st.blockStarts.back() == domainSigma.size(),
                    "pipeline info does not match the SCoP");
 
   // sch1: domain(R_Σ) -> band(identity(R_Σ)) — the loops over blocks.
@@ -20,13 +21,13 @@ buildStatementSchedule(const scop::Scop& scop,
       &root->addChild(ScheduleNode::band(pb::IntMap::identity(rangeSigma)));
 
   // expand(sch1, sch2, Σ): the expansion node splices sch2 (the intra-block
-  // schedule) under sch1 with Σ as the contraction.
-  cursor = &cursor->addChild(ScheduleNode::expansion(st.blocking));
+  // schedule) under sch1 with Σ, in interval form, as the contraction.
+  cursor = &cursor->addChild(ScheduleNode::expansion(st.blockStarts));
 
   // sch2: mark(Q_S, Q_S^out) -> band(identity(D_Σ)). The mark sits before
   // the intra-block band so the AST phase can locate the pipeline loop.
-  PipelineMark mark{stmtIdx, st.inRequirements, st.outDependency,
-                    st.chainOrdering, st.selfEdges, st.reduction};
+  PipelineMark mark{stmtIdx, st.inRequirements, st.chainOrdering,
+                    st.selfEdges, st.reduction};
   cursor = &cursor->addChild(
       ScheduleNode::mark(std::string(kPipelineMarkId), std::move(mark)));
   cursor = &cursor->addChild(
@@ -72,11 +73,19 @@ void validateStatementSubtree(const ScheduleNode& node, const scop::Scop& scop,
 
   const ScheduleNode& expansion = blockBand.child(0);
   PIPOLY_CHECK(expansion.kind() == NodeKind::Expansion);
-  const pb::IntMap& contraction = expansion.contraction();
-  PIPOLY_CHECK_MSG(contraction.range() == blockReps,
-                   "contraction must map onto the block reps");
-  PIPOLY_CHECK_MSG(contraction.domain() == scop.statement(stmtIdx).domain(),
+  // The contraction's intervals must tile the statement domain, each
+  // ending at its block representative.
+  const std::vector<std::uint32_t>& starts = expansion.blockStarts();
+  const pb::IntTupleSet& domain = scop.statement(stmtIdx).domain();
+  PIPOLY_CHECK_MSG(starts.size() == blockReps.size() + 1 &&
+                       starts.front() == 0 && starts.back() == domain.size(),
                    "contraction must cover the statement domain");
+  const auto points = domain.points();
+  const auto reps = blockReps.points();
+  for (std::size_t b = 0; b < reps.size(); ++b)
+    PIPOLY_CHECK_MSG(starts[b] < starts[b + 1] &&
+                         points[starts[b + 1] - 1] == reps[b],
+                     "contraction must map onto the block reps");
 
   const ScheduleNode& mark = expansion.child(0);
   PIPOLY_CHECK(mark.kind() == NodeKind::Mark);
@@ -117,14 +126,14 @@ flattenExecutionOrder(const ScheduleNode& root) {
     const std::size_t stmtIdx = mark.markInfo().stmtIdx;
 
     // The outer band schedules block reps with an identity partial
-    // schedule: walk its domain in lexicographic (= schedule) order and
-    // expand each block through the contraction's inverse, again in the
-    // inner band's lexicographic order.
-    const pb::IntMap expand = expansion.contraction().inverse();
-    const pb::IntTupleSet blockOrder = blockBand.partialSchedule().domain();
-    for (const pb::Tuple& rep : blockOrder.points())
-      for (const pb::Tuple& it : expand.imagesOf(rep))
-        order.emplace_back(stmtIdx, it);
+    // schedule: walk them in lexicographic (= schedule) order and expand
+    // each block to its interval of the inner band's lexicographically
+    // sorted domain.
+    const std::vector<std::uint32_t>& starts = expansion.blockStarts();
+    const auto inner = mark.child(0).partialSchedule().domain().points();
+    for (std::size_t b = 0; b + 1 < starts.size(); ++b)
+      for (std::uint32_t r = starts[b]; r < starts[b + 1]; ++r)
+        order.emplace_back(stmtIdx, inner[r]);
   }
   return order;
 }

@@ -48,9 +48,10 @@ std::unique_ptr<ScheduleNode> ScheduleNode::mark(std::string id,
   return n;
 }
 
-std::unique_ptr<ScheduleNode> ScheduleNode::expansion(pb::IntMap contraction) {
+std::unique_ptr<ScheduleNode>
+ScheduleNode::expansion(std::vector<std::uint32_t> blockStarts) {
   auto n = std::unique_ptr<ScheduleNode>(new ScheduleNode(NodeKind::Expansion));
-  n->map_ = std::move(contraction);
+  n->blockStarts_ = std::move(blockStarts);
   return n;
 }
 
@@ -86,9 +87,9 @@ const PipelineMark& ScheduleNode::markInfo() const {
   return markInfo_;
 }
 
-const pb::IntMap& ScheduleNode::contraction() const {
+const std::vector<std::uint32_t>& ScheduleNode::blockStarts() const {
   PIPOLY_CHECK(kind_ == NodeKind::Expansion);
-  return map_;
+  return blockStarts_;
 }
 
 const ScheduleNode* ScheduleNode::findMark(std::string_view id) const {
@@ -116,7 +117,7 @@ std::string ScheduleNode::toString(int indent) const {
        << " inDeps=" << markInfo_.inRequirements.size();
     break;
   case NodeKind::Expansion:
-    os << " |contraction|=" << map_.size();
+    os << " |contraction|=" << (blockStarts_.empty() ? 0 : blockStarts_.back());
     break;
   default:
     break;

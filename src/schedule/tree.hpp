@@ -12,6 +12,7 @@
 #include "presburger/map.hpp"
 #include "presburger/set.hpp"
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,7 +29,6 @@ std::string_view nodeKindName(NodeKind kind);
 struct PipelineMark {
   std::size_t stmtIdx = 0;
   std::vector<pipeline::InRequirement> inRequirements;
-  pb::IntMap outDependency;
   /// Same-nest ordering mode and (when relaxed) the cross-block
   /// self-dependence edges; see StatementPipelineInfo.
   bool chainOrdering = true;
@@ -43,9 +43,12 @@ public:
   static std::unique_ptr<ScheduleNode> band(pb::IntMap partialSchedule);
   static std::unique_ptr<ScheduleNode> sequence();
   static std::unique_ptr<ScheduleNode> mark(std::string id, PipelineMark info);
-  /// contraction maps expanded (inner) domain elements to the elements of
-  /// the outer schedule (Σ_S in Algorithm 2).
-  static std::unique_ptr<ScheduleNode> expansion(pb::IntMap contraction);
+  /// The contraction Σ_S of Algorithm 2 in interval form: outer element
+  /// b (the b-th block representative) expands to the inner domain rows
+  /// [blockStarts[b], blockStarts[b + 1]) (see
+  /// StatementPipelineInfo::blockStarts).
+  static std::unique_ptr<ScheduleNode>
+  expansion(std::vector<std::uint32_t> blockStarts);
   static std::unique_ptr<ScheduleNode> leaf();
 
   NodeKind kind() const { return kind_; }
@@ -60,7 +63,7 @@ public:
   const pb::IntMap& partialSchedule() const;
   const std::string& markId() const;
   const PipelineMark& markInfo() const;
-  const pb::IntMap& contraction() const;
+  const std::vector<std::uint32_t>& blockStarts() const;
 
   /// Depth-first search for the first mark node with the given id under
   /// this node (inclusive); nullptr when absent.
@@ -75,7 +78,8 @@ private:
   std::vector<std::unique_ptr<ScheduleNode>> children_;
 
   pb::IntTupleSet domain_;
-  pb::IntMap map_; // band partial schedule or expansion contraction
+  pb::IntMap map_; // band partial schedule
+  std::vector<std::uint32_t> blockStarts_; // expansion
   std::string markId_;
   PipelineMark markInfo_{};
 };

@@ -660,7 +660,7 @@ void ChannelPipeline::replay(const StatementExecutor& exec) {
   engine_->run(1, [this, &exec](std::size_t stage, std::size_t pos,
                                 std::size_t) {
     const codegen::Task& task = *taskAt_[stage][pos];
-    for (const pb::Tuple& it : task.iterations)
+    for (const pb::TupleView it : task.iterations)
       exec(task.stmtIdx, it);
   });
 }
@@ -674,7 +674,7 @@ void ChannelPipeline::replayBatches(std::size_t numBatches,
   engine_->run(numBatches, [this, &exec](std::size_t stage, std::size_t pos,
                                          std::size_t batch) {
     const codegen::Task& task = *taskAt_[stage][pos];
-    for (const pb::Tuple& it : task.iterations)
+    for (const pb::TupleView it : task.iterations)
       exec(batch, task.stmtIdx, it);
   });
 }

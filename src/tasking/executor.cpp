@@ -20,7 +20,7 @@ struct TaskLaunch {
 /// The extracted task function: runs every iteration of one block.
 void runBlock(void* raw) {
   const TaskLaunch& launch = *static_cast<TaskLaunch*>(raw);
-  for (const pb::Tuple& it : launch.task->iterations)
+  for (const pb::TupleView it : launch.task->iterations)
     (*launch.exec)(launch.task->stmtIdx, it);
 }
 

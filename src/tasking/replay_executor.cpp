@@ -27,7 +27,7 @@ void runGraphNode(void* context, rt::ReplayGraph::NodeId node,
                   std::size_t batch) {
   const ReplayRun& run = *static_cast<ReplayRun*>(context);
   const codegen::Task& task = run.program->tasks[node];
-  for (const pb::Tuple& it : task.iterations)
+  for (const pb::TupleView it : task.iterations)
     (*run.exec)(run.firstBatch + batch, task.stmtIdx, it);
 }
 
@@ -216,7 +216,7 @@ void CompiledPipeline::runSerial(std::size_t firstBatch,
   // loop is a legal schedule; batches follow each other unoverlapped.
   for (std::size_t b = firstBatch; b < firstBatch + numBatches; ++b)
     for (const codegen::Task& task : program_->tasks)
-      for (const pb::Tuple& it : task.iterations)
+      for (const pb::TupleView it : task.iterations)
         exec(b, task.stmtIdx, it);
 }
 
@@ -231,7 +231,7 @@ void CompiledPipeline::calibrate(const BatchStatementExecutor& exec) {
   std::vector<double> seconds(numStmts, 0.0), iterations(numStmts, 0.0);
   Clock::time_point last = Clock::now();
   for (const codegen::Task& task : program_->tasks) {
-    for (const pb::Tuple& it : task.iterations)
+    for (const pb::TupleView it : task.iterations)
       exec(0, task.stmtIdx, it);
     const Clock::time_point now = Clock::now();
     seconds[task.stmtIdx] += std::chrono::duration<double>(now - last).count();

@@ -36,10 +36,17 @@ TEST(AstTest, ExpansionCoversDomains) {
   scop::Scop scop = testing::listing3(16);
   Ast ast = buildFor(scop);
   for (const AstLoopNest& nest : ast.nests) {
-    std::size_t total = 0;
-    for (const pb::Tuple& rep : nest.blockReps.points())
-      total += nest.expansion.imagesOf(rep).size();
-    EXPECT_EQ(total, scop.statement(nest.stmtIdx).domain().size());
+    // Block b runs the rows [blockStarts[b], blockStarts[b + 1]), ending
+    // at its representative; together the blocks tile the domain.
+    const pb::IntTupleSet& domain = scop.statement(nest.stmtIdx).domain();
+    ASSERT_EQ(nest.blockStarts.size(), nest.blockReps.size() + 1);
+    EXPECT_EQ(nest.blockStarts.front(), 0u);
+    EXPECT_EQ(nest.blockStarts.back(), domain.size());
+    for (std::size_t b = 0; b < nest.blockReps.size(); ++b) {
+      EXPECT_LT(nest.blockStarts[b], nest.blockStarts[b + 1]);
+      EXPECT_EQ(domain.points()[nest.blockStarts[b + 1] - 1],
+                nest.blockReps.points()[b]);
+    }
   }
 }
 

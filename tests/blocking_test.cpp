@@ -4,6 +4,7 @@
 #include "presburger/parser.hpp"
 #include "support/assert.hpp"
 #include "testing/fixtures.hpp"
+#include "testing/legacy_blocking.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,11 @@ namespace {
 using pb::IntTupleSet;
 using pb::Space;
 using pb::Tuple;
+using testing::blockingMap;
+using testing::blockingMapNaive;
+using testing::integrateBlockingMaps;
+using testing::sourceBlockingMap;
+using testing::targetBlockingMap;
 
 const Space kS("S", 1);
 

@@ -5,6 +5,7 @@
 #include "support/assert.hpp"
 #include "tasking/tasking.hpp"
 #include "testing/fixtures.hpp"
+#include "testing/legacy_blocking.hpp"
 #include "testing/interpreted_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -31,9 +32,10 @@ TEST(DetectOptionsTest, CoarseningKeepsPartition) {
   PipelineInfo info = detectPipeline(scop, opt);
   for (std::size_t s = 0; s < scop.numStatements(); ++s) {
     const StatementPipelineInfo& st = info.statements[s];
+    const pb::IntMap expansion = testing::expansionMap(scop, info, s);
     std::size_t total = 0;
     for (const pb::Tuple& rep : st.blockReps.points())
-      total += st.expansion.imagesOf(rep).size();
+      total += expansion.imagesOf(rep).size();
     EXPECT_EQ(total, scop.statement(s).domain().size());
   }
 }

@@ -1,10 +1,13 @@
 #include "pipeline/detect.hpp"
 
+#include "codegen/task_program.hpp"
+
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 #include "support/str.hpp"
 #include "testing/fixtures.hpp"
+#include "testing/legacy_blocking.hpp"
 
 #include <gtest/gtest.h>
 
@@ -34,10 +37,11 @@ TEST(DetectTest, BlockingIsTotalSingleValuedIdempotent) {
   PipelineInfo info = detectPipeline(scop);
   for (std::size_t s = 0; s < scop.numStatements(); ++s) {
     const StatementPipelineInfo& st = info.statements[s];
-    EXPECT_EQ(st.blocking.domain(), scop.statement(s).domain());
-    EXPECT_TRUE(st.blocking.isSingleValued());
+    const pb::IntMap sigma = testing::sigmaMap(scop, info, s);
+    EXPECT_EQ(sigma.domain(), scop.statement(s).domain());
+    EXPECT_TRUE(sigma.isSingleValued());
     for (const Tuple& rep : st.blockReps.points())
-      EXPECT_EQ(st.blocking.singleImageOf(rep), rep);
+      EXPECT_EQ(sigma.singleImageOf(rep), rep);
   }
 }
 
@@ -46,10 +50,14 @@ TEST(DetectTest, ExpansionPartitionsDomain) {
   PipelineInfo info = detectPipeline(scop);
   for (std::size_t s = 0; s < scop.numStatements(); ++s) {
     const StatementPipelineInfo& st = info.statements[s];
+    const pb::IntMap expansion = testing::expansionMap(scop, info, s);
     std::size_t total = 0;
     for (const Tuple& rep : st.blockReps.points())
-      total += st.expansion.imagesOf(rep).size();
+      total += expansion.imagesOf(rep).size();
     EXPECT_EQ(total, scop.statement(s).domain().size());
+    ASSERT_EQ(st.blockStarts.size(), st.blockReps.size() + 1);
+    EXPECT_EQ(st.blockStarts.front(), 0u);
+    EXPECT_EQ(st.blockStarts.back(), scop.statement(s).domain().size());
   }
 }
 
@@ -59,12 +67,12 @@ TEST(DetectTest, BlocksAreLexContiguous) {
   scop::Scop scop = testing::listing3(20);
   PipelineInfo info = detectPipeline(scop);
   for (std::size_t s = 0; s < scop.numStatements(); ++s) {
-    const StatementPipelineInfo& st = info.statements[s];
+    const pb::IntMap sigma = testing::sigmaMap(scop, info, s);
     const auto& points = scop.statement(s).domain().points();
     Tuple prevRep;
     bool first = true;
     for (const Tuple& it : points) {
-      Tuple rep = *st.blocking.singleImageOf(it);
+      Tuple rep = *sigma.singleImageOf(it);
       EXPECT_GE(rep, it);
       if (!first) {
         EXPECT_GE(rep, prevRep) << "blocks must be ordered";
@@ -88,10 +96,22 @@ TEST(DetectTest, StatementWithoutPipelineBecomesSingleBlock) {
 }
 
 TEST(DetectTest, OutDependencyIsIdentityOnBlockReps) {
+  // Q_S^out: a finished block publishes its own representative, which is
+  // the block's last iteration and the out tag of its task.
   scop::Scop scop = testing::listing1(12);
   PipelineInfo info = detectPipeline(scop);
-  for (const StatementPipelineInfo& st : info.statements)
-    EXPECT_EQ(st.outDependency, pb::IntMap::identity(st.blockReps));
+  const codegen::TaskProgram prog = codegen::compilePipeline(scop);
+  std::size_t task = 0;
+  for (std::size_t s = 0; s < scop.numStatements(); ++s) {
+    const StatementPipelineInfo& st = info.statements[s];
+    for (std::size_t b = 0; b < st.blockReps.size(); ++b, ++task) {
+      const Tuple rep = st.blockReps.points()[b];
+      EXPECT_EQ(scop.statement(s).domain().points()[st.blockStarts[b + 1] - 1],
+                rep);
+      EXPECT_EQ(prog.tasks[task].out.tag, codegen::linearizeBlockVector(rep));
+    }
+  }
+  EXPECT_EQ(task, prog.tasks.size());
 }
 
 TEST(DetectTest, InRequirementsPointToSourceBlockReps) {
@@ -124,9 +144,11 @@ void checkSafety(const scop::Scop& scop) {
           req = &r;
       ASSERT_NE(req, nullptr)
           << "no in-requirement for dependent pair (" << s << "," << t << ")";
+      const pb::IntMap tgtSigma = testing::sigmaMap(scop, info, t);
+      const pb::IntMap srcSigma = testing::sigmaMap(scop, info, s);
       for (const auto& [i, j] : flow.pairs()) {
-        Tuple tgtBlock = *info.statements[t].blocking.singleImageOf(j);
-        Tuple srcBlock = *info.statements[s].blocking.singleImageOf(i);
+        Tuple tgtBlock = *tgtSigma.singleImageOf(j);
+        Tuple srcBlock = *srcSigma.singleImageOf(i);
         std::optional<Tuple> required = req->map.singleImageOf(tgtBlock);
         ASSERT_TRUE(required.has_value())
             << "block " << tgtBlock << " of stmt " << t

@@ -187,7 +187,7 @@ TEST(EdgeCaseTest, EmptyDomainStatementGetsZeroBlocks) {
   pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
   EXPECT_TRUE(info.hasPipeline()); // S -> U still pipelines
   EXPECT_EQ(info.statements[1].blockReps.size(), 0u);
-  EXPECT_TRUE(info.statements[1].blocking.empty());
+  EXPECT_EQ(info.statements[1].blockStarts, std::vector<std::uint32_t>{0});
   EXPECT_TRUE(info.statements[1].inRequirements.empty());
   for (const pipeline::PipelineMapEntry& entry : info.maps) {
     EXPECT_NE(entry.srcIdx, 1u);

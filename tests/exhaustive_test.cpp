@@ -5,8 +5,12 @@
 #include "pipeline/blocking.hpp"
 #include "pipeline/pipeline_map.hpp"
 #include "scop/builder.hpp"
+#include "testing/legacy_blocking.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 namespace pipoly::pipeline {
 namespace {
@@ -14,8 +18,31 @@ namespace {
 using pb::IntTupleSet;
 using pb::Space;
 using pb::Tuple;
+using testing::blockingMap;
+using testing::blockingMapNaive;
+using testing::integrateBlockingMaps;
 
 const Space kS("S", 1);
+
+/// The interval form of detection (pipeline/blocking.hpp) describes the
+/// same partition as the explicit map `sigma`: the same representatives,
+/// and block b holds exactly the domain rows [starts[b], starts[b + 1]).
+void expectIntervalsMatch(const IntTupleSet& domain,
+                          const std::vector<IntTupleSet>& boundarySets,
+                          const pb::IntMap& sigma, const std::string& what) {
+  const IntTupleSet reps = blockReps(domain, boundarySets);
+  EXPECT_EQ(reps, sigma.range()) << what;
+  const std::vector<std::uint32_t> starts = blockStarts(domain, reps);
+  ASSERT_EQ(starts.size(), reps.size() + 1) << what;
+  const pb::IntMap expansion = sigma.inverse();
+  for (std::size_t b = 0; b < reps.size(); ++b) {
+    std::vector<Tuple> rows;
+    for (std::uint32_t r = starts[b]; r < starts[b + 1]; ++r)
+      rows.push_back(domain.points()[r]);
+    EXPECT_EQ(rows, expansion.imagesOf(reps.points()[b])) << what;
+    EXPECT_EQ(blockOf(reps, rows.back().data()), b) << what;
+  }
+}
 
 TEST(ExhaustiveBlockingTest, AllBoundarySubsetsOfSixPoints) {
   // Domain {0..5}; every one of the 2^6 boundary subsets must satisfy the
@@ -34,6 +61,8 @@ TEST(ExhaustiveBlockingTest, AllBoundarySubsetsOfSixPoints) {
 
     pb::IntMap fast = blockingMap(domain, boundaries);
     EXPECT_EQ(fast, blockingMapNaive(domain, boundaries)) << "mask " << mask;
+    expectIntervalsMatch(domain, {boundaries}, fast,
+                         "mask " + std::to_string(mask));
 
     // Contract: total, single-valued, idempotent, monotone, and every
     // image is a boundary or the domain max.
@@ -120,6 +149,9 @@ TEST(ExhaustiveIntegrationTest, AllPairsOfBoundarySets) {
           b1.unite(b2).unite(IntTupleSet(kS, {domain.lexmax()}));
       EXPECT_EQ(integrated, blockingMap(domain, unionBounds))
           << "masks " << m1 << ", " << m2;
+      expectIntervalsMatch(domain, {b1, b2}, integrated,
+                           "masks " + std::to_string(m1) + ", " +
+                               std::to_string(m2));
     }
   }
 }

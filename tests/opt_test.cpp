@@ -395,6 +395,12 @@ codegen::TaskProgram randomDag(std::uint64_t seed) {
   prog.numStatements = 1 + rng.nextBelow(5);
   prog.chainOrdering = rng.nextBelow(2) == 0;
   std::vector<std::vector<codegen::TaskDep>> outsOf(prog.numStatements);
+  // Row tables: block b runs the row (b), a combine the row (0, 0).
+  std::vector<pb::Tuple> rows;
+  for (pb::Value b = 0; b < 170; ++b)
+    rows.push_back(pb::Tuple{b});
+  prog.rowTables = {pb::IntTupleSet(pb::Space("S", 1), rows),
+                    pb::IntTupleSet(pb::Space("fold", 2), {pb::Tuple{0, 0}})};
   for (std::size_t s = 0; s < prog.numStatements; ++s) {
     const bool chained = rng.nextBelow(2) == 0;
     const std::size_t blocks =
@@ -406,7 +412,7 @@ codegen::TaskProgram randomDag(std::uint64_t seed) {
       t.id = prog.tasks.size();
       t.stmtIdx = s;
       t.blockRep = pb::Tuple{static_cast<pb::Value>(b)};
-      t.iterations = {t.blockRep};
+      t.iterations = codegen::IterationRange(prog.rowTables[0], b, b + 1);
       const std::int64_t tag =
           shuffled ? static_cast<std::int64_t>((b * 7919) % 100003)
                    : static_cast<std::int64_t>(b);
@@ -430,7 +436,7 @@ codegen::TaskProgram randomDag(std::uint64_t seed) {
       c.stmtIdx = s;
       c.kind = codegen::TaskKind::ReductionCombine;
       c.blockRep = pb::Tuple{0, 0};
-      c.iterations = {c.blockRep};
+      c.iterations = codegen::IterationRange(prog.rowTables[1], 0, 1);
       c.out = codegen::combineDep(prog.numStatements, s);
       c.in = own;
       outsOf[s].push_back(c.out);

@@ -70,7 +70,7 @@ void expectMatchesLegacy(const scop::Scop& scop, const LegacyDetection& ref,
   }
   ASSERT_EQ(ref.blocking.size(), info.statements.size()) << what;
   for (std::size_t s = 0; s < ref.blocking.size(); ++s)
-    EXPECT_TRUE(ref.blocking[s] == info.statements[s].blocking)
+    EXPECT_TRUE(ref.blocking[s] == pipoly::testing::sigmaMap(scop, info, s))
         << what << " S" << s;
 }
 

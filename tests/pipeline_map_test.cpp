@@ -3,8 +3,12 @@
 #include "presburger/parser.hpp"
 #include "support/assert.hpp"
 #include "testing/fixtures.hpp"
+#include "testing/interval_corpus.hpp"
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
 
 namespace pipoly::pipeline {
 namespace {
@@ -146,6 +150,66 @@ TEST(LastRequirementTest, CoversDomainOfProducer) {
   pb::IntMap h = lastRequirementMap(p);
   EXPECT_EQ(h.domain(), p.domain());
   EXPECT_TRUE(h.isSingleValued());
+}
+
+/// The pipeline map through the explicit composition P = Wr^-1(Rd), as
+/// pipelineMap computed it before its last-writer table: H = the running
+/// lexmax of P, T = lexmax(H^-1). Empty (or the injectivity throw) exactly
+/// when pipelineMap's is.
+pb::IntMap compositionPipelineMap(const scop::AccessRelations& rel,
+                                  std::size_t s, std::size_t t,
+                                  bool allowNonInjective) {
+  const pb::IntMap p = producerRelation(rel, s, t, allowNonInjective);
+  if (p.empty())
+    return pb::IntMap(rel.scop().statement(s).space(),
+                      rel.scop().statement(t).space());
+  return lastRequirementMap(p).inverse().lexmaxPerDomain();
+}
+
+/// pipelineMap against the composition for every ordered pair: the same
+/// map, or the same injectivity throw. `naive` adds the literal D'
+/// composition (quadratic, small SCoPs only).
+void expectLastWriterMatches(const scop::Scop& scop, bool allowNonInjective,
+                             bool naive, const std::string& what) {
+  const scop::AccessRelations rel(scop);
+  for (std::size_t t = 0; t < scop.numStatements(); ++t)
+    for (std::size_t s = 0; s < t; ++s) {
+      const std::string pair = what + " " + std::to_string(s) + "->" +
+                               std::to_string(t);
+      std::optional<pb::IntMap> expected;
+      try {
+        expected = compositionPipelineMap(rel, s, t, allowNonInjective);
+      } catch (const Error&) {
+        EXPECT_THROW((void)pipelineMap(rel, s, t, allowNonInjective), Error)
+            << pair;
+        continue;
+      }
+      EXPECT_EQ(pipelineMap(rel, s, t, allowNonInjective), *expected) << pair;
+      if (naive) {
+        EXPECT_EQ(pipelineMapNaive(rel, s, t, allowNonInjective), *expected)
+            << pair;
+      }
+    }
+}
+
+TEST(LastWriterPipelineMapTest, MatchesTheCompositionOnTheCorpus) {
+  for (const testing::CorpusProgram& p :
+       testing::intervalCorpus({8, 16}, 4, 16, 6))
+    expectLastWriterMatches(p.build(), p.reduction, false, p.name);
+}
+
+TEST(LastWriterPipelineMapTest, MatchesTheCompositionOnNonInjectiveFuzz) {
+  std::size_t nonInjectiveScops = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    bool nonInjective = false;
+    const scop::Scop scop = testing::randomIntervalScop(seed, &nonInjective);
+    nonInjectiveScops += nonInjective ? 1 : 0;
+    for (const bool allow : {false, true})
+      expectLastWriterMatches(scop, allow, true,
+                              "seed " + std::to_string(seed) +
+                                  (allow ? " allow" : " strict"));
+  }
+  EXPECT_GT(nonInjectiveScops, 50u);
 }
 
 } // namespace

@@ -224,16 +224,26 @@ TEST(ReplayStreamTest, StreamOnOneThreadRunsBatchesBackToBack) {
     EXPECT_EQ(kernels[b]->fingerprint(), expected) << "batch " << b;
 }
 
+/// The one-dimensional row table {(0), ..., (n - 1)}: row i is the one
+/// iteration of a hand-built task.
+pb::IntTupleSet countingRows(std::size_t n) {
+  std::vector<pb::Tuple> rows;
+  for (std::size_t i = 0; i < n; ++i)
+    rows.push_back(pb::Tuple{static_cast<pb::Value>(i)});
+  return pb::IntTupleSet(pb::Space("S", 1), std::move(rows));
+}
+
 /// A hand-built linear chain: task i depends exactly on task i - 1.
 codegen::TaskProgram linearChainProgram(std::size_t n) {
   codegen::TaskProgram prog;
   prog.numStatements = 1;
+  prog.rowTables = {countingRows(n)};
   for (std::size_t i = 0; i < n; ++i) {
     codegen::Task task;
     task.id = i;
     task.stmtIdx = 0;
     task.blockRep = pb::Tuple{static_cast<pb::Value>(i)};
-    task.iterations = {pb::Tuple{static_cast<pb::Value>(i)}};
+    task.iterations = codegen::IterationRange(prog.rowTables[0], i, i + 1);
     task.out = {0, static_cast<std::int64_t>(i)};
     if (i > 0)
       task.in = {{0, static_cast<std::int64_t>(i - 1), true}};
@@ -409,13 +419,14 @@ codegen::TaskProgram independentProgram(std::size_t stmts,
                                         std::size_t blocks) {
   codegen::TaskProgram prog;
   prog.numStatements = stmts;
+  prog.rowTables = {countingRows(blocks)};
   for (std::size_t s = 0; s < stmts; ++s)
     for (std::size_t b = 0; b < blocks; ++b) {
       codegen::Task task;
       task.id = prog.tasks.size();
       task.stmtIdx = s;
       task.blockRep = pb::Tuple{static_cast<pb::Value>(b)};
-      task.iterations = {pb::Tuple{static_cast<pb::Value>(b)}};
+      task.iterations = codegen::IterationRange(prog.rowTables[0], b, b + 1);
       task.out = {static_cast<int>(s), static_cast<std::int64_t>(b)};
       prog.tasks.push_back(std::move(task));
     }

@@ -22,8 +22,8 @@ TEST(ScheduleTreeTest, NodeConstructionAndAccessors) {
   auto m = ScheduleNode::mark("pipeline", PipelineMark{});
   EXPECT_EQ(m->markId(), "pipeline");
 
-  auto e = ScheduleNode::expansion(pb::IntMap::identity(set));
-  EXPECT_EQ(e->contraction().size(), 2u);
+  auto e = ScheduleNode::expansion({0, 1, 2});
+  EXPECT_EQ(e->blockStarts().size(), 3u);
 
   // Wrong-kind accessors throw.
   EXPECT_THROW((void)d->partialSchedule(), Error);
@@ -100,7 +100,7 @@ TEST(Algorithm2Test, ContractionIsSigma) {
   auto tree = buildPipelineSchedule(scop, info);
   for (std::size_t s = 0; s < 3; ++s) {
     const ScheduleNode& expansion = tree->child(s).child(0).child(0);
-    EXPECT_EQ(expansion.contraction(), info.statements[s].blocking);
+    EXPECT_EQ(expansion.blockStarts(), info.statements[s].blockStarts);
   }
 }
 
@@ -113,8 +113,7 @@ TEST(Algorithm2Test, MarkCarriesDependencyInfo) {
   ASSERT_NE(mark, nullptr);
   EXPECT_EQ(mark->markInfo().stmtIdx, 2u);
   EXPECT_EQ(mark->markInfo().inRequirements.size(), 2u);
-  EXPECT_EQ(mark->markInfo().outDependency,
-            info.statements[2].outDependency);
+  EXPECT_EQ(mark->markInfo().chainOrdering, info.statements[2].chainOrdering);
 }
 
 TEST(Algorithm2Test, ValidatorRejectsForeignScop) {

@@ -15,6 +15,7 @@
 // commVolumeNaive counts an edge's volume by brute force through the raw
 // affine subscripts, sharing no relation machinery with either pass.
 
+#include "legacy_blocking.hpp"
 #include "pipeline/comm.hpp"
 #include "pipeline/detect.hpp"
 #include "pipeline/symbolic.hpp"
@@ -105,12 +106,12 @@ legacyAnalyzeCommunication(const scop::Scop& scop,
 
     // Per producer block: the distinct shared elements its members write.
     const std::vector<pb::Tuple>& srcReps = reps[src];
-    const pipeline::StatementPipelineInfo& srcInfo = info.statements[src];
+    const pb::IntMap srcExpansion = expansionMap(scop, info, src);
     w.prefixBytes.assign(srcReps.size() + 1, 0);
     std::vector<pb::Tuple> elems;
     for (std::size_t p = 0; p < srcReps.size(); ++p) {
       const std::vector<pb::Tuple> members =
-          srcInfo.expansion.imagesOf(srcReps[p]);
+          srcExpansion.imagesOf(srcReps[p]);
       std::uint64_t blockElems = 0;
       for (std::size_t ai = 0; ai < shared.size(); ++ai) {
         elems.clear();

@@ -13,7 +13,7 @@
 // over an empty domain), with no coarsening and no uniform reduction
 // split.
 
-#include "pipeline/blocking.hpp"
+#include "legacy_blocking.hpp"
 #include "pipeline/detect.hpp"
 #include "pipeline/pipeline_map.hpp"
 #include "pipeline/reduction.hpp"
@@ -45,9 +45,9 @@ inline LegacyDetection legacyDetect(const scop::Scop& scop) {
       if (map.empty())
         continue;
       blockingMaps[s].push_back(
-          pipeline::sourceBlockingMap(scop.statement(s).domain(), map));
+          sourceBlockingMap(scop.statement(s).domain(), map));
       blockingMaps[t].push_back(
-          pipeline::targetBlockingMap(scop.statement(t).domain(), map));
+          targetBlockingMap(scop.statement(t).domain(), map));
       out.maps.push_back(pipeline::PipelineMapEntry{s, t, std::move(map)});
     }
   for (std::size_t s = 0; s < n; ++s) {
@@ -56,9 +56,9 @@ inline LegacyDetection legacyDetect(const scop::Scop& scop) {
       out.blocking.emplace_back(domain.space(), domain.space());
     else if (blockingMaps[s].empty())
       out.blocking.push_back(
-          pipeline::blockingMap(domain, pb::IntTupleSet(domain.space())));
+          blockingMap(domain, pb::IntTupleSet(domain.space())));
     else
-      out.blocking.push_back(pipeline::integrateBlockingMaps(blockingMaps[s]));
+      out.blocking.push_back(integrateBlockingMaps(blockingMaps[s]));
   }
   return out;
 }
@@ -73,9 +73,8 @@ inline pb::IntMap legacyInRequirement(const scop::Scop& scop,
                                       const pipeline::PipelineMapEntry& entry,
                                       const pipeline::PipelineInfo& info) {
   const scop::Statement& tgt = scop.statement(entry.tgtIdx);
-  const pipeline::StatementPipelineInfo& srcInfo =
-      info.statements[entry.srcIdx];
-  const pb::IntMap y = pipeline::targetBlockingMap(tgt.domain(), entry.map);
+  const pb::IntMap srcSigma = sigmaMap(scop, info, entry.srcIdx);
+  const pb::IntMap y = targetBlockingMap(tgt.domain(), entry.map);
   const pb::IntMap tInv = entry.map.inverse();
   const pb::IntTupleSet tRange = entry.map.range();
   const pb::Tuple lastSource = entry.map.domain().lexmax();
@@ -89,7 +88,7 @@ inline pb::IntMap legacyInRequirement(const scop::Scop& scop,
                                    ? *tInv.singleImageOf(*boundary)
                                    : lastSource;
     const std::optional<pb::Tuple> srcBlock =
-        srcInfo.blocking.singleImageOf(required);
+        srcSigma.singleImageOf(required);
     PIPOLY_CHECK(srcBlock.has_value());
     pairs.emplace_back(rep, *srcBlock);
   }

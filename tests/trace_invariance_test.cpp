@@ -40,9 +40,7 @@ bool infoEquals(const pipeline::PipelineInfo& a,
   for (std::size_t s = 0; s < a.statements.size(); ++s) {
     const pipeline::StatementPipelineInfo& x = a.statements[s];
     const pipeline::StatementPipelineInfo& y = b.statements[s];
-    if (!(x.blocking == y.blocking) || !(x.expansion == y.expansion) ||
-        !(x.blockReps == y.blockReps) ||
-        !(x.outDependency == y.outDependency) ||
+    if (x.blockStarts != y.blockStarts || !(x.blockReps == y.blockReps) ||
         x.chainOrdering != y.chainOrdering || !(x.selfEdges == y.selfEdges) ||
         x.inRequirements.size() != y.inRequirements.size())
       return false;

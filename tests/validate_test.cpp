@@ -5,6 +5,7 @@
 
 #include "codegen/task_program.hpp"
 
+#include "kernels/reduction_kernels.hpp"
 #include "support/assert.hpp"
 #include "testing/fixtures.hpp"
 
@@ -59,20 +60,71 @@ TEST(ValidateTest, RejectsDuplicateOutTags) {
   EXPECT_THROW(prog.validate(fixtureScop()), Error);
 }
 
+/// The first task that follows another task of its statement and has
+/// at least two iterations; such a task has a predecessor to tile
+/// against and a row to give away.
+Task& innerTask(TaskProgram& prog) {
+  for (std::size_t i = 1; i < prog.tasks.size(); ++i)
+    if (prog.tasks[i].stmtIdx == prog.tasks[i - 1].stmtIdx &&
+        prog.tasks[i].iterations.size() > 1)
+      return prog.tasks[i];
+  throw Error("fixture has no inner multi-iteration task");
+}
+
+/// Replaces a task's rows with [begin, end) of its statement's table.
+void setRows(TaskProgram& prog, Task& t, std::size_t begin, std::size_t end) {
+  t.iterations = IterationRange(prog.rowTables[t.stmtIdx], begin, end);
+}
+
 TEST(ValidateTest, RejectsLostIterations) {
+  // A gap between consecutive tasks: the task no longer starts where its
+  // predecessor ended. Its last row, the representative, is unchanged.
   TaskProgram prog = freshProgram();
-  for (Task& t : prog.tasks) {
-    if (t.iterations.size() > 1) {
-      t.iterations.erase(t.iterations.begin());
-      break;
-    }
-  }
+  Task& t = innerTask(prog);
+  setRows(prog, t, t.iterations.rowBegin() + 1, t.iterations.rowEnd());
+  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+}
+
+TEST(ValidateTest, RejectsOverlappingIntervals) {
+  // The task also claims its predecessor's last row (double execution).
+  TaskProgram prog = freshProgram();
+  Task& t = innerTask(prog);
+  setRows(prog, t, t.iterations.rowBegin() - 1, t.iterations.rowEnd());
+  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+}
+
+TEST(ValidateTest, RejectsAnIntervalPastTheDomainEnd) {
+  TaskProgram prog = freshProgram();
+  const pb::IntTupleSet& domain = prog.rowTables[prog.tasks.back().stmtIdx];
+  EXPECT_THROW((void)IterationRange(domain, prog.tasks.back().iterations
+                                                .rowBegin(),
+                                    domain.size() + 1),
+               Error);
+}
+
+TEST(ValidateTest, RejectsAnEmptyInterval) {
+  // The task hands all its rows to its successor and keeps the previous
+  // row as its (empty) range's representative, so the tiling, the
+  // chain and every representative still line up.
+  TaskProgram prog = freshProgram();
+  std::size_t i = 1;
+  while (i + 1 < prog.tasks.size() &&
+         !(prog.tasks[i - 1].stmtIdx == prog.tasks[i].stmtIdx &&
+           prog.tasks[i].stmtIdx == prog.tasks[i + 1].stmtIdx))
+    ++i;
+  ASSERT_LT(i + 1, prog.tasks.size());
+  Task& t = prog.tasks[i];
+  Task& next = prog.tasks[i + 1];
+  const std::uint32_t begin = t.iterations.rowBegin();
+  setRows(prog, next, begin, next.iterations.rowEnd());
+  setRows(prog, t, begin, begin);
+  t.blockRep = prog.rowTables[t.stmtIdx].points()[begin - 1];
   EXPECT_THROW(prog.validate(fixtureScop()), Error);
 }
 
 TEST(ValidateTest, RejectsAMissingTrailingBlock) {
-  // The iterations that remain still arrive in lexicographic order; only
-  // the end of the domain is never reached.
+  // The remaining tasks still tile a prefix of the domain; only the end
+  // of the domain is never reached.
   TaskProgram prog = freshProgram();
   const std::size_t last = prog.tasks.back().stmtIdx;
   ASSERT_GT(std::count_if(prog.tasks.begin(), prog.tasks.end(),
@@ -82,61 +134,43 @@ TEST(ValidateTest, RejectsAMissingTrailingBlock) {
   EXPECT_THROW(prog.validate(fixtureScop()), Error);
 }
 
-TEST(ValidateTest, AcceptsAPartitionOutOfLexOrderAcrossTasks) {
-  // Moving a block's first iteration into the next block of the same
-  // statement keeps a partition, each task sorted and every block
-  // representative, but the statement's iterations no longer arrive in
-  // lexicographic order.
+TEST(ValidateTest, AcceptsAShiftedBlockBoundary) {
+  // Any in-order tiling of the domain is a valid partition: moving a
+  // boundary one row on (and the representative with it) passes.
   TaskProgram prog = freshProgram();
-  bool moved = false;
-  for (std::size_t i = 0; i + 1 < prog.tasks.size() && !moved; ++i) {
-    Task& a = prog.tasks[i];
-    Task& b = prog.tasks[i + 1];
-    if (a.stmtIdx != b.stmtIdx || a.iterations.size() < 2)
-      continue;
-    b.iterations.push_back(a.iterations.front());
-    std::sort(b.iterations.begin(), b.iterations.end());
-    a.iterations.erase(a.iterations.begin());
-    moved = true;
-  }
-  ASSERT_TRUE(moved);
+  Task& t = innerTask(prog);
+  Task& prev = prog.tasks[t.id - 1];
+  const std::uint32_t boundary = t.iterations.rowBegin() + 1;
+  setRows(prog, prev, prev.iterations.rowBegin(), boundary);
+  setRows(prog, t, boundary, t.iterations.rowEnd());
+  prev.blockRep = prev.iterations.back();
   EXPECT_NO_THROW(prog.validate(fixtureScop()));
 }
 
-TEST(ValidateTest, RejectsDuplicatedIterations) {
-  TaskProgram prog = freshProgram();
-  // Move an iteration from one task into another (double execution).
-  Task* donor = nullptr;
-  for (Task& t : prog.tasks)
-    if (t.stmtIdx == 0 && t.iterations.size() > 1)
-      donor = &t;
-  ASSERT_NE(donor, nullptr);
-  for (Task& t : prog.tasks) {
-    if (&t != donor && t.stmtIdx == 0) {
-      t.iterations.push_back(donor->iterations.front());
-      std::sort(t.iterations.begin(), t.iterations.end());
-      break;
-    }
-  }
-  EXPECT_THROW(prog.validate(fixtureScop()), Error);
-}
-
-TEST(ValidateTest, RejectsMisorderedIterationsWithinTask) {
-  TaskProgram prog = freshProgram();
-  for (Task& t : prog.tasks) {
-    if (t.iterations.size() > 1) {
-      std::swap(t.iterations.front(), t.iterations.back());
-      break;
-    }
-  }
-  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+TEST(ValidateTest, RejectsACombineFoldCountMismatch) {
+  const kernels::ReductionKernelSpec& spec =
+      kernels::reductionKernelByName("norm_accumulate");
+  const scop::Scop scop = spec.build(8);
+  TaskProgram prog = compilePipeline(scop);
+  ASSERT_NO_THROW(prog.validate(scop));
+  const auto combine =
+      std::find_if(prog.tasks.begin(), prog.tasks.end(), [](const Task& t) {
+        return t.kind == TaskKind::ReductionCombine;
+      });
+  ASSERT_NE(combine, prog.tasks.end());
+  ASSERT_GT(combine->iterations.size(), 1u);
+  // One fold step too few; the remaining steps still enumerate 0, 1, ...
+  combine->iterations =
+      IterationRange(prog.rowTables.back(), 0, combine->iterations.size() - 1);
+  combine->blockRep = combine->iterations.back();
+  EXPECT_THROW(prog.validate(scop), Error);
 }
 
 TEST(ValidateTest, RejectsWrongBlockRepresentative) {
   TaskProgram prog = freshProgram();
   for (Task& t : prog.tasks) {
     if (t.iterations.size() > 1) {
-      t.blockRep = t.iterations.front(); // must be the *last* iteration
+      t.blockRep = t.iterations[0]; // must be the *last* iteration
       break;
     }
   }
