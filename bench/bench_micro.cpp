@@ -119,6 +119,32 @@ BENCHMARK(BM_FlatLexminPerDomain)
     ->Arg(100000)
     ->Arg(1000000);
 
+/// rows::sortUnique on unsorted rows (one in four a duplicate) of width
+/// range(1), range(0) rows: the kernel behind every set and map built
+/// from out-of-order rows. The copy per iteration is part of the cost.
+void BM_SortUniqueUnsorted(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto w = static_cast<std::size_t>(state.range(1));
+  pb::RowBuffer rows(n * w);
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t d = 0; d < w; ++d) {
+      x ^= x << 13, x ^= x >> 7, x ^= x << 17;
+      rows[r * w + d] = static_cast<pb::Value>(x % (n / 4 + 1));
+    }
+  for (auto _ : state) {
+    pb::RowBuffer copy = rows;
+    pb::rows::sortUnique(copy, w);
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_SortUniqueUnsorted)
+    ->Args({10000, 2})
+    ->Args({10000, 5})
+    ->Args({100000, 3})
+    ->Args({100000, 10});
+
 void BM_ParseSet(benchmark::State& state) {
   for (auto _ : state) {
     auto s = pb::parseSet("{ S[i, j] : 0 <= i < 32 and 0 <= j <= i }");
@@ -230,20 +256,19 @@ void BM_Optimize(benchmark::State& state) {
 }
 BENCHMARK(BM_Optimize)->Arg(16)->Arg(32);
 
-// Dependency resolution, legacy vs interned: what a backend pays per run
-// to map each in-dependency (idx, tag) to its producer.
-void BM_DependResolveHashed(benchmark::State& state) {
+// Dependency resolution, built per run vs prebuilt: what a backend pays
+// per run to map each in-dependency to its producer.
+void BM_DependResolveBuild(benchmark::State& state) {
   scop::Scop scop = kernels::buildProgram(kernels::programByName("P5"), 32);
   codegen::TaskProgram prog = codegen::compilePipeline(scop);
   for (auto _ : state) {
-    const codegen::ResolvedDependencies deps = prog.resolveDependencies();
     std::uint64_t sink = 0;
-    for (const std::uint32_t p : deps.producers)
+    for (const std::uint32_t p : opt::buildSlotTable(prog).inSlots)
       sink += p;
     benchmark::DoNotOptimize(sink);
   }
 }
-BENCHMARK(BM_DependResolveHashed);
+BENCHMARK(BM_DependResolveBuild);
 
 void BM_DependResolveSlots(benchmark::State& state) {
   scop::Scop scop = kernels::buildProgram(kernels::programByName("P5"), 32);

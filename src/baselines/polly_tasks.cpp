@@ -64,7 +64,8 @@ codegen::TaskProgram pollyTaskProgram(const scop::Scop& scop,
       PIPOLY_CHECK(!task.iterations.empty());
       task.blockRep = task.iterations.back();
       task.out = codegen::TaskDep{
-          static_cast<int>(s), codegen::linearizeBlockVector(task.blockRep)};
+          static_cast<int>(s), codegen::linearizeBlockVector(task.blockRep),
+          false, static_cast<std::uint32_t>(task.id)};
       task.in = previousNest; // full barrier between nests
       thisNest.push_back(task.out);
       prog.tasks.push_back(std::move(task));

@@ -42,14 +42,10 @@ std::string toDot(const TaskProgram& program, const scop::Scop& scop,
     os << "  }\n";
   }
 
-  // Every edge resolved once up front — the per-edge taskWithOut() scan
-  // was O(tasks * edges) on large graphs.
-  const ResolvedDependencies deps = program.resolveDependencies();
   std::set<std::pair<std::size_t, std::size_t>> labelled;
   for (const Task& t : program.tasks) {
-    for (std::size_t k = 0; k < t.in.size(); ++k) {
-      const TaskDep& dep = t.in[k];
-      const std::size_t src = deps.producers[deps.offsets[t.id] + k];
+    for (const TaskDep& dep : t.in) {
+      const std::size_t src = dep.producer;
       os << "  t" << src << " -> t" << t.id;
       if (dep.selfOrdering) {
         os << " [style=dashed]";

@@ -10,8 +10,6 @@ namespace pipoly::codegen {
 std::string toJson(const TaskProgram& program, const scop::Scop& scop,
                    const std::optional<ProgramCounts>& preOptCounts,
                    const pipeline::CommInfo* comm) {
-  const ResolvedDependencies deps = program.resolveDependencies();
-
   std::vector<std::size_t> blocksPerStmt(scop.numStatements(), 0);
   for (const Task& t : program.tasks)
     ++blocksPerStmt[t.stmtIdx];
@@ -63,7 +61,7 @@ std::string toJson(const TaskProgram& program, const scop::Scop& scop,
     os << ", \"deps\": [";
     for (std::size_t k = 0; k < t.in.size(); ++k) {
       os << (k ? ", " : "") << "{\"task\": "
-         << deps.producers[deps.offsets[t.id] + k] << ", \"self\": "
+         << t.in[k].producer << ", \"self\": "
          << (t.in[k].selfOrdering ? "true" : "false") << '}';
     }
     os << "]}" << (t.id + 1 < program.tasks.size() ? "," : "") << '\n';

@@ -48,69 +48,7 @@ TaskDep combineDep(std::size_t numStatements, std::size_t stmtIdx) {
   return TaskDep{static_cast<int>(numStatements + stmtIdx), 0};
 }
 
-std::optional<std::size_t> TaskProgram::taskWithOut(const TaskDep& dep) const {
-  for (const Task& t : tasks)
-    if (t.out.idx == dep.idx && t.out.tag == dep.tag)
-      return t.id;
-  return std::nullopt;
-}
-
 namespace {
-
-/// (idx, tag) -> task position in one flat open-addressing table: the
-/// lookup structure of resolveDependencies, with no allocation per entry
-/// (a node-based hash map spent most of its time allocating).
-class OutTagIndex {
-public:
-  static constexpr std::uint32_t kNone = UINT32_MAX;
-
-  explicit OutTagIndex(const std::vector<Task>& tasks) {
-    PIPOLY_CHECK_MSG(tasks.size() < kNone, "task program too large");
-    std::size_t capacity = 16;
-    while (capacity < 2 * tasks.size())
-      capacity *= 2;
-    mask_ = capacity - 1;
-    slots_.assign(capacity, Slot{});
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const TaskDep& out = tasks[i].out;
-      std::size_t k = hash(out.idx, out.tag);
-      for (; slots_[k].id != kNone; k = (k + 1) & mask_)
-        PIPOLY_CHECK_MSG(slots_[k].idx != out.idx || slots_[k].tag != out.tag,
-                         "duplicate out-dependency tag");
-      slots_[k] = Slot{out.tag, out.idx, static_cast<std::uint32_t>(i)};
-    }
-  }
-
-  /// Position of the task whose out tag is (idx, tag), or kNone.
-  std::uint32_t find(int idx, std::int64_t tag) const {
-    for (std::size_t k = hash(idx, tag);; k = (k + 1) & mask_) {
-      const Slot& slot = slots_[k];
-      if (slot.id == kNone || (slot.tag == tag && slot.idx == idx))
-        return slot.id;
-    }
-  }
-
-private:
-  struct Slot {
-    std::int64_t tag = 0;
-    int idx = 0;
-    std::uint32_t id = kNone;
-  };
-
-  std::size_t hash(int idx, std::int64_t tag) const {
-    // splitmix64's finalizer: linearised block vectors differ mostly in
-    // their high bits, which the mask alone would drop.
-    std::uint64_t h = static_cast<std::uint64_t>(tag) ^
-                      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(idx))
-                       << 40);
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>(h ^ (h >> 31)) & mask_;
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-};
 
 /// Calls f with every image of `rep` under `map`, advancing `cursor` over
 /// the map's rows; successive calls must pass increasing representatives.
@@ -127,25 +65,24 @@ void forEachImage(const pb::IntMap& map, pb::TupleView rep,
     f(pb::TupleView(rows + cursor * w + inA, outA));
 }
 
-} // namespace
-
-ResolvedDependencies TaskProgram::resolveDependencies() const {
-  const OutTagIndex index(tasks);
-  ResolvedDependencies deps;
-  deps.offsets.reserve(tasks.size() + 1);
-  deps.offsets.push_back(0);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    for (const TaskDep& dep : tasks[i].in) {
-      const std::uint32_t p = index.find(dep.idx, dep.tag);
-      PIPOLY_CHECK_MSG(p != OutTagIndex::kNone,
-                       "in-dependency with no producing task");
-      PIPOLY_CHECK_MSG(p < i, "in-dependency on a later task (creation order)");
-      deps.producers.push_back(p);
-    }
-    deps.offsets.push_back(static_cast<std::uint32_t>(deps.producers.size()));
-  }
-  return deps;
+/// Position of `rep` among the sorted block representatives `reps`.
+/// Searches on from `cursor` when `rep` lies past the row before it
+/// (successive lookups mostly rise), from the start otherwise, and leaves
+/// `cursor` at the hit.
+std::uint32_t blockIndex(const pb::IntTupleSet& reps, pb::TupleView rep,
+                         std::size_t& cursor) {
+  const std::size_t w = reps.arity(), n = reps.size();
+  const pb::Value* rows = reps.rowData().data();
+  if (cursor > 0 && !pb::rows::less(rows + (cursor - 1) * w, rep.data(), w))
+    cursor = 0;
+  cursor = pb::rows::gallopLowerBound(rows, n, w, cursor, rep.data(), w);
+  PIPOLY_CHECK_MSG(cursor < n && pb::rows::equal(rows + cursor * w,
+                                                 rep.data(), w),
+                   "requirement names no block of its source statement");
+  return static_cast<std::uint32_t>(cursor);
 }
+
+} // namespace
 
 ProgramCounts TaskProgram::counts() const {
   ProgramCounts c;
@@ -164,12 +101,32 @@ void TaskProgram::validate(const scop::Scop& scop) const {
     for (std::size_t r : readers)
       PIPOLY_CHECK_MSG(r < numStatements, "stmtReaders index out of range");
 
-  // Tasks are creation-ordered by id, out-dependencies are unique, and
-  // every in-dependency resolves to an earlier task (OpenMP depend "last
-  // writer" semantics with our creation order).
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    PIPOLY_CHECK(tasks[i].id == i);
-  const ResolvedDependencies deps = resolveDependencies();
+  // Tasks are creation-ordered by id and each out names its own task.
+  // Out tags rise in creation order within each idx, so no two tasks
+  // share one. Every in-dependency names an earlier task and carries
+  // that task's out tag (OpenMP depend "last writer" semantics with our
+  // creation order).
+  std::vector<const TaskDep*> lastOut(2 * numStatements, nullptr);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const Task& t = tasks[i];
+    PIPOLY_CHECK(t.id == i);
+    PIPOLY_CHECK_MSG(t.out.producer == i,
+                     "out-dependency must name its own task");
+    PIPOLY_CHECK_MSG(t.out.idx >= 0 &&
+                         static_cast<std::size_t>(t.out.idx) < lastOut.size(),
+                     "out-dependency slot index out of range");
+    const TaskDep*& last = lastOut[static_cast<std::size_t>(t.out.idx)];
+    PIPOLY_CHECK_MSG(last == nullptr || last->tag < t.out.tag,
+                     "duplicate or out-of-order out-dependency tag");
+    last = &t.out;
+    for (const TaskDep& dep : t.in) {
+      PIPOLY_CHECK_MSG(dep.producer < i,
+                       "in-dependency without an earlier producing task");
+      const TaskDep& out = tasks[dep.producer].out;
+      PIPOLY_CHECK_MSG(out.idx == dep.idx && out.tag == dep.tag,
+                       "in-dependency tag differs from its producer's");
+    }
+  }
 
   // Per statement: its Block tasks tile the domain rows [0, |D_S|) in
   // creation order (each starts where the previous one ended, in the
@@ -226,8 +183,7 @@ void TaskProgram::validate(const scop::Scop& scop) const {
     if (const Task* p = prev[t.stmtIdx]; p != nullptr && chainOrdering) {
       bool hasSelfDep =
           std::any_of(t.in.begin(), t.in.end(), [&](const TaskDep& d) {
-            return d.selfOrdering && d.idx == p->out.idx &&
-                   d.tag == p->out.tag;
+            return d.selfOrdering && d.producer == p->id;
           });
       PIPOLY_CHECK_MSG(hasSelfDep,
                        "missing same-statement ordering dependency");
@@ -241,12 +197,9 @@ void TaskProgram::validate(const scop::Scop& scop) const {
       PIPOLY_CHECK_MSG(c->iterations.size() == blockIds[s].size(),
                        "combine must fold exactly one partial per block "
                        "task");
-      // Out tags are unique, so depending on a partial's tag is naming
-      // its task among the combine's resolved producers.
       std::vector<bool> folded(c->id, false);
-      for (std::uint32_t k = deps.offsets[c->id]; k < deps.offsets[c->id + 1];
-           ++k)
-        folded[deps.producers[k]] = true;
+      for (const TaskDep& dep : c->in)
+        folded[dep.producer] = true;
       for (const std::uint32_t id : blockIds[s])
         PIPOLY_CHECK_MSG(folded[id],
                          "combine task must depend on every partial block");
@@ -385,18 +338,31 @@ TaskProgram lowerToTasks(const scop::Scop& scop, const ast::Ast& ast) {
         pb::Space("fold", arity), std::move(table)));
   }
 
+  // Per statement, once lowered: its block representatives, the id of
+  // its first block task (block b is task firstTask + b) and its combine
+  // task's id. Sources precede their readers, so every requirement
+  // names tasks already created, and each dependency is a copy of its
+  // producer's out: the producer's id and tag.
+  const std::size_t numStmts = scop.numStatements();
+  std::vector<const pb::IntTupleSet*> repsOf(numStmts, nullptr);
+  std::vector<std::uint32_t> firstTask(numStmts, kNoProducer);
+  std::vector<std::uint32_t> combineTask(numStmts, kNoProducer);
+
   for (const ast::AstLoopNest& nest : ast.nests) {
     const int stmtSlot = static_cast<int>(nest.stmtIdx);
     const pb::IntTupleSet& domain = prog.rowTables[nest.stmtIdx];
     const std::size_t depth = nest.blockReps.arity();
     const pb::Value* reps = nest.blockReps.rowData().data();
+    const auto first = static_cast<std::uint32_t>(prog.tasks.size());
+    repsOf[nest.stmtIdx] = &nest.blockReps;
+    firstTask[nest.stmtIdx] = first;
     // One cursor per requirement map and one for the self edges: the
     // maps' rows are sorted by block representative, and the blocks
-    // arrive in that order.
-    std::vector<std::size_t> reqCursor(nest.annotation.inRequirements.size(),
-                                       0);
-    std::size_t selfCursor = 0;
-    std::optional<TaskDep> prevOut;
+    // arrive in that order. A second cursor each finds the required
+    // block among its statement's representatives.
+    const std::size_t numReqs = nest.annotation.inRequirements.size();
+    std::vector<std::size_t> reqCursor(numReqs, 0), srcCursor(numReqs, 0);
+    std::size_t selfCursor = 0, selfBlock = 0;
     for (std::size_t blk = 0; blk < nest.blockReps.size(); ++blk) {
       const pb::TupleView rep(reps + blk * depth, depth);
       Task task;
@@ -405,37 +371,47 @@ TaskProgram lowerToTasks(const scop::Scop& scop, const ast::Ast& ast) {
       task.blockRep = rep;
       task.iterations = IterationRange(domain, nest.blockStarts[blk],
                                        nest.blockStarts[blk + 1]);
-      task.out = TaskDep{stmtSlot, linearizeBlockVector(rep)};
+      task.out = TaskDep{stmtSlot, linearizeBlockVector(rep), false,
+                         static_cast<std::uint32_t>(task.id)};
+      const auto dependOn = [&](std::uint32_t producer, bool selfOrdering) {
+        PIPOLY_CHECK_MSG(producer < prog.tasks.size(),
+                         "requirement on a task not lowered yet");
+        task.in.push_back(prog.tasks[producer].out);
+        task.in.back().selfOrdering = selfOrdering;
+      };
 
       // Cross-statement in-dependencies from the Q_S maps (single-valued
       // under chain ordering; exact data-flow edges, possibly several,
       // under relaxed ordering). A viaCombine requirement depends on the
       // source's combine task instead of any block.
-      for (std::size_t r = 0; r < reqCursor.size(); ++r) {
+      for (std::size_t r = 0; r < numReqs; ++r) {
         const pipeline::InRequirement& req = nest.annotation.inRequirements[r];
+        const std::size_t src = req.srcStmtIdx;
         if (req.viaCombine) {
-          task.in.push_back(combineDep(prog.numStatements, req.srcStmtIdx));
+          dependOn(combineTask[src], false);
           continue;
         }
+        PIPOLY_CHECK_MSG(repsOf[src] != nullptr,
+                         "requirement on a statement not lowered yet");
         forEachImage(req.map, rep, reqCursor[r], [&](pb::TupleView image) {
-          task.in.push_back(TaskDep{static_cast<int>(req.srcStmtIdx),
-                                    linearizeBlockVector(image)});
+          dependOn(firstTask[src] + blockIndex(*repsOf[src], image,
+                                               srcCursor[r]),
+                   false);
         });
       }
 
       if (nest.annotation.chainOrdering) {
         // Same-statement ordering (the funcCount protocol of Fig. 8).
-        if (prevOut)
-          task.in.push_back(
-              TaskDep{prevOut->idx, prevOut->tag, /*selfOrdering=*/true});
+        if (blk > 0)
+          dependOn(static_cast<std::uint32_t>(task.id - 1), true);
       } else {
         // §7 relaxation: only the actual cross-block self-dependences.
         prog.chainOrdering = false;
         forEachImage(nest.annotation.selfEdges, rep, selfCursor,
                      [&](pb::TupleView required) {
-                       task.in.push_back(TaskDep{stmtSlot,
-                                                 linearizeBlockVector(required),
-                                                 /*selfOrdering=*/true});
+                       dependOn(first + blockIndex(nest.blockReps, required,
+                                                   selfBlock),
+                                true);
                      });
       }
 
@@ -453,15 +429,14 @@ TaskProgram lowerToTasks(const scop::Scop& scop, const ast::Ast& ast) {
                                 }),
                     task.in.end());
 
-      prevOut = task.out;
       prog.tasks.push_back(std::move(task));
     }
 
     // Relaxed reduction nest: append the combine task. It folds the
     // partial accumulators into the array, one fold step per partial
     // block in deterministic (block) order, after every partial
-    // finished. Readers of this statement depend on its combine tag (see
-    // the viaCombine branch above).
+    // finished. Readers of this statement depend on its combine task
+    // (see the viaCombine branch above).
     if (nest.annotation.reduction.relaxed && !nest.blockReps.empty()) {
       Task task;
       task.id = prog.tasks.size();
@@ -471,11 +446,11 @@ TaskProgram lowerToTasks(const scop::Scop& scop, const ast::Ast& ast) {
           IterationRange(prog.rowTables[foldTable.at(depth + 1)], 0,
                          nest.blockReps.size());
       for (std::size_t b = 0; b < nest.blockReps.size(); ++b)
-        task.in.push_back(TaskDep{
-            stmtSlot, linearizeBlockVector(pb::TupleView(reps + b * depth,
-                                                         depth))});
+        task.in.push_back(prog.tasks[first + b].out);
       task.blockRep = task.iterations.back();
       task.out = combineDep(prog.numStatements, nest.stmtIdx);
+      task.out.producer = static_cast<std::uint32_t>(task.id);
+      combineTask[nest.stmtIdx] = task.out.producer;
       prog.tasks.push_back(std::move(task));
     }
   }

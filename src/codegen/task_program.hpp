@@ -14,6 +14,11 @@
 //   * in-dependencies (idx, tag) from the Q_S maps, plus the same-nest
 //     ordering dependency (the funcCount protocol of Fig. 8) expressed as
 //     an in-dependency on the previous block of the same statement.
+//
+// Every dependency also names its producing task by id: lowering knows
+// each eq.-4 source block, so it writes the id once, and every later
+// layer (optimizer, slot table, executors, simulator, exports) reads it.
+// The (idx, tag) pair is only the CreateTask / depend-clause encoding.
 
 #include "ast/ast.hpp"
 #include "pipeline/detect.hpp"
@@ -22,19 +27,25 @@
 #include "scop/scop.hpp"
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace pipoly::codegen {
 
-/// (statement slot, linearised block vector) — the depend-clause key.
+/// No producer recorded (TaskDep::producer of a hand-built dependency).
+inline constexpr std::uint32_t kNoProducer = UINT32_MAX;
+
+/// (statement slot, linearised block vector) — the depend-clause key —
+/// and the id of the task that publishes it.
 struct TaskDep {
   int idx;
   std::int64_t tag;
   /// True for the same-statement ordering dependency (funcCount protocol).
   bool selfOrdering = false;
+  /// The task whose `out` is (idx, tag): the task itself for an `out`,
+  /// an earlier task for an in-dependency.
+  std::uint32_t producer = kNoProducer;
 
   friend bool operator==(const TaskDep&, const TaskDep&) = default;
 };
@@ -121,15 +132,6 @@ struct Task {
   TaskKind kind = TaskKind::Block;
 };
 
-/// Every in-dependency of a program resolved to its producing task:
-/// task i's producers are producers[offsets[i] .. offsets[i + 1]), in
-/// the order of its `in` list. The CSR form opt::SlotTable, the
-/// optimizer passes, validation and the exports share.
-struct ResolvedDependencies {
-  std::vector<std::uint32_t> producers;
-  std::vector<std::uint32_t> offsets; // tasks + 1 entries
-};
-
 /// Cheap census of a task program, used by the exports and benchmark
 /// reports to show pre/post-optimization graph shrinkage.
 struct ProgramCounts {
@@ -170,24 +172,16 @@ struct TaskProgram {
   /// which reduction preserves.
   std::vector<std::vector<std::size_t>> stmtReaders;
 
-  /// Index of the task with the given out-dependency; tasks are unique per
-  /// (idx, tag). Linear scan — for bulk resolution use
-  /// resolveDependencies() instead.
-  std::optional<std::size_t> taskWithOut(const TaskDep& dep) const;
-
-  /// Resolves every in-dependency to its producing task's position in
-  /// `tasks`. O(tasks + edges) expected through one flat hash table.
-  /// Throws when two tasks share an out tag or an in-dependency names no
-  /// task or a later one (creation order).
-  ResolvedDependencies resolveDependencies() const;
-
   /// Task and in-edge counts (for shrinkage reporting).
   ProgramCounts counts() const;
 
-  /// Checks the program is well formed: every in-dependency names the out
-  /// tag of an *earlier* task (OpenMP depend semantics), each statement's
-  /// Block tasks tile its domain rows [0, |D_S|) in creation order, a
-  /// combine folds one partial per block, etc. Throws on violation.
+  /// Checks the program is well formed: every task's out names the task
+  /// itself, out tags increase in creation order within each idx (so
+  /// they are unique), every in-dependency's producer is an *earlier*
+  /// task whose out tag it carries (OpenMP depend semantics), each
+  /// statement's Block tasks tile its domain rows [0, |D_S|) in creation
+  /// order, a combine folds one partial per block, etc. O(tasks + edges).
+  /// Throws on violation.
   void validate(const scop::Scop& scop) const;
 
   std::string toString() const;

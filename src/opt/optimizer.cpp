@@ -17,14 +17,18 @@ using codegen::TaskDep;
 using codegen::TaskKind;
 using codegen::TaskProgram;
 
+/// In-dependency edges. Checks on the way that every producer is an
+/// earlier task: the passes index their tables by it.
 std::size_t countEdges(const TaskProgram& program) {
   std::size_t edges = 0;
-  for (const Task& t : program.tasks)
+  for (const Task& t : program.tasks) {
+    for (const TaskDep& dep : t.in)
+      PIPOLY_CHECK_MSG(dep.producer < t.id,
+                       "in-dependency without an earlier producing task");
     edges += t.in.size();
+  }
   return edges;
 }
-
-using codegen::ResolvedDependencies;
 
 /// Pass 1: transitive reduction. Creation order is a topological order
 /// (validated: every in-dependency names an earlier task), so one forward
@@ -49,9 +53,8 @@ using codegen::ResolvedDependencies;
 /// tasks) needs a few counters per task instead of 9.8 MB of bitsets; a
 /// program without chains costs what the dense sweep costs.
 ///
-/// `deps` (the program's resolved in-dependencies) is filtered in step
-/// with the `in` lists.
-std::size_t transitiveReduce(TaskProgram& program, ResolvedDependencies& deps) {
+/// Reads each in-dependency's producer id, which lowering recorded.
+std::size_t transitiveReduce(TaskProgram& program) {
   const std::size_t n = program.tasks.size();
   if (n == 0)
     return 0;
@@ -77,9 +80,9 @@ std::size_t transitiveReduce(TaskProgram& program, ResolvedDependencies& deps) {
       groupLast.push_back(0);
       chained.push_back(true);
     } else if (chained[g]) {
-      const std::uint32_t* first = deps.producers.data() + deps.offsets[v];
-      const std::uint32_t* last = deps.producers.data() + deps.offsets[v + 1];
-      chained[g] = std::find(first, last, groupLast[g]) != last;
+      chained[g] = std::any_of(t.in.begin(), t.in.end(), [&](const TaskDep& d) {
+        return d.producer == groupLast[g];
+      });
     }
     groupOf[v] = g;
     posInGroup[v] = groupSize[g]++;
@@ -103,18 +106,15 @@ std::size_t transitiveReduce(TaskProgram& program, ResolvedDependencies& deps) {
   std::vector<std::uint64_t> bitRows(n * words, 0);
 
   std::size_t removed = 0;
-  std::size_t write = 0; // compaction cursor into deps.producers
   std::vector<bool> implied;
   for (std::size_t v = 0; v < n; ++v) {
     Task& t = program.tasks[v];
-    const std::uint32_t predBegin = deps.offsets[v];
-    const std::uint32_t predEnd = deps.offsets[v + 1];
     std::uint32_t* prefix = prefixRows.data() + v * counters;
     std::uint64_t* row = bitRows.data() + v * words;
 
     // Union of the predecessors' ancestor sets.
-    for (std::uint32_t k = predBegin; k < predEnd; ++k) {
-      const std::size_t p = deps.producers[k];
+    for (const TaskDep& dep : t.in) {
+      const std::size_t p = dep.producer;
       const std::uint32_t* pPrefix = prefixRows.data() + p * counters;
       for (std::size_t c = 0; c < counters; ++c)
         prefix[c] = std::max(prefix[c], pPrefix[c]);
@@ -127,8 +127,8 @@ std::size_t transitiveReduce(TaskProgram& program, ResolvedDependencies& deps) {
     // direct predecessor (a task is never its own ancestor, so membership
     // in the union is exactly that test).
     implied.clear();
-    for (std::uint32_t k = predBegin; k < predEnd; ++k) {
-      const std::uint32_t p = deps.producers[k];
+    for (const TaskDep& dep : t.in) {
+      const std::uint32_t p = dep.producer;
       const std::uint32_t c = counterOf[groupOf[p]];
       implied.push_back(c != kBitTracked
                             ? posInGroup[p] < prefix[c]
@@ -138,8 +138,8 @@ std::size_t transitiveReduce(TaskProgram& program, ResolvedDependencies& deps) {
     // ancestors(t) = union of predecessors' ancestors + the predecessors.
     // Computed from the *original* edges — the reduction preserves the
     // closure, so either edge set yields the same ancestor sets.
-    for (std::uint32_t k = predBegin; k < predEnd; ++k) {
-      const std::uint32_t p = deps.producers[k];
+    for (const TaskDep& dep : t.in) {
+      const std::uint32_t p = dep.producer;
       const std::uint32_t c = counterOf[groupOf[p]];
       if (c != kBitTracked)
         prefix[c] = std::max(prefix[c], posInGroup[p] + 1);
@@ -147,25 +147,17 @@ std::size_t transitiveReduce(TaskProgram& program, ResolvedDependencies& deps) {
         row[bitOf[p] / 64] |= std::uint64_t{1} << (bitOf[p] % 64);
     }
 
-    // Keep the rest, compacting `in` and the producers in step (the
-    // write cursor never passes the read one).
-    const std::uint32_t keptBegin = static_cast<std::uint32_t>(write);
+    // Keep the rest.
     std::size_t keep = 0;
-    for (std::uint32_t k = predBegin; k < predEnd; ++k) {
-      const TaskDep& dep = t.in[k - predBegin];
-      if (implied[k - predBegin] &&
-          !(program.chainOrdering && dep.selfOrdering)) {
+    for (std::size_t k = 0; k < t.in.size(); ++k) {
+      if (implied[k] && !(program.chainOrdering && t.in[k].selfOrdering)) {
         ++removed;
         continue;
       }
-      t.in[keep++] = dep;
-      deps.producers[write++] = deps.producers[k];
+      t.in[keep++] = t.in[k];
     }
     t.in.resize(keep);
-    deps.offsets[v] = keptBegin;
   }
-  deps.offsets[n] = static_cast<std::uint32_t>(write);
-  deps.producers.resize(write);
   return removed;
 }
 
@@ -185,18 +177,20 @@ struct PlacedScore {
   std::vector<double> maxClassOfStmt;
 };
 
-/// channelStageEdges over already resolved dependencies.
+} // namespace
+
 std::vector<rt::StageEdge>
-stageEdges(const TaskProgram& program, const ResolvedDependencies& deps,
-           const codegen::StageLayout& layout, const pipeline::CommInfo& comm) {
+channelStageEdges(const codegen::TaskProgram& program,
+                  const codegen::StageLayout& layout,
+                  const pipeline::CommInfo& comm) {
   const std::size_t numStages = layout.stmtOf.size();
   std::vector<std::vector<bool>> seen(numStages,
                                       std::vector<bool>(numStages, false));
   std::vector<rt::StageEdge> edges;
   for (std::size_t i = 0; i < program.tasks.size(); ++i) {
     const std::size_t tgt = layout.place[i].first;
-    for (std::size_t k = deps.offsets[i]; k < deps.offsets[i + 1]; ++k) {
-      const std::size_t src = layout.place[deps.producers[k]].first;
+    for (const TaskDep& dep : program.tasks[i].in) {
+      const std::size_t src = layout.place[dep.producer].first;
       if (src == tgt || seen[src][tgt])
         continue;
       seen[src][tgt] = true;
@@ -210,8 +204,9 @@ stageEdges(const TaskProgram& program, const ResolvedDependencies& deps,
   return edges;
 }
 
+namespace {
+
 PlacedScore scorePlacement(const TaskProgram& program,
-                           const ResolvedDependencies& deps,
                            const pipeline::CommInfo& comm,
                            const std::optional<rt::Topology>& topology) {
   PlacedScore score;
@@ -229,7 +224,7 @@ PlacedScore scorePlacement(const TaskProgram& program,
   // Surviving cross-stage dependency pairs = the channels the backend
   // would build.
   const std::vector<rt::StageEdge> edges =
-      stageEdges(program, deps, layout, comm);
+      channelStageEdges(program, layout, comm);
 
   const rt::Topology topo =
       topology.has_value()
@@ -264,11 +259,10 @@ PlacedScore scorePlacement(const TaskProgram& program,
 ///   * the concatenated iteration list stays lexicographically sorted
 ///     (validate() and the sequential-per-task execution order need it).
 ///
-/// `deps` (the program's resolved in-dependencies) is remapped onto the
-/// fused tasks: a fused task keeps its first task's in-dependencies, and
-/// only the task folded in after it depended on a folded task's out tag.
-std::size_t fuseChains(TaskProgram& program, ResolvedDependencies& deps,
-                       std::size_t width,
+/// Producer ids are remapped onto the fused tasks: a fused task keeps its
+/// first task's in-dependencies, and only the task folded in after it
+/// depended on a folded task's out tag.
+std::size_t fuseChains(TaskProgram& program, std::size_t width,
                        const std::vector<std::size_t>* stmtWidth) {
   const std::size_t n = program.tasks.size();
   const std::size_t maxWidth =
@@ -278,13 +272,10 @@ std::size_t fuseChains(TaskProgram& program, ResolvedDependencies& deps,
   if (n < 2 || maxWidth < 2)
     return 0;
   std::vector<std::uint32_t> dependents(n, 0);
-  for (std::uint32_t p : deps.producers)
-    ++dependents[p];
+  for (const Task& t : program.tasks)
+    for (const TaskDep& dep : t.in)
+      ++dependents[dep.producer];
   std::vector<std::uint32_t> fusedId(n);
-  ResolvedDependencies fusedDeps;
-  fusedDeps.producers.reserve(deps.producers.size());
-  fusedDeps.offsets.reserve(n + 1);
-  fusedDeps.offsets.push_back(0);
 
   std::vector<Task> fused;
   fused.reserve(n);
@@ -308,8 +299,7 @@ std::size_t fuseChains(TaskProgram& program, ResolvedDependencies& deps,
       // reduction runners dispatch on it).
       if (next.stmtIdx != merged.stmtIdx || next.kind != merged.kind ||
           merged.kind != TaskKind::Block || dependents[tail] != 1 ||
-          next.in.size() != 1 || next.in[0].idx != merged.out.idx ||
-          next.in[0].tag != merged.out.tag ||
+          next.in.size() != 1 || next.in[0].producer != tail ||
           !merged.iterations.adjoins(next.iterations))
         break;
       merged.iterations.extend(next.iterations);
@@ -320,17 +310,15 @@ std::size_t fuseChains(TaskProgram& program, ResolvedDependencies& deps,
       ++eliminated;
     }
     merged.id = fused.size();
+    merged.out.producer = static_cast<std::uint32_t>(merged.id);
     for (std::size_t k = head; k <= tail; ++k)
-      fusedId[k] = static_cast<std::uint32_t>(merged.id);
-    for (std::uint32_t k = deps.offsets[head]; k < deps.offsets[head + 1]; ++k)
-      fusedDeps.producers.push_back(fusedId[deps.producers[k]]);
-    fusedDeps.offsets.push_back(
-        static_cast<std::uint32_t>(fusedDeps.producers.size()));
+      fusedId[k] = merged.out.producer;
+    for (TaskDep& dep : merged.in)
+      dep.producer = fusedId[dep.producer];
     fused.push_back(std::move(merged));
     i = tail + 1;
   }
   program.tasks = std::move(fused);
-  deps = std::move(fusedDeps);
   return eliminated;
 }
 
@@ -374,13 +362,9 @@ OptimizeStats optimize(codegen::TaskProgram& program,
   // the bytes-moved objective the mode optimizes for.
   std::vector<std::size_t> stmtWidths;
   const bool placementAware = options.comm != nullptr;
-  // Resolved once; each pass keeps it in step with the program.
-  ResolvedDependencies deps;
-  if (placementAware || options.transitiveReduction || options.fusionWidth > 1)
-    deps = program.resolveDependencies();
   if (placementAware) {
     const PlacedScore before =
-        scorePlacement(program, deps, *options.comm, options.topology);
+        scorePlacement(program, *options.comm, options.topology);
     stats.placedCommCostBefore = before.placement.commCost;
     stats.crossDomainBytesBefore = before.placement.crossDomainBytes;
     if (options.fusionWidth > 1) {
@@ -395,17 +379,17 @@ OptimizeStats optimize(codegen::TaskProgram& program,
   }
   if (options.transitiveReduction) {
     trace::Span pass("opt.transitive_reduction");
-    stats.edgesRemoved = transitiveReduce(program, deps);
+    stats.edgesRemoved = transitiveReduce(program);
   }
   if (options.fusionWidth > 1) {
     trace::Span pass("opt.chain_fusion");
     stats.tasksFused =
-        fuseChains(program, deps, options.fusionWidth,
+        fuseChains(program, options.fusionWidth,
                    stmtWidths.empty() ? nullptr : &stmtWidths);
   }
   if (placementAware) {
     const PlacedScore after =
-        scorePlacement(program, deps, *options.comm, options.topology);
+        scorePlacement(program, *options.comm, options.topology);
     stats.placedCommCostAfter = after.placement.commCost;
     stats.crossDomainBytesAfter = after.placement.crossDomainBytes;
   }
@@ -419,18 +403,15 @@ OptimizeStats optimize(codegen::TaskProgram& program,
 
 bool SlotTable::compatibleWith(const codegen::TaskProgram& program) const {
   const std::size_t n = program.tasks.size();
-  if (numSlots != n || inOffsets.size() != n + 1)
-    return false;
-  if (!inOffsets.empty() &&
-      (inOffsets.front() != 0 || inOffsets.back() != inSlots.size()))
+  if (numSlots != n || inOffsets.size() != n + 1 ||
+      inOffsets.front() != 0 || inOffsets.back() != inSlots.size())
     return false;
   for (std::size_t i = 0; i < n; ++i) {
-    if (inOffsets[i] > inOffsets[i + 1])
+    const std::vector<TaskDep>& in = program.tasks[i].in;
+    if (inOffsets[i] > inOffsets[i + 1] || inCount(i) != in.size())
       return false;
-    if (inCount(i) != program.tasks[i].in.size())
-      return false;
-    for (const std::uint32_t* s = inBegin(i); s != inEnd(i); ++s)
-      if (*s >= i)
+    for (std::size_t k = 0; k < in.size(); ++k)
+      if (inBegin(i)[k] != in[k].producer || in[k].producer >= i)
         return false;
   }
   return true;
@@ -438,19 +419,19 @@ bool SlotTable::compatibleWith(const codegen::TaskProgram& program) const {
 
 SlotTable buildSlotTable(const codegen::TaskProgram& program) {
   trace::Span span("opt.slot_table");
-  ResolvedDependencies deps = program.resolveDependencies();
   SlotTable table;
   table.numSlots = static_cast<std::uint32_t>(program.tasks.size());
-  table.inSlots = std::move(deps.producers);
-  table.inOffsets = std::move(deps.offsets);
+  table.inOffsets.reserve(program.tasks.size() + 1);
+  table.inOffsets.push_back(0);
+  for (const Task& t : program.tasks) {
+    for (const TaskDep& dep : t.in) {
+      PIPOLY_CHECK_MSG(dep.producer < t.id,
+                       "in-dependency without an earlier producing task");
+      table.inSlots.push_back(dep.producer);
+    }
+    table.inOffsets.push_back(static_cast<std::uint32_t>(table.inSlots.size()));
+  }
   return table;
-}
-
-std::vector<rt::StageEdge>
-channelStageEdges(const codegen::TaskProgram& program,
-                  const codegen::StageLayout& layout,
-                  const pipeline::CommInfo& comm) {
-  return stageEdges(program, program.resolveDependencies(), layout, comm);
 }
 
 } // namespace pipoly::opt

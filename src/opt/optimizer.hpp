@@ -26,10 +26,11 @@
 //      run length so the fill/drain overlap of the pipeline (Fig. 10) is
 //      preserved.
 //
-//   3. Dependency-slot interning (SlotTable) — out-dependency tags are
-//      unique per task (validated), so every live (idx, tag) pair can be
-//      interned to the dense uint32 id of its producing task. Backends
-//      that honour TaskingLayer::reserveDependencySlots then resolve
+//   3. Dependency-slot interning (SlotTable) — every in-dependency
+//      already names its producing task's id (lowering records it, the
+//      passes keep it in step), so the table is those ids in CSR form:
+//      the dense uint32 slot of each live (idx, tag) pair. Backends that
+//      honour TaskingLayer::reserveDependencySlots then resolve
 //      dependencies with O(1) array indexing instead of
 //      std::map<std::pair<int, int64>> lookups; the simulator does the
 //      same through the precomputed producer lists.
@@ -106,9 +107,10 @@ OptimizeStats optimize(codegen::TaskProgram& program,
                        const OptimizeOptions& options = {});
 
 /// Dense dependency-slot interning of a (possibly optimized) program.
-/// Slot ids are the producing task ids: out tags are unique per task and
-/// every in-dependency names some earlier task's out tag, so task ids
-/// are exactly the live slots, numbered densely in creation order.
+/// Slot ids are the producing task ids (TaskDep::producer): out tags are
+/// unique per task and every in-dependency names some earlier task's out
+/// tag, so task ids are exactly the live slots, numbered densely in
+/// creation order.
 struct SlotTable {
   std::uint32_t numSlots = 0;           // == program.tasks.size()
   std::vector<std::uint32_t> inSlots;   // flattened producer slots
@@ -125,16 +127,18 @@ struct SlotTable {
     return inOffsets[id + 1] - inOffsets[id];
   }
 
-  /// True when this table could have been built from `program`: one slot
-  /// per task, per-task dependency counts matching, and every interned
-  /// producer slot naming an *earlier* task. O(tasks + edges). Lets a
+  /// True when this table is the one buildSlotTable makes of `program`:
+  /// one slot per task, and every task's slots equal to its
+  /// in-dependencies' producers, in order, each an *earlier* task.
+  /// O(tasks + edges). Lets a
   /// table built once be reused across executions (the slot-table
   /// executeTaskProgram overload and CompiledPipeline both check this
   /// instead of rebuilding the table per run).
   bool compatibleWith(const codegen::TaskProgram& program) const;
 };
 
-/// Interns every (idx, tag) pair of the program. O(tasks + edges).
+/// Copies every in-dependency's producer into the table. O(tasks +
+/// edges); throws when a producer is not an earlier task.
 SlotTable buildSlotTable(const codegen::TaskProgram& program);
 
 /// The channel edges stage placement weighs for `program` on `layout`:

@@ -140,7 +140,8 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
 
   const std::size_t numStmts = scop.numStatements();
   std::vector<EdgeWork> work(info.maps.size());
-  const scop::AccessRelations relations(scop);
+  // Detection's relations, plus whatever volumes need that it never built.
+  const scop::AccessRelations relations(scop, info.relations);
 
   // Per-edge volumes: the separable closed form when the pair qualifies,
   // otherwise the explicit range intersection per shared array.

@@ -97,7 +97,10 @@ struct CommInfo {
   }
 };
 
-/// Computes the per-edge communication summary for a detection result.
+/// Computes the per-edge communication summary for a detection result
+/// of this `scop`. Reads the access relations detection built
+/// (info.relations) and builds the rest itself; never writes the shared
+/// ones, so copies of one info may be analyzed concurrently.
 CommInfo analyzeCommunication(const scop::Scop& scop,
                               const PipelineInfo& info);
 

@@ -329,8 +329,9 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
   const std::size_t n = scop.numStatements();
   PipelineInfo info;
   info.statements.resize(n);
-  // Every phase builds each (statement, array) relation once.
-  const scop::AccessRelations relations(scop);
+  // Every phase builds each (statement, array) relation once; the table
+  // is handed on in info.relations.
+  scop::AccessRelations relations(scop);
 
   // Reduction pre-pass (reduction.hpp): classify every statement once.
   // Off leaves the vector empty — computePair and computeStatementInfo
@@ -449,6 +450,7 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
     }
   }
 
+  info.relations = std::move(relations).release();
   return info;
 }
 

@@ -30,6 +30,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace pipoly::pipeline {
@@ -138,6 +139,11 @@ struct PipelineInfo {
   /// Route accounting for this run. Cached results carry the stats of the
   /// run that computed them.
   DetectStats stats;
+  /// The access relations detection built, handed on so that
+  /// analyzeCommunication builds only the ones detection never needed.
+  /// Immutable and shared by every copy of the info; it lives as long as
+  /// the last copy. Null for results assembled elsewhere.
+  std::shared_ptr<const scop::BuiltRelations> relations;
 
   bool hasPipeline() const { return !maps.empty(); }
   /// Total number of blocks (= tasks) across all statements.

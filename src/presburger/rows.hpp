@@ -20,7 +20,9 @@
 #include "presburger/tuple.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <memory>
 #include <numeric>
@@ -66,16 +68,23 @@ inline bool isSortedUnique(const RowBuffer& data, std::size_t w) {
   return true;
 }
 
-/// Sorts the rows lexicographically and drops duplicates. Already-sorted
-/// input (the common case: most producers emit in order) is detected in
-/// one linear pass and returned untouched.
-inline void sortUnique(RowBuffer& data, std::size_t w) {
-  if (w == 0) {
-    data.clear();
-    return;
-  }
-  if (isSortedUnique(data, w))
-    return;
+namespace detail {
+
+/// sortUnique's kernel for rows of a fixed width W: the rows are copied
+/// into contiguous W-value records, sorted and deduplicated as values —
+/// no index array, no indirect comparator — and copied back.
+template <std::size_t W> void sortUniqueFixed(RowBuffer& data) {
+  using Row = std::array<Value, W>;
+  std::vector<Row> recs(data.size() / W);
+  std::memcpy(recs.data(), data.data(), data.size() * sizeof(Value));
+  std::sort(recs.begin(), recs.end());
+  recs.erase(std::unique(recs.begin(), recs.end()), recs.end());
+  data.resize(recs.size() * W);
+  std::memcpy(data.data(), recs.data(), data.size() * sizeof(Value));
+}
+
+/// sortUnique's kernel for wider rows: an index sort, then one copy.
+inline void sortUniqueIndexed(RowBuffer& data, std::size_t w) {
   const std::size_t n = data.size() / w;
   std::vector<std::uint32_t> idx(n);
   std::iota(idx.begin(), idx.end(), 0u);
@@ -93,6 +102,41 @@ inline void sortUnique(RowBuffer& data, std::size_t w) {
     prev = r;
   }
   data = std::move(out);
+}
+
+} // namespace detail
+
+/// Sorts the rows lexicographically and drops duplicates. Already-sorted
+/// input (the common case: most producers emit in order) is detected in
+/// one linear pass and returned untouched. Rows up to 8 values wide sort
+/// as fixed-width records.
+inline void sortUnique(RowBuffer& data, std::size_t w) {
+  if (w == 0) {
+    data.clear();
+    return;
+  }
+  if (isSortedUnique(data, w))
+    return;
+  switch (w) {
+  case 1:
+    return detail::sortUniqueFixed<1>(data);
+  case 2:
+    return detail::sortUniqueFixed<2>(data);
+  case 3:
+    return detail::sortUniqueFixed<3>(data);
+  case 4:
+    return detail::sortUniqueFixed<4>(data);
+  case 5:
+    return detail::sortUniqueFixed<5>(data);
+  case 6:
+    return detail::sortUniqueFixed<6>(data);
+  case 7:
+    return detail::sortUniqueFixed<7>(data);
+  case 8:
+    return detail::sortUniqueFixed<8>(data);
+  default:
+    return detail::sortUniqueIndexed(data, w);
+  }
 }
 
 /// First index in [from, n) whose leading `keyW` values compare >= `key`

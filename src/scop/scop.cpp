@@ -137,23 +137,31 @@ pb::IntMap Scop::readRelation(std::size_t stmtIdx, std::size_t arrayId) const {
                                 statement(stmtIdx).reads());
 }
 
-AccessRelations::AccessRelations(const Scop& scop)
-    : scop_(scop),
-      writes_(scop.numStatements() * scop.arrays().size()),
-      reads_(scop.numStatements() * scop.arrays().size()) {}
+AccessRelations::AccessRelations(const Scop& scop,
+                                 std::shared_ptr<const BuiltRelations> base)
+    : scop_(scop), base_(std::move(base)) {
+  const std::size_t pairs = scop.numStatements() * scop.arrays().size();
+  PIPOLY_CHECK_MSG(base_ == nullptr || (base_->writes.size() == pairs &&
+                                        base_->reads.size() == pairs),
+                   "shared access relations belong to another scop");
+  built_.writes.resize(pairs);
+  built_.reads.resize(pairs);
+}
 
-std::optional<pb::IntMap>&
-AccessRelations::slot(std::vector<std::optional<pb::IntMap>>& rels,
-                      std::size_t stmtIdx, std::size_t arrayId) const {
+std::size_t AccessRelations::index(std::size_t stmtIdx,
+                                   std::size_t arrayId) const {
   PIPOLY_CHECK_MSG(stmtIdx < scop_.numStatements() &&
                        arrayId < scop_.arrays().size(),
                    "access relation index out of range");
-  return rels[stmtIdx * scop_.arrays().size() + arrayId];
+  return stmtIdx * scop_.arrays().size() + arrayId;
 }
 
 const pb::IntMap& AccessRelations::write(std::size_t stmtIdx,
                                          std::size_t arrayId) const {
-  std::optional<pb::IntMap>& rel = slot(writes_, stmtIdx, arrayId);
+  const std::size_t k = index(stmtIdx, arrayId);
+  if (base_ != nullptr && base_->writes[k])
+    return *base_->writes[k];
+  std::optional<pb::IntMap>& rel = built_.writes[k];
   if (!rel)
     rel = scop_.writeRelation(stmtIdx, arrayId);
   return *rel;
@@ -161,10 +169,19 @@ const pb::IntMap& AccessRelations::write(std::size_t stmtIdx,
 
 const pb::IntMap& AccessRelations::read(std::size_t stmtIdx,
                                         std::size_t arrayId) const {
-  std::optional<pb::IntMap>& rel = slot(reads_, stmtIdx, arrayId);
+  const std::size_t k = index(stmtIdx, arrayId);
+  if (base_ != nullptr && base_->reads[k])
+    return *base_->reads[k];
+  std::optional<pb::IntMap>& rel = built_.reads[k];
   if (!rel)
     rel = scop_.readRelation(stmtIdx, arrayId);
   return *rel;
+}
+
+std::shared_ptr<const BuiltRelations> AccessRelations::release() && {
+  PIPOLY_CHECK_MSG(base_ == nullptr,
+                   "only a table without a base may be released");
+  return std::make_shared<const BuiltRelations>(std::move(built_));
 }
 
 std::vector<std::size_t> Scop::arraysWrittenBy(std::size_t stmtIdx) const {

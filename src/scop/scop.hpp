@@ -12,6 +12,7 @@
 #include "presburger/set.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -126,29 +127,45 @@ private:
   std::vector<Statement> statements_;
 };
 
+/// The write and read relations one AccessRelations table built, per
+/// (statement, array), statement-major; an unbuilt pair is empty. It
+/// refers to no Scop, and once released (AccessRelations::release) it is
+/// immutable, so copies of a PipelineInfo holding one may be read from
+/// any thread and may outlive the Scop.
+struct BuiltRelations {
+  std::vector<std::optional<pb::IntMap>> writes, reads;
+};
+
 /// A Scop's write and read relations, each (statement, array) pair built
 /// on first use and then shared. One analysis call (detectPipeline,
 /// analyzeCommunication) keeps one on its stack, so its dependence tests,
-/// pipeline maps and volumes build each relation once and nothing outlives
-/// the call. Implicit from a Scop: a caller that passes one gets a table
-/// of its own.
+/// pipeline maps and volumes build each relation once. Implicit from a
+/// Scop: a caller that passes one gets a table of its own.
 class AccessRelations {
 public:
-  AccessRelations(const Scop& scop);
+  /// `base`, when given, holds relations an earlier table over this same
+  /// Scop built (detectPipeline's, handed on in PipelineInfo::relations).
+  /// Lookups read it first and build only what it lacks, into this
+  /// table's own storage: `base` is never written.
+  AccessRelations(const Scop& scop,
+                  std::shared_ptr<const BuiltRelations> base = nullptr);
 
   const Scop& scop() const { return scop_; }
   /// Scop::writeRelation / Scop::readRelation, memoized.
   const pb::IntMap& write(std::size_t stmtIdx, std::size_t arrayId) const;
   const pb::IntMap& read(std::size_t stmtIdx, std::size_t arrayId) const;
 
+  /// Hands the relations this table built over as an immutable value,
+  /// consuming the table. Only a table without a base may be released.
+  std::shared_ptr<const BuiltRelations> release() &&;
+
 private:
-  std::optional<pb::IntMap>& slot(std::vector<std::optional<pb::IntMap>>& rels,
-                                  std::size_t stmtIdx,
-                                  std::size_t arrayId) const;
+  /// The statement-major position of a (statement, array) pair.
+  std::size_t index(std::size_t stmtIdx, std::size_t arrayId) const;
 
   const Scop& scop_;
-  // Per (statement, array), statement-major; filled lazily.
-  mutable std::vector<std::optional<pb::IntMap>> writes_, reads_;
+  std::shared_ptr<const BuiltRelations> base_;
+  mutable BuiltRelations built_; // filled lazily
 };
 
 } // namespace pipoly::scop

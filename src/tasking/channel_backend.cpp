@@ -1,6 +1,5 @@
 #include "tasking/channel_backend.hpp"
 
-#include "opt/optimizer.hpp"
 #include "runtime/placement.hpp"
 #include "runtime/spsc_queue.hpp"
 #include "support/assert.hpp"
@@ -566,13 +565,13 @@ ProgramPlan buildProgramPlan(const codegen::TaskProgram& program,
   // Cross-stage dependencies become per-edge token requirements: task
   // `pos` of stage `tgt` depending on task `srcPos` of stage `src` needs
   // srcPos + 1 tokens on the (src, tgt) channel; a same-stage dependency
-  // is covered by in-order execution within the stage. The slot table
-  // resolves every in-dependency to its producer task once.
-  const opt::SlotTable slots = opt::buildSlotTable(program);
+  // is covered by in-order execution within the stage.
   for (std::size_t i = 0; i < program.tasks.size(); ++i) {
     const auto [stage, pos] = layout.place[i];
-    for (auto it = slots.inBegin(i); it != slots.inEnd(i); ++it) {
-      const auto [srcStage, srcPos] = layout.place[*it];
+    for (const codegen::TaskDep& dep : program.tasks[i].in) {
+      PIPOLY_CHECK_MSG(dep.producer < i,
+                       "in-dependency without an earlier producing task");
+      const auto [srcStage, srcPos] = layout.place[dep.producer];
       PIPOLY_CHECK_MSG(srcStage != stage || srcPos < pos,
                        "same-stage dependency does not point backwards");
       if (srcStage == stage)

@@ -145,9 +145,8 @@ void CompiledPipeline::compile(const opt::SlotTable* slots) {
                     : std::max(1u, std::thread::hardware_concurrency());
 
   const std::size_t n = program_->tasks.size();
-  // Resolve every in-dependency to its producer exactly once. With a
-  // caller-provided slot table the producers are already interned (slot
-  // id == producing task id); otherwise one hashed owner-index pass.
+  // Every in-dependency's producer, in CSR form: the caller's slot table
+  // or one built from the program's producer ids.
   opt::SlotTable built;
   if (slots == nullptr) {
     built = opt::buildSlotTable(*program_);

@@ -176,8 +176,8 @@ public:
       Options options = {});
 
   /// Same, reusing a prebuilt slot table (opt::buildSlotTable of this
-  /// very program) instead of re-resolving producers through the hashed
-  /// owner index. Throws when the table does not match the program.
+  /// very program) instead of copying the producer ids out again.
+  /// Throws when the table does not match the program.
   CompiledPipeline(std::shared_ptr<const codegen::TaskProgram> program,
                    const opt::SlotTable& slots, Options options = {});
 

@@ -5,6 +5,7 @@
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
 #include "testing/fixtures.hpp"
+#include "testing/resolve_oracle.hpp"
 
 #include <gtest/gtest.h>
 
@@ -76,8 +77,9 @@ TEST(TaskProgramTest, TaskWithOutLookup) {
   scop::Scop scop = testing::listing1(12);
   TaskProgram prog = compilePipeline(scop);
   const Task& t = prog.tasks.at(3);
-  EXPECT_EQ(prog.taskWithOut(t.out), t.id);
-  EXPECT_EQ(prog.taskWithOut(TaskDep{99, 0}), std::nullopt);
+  EXPECT_EQ(t.out.producer, t.id);
+  EXPECT_EQ(testing::taskWithOut(prog, t.out), t.id);
+  EXPECT_EQ(testing::taskWithOut(prog, TaskDep{99, 0}), std::nullopt);
 }
 
 TEST(TaskProgramTest, SelfOrderingChainIsComplete) {
@@ -124,9 +126,9 @@ void checkTransitiveCoverage(const scop::Scop& scop) {
   std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
   for (const Task& t : prog.tasks) {
     for (const TaskDep& d : t.in) {
-      std::optional<std::size_t> from = prog.taskWithOut(d);
-      ASSERT_TRUE(from.has_value());
-      reach[*from][t.id] = true;
+      // The recorded producer is the task the (idx, tag) pair names.
+      ASSERT_EQ(testing::taskWithOut(prog, d), d.producer);
+      reach[d.producer][t.id] = true;
     }
     reach[t.id][t.id] = true;
   }

@@ -2,8 +2,11 @@
 // against the brute-force counting oracle on every Table-9 program (the
 // parametric, separable closed-form, fast path included), every EdgeComm
 // field against the per-point legacy pass over a matrix of programs and
-// detection options, capacity/peak invariants, and the CommInfo lookup
-// API the channel backend builds its ring sizes from.
+// detection options, capacity/peak invariants, the CommInfo lookup API
+// the channel backend builds its ring sizes from, and the access
+// relations detection hands on: comm over them equals comm over a fresh
+// table, never writes them, and runs on copies of one info from several
+// threads at once.
 
 #include "pipeline/comm.hpp"
 
@@ -11,14 +14,18 @@
 #include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
 #include "pipeline/detect.hpp"
+#include "support/assert.hpp"
 #include "testing/fixtures.hpp"
+#include "testing/interval_corpus.hpp"
 #include "testing/legacy_comm.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -85,6 +92,26 @@ std::vector<std::pair<std::string, scop::Scop>> oraclePrograms() {
   return out;
 }
 
+void expectSameEdges(const CommInfo& got, const CommInfo& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.edges.size(), want.edges.size()) << what;
+  for (std::size_t i = 0; i < got.edges.size(); ++i) {
+    const EdgeComm& g = got.edges[i];
+    const EdgeComm& w = want.edges[i];
+    const std::string edge = what + " edge " + std::to_string(i);
+    EXPECT_EQ(g.srcIdx, w.srcIdx) << edge;
+    EXPECT_EQ(g.tgtIdx, w.tgtIdx) << edge;
+    EXPECT_EQ(g.mapIdx, w.mapIdx) << edge;
+    EXPECT_EQ(g.elements, w.elements) << edge;
+    EXPECT_EQ(g.totalBytes, w.totalBytes) << edge;
+    EXPECT_EQ(g.maxBlockBytes, w.maxBlockBytes) << edge;
+    EXPECT_EQ(g.peakInFlightTokens, w.peakInFlightTokens) << edge;
+    EXPECT_EQ(g.peakInFlightBytes, w.peakInFlightBytes) << edge;
+    EXPECT_EQ(g.capacitySlots, w.capacitySlots) << edge;
+    EXPECT_EQ(g.parametric, w.parametric) << edge;
+  }
+}
+
 TEST(CommOracleTest, EveryFieldMatchesTheLegacyPassAcrossTheMatrix) {
   std::vector<std::pair<std::string, DetectOptions>> configs(4);
   configs[0].first = "default";
@@ -102,23 +129,7 @@ TEST(CommOracleTest, EveryFieldMatchesTheLegacyPassAcrossTheMatrix) {
       const std::string what = name + " " + config;
       const PipelineInfo info = detectPipeline(scop, options);
       const CommInfo got = analyzeCommunication(scop, info);
-      const CommInfo want = legacyAnalyzeCommunication(scop, info);
-      ASSERT_EQ(got.edges.size(), want.edges.size()) << what;
-      for (std::size_t i = 0; i < got.edges.size(); ++i) {
-        const EdgeComm& g = got.edges[i];
-        const EdgeComm& w = want.edges[i];
-        const std::string edge = what + " edge " + std::to_string(i);
-        EXPECT_EQ(g.srcIdx, w.srcIdx) << edge;
-        EXPECT_EQ(g.tgtIdx, w.tgtIdx) << edge;
-        EXPECT_EQ(g.mapIdx, w.mapIdx) << edge;
-        EXPECT_EQ(g.elements, w.elements) << edge;
-        EXPECT_EQ(g.totalBytes, w.totalBytes) << edge;
-        EXPECT_EQ(g.maxBlockBytes, w.maxBlockBytes) << edge;
-        EXPECT_EQ(g.peakInFlightTokens, w.peakInFlightTokens) << edge;
-        EXPECT_EQ(g.peakInFlightBytes, w.peakInFlightBytes) << edge;
-        EXPECT_EQ(g.capacitySlots, w.capacitySlots) << edge;
-        EXPECT_EQ(g.parametric, w.parametric) << edge;
-      }
+      expectSameEdges(got, legacyAnalyzeCommunication(scop, info), what);
       edges += got.edges.size();
     }
   }
@@ -172,6 +183,86 @@ TEST(CommLookupTest, EdgeAndCapacityForResolveStatementPairs) {
   // A pair with no pipeline edge falls back to the caller's default.
   EXPECT_EQ(comm.edge(97, 98), nullptr);
   EXPECT_EQ(comm.capacityFor(97, 98, 99u), 99u);
+}
+
+// --- The access relations detection hands on ---------------------------
+
+/// Which relations a shared table holds.
+std::vector<bool> builtMask(const scop::BuiltRelations& rels) {
+  std::vector<bool> mask;
+  for (const auto* side : {&rels.writes, &rels.reads})
+    for (const std::optional<pb::IntMap>& rel : *side)
+      mask.push_back(rel.has_value());
+  return mask;
+}
+
+/// Comm over detection's relations equals comm over a fresh table, and
+/// leaves the shared relations exactly as detection built them.
+void expectSharedEqualsFresh(const scop::Scop& scop,
+                             const DetectOptions& options,
+                             const std::string& what) {
+  const PipelineInfo info = detectPipeline(scop, options);
+  ASSERT_NE(info.relations, nullptr) << what;
+  const std::vector<bool> before = builtMask(*info.relations);
+  const CommInfo shared = analyzeCommunication(scop, info);
+  EXPECT_EQ(builtMask(*info.relations), before) << what;
+  PipelineInfo fresh = info;
+  fresh.relations = nullptr;
+  expectSameEdges(shared, analyzeCommunication(scop, fresh), what);
+}
+
+TEST(CommSharedRelationsTest, SharedRelationsGiveTheFreshResultOnTheCorpus) {
+  for (const testing::CorpusProgram& p :
+       testing::intervalCorpus({8, 16}, 4, 8, 6)) {
+    const scop::Scop scop = p.build();
+    for (const testing::CorpusSetting& s :
+         testing::intervalSettings(p.reduction))
+      expectSharedEqualsFresh(scop, s.options, p.name + " " + s.name);
+  }
+}
+
+TEST(CommSharedRelationsTest, SharedRelationsGiveTheFreshResultOnSeededFuzz) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    bool nonInjective = false;
+    const scop::Scop scop = testing::randomIntervalScop(seed, &nonInjective);
+    for (testing::CorpusSetting s : testing::intervalSettings(true)) {
+      s.options.allowNonInjectiveWrites = nonInjective;
+      expectSharedEqualsFresh(scop, s.options,
+                              "seed " + std::to_string(seed) + " " + s.name);
+    }
+  }
+}
+
+TEST(CommSharedRelationsTest, RelationsMustComeFromTheSameScop) {
+  const scop::Scop scop = kernels::buildProgram(kernels::programByName("P1"), 8);
+  PipelineInfo mixed = detectPipeline(scop);
+  ASSERT_FALSE(mixed.maps.empty());
+  mixed.relations =
+      detectPipeline(kernels::matmulChain(kernels::MatmulVariant::NMM, 3, 4))
+          .relations;
+  ASSERT_NE(mixed.relations->writes.size(),
+            scop.numStatements() * scop.arrays().size());
+  EXPECT_THROW((void)analyzeCommunication(scop, mixed), Error);
+}
+
+TEST(CommSharedRelationsTest, CopiesOfOneInfoAnalyzeConcurrently) {
+  // Four threads run comm on their own copies of one info; the copies
+  // share detection's relations, which every thread only reads.
+  const scop::Scop scop = kernels::matmulChain(kernels::MatmulVariant::GNMM, 4, 8);
+  const PipelineInfo info = detectPipeline(scop);
+  const CommInfo want = analyzeCommunication(scop, info);
+  constexpr std::size_t kThreads = 4;
+  std::vector<CommInfo> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i, copy = info] {
+      for (int rep = 0; rep < 3; ++rep)
+        got[i] = analyzeCommunication(scop, copy);
+    });
+  for (std::thread& t : threads)
+    t.join();
+  for (std::size_t i = 0; i < kThreads; ++i)
+    expectSameEdges(got[i], want, "thread " + std::to_string(i));
 }
 
 } // namespace

@@ -1,13 +1,16 @@
 // Blocks as lexicographic intervals against the explicit oracle
 // (testing/legacy_lowering.hpp): every task's [begin, end) rows must list
-// exactly the iterations the explicit Σ_S^-1 gives its block, and the
-// task programs must print byte-identically, before and after optimize.
+// exactly the iterations the explicit Σ_S^-1 gives its block, the task
+// programs must print byte-identically, and every producer id lowering
+// records (and optimize keeps in step) must equal the (idx, tag)
+// resolution of testing/resolve_oracle.hpp, before and after optimize.
 
 #include "codegen/task_program.hpp"
 #include "opt/optimizer.hpp"
 #include "pipeline/detect.hpp"
 #include "testing/interval_corpus.hpp"
 #include "testing/legacy_lowering.hpp"
+#include "testing/resolve_oracle.hpp"
 
 #include <gtest/gtest.h>
 
@@ -33,9 +36,12 @@ void expectMatchesOracle(const scop::Scop& scop,
   const codegen::TaskProgram prog = codegen::compilePipeline(scop, options);
   ASSERT_EQ(prog.toString(), oracle.toString()) << what;
   ASSERT_EQ(prog.tasks.size(), oracle.tasks.size()) << what;
-  for (std::size_t i = 0; i < prog.tasks.size(); ++i)
+  for (std::size_t i = 0; i < prog.tasks.size(); ++i) {
     ASSERT_EQ(rowsOf(prog.tasks[i].iterations), oracle.tasks[i].iterations)
         << what << " task " << i;
+    ASSERT_EQ(prog.tasks[i].out, oracle.tasks[i].out) << what << " task " << i;
+    ASSERT_EQ(prog.tasks[i].in, oracle.tasks[i].in) << what << " task " << i;
+  }
 
   // Fusion extends a range over its chain successors: each optimized task
   // lists the oracle's iterations of the run of tasks it absorbed, which
@@ -43,6 +49,7 @@ void expectMatchesOracle(const scop::Scop& scop,
   codegen::TaskProgram optimized = prog;
   opt::optimize(optimized);
   ASSERT_NO_THROW(optimized.validate(scop)) << what;
+  ASSERT_TRUE(testing::producersMatchOracle(optimized)) << what;
   std::size_t k = 0;
   for (const codegen::Task& t : optimized.tasks) {
     std::vector<pb::Tuple> expected;

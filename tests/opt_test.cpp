@@ -18,6 +18,7 @@
 #include "tasking/tasking.hpp"
 #include "testing/interpreted_kernel.hpp"
 #include "testing/legacy_opt.hpp"
+#include "testing/resolve_oracle.hpp"
 
 #include <gtest/gtest.h>
 
@@ -44,7 +45,7 @@ public:
     for (const codegen::Task& t : program.tasks) {
       std::uint64_t* row = &reach_[t.id * words_];
       for (const codegen::TaskDep& d : t.in) {
-        const std::size_t p = *program.taskWithOut(d);
+        const std::size_t p = *testing::taskWithOut(program, d);
         const std::uint64_t* prow = &reach_[p * words_];
         for (std::size_t w = 0; w < words_; ++w)
           row[w] |= prow[w];
@@ -92,6 +93,7 @@ void expectClosurePreserved(const scop::Scop& scop,
                             const codegen::TaskProgram& original,
                             const codegen::TaskProgram& optimized) {
   ASSERT_NO_THROW(optimized.validate(scop));
+  ASSERT_TRUE(testing::producersMatchOracle(optimized));
 
   // Per-statement iteration sequences are untouched (the C emitter and
   // the funcCount chain both rely on this).
@@ -299,8 +301,44 @@ TEST(OptTest, SlotTableMatchesProducers) {
     ASSERT_EQ(slots.inCount(t.id), t.in.size());
     const std::uint32_t* s = slots.inBegin(t.id);
     for (const codegen::TaskDep& d : t.in)
-      EXPECT_EQ(*s++, prog.taskWithOut(d));
+      EXPECT_EQ(*s++, testing::taskWithOut(prog, d));
   }
+}
+
+/// Two blocks of one statement, then a block of a second statement that
+/// depends on `producer` (0 or 1): the same shape either way.
+codegen::TaskProgram twoProducerProgram(std::uint32_t producer) {
+  codegen::TaskProgram prog;
+  prog.numStatements = 2;
+  prog.chainOrdering = false;
+  prog.rowTables = {pb::IntTupleSet(pb::Space("S", 1),
+                                    {pb::Tuple{0}, pb::Tuple{1}}),
+                    pb::IntTupleSet(pb::Space("T", 1), {pb::Tuple{0}})};
+  for (std::size_t i = 0; i < 3; ++i) {
+    codegen::Task t;
+    t.id = i;
+    t.stmtIdx = i < 2 ? 0 : 1;
+    t.iterations = codegen::IterationRange(prog.rowTables[t.stmtIdx],
+                                           i < 2 ? i : 0, i < 2 ? i + 1 : 1);
+    t.blockRep = t.iterations.back();
+    t.out = codegen::TaskDep{static_cast<int>(t.stmtIdx),
+                             codegen::linearizeBlockVector(t.blockRep)};
+    prog.tasks.push_back(std::move(t));
+  }
+  prog.tasks[2].in.push_back(prog.tasks[producer].out);
+  testing::fillProducers(prog);
+  return prog;
+}
+
+TEST(OptTest, SlotTableRejectsAProgramOfTheSameShapeWithOtherProducers) {
+  const codegen::TaskProgram fromFirst = twoProducerProgram(0);
+  const codegen::TaskProgram fromSecond = twoProducerProgram(1);
+  ASSERT_EQ(fromFirst.tasks[2].in[0].producer, 0u);
+  ASSERT_EQ(fromSecond.tasks[2].in[0].producer, 1u);
+  const opt::SlotTable slots = opt::buildSlotTable(fromFirst);
+  EXPECT_TRUE(slots.compatibleWith(fromFirst));
+  EXPECT_FALSE(slots.compatibleWith(fromSecond));
+  EXPECT_FALSE(opt::buildSlotTable(fromSecond).compatibleWith(fromFirst));
 }
 
 TEST(OptTest, SelfOrderingChainSurvives) {
@@ -317,7 +355,8 @@ TEST(OptTest, SelfOrderingChainSurvives) {
       bool found = false;
       for (const codegen::TaskDep& d : t.in)
         found |= d.selfOrdering && d.idx == prev[t.stmtIdx]->out.idx &&
-                 d.tag == prev[t.stmtIdx]->out.tag;
+                 d.tag == prev[t.stmtIdx]->out.tag &&
+                 d.producer == prev[t.stmtIdx]->id;
       EXPECT_TRUE(found) << "task " << t.id;
     }
     prev[t.stmtIdx] = &t;
@@ -445,6 +484,7 @@ codegen::TaskProgram randomDag(std::uint64_t seed) {
       outsOf[s].insert(outsOf[s].end(), own.begin(), own.end());
     }
   }
+  testing::fillProducers(prog);
   return prog;
 }
 

@@ -6,6 +6,7 @@
 // (kInlineCapacity == 4).
 
 #include "presburger/map.hpp"
+#include "presburger/rows.hpp"
 #include "presburger/set.hpp"
 #include "support/rng.hpp"
 
@@ -435,6 +436,42 @@ TEST(FlatTuple, InlineHeapBoundary) {
   moved = static_cast<const Tuple&>(moved);
   EXPECT_EQ(moved, small);
   EXPECT_EQ(Tuple(TupleView(big)), big);
+}
+
+// rows::sortUnique sorts rows up to 8 values wide as fixed-width records
+// and wider ones through an index. The index sort is the oracle for every
+// width: the outputs must be byte-equal.
+TEST(RowsSortUnique, MatchesTheIndexSortOnEveryWidthAndShape) {
+  enum class Shape { Random, Duplicated, Sorted, Reversed, Empty };
+  SplitMix64 rng(0x5047);
+  for (std::size_t w = 1; w <= 10; ++w)
+    for (Shape shape : {Shape::Random, Shape::Duplicated, Shape::Sorted,
+                        Shape::Reversed, Shape::Empty})
+      for (std::size_t n : {1u, 2u, 7u, 64u, 500u}) {
+        if (shape == Shape::Empty)
+          n = 0;
+        // Few distinct values per column keep duplicates frequent;
+        // negative and huge values exercise the signed comparison.
+        const std::uint64_t span = shape == Shape::Duplicated ? 2 : 5;
+        std::vector<std::vector<Value>> records(n, std::vector<Value>(w));
+        for (std::vector<Value>& record : records)
+          for (Value& v : record)
+            v = static_cast<Value>(rng.nextBelow(span)) - 2 +
+                (rng.nextBelow(16) == 0 ? Value{1} << 40 : 0);
+        if (shape == Shape::Sorted || shape == Shape::Reversed)
+          std::sort(records.begin(), records.end()); // duplicates kept
+        if (shape == Shape::Reversed)
+          std::reverse(records.begin(), records.end());
+        RowBuffer rows;
+        for (const std::vector<Value>& record : records)
+          rows.insert(rows.end(), record.begin(), record.end());
+        RowBuffer got = rows, want = rows;
+        rows::sortUnique(got, w);
+        rows::detail::sortUniqueIndexed(want, w);
+        ASSERT_EQ(got, want) << "width " << w << " rows " << n << " shape "
+                             << static_cast<int>(shape);
+        ASSERT_TRUE(rows::isSortedUnique(got, w));
+      }
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include "tasking/tasking.hpp"
 #include "testing/fixtures.hpp"
 #include "testing/interpreted_kernel.hpp"
+#include "testing/resolve_oracle.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
@@ -249,6 +250,7 @@ codegen::TaskProgram linearChainProgram(std::size_t n) {
       task.in = {{0, static_cast<std::int64_t>(i - 1), true}};
     prog.tasks.push_back(std::move(task));
   }
+  testing::fillProducers(prog);
   return prog;
 }
 
@@ -411,6 +413,7 @@ codegen::TaskProgram braidedChainProgram(std::size_t n) {
   codegen::TaskProgram prog = linearChainProgram(n);
   for (std::size_t i = 2; i < n; ++i)
     prog.tasks[i].in.push_back({0, static_cast<std::int64_t>(i - 2), true});
+  testing::fillProducers(prog);
   return prog;
 }
 
@@ -430,6 +433,7 @@ codegen::TaskProgram independentProgram(std::size_t stmts,
       task.out = {static_cast<int>(s), static_cast<std::int64_t>(b)};
       prog.tasks.push_back(std::move(task));
     }
+  testing::fillProducers(prog);
   return prog;
 }
 

@@ -8,9 +8,11 @@
 // iterations through Σ_S^-1 (one imagesOf per block), and the eq.-4
 // requirements and relaxed self edges come from singleImageOf lookups on
 // Σ. Only the pipeline maps and the reduction classification are read
-// from detectPipeline's result.
+// from detectPipeline's result. Producer ids come from the (idx, tag)
+// resolution of resolve_oracle.hpp.
 
 #include "legacy_blocking.hpp"
+#include "resolve_oracle.hpp"
 
 #include "codegen/task_program.hpp"
 #include "pipeline/detect.hpp"
@@ -285,6 +287,7 @@ inline LegacyProgram legacyLower(const scop::Scop& scop,
       prog.tasks.push_back(std::move(task));
     }
   }
+  fillProducers(prog.tasks);
   return prog;
 }
 

@@ -60,6 +60,50 @@ TEST(ValidateTest, RejectsDuplicateOutTags) {
   EXPECT_THROW(prog.validate(fixtureScop()), Error);
 }
 
+// The producer-id checks, each built so that no other check fires: the
+// ids and tags stay consistent everywhere but in the one damaged place.
+
+TEST(ValidateTest, RejectsAProducerThatDisagreesWithItsTag) {
+  TaskProgram prog = freshProgram();
+  // A cross-statement dependency now names another earlier task while
+  // keeping its tag.
+  for (Task& t : prog.tasks)
+    for (TaskDep& d : t.in)
+      if (!d.selfOrdering && d.producer > 0) {
+        d.producer -= 1;
+        EXPECT_THROW(prog.validate(fixtureScop()), Error);
+        return;
+      }
+  FAIL() << "fixture has no cross-statement dependency";
+}
+
+TEST(ValidateTest, RejectsAProducerAtItsOwnTask) {
+  TaskProgram prog = freshProgram();
+  Task& t = prog.tasks.back();
+  t.in.push_back(t.out);
+  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+}
+
+TEST(ValidateTest, RejectsAProducerAfterItsTask) {
+  TaskProgram prog = freshProgram();
+  prog.tasks.front().in.push_back(prog.tasks.back().out);
+  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+}
+
+TEST(ValidateTest, RejectsADuplicateOutTagWithConsistentProducers) {
+  // Task 1 publishes task 0's tag; every reader of task 1 carries the
+  // new tag, so only the duplicate itself is wrong.
+  TaskProgram prog = freshProgram();
+  ASSERT_EQ(prog.tasks[0].stmtIdx, prog.tasks[1].stmtIdx);
+  const std::int64_t tag = prog.tasks[0].out.tag;
+  prog.tasks[1].out.tag = tag;
+  for (Task& t : prog.tasks)
+    for (TaskDep& d : t.in)
+      if (d.producer == 1)
+        d.tag = tag;
+  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+}
+
 /// The first task that follows another task of its statement and has
 /// at least two iterations; such a task has a predecessor to tile
 /// against and a row to give away.
