@@ -1,20 +1,13 @@
 // Pipeline-detection benchmarks: the paper-suite detection timing
-// (EXPERIMENTS.md E17/E18), the N-independent parametric route (E18) and
-// reduction-aware detection (E21).
+// (EXPERIMENTS.md E17/E18) and reduction-aware detection (E21).
 //
 // Usage:
-//   bench_detect --suite | --parametric | --reduction [--smoke]
-//                [--json=FILE] [--trace=FILE]
+//   bench_detect --suite | --reduction [--smoke] [--json=FILE]
+//                [--trace=FILE]
 //
 // --suite times end-to-end detection over the paper programs P1-P10 at
 // N=16 (the E17/E18 metric). --json=FILE writes the measurements as
 // machine-readable JSON (BENCH_detect.json).
-//
-// --parametric times the N-independent route (detectParametric +
-// closed-form summaries) on the regular suite programs at N up to 10^6
-// and gates on correctness vs the explicit route, flatness across N, and
-// an absolute time budget at N=10^5 — the CI hook for the
-// parametric-first headline.
 //
 // --reduction benchmarks reductionMode=off vs auto over the reduction
 // kernel grid and gates on the partial-reduction structure (exactly one
@@ -26,7 +19,6 @@
 // and writes Chrome Trace Event JSON for chrome://tracing / Perfetto.
 
 #include "pipeline/detect.hpp"
-#include "pipeline/param_detect.hpp"
 
 #include "bench_common.hpp"
 #include "codegen/task_program.hpp"
@@ -36,7 +28,6 @@
 #include "trace/chrome_trace.hpp"
 #include "trace/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -111,137 +102,6 @@ int runSuite(const std::string& jsonPath) {
     out << "  ],\n  \"total_parametric_ms\": " << total * 1e3 << "\n}\n";
     std::printf("bench_detect: wrote '%s'\n", jsonPath.c_str());
   }
-  return 0;
-}
-
-/// The headline of the parametric-first route: detection cost stops
-/// growing with N. detectParametric() analyses each fully regular suite
-/// program once; summarize() then answers the Table-9 questions (block
-/// counts, live pipeline maps) for any binding in closed form. This mode
-/// times that per-binding cost at N from 10^2 to 10^6 — domains of up to
-/// 10^12 points, far past what the explicit route can even materialise —
-/// and gates on
-///   * correctness: totalBlocks / pipelineMaps cross-checked against the
-///     explicit detectPipeline at N=100,
-///   * flatness: max over N within 20% of min (plus a 100us absolute
-///     timer-noise allowance),
-///   * budget: a single summarize at N=10^5 stays under 50 ms.
-int runParametric(const std::string& jsonPath) {
-  const pb::Value kSizes[] = {100, 10000, 100000, 1000000};
-  constexpr int kBatch = 200; // summaries per timing batch
-  constexpr int kBatches = 5; // best-of
-  constexpr double kBudgetSec = 0.050;
-  constexpr double kFlatSlackSec = 100e-6;
-
-  struct Row {
-    std::string name;
-    double perSummarizeSec[4];
-  };
-  std::vector<Row> rows;
-  bool ok = true;
-
-  for (const kernels::ProgramSpec& spec : kernels::table9Programs()) {
-    const kernels::ParamProgram param = kernels::buildParamProgram(spec);
-    const pipeline::ParamDetection det =
-        pipeline::detectParametric(param.scop);
-    if (!det.fullyRegular())
-      continue; // P4/P6/P10 carry coupled reads; the route refuses them
-
-    // Correctness gate at N=100 against the explicit route.
-    {
-      const pb::Value n = kSizes[0];
-      const pipeline::ParamSummary summary =
-          det.summarize(param.bindingsFor(n));
-      const pipeline::PipelineInfo info =
-          pipeline::detectPipeline(kernels::buildProgram(spec, n));
-      if (summary.totalBlocks !=
-              static_cast<pb::Value>(info.totalBlocks()) ||
-          summary.pipelineMaps != info.maps.size()) {
-        std::printf("bench_detect --parametric: FAIL — %s summary disagrees "
-                    "with explicit detection at N=%lld\n",
-                    spec.name.c_str(), static_cast<long long>(n));
-        ok = false;
-      }
-    }
-
-    Row row{spec.name, {}};
-    for (std::size_t i = 0; i < 4; ++i) {
-      const pb::ParamBindings bindings = param.bindingsFor(kSizes[i]);
-      double best = 0;
-      pb::Value sink = 0;
-      for (int b = 0; b < kBatches; ++b) {
-        Stopwatch sw;
-        for (int r = 0; r < kBatch; ++r)
-          sink += det.summarize(bindings).totalBlocks;
-        const double t = sw.seconds() / kBatch;
-        if (b == 0 || t < best)
-          best = t;
-      }
-      if (sink == 0) {
-        std::printf("bench_detect --parametric: FAIL — %s produced zero "
-                    "blocks\n",
-                    spec.name.c_str());
-        ok = false;
-      }
-      row.perSummarizeSec[i] = best;
-    }
-
-    double lo = row.perSummarizeSec[0], hi = row.perSummarizeSec[0];
-    for (double t : row.perSummarizeSec) {
-      lo = std::min(lo, t);
-      hi = std::max(hi, t);
-    }
-    if (hi > lo * 1.2 + kFlatSlackSec) {
-      std::printf("bench_detect --parametric: FAIL — %s summarize not flat "
-                  "across N (min %.1f us, max %.1f us)\n",
-                  spec.name.c_str(), lo * 1e6, hi * 1e6);
-      ok = false;
-    }
-    if (row.perSummarizeSec[2] > kBudgetSec) {
-      std::printf("bench_detect --parametric: FAIL — %s summarize at N=1e5 "
-                  "took %.3f ms (budget %.0f ms)\n",
-                  spec.name.c_str(), row.perSummarizeSec[2] * 1e3,
-                  kBudgetSec * 1e3);
-      ok = false;
-    }
-    rows.push_back(row);
-  }
-
-  std::printf("bench_detect --parametric: per-binding summarize cost "
-              "(best-of-%d batches of %d), regular suite programs\n",
-              kBatches, kBatch);
-  pipoly::bench::Table table(
-      {"program", "N=1e2_us", "N=1e4_us", "N=1e5_us", "N=1e6_us"});
-  for (const Row& r : rows)
-    table.addRow({r.name, pipoly::bench::fmt(r.perSummarizeSec[0] * 1e6, 2),
-                  pipoly::bench::fmt(r.perSummarizeSec[1] * 1e6, 2),
-                  pipoly::bench::fmt(r.perSummarizeSec[2] * 1e6, 2),
-                  pipoly::bench::fmt(r.perSummarizeSec[3] * 1e6, 2)});
-  table.print();
-
-  if (!jsonPath.empty()) {
-    std::ofstream out(jsonPath);
-    if (!out.good()) {
-      std::printf("bench_detect: cannot write '%s'\n", jsonPath.c_str());
-      return 1;
-    }
-    out << "{\n  \"mode\": \"parametric\",\n  \"sizes\": [100, 10000, "
-           "100000, 1000000],\n  \"programs\": [\n";
-    for (std::size_t p = 0; p < rows.size(); ++p) {
-      out << "    {\"name\": \"" << rows[p].name << "\", \"summarize_us\": [";
-      for (std::size_t i = 0; i < 4; ++i)
-        out << rows[p].perSummarizeSec[i] * 1e6 << (i < 3 ? ", " : "]}");
-      out << (p + 1 < rows.size() ? ",\n" : "\n");
-    }
-    out << "  ]\n}\n";
-    std::printf("bench_detect: wrote '%s'\n", jsonPath.c_str());
-  }
-
-  if (!ok)
-    return 1;
-  std::printf("bench_detect --parametric: OK — %zu regular programs, "
-              "summaries flat across N=1e2..1e6\n",
-              rows.size());
   return 0;
 }
 
@@ -355,8 +215,8 @@ int dumpTrace(trace::Session& session, const std::string& path) {
 }
 
 int usage() {
-  std::fprintf(stderr, "usage: bench_detect --suite | --parametric | "
-                       "--reduction [--smoke] [--json=FILE] [--trace=FILE]\n");
+  std::fprintf(stderr, "usage: bench_detect --suite | --reduction [--smoke] "
+                       "[--json=FILE] [--trace=FILE]\n");
   return 2;
 }
 
@@ -364,14 +224,12 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::string tracePath, jsonPath;
-  bool smoke = false, suite = false, parametric = false, reduction = false;
+  bool smoke = false, suite = false, reduction = false;
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--smoke") == 0)
       smoke = true;
     else if (std::strcmp(argv[a], "--suite") == 0)
       suite = true;
-    else if (std::strcmp(argv[a], "--parametric") == 0)
-      parametric = true;
     else if (std::strcmp(argv[a], "--reduction") == 0)
       reduction = true;
     else if (std::strncmp(argv[a], "--trace=", 8) == 0)
@@ -381,7 +239,7 @@ int main(int argc, char** argv) {
     else
       return usage();
   }
-  if (!reduction && !suite && !parametric)
+  if (!reduction && !suite)
     return usage();
 
   trace::Session session;
@@ -390,9 +248,7 @@ int main(int argc, char** argv) {
     session.start();
   }
 
-  const int rc = reduction ? runReduction(smoke, jsonPath)
-                 : suite   ? runSuite(jsonPath)
-                           : runParametric(jsonPath);
+  const int rc = reduction ? runReduction(smoke, jsonPath) : runSuite(jsonPath);
   const int traceRc = dumpTrace(session, tracePath);
   return rc != 0 ? rc : traceRc;
 }

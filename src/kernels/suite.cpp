@@ -224,49 +224,6 @@ std::vector<pb::Value> nestBounds(const ProgramSpec& spec, pb::Value n) {
   return bounds;
 }
 
-pb::ParamBindings ParamProgram::bindingsFor(pb::Value n) const {
-  pb::ParamBindings bindings{{"N", n}};
-  const std::vector<pb::Value> bounds = nestBounds(spec, n);
-  for (std::size_t k = 0; k < bounds.size(); ++k)
-    bindings[indexedName("B", k + 1)] = bounds[k];
-  return bindings;
-}
-
-ParamProgram buildParamProgram(const ProgramSpec& spec) {
-  PIPOLY_CHECK(spec.nums.size() == spec.reads.size());
-  const std::size_t nests = spec.nums.size();
-  scop::ParamScop pscop(spec.name);
-
-  const pb::ParamExpr N = pb::ParamExpr::param("N");
-  std::vector<std::size_t> arrays;
-  arrays.reserve(nests);
-  for (std::size_t k = 0; k < nests; ++k)
-    arrays.push_back(
-        pscop.addArray({indexedName("A", k + 1), {N, N}}));
-
-  for (std::size_t k = 0; k < nests; ++k) {
-    // The clipped bound involves min/div arithmetic, so it stays a
-    // derived parameter B_{k+1} (bound by bindingsFor, which evaluates
-    // the same nestBounds the explicit builder uses).
-    const pb::ParamExpr B = pb::ParamExpr::param(indexedName("B", k + 1));
-    scop::ParamStatement stmt;
-    stmt.name = indexedName("S", k + 1);
-    stmt.bounds = {{pb::ParamExpr(0), B}, {pb::ParamExpr(0), B}};
-    stmt.writes = {{arrays[k], {{1, 0}, {0, 1}}, {0, 0}}};
-    // The serial self neighbourhood of buildProgram: A_k[i][j],
-    // A_k[i][j+1], A_k[i+1][j+1].
-    stmt.reads = {{arrays[k], {{1, 0}, {0, 1}}, {0, 0}},
-                  {arrays[k], {{1, 0}, {0, 1}}, {0, 1}},
-                  {arrays[k], {{1, 0}, {0, 1}}, {1, 1}}};
-    for (const ReadPattern& r : spec.reads[k])
-      stmt.reads.push_back({arrays[r.source],
-                            {{r.r0i, r.r0j}, {r.r1i, r.r1j}},
-                            {r.r0c, r.r1c}});
-    pscop.addStatement(std::move(stmt));
-  }
-  return ParamProgram{std::move(pscop), spec};
-}
-
 scop::Scop buildProgram(const ProgramSpec& spec, pb::Value n) {
   PIPOLY_CHECK(spec.nums.size() == spec.reads.size());
   const std::size_t nests = spec.nums.size();

@@ -14,7 +14,6 @@
 // the legible fragments to preserve each program's dependence shape
 // (which source feeds which statement, and with which affine stride).
 
-#include "scop/param_scop.hpp"
 #include "scop/scop.hpp"
 
 #include <string>
@@ -48,22 +47,6 @@ scop::Scop buildProgram(const ProgramSpec& spec, pb::Value n);
 /// domain is [0, B_k)^2 with B_k clipped so every read stays inside the
 /// written region of its source nest.
 std::vector<pb::Value> nestBounds(const ProgramSpec& spec, pb::Value n);
-
-/// A Table-9 program with its sizes kept symbolic: the scop is built once
-/// over parameters N (array extents) and B1..Bk (the clipped per-nest
-/// bounds, which involve division and therefore stay derived parameters),
-/// and bindingsFor(n) produces the instantiation for a concrete N —
-/// scop.instantiate(bindingsFor(n)) equals buildProgram(spec, n).
-struct ParamProgram {
-  scop::ParamScop scop;
-  ProgramSpec spec;
-
-  pb::ParamBindings bindingsFor(pb::Value n) const;
-};
-
-/// Builds the symbolic form of a Table-9 program (the input of the
-/// N-independent detection route).
-ParamProgram buildParamProgram(const ProgramSpec& spec);
 
 /// Looks a program up by name ("P1".."P10").
 const ProgramSpec& programByName(const std::string& name);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace pipoly::pipeline {
@@ -17,33 +18,18 @@ namespace {
 constexpr std::uint64_t kElementBytes = 8;
 constexpr std::uint32_t kMinCapacitySlots = 2;
 
-// Floor/ceil division with a positive divisor (pb::Value is signed).
-pb::Value floorDiv(pb::Value a, pb::Value b) {
-  return a >= 0 ? a / b : -((-a + b - 1) / b);
-}
-pb::Value ceilDiv(pb::Value a, pb::Value b) {
-  return a >= 0 ? (a + b - 1) / b : -((-a) / b);
-}
-
 /// The closed-form edge volume for a separable pair: the consumer reads
 /// subscript c_d*j_d + o_d over its rectangle, the producer writes the
 /// identity over its rectangle, and c_d >= 1 makes the read injective —
-/// so the distinct shared elements are exactly the j kept by clipping the
-/// target box against the preimage of the source box, a per-dimension
-/// interval count (mirrors param_detect: no set is materialized).
+/// so the distinct shared elements are exactly the readers rectangle's
+/// points (no set is materialized).
 std::uint64_t separableVolume(const SeparablePairShape& shape) {
+  const std::optional<std::vector<pb::DimBounds>> box = readersBox(shape);
+  if (!box)
+    return 0;
   std::uint64_t total = 1;
-  for (std::size_t d = 0; d < shape.coeffs.size(); ++d) {
-    const pb::Value c = shape.coeffs[d];
-    const pb::Value o = shape.offsets[d];
-    const pb::Value lo = std::max(shape.tgtBox[d].lower,
-                                  ceilDiv(shape.srcBox[d].lower - o, c));
-    const pb::Value hi = std::min(shape.tgtBox[d].upper,
-                                  floorDiv(shape.srcBox[d].upper - o, c));
-    if (hi < lo)
-      return 0;
-    total *= static_cast<std::uint64_t>(hi - lo + 1);
-  }
+  for (const pb::DimBounds& b : *box)
+    total *= static_cast<std::uint64_t>(b.upper - b.lower + 1);
   return total;
 }
 

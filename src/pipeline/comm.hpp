@@ -18,8 +18,8 @@
 //     blocks that legal schedule.
 //
 // Separable pairs (symbolic.hpp's closed-form shape) get a parametric
-// volume fast path mirroring param_detect: the element count is a product
-// of per-dimension interval counts, no set intersection materialized.
+// volume fast path: the element count is the size of the pair's readers
+// box (symbolic.hpp), no set intersection materialized.
 // They still build the per-array write relations and read ranges for the
 // per-block pass, which is a sorted sweep for every edge: one pass over
 // each write relation's rows, blocks found through Σ's rows, one sort of

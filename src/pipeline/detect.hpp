@@ -136,8 +136,9 @@ struct DetectStats {
 struct PipelineInfo {
   std::vector<PipelineMapEntry> maps;
   std::vector<StatementPipelineInfo> statements; // indexed by statement
-  /// Route accounting for this run. Cached results carry the stats of the
-  /// run that computed them.
+  /// Route accounting of the detectPipeline call that produced this info:
+  /// how many statement pairs each rung of the route ladder decided, and
+  /// why the separable closed form refused the rest.
   DetectStats stats;
   /// The access relations detection built, handed on so that
   /// analyzeCommunication builds only the ones detection never needed.

@@ -1,6 +1,5 @@
 #include "pipeline/symbolic.hpp"
 
-#include "pipeline/lattice.hpp"
 #include "support/assert.hpp"
 
 #include <algorithm>
@@ -150,6 +149,15 @@ const char* toString(ParametricFallback f) {
 
 namespace {
 
+/// Floor/ceil division with a positive divisor (C++ '/' truncates toward
+/// zero; the clipping arithmetic needs the mathematical variants).
+pb::Value floorDiv(pb::Value a, pb::Value b) {
+  return a / b - (a % b != 0 && a < 0 ? 1 : 0);
+}
+pb::Value ceilDiv(pb::Value a, pb::Value b) {
+  return a / b + (a % b != 0 && a > 0 ? 1 : 0);
+}
+
 /// A domain is a full rectangle exactly when it fills its bounding box.
 bool isRectangle(const pb::IntTupleSet& domain,
                  const std::vector<pb::DimBounds>& box) {
@@ -243,6 +251,23 @@ SeparablePairShape classifySeparablePair(const scop::Scop& scop,
   return shape;
 }
 
+std::optional<std::vector<pb::DimBounds>>
+readersBox(const SeparablePairShape& shape) {
+  PIPOLY_CHECK(shape.ok() && !shape.vacuous);
+  const std::size_t n = shape.coeffs.size();
+  std::vector<pb::DimBounds> box(n);
+  for (std::size_t d = 0; d < n; ++d) {
+    const pb::Value c = shape.coeffs[d], o = shape.offsets[d];
+    box[d].lower = std::max(shape.tgtBox[d].lower,
+                            ceilDiv(shape.srcBox[d].lower - o, c));
+    box[d].upper = std::min(shape.tgtBox[d].upper,
+                            floorDiv(shape.srcBox[d].upper - o, c));
+    if (box[d].lower > box[d].upper)
+      return std::nullopt; // no read hits the written region
+  }
+  return box;
+}
+
 pb::IntMap separablePipelineMap(const scop::Scop& scop, std::size_t srcIdx,
                                 std::size_t tgtIdx,
                                 const SeparablePairShape& shape) {
@@ -253,38 +278,32 @@ pb::IntMap separablePipelineMap(const scop::Scop& scop, std::size_t srcIdx,
   if (shape.vacuous)
     return empty;
 
-  // The readers rectangle R: the target box clipped per dimension by the
-  // preimage of the source box under j_d -> c_d*j_d + o_d. This is
-  // exactly { j : j in Dom(T), c⊙j+o in Dom(S) } — srcDomain.contains of
-  // the legacy path, resolved in closed form.
-  const std::size_t n = shape.coeffs.size();
-  std::vector<pb::Value> lo(n), hi(n);
+  // R = { j : j in Dom(T), c⊙j+o in Dom(S) } — srcDomain.contains of the
+  // legacy path, resolved in closed form.
+  const std::optional<std::vector<pb::DimBounds>> box = readersBox(shape);
+  if (!box)
+    return empty; // no dependence
+  const std::size_t n = box->size();
+  std::vector<pb::Value> j(n);
   std::size_t count = 1;
   for (std::size_t d = 0; d < n; ++d) {
-    const pb::Value c = shape.coeffs[d], o = shape.offsets[d];
-    lo[d] = std::max(shape.tgtBox[d].lower,
-                     ceilDiv(shape.srcBox[d].lower - o, c));
-    hi[d] = std::min(shape.tgtBox[d].upper,
-                     floorDiv(shape.srcBox[d].upper - o, c));
-    if (lo[d] > hi[d])
-      return empty; // no read hits the written region: no dependence
-    count *= static_cast<std::size_t>(hi[d] - lo[d] + 1);
+    j[d] = (*box)[d].lower;
+    count *= static_cast<std::size_t>((*box)[d].upper - j[d] + 1);
   }
 
   // T = { c⊙j+o -> j : j in R }. j runs in lexicographic order and
   // j -> c⊙j+o preserves it (c_d >= 1), so the rows come out sorted.
   pb::RowBuffer data;
   data.reserve(count * 2 * n);
-  std::vector<pb::Value> j = lo;
   for (;;) {
     for (std::size_t d = 0; d < n; ++d)
       data.push_back(shape.coeffs[d] * j[d] + shape.offsets[d]);
     data.insert(data.end(), j.begin(), j.end());
     std::size_t d = n;
     while (d-- > 0) {
-      if (++j[d] <= hi[d])
+      if (++j[d] <= (*box)[d].upper)
         break;
-      j[d] = lo[d];
+      j[d] = (*box)[d].lower;
       if (d == 0)
         return pb::IntMap::fromSortedRows(src.space(), tgt.space(),
                                           std::move(data));

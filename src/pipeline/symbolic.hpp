@@ -84,6 +84,13 @@ SeparablePairShape classifySeparablePair(const scop::Scop& scop,
                                          std::size_t srcIdx,
                                          std::size_t tgtIdx);
 
+/// The readers rectangle R of an accepted, non-vacuous shape: the target
+/// box clipped per dimension by the preimage of the source box under
+/// j_d -> c_d*j_d + o_d, i.e. exactly the target iterations whose read
+/// hits a written element. nullopt when R is empty (no dependence).
+std::optional<std::vector<pb::DimBounds>>
+readersBox(const SeparablePairShape& shape);
+
 /// The closed-form pipeline map for an accepted shape. Empty when the
 /// pair has no dependence (the readers rectangle R is empty) — exactly
 /// the condition under which the legacy route finds no map.

@@ -14,6 +14,7 @@
 #include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
 #include "pipeline/detect.hpp"
+#include "scop/builder.hpp"
 #include "support/assert.hpp"
 #include "testing/fixtures.hpp"
 #include "testing/interval_corpus.hpp"
@@ -69,6 +70,30 @@ TEST(CommVolumeTest, ParametricFastPathEqualsTheExplicitIntersection) {
       anyParametric = anyParametric || e.parametric;
   }
   EXPECT_TRUE(anyParametric);
+
+  // Strided reads with offsets of either sign: the readers box clips
+  // through ceil/floor division, and U's negative iterations put negative
+  // numerators under both.
+  scop::ScopBuilder b("strided_offsets");
+  const std::size_t A = b.array("A", {16, 22});
+  const std::size_t B = b.array("B", {9, 9});
+  const std::size_t C = b.array("C", {8, 3});
+  auto S = b.statement("S", 2);
+  S.bound(0, 1, 12).bound(1, 3, 20).write(A, {S.dim(0), S.dim(1)});
+  auto T = b.statement("T", 2);
+  T.bound(0, 2, 9).bound(1, 2, 9).write(B, {T.dim(0), T.dim(1)});
+  T.read(A, {2 * T.dim(0) - 3, 3 * T.dim(1) - 5});
+  auto U = b.statement("U", 2);
+  U.bound(0, -2, 6).bound(1, -3, 0).write(C, {U.dim(0) + 2, U.dim(1) + 3});
+  U.read(A, {2 * U.dim(0) + 4, 3 * U.dim(1) + 24});
+  const scop::Scop scop = b.build();
+  const CommInfo comm = analyzeCommunication(scop, detectPipeline(scop));
+  ASSERT_EQ(comm.edges.size(), 2u);
+  for (const EdgeComm& e : comm.edges) {
+    EXPECT_TRUE(e.parametric) << e.srcIdx << "->" << e.tgtIdx;
+    EXPECT_EQ(e.elements, commVolumeNaive(scop, e.srcIdx, e.tgtIdx))
+        << e.srcIdx << "->" << e.tgtIdx;
+  }
 }
 
 /// The oracle matrix's programs: Table 9 at N = 8 and 16, the matmul

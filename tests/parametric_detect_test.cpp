@@ -4,18 +4,14 @@
 // reference in testing/legacy_detect.hpp — over all of Table 9 and
 // hundreds of randomized rectangular/affine-offset SCoPs — and that the
 // route counters and trace instants faithfully record which route fired.
-// The ParamScop side then checks that the N-independent summaries
-// (param_detect.hpp) agree with the explicit results wherever both
-// exist.
 
 #include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
 #include "pipeline/detect.hpp"
-#include "pipeline/param_detect.hpp"
 #include "scop/builder.hpp"
-#include "scop/param_scop.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
+#include "support/str.hpp"
 #include "testing/fixtures.hpp"
 #include "testing/legacy_detect.hpp"
 #include "trace/trace.hpp"
@@ -249,9 +245,9 @@ scop::Scop randomScop(SplitMix64& rng, std::uint64_t tag) {
   scop::ScopBuilder b("rand" + std::to_string(tag));
   std::vector<std::size_t> arrays;
   for (std::size_t k = 0; k < nests; ++k)
-    arrays.push_back(b.array("A" + std::to_string(k), shapes[k]));
+    arrays.push_back(b.array(indexedName("A", k), shapes[k]));
   for (std::size_t k = 0; k < nests; ++k) {
-    auto S = b.statement("S" + std::to_string(k), depth);
+    auto S = b.statement(indexedName("S", k), depth);
     std::vector<pb::AffineExpr> identity;
     for (std::size_t d = 0; d < depth; ++d) {
       S.bound(d, stmts[k].lo[d], stmts[k].hi[d]);
@@ -459,201 +455,6 @@ TEST(ParametricDetect, ParametricRouteTracesItsPairs) {
         e.name == std::string("detect.route.parametric"))
       ++parametricInstants;
   EXPECT_EQ(parametricInstants, 1u);
-}
-
-// --- The N-independent route (ParamScop / detectParametric) -----------
-
-void expectAccessesEqual(const std::vector<scop::Access>& a,
-                         const std::vector<scop::Access>& b,
-                         const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].arrayId, b[i].arrayId) << what << " access " << i;
-    EXPECT_EQ(a[i].subscripts, b[i].subscripts) << what << " access " << i;
-    EXPECT_EQ(a[i].auxExtents, b[i].auxExtents) << what << " access " << i;
-  }
-}
-
-TEST(ParamDetect, InstantiateReproducesBuildProgramExactly) {
-  // Equal names, arrays, domains and every access: the instantiated scop
-  // is interchangeable with the directly built one.
-  for (const kernels::ProgramSpec& spec : kernels::table9Programs()) {
-    const kernels::ParamProgram param = kernels::buildParamProgram(spec);
-    for (pb::Value n : {8, 16, 32}) {
-      const scop::Scop inst = param.scop.instantiate(param.bindingsFor(n));
-      const scop::Scop direct = kernels::buildProgram(spec, n);
-      const std::string what = spec.name + " N=" + std::to_string(n);
-      EXPECT_EQ(inst.name(), direct.name()) << what;
-      ASSERT_EQ(inst.arrays().size(), direct.arrays().size()) << what;
-      for (std::size_t a = 0; a < inst.arrays().size(); ++a) {
-        EXPECT_EQ(inst.arrays()[a].name, direct.arrays()[a].name) << what;
-        EXPECT_EQ(inst.arrays()[a].shape, direct.arrays()[a].shape) << what;
-      }
-      ASSERT_EQ(inst.numStatements(), direct.numStatements()) << what;
-      for (std::size_t s = 0; s < inst.numStatements(); ++s) {
-        const scop::Statement& x = inst.statement(s);
-        const scop::Statement& y = direct.statement(s);
-        const std::string stmt = what + " " + y.name();
-        EXPECT_EQ(x.name(), y.name()) << stmt;
-        EXPECT_EQ(x.depth(), y.depth()) << stmt;
-        EXPECT_EQ(x.domain(), y.domain()) << stmt;
-        expectAccessesEqual(x.writes(), y.writes(), stmt + " writes");
-        expectAccessesEqual(x.reads(), y.reads(), stmt + " reads");
-        EXPECT_EQ(x.reductionOp(), y.reductionOp()) << stmt;
-      }
-    }
-  }
-}
-
-TEST(ParamDetect, RegularProgramsClassifyFullyRegular) {
-  for (const std::string& name : regularPrograms()) {
-    const kernels::ParamProgram param =
-        kernels::buildParamProgram(kernels::programByName(name));
-    const pipeline::ParamDetection det =
-        pipeline::detectParametric(param.scop);
-    EXPECT_TRUE(det.fullyRegular()) << name;
-    EXPECT_EQ(det.irregularPlans(), 0u) << name;
-  }
-  for (const char* name : {"P4", "P6", "P10"}) {
-    const kernels::ParamProgram param =
-        kernels::buildParamProgram(kernels::programByName(name));
-    const pipeline::ParamDetection det =
-        pipeline::detectParametric(param.scop);
-    EXPECT_FALSE(det.fullyRegular()) << name;
-    EXPECT_THROW(det.summarize(param.bindingsFor(16)), pipoly::Error) << name;
-  }
-}
-
-TEST(ParamDetect, SymbolicPlanMapsInstantiateToExplicitPipelineMaps) {
-  for (const std::string& name : regularPrograms()) {
-    const kernels::ParamProgram param =
-        kernels::buildParamProgram(kernels::programByName(name));
-    const pipeline::ParamDetection det =
-        pipeline::detectParametric(param.scop);
-    for (pb::Value n : {8, 16}) {
-      const pb::ParamBindings bindings = param.bindingsFor(n);
-      const scop::Scop scop = kernels::buildProgram(param.spec, n);
-      // Every explicit pipeline map has a regular plan whose symbolic map
-      // instantiates to exactly the same relation.
-      for (const pipeline::PipelineMapEntry& entry :
-           legacyDetect(scop).maps) {
-        const auto it = std::find_if(
-            det.plans().begin(), det.plans().end(),
-            [&](const pipeline::ParamPairPlan& p) {
-              return p.srcIdx == entry.srcIdx && p.tgtIdx == entry.tgtIdx;
-            });
-        ASSERT_NE(it, det.plans().end()) << name << " N=" << n;
-        ASSERT_TRUE(it->regular()) << name << " N=" << n;
-        ASSERT_TRUE(it->map.has_value()) << name << " N=" << n;
-        EXPECT_TRUE(it->map->instantiate(bindings) == entry.map)
-            << name << " N=" << n << " pair S" << entry.srcIdx << "->S"
-            << entry.tgtIdx;
-      }
-    }
-  }
-}
-
-TEST(ParamDetect, SummariesAndBlockRepsMatchExplicitAtSmallN) {
-  for (const std::string& name : regularPrograms()) {
-    const kernels::ParamProgram param =
-        kernels::buildParamProgram(kernels::programByName(name));
-    const pipeline::ParamDetection det =
-        pipeline::detectParametric(param.scop);
-    for (pb::Value n : {8, 13, 16, 32}) {
-      const pb::ParamBindings bindings = param.bindingsFor(n);
-      const scop::Scop scop = kernels::buildProgram(param.spec, n);
-      const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
-      const pipeline::ParamSummary summary = det.summarize(bindings);
-      const std::string what = name + " N=" + std::to_string(n);
-
-      EXPECT_EQ(summary.totalBlocks,
-                static_cast<pb::Value>(info.totalBlocks()))
-          << what;
-      EXPECT_EQ(summary.pipelineMaps, info.maps.size()) << what;
-      ASSERT_EQ(summary.statements.size(), info.statements.size()) << what;
-      for (std::size_t s = 0; s < summary.statements.size(); ++s) {
-        EXPECT_EQ(summary.statements[s].name, scop.statement(s).name())
-            << what;
-        EXPECT_EQ(summary.statements[s].domainSize,
-                  static_cast<pb::Value>(scop.statement(s).domain().size()))
-            << what << " S" << s;
-        EXPECT_EQ(summary.statements[s].blockCount,
-                  static_cast<pb::Value>(info.statements[s].blockReps.size()))
-            << what << " S" << s;
-        // Bit-identical block representatives, not just equal counts.
-        EXPECT_TRUE(det.blockReps(s, bindings) == info.statements[s].blockReps)
-            << what << " S" << s;
-      }
-    }
-  }
-}
-
-TEST(ParamDetect, RequiredSourceRepsMatchExplicitInRequirements) {
-  for (const std::string& name : regularPrograms()) {
-    const kernels::ParamProgram param =
-        kernels::buildParamProgram(kernels::programByName(name));
-    const pipeline::ParamDetection det =
-        pipeline::detectParametric(param.scop);
-    const pb::Value n = 16;
-    const pb::ParamBindings bindings = param.bindingsFor(n);
-    const scop::Scop scop = kernels::buildProgram(param.spec, n);
-    const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
-    expectMatchesLegacy(scop, legacyDetect(scop), info, name);
-    for (const pipeline::PipelineMapEntry& entry : info.maps) {
-      const auto planIt = std::find_if(
-          det.plans().begin(), det.plans().end(),
-          [&](const pipeline::ParamPairPlan& p) {
-            return p.srcIdx == entry.srcIdx && p.tgtIdx == entry.tgtIdx;
-          });
-      ASSERT_NE(planIt, det.plans().end()) << name;
-      const std::size_t planIdx =
-          static_cast<std::size_t>(planIt - det.plans().begin());
-      const pipeline::StatementPipelineInfo& tgtInfo =
-          info.statements[entry.tgtIdx];
-      const auto reqIt = std::find_if(
-          tgtInfo.inRequirements.begin(), tgtInfo.inRequirements.end(),
-          [&](const pipeline::InRequirement& r) {
-            return r.srcStmtIdx == entry.srcIdx;
-          });
-      ASSERT_NE(reqIt, tgtInfo.inRequirements.end()) << name;
-      for (const pb::Tuple& rep : tgtInfo.blockReps.points()) {
-        const auto expected = reqIt->map.singleImageOf(rep);
-        ASSERT_TRUE(expected.has_value()) << name;
-        EXPECT_EQ(det.requiredSourceRep(planIdx, rep, bindings), *expected)
-            << name << " pair S" << entry.srcIdx << "->S" << entry.tgtIdx
-            << " rep " << rep.toString();
-      }
-    }
-  }
-}
-
-TEST(ParamDetect, SummariesStayClosedFormAtMillionScaleN) {
-  // The reason the route exists: a binding with N = 10^6 (domains of
-  // 10^12 points, far past anything the explicit core could hold) is
-  // summarised through the same closed forms that were just proven
-  // bit-identical at small N.
-  for (const std::string& name : regularPrograms()) {
-    const kernels::ParamProgram param =
-        kernels::buildParamProgram(kernels::programByName(name));
-    const pipeline::ParamDetection det =
-        pipeline::detectParametric(param.scop);
-    const pb::Value n = 1000000;
-    const pipeline::ParamSummary summary = det.summarize(param.bindingsFor(n));
-    ASSERT_EQ(summary.statements.size(), param.spec.nums.size()) << name;
-    const std::vector<pb::Value> bounds = kernels::nestBounds(param.spec, n);
-    pb::Value total = 0;
-    for (std::size_t s = 0; s < summary.statements.size(); ++s) {
-      EXPECT_EQ(summary.statements[s].domainSize, bounds[s] * bounds[s])
-          << name << " S" << s;
-      EXPECT_GT(summary.statements[s].blockCount, 0) << name << " S" << s;
-      EXPECT_LE(summary.statements[s].blockCount,
-                summary.statements[s].domainSize)
-          << name << " S" << s;
-      total += summary.statements[s].blockCount;
-    }
-    EXPECT_EQ(summary.totalBlocks, total) << name;
-    EXPECT_GT(summary.pipelineMaps, 0u) << name;
-  }
 }
 
 } // namespace

@@ -4,16 +4,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+# No -G: build/ keeps whichever generator first configured it.
+cmake -B build
+cmake --build build --parallel "$(nproc)"
 
 ctest --test-dir build 2>&1 | tee test_output.txt
+
+run() {
+  echo "===== $(basename "$1")${2:+ ${*:2}} ====="
+  "$@"
+  echo
+}
 
 {
   for b in build/bench/*; do
     [ -x "$b" ] && [ -f "$b" ] || continue
-    echo "===== $(basename "$b") ====="
-    "$b"
-    echo
+    case "$(basename "$b")" in
+    # bench_detect has no default mode: run each of its modes.
+    bench_detect)
+      run "$b" --suite
+      run "$b" --reduction
+      ;;
+    *) run "$b" ;;
+    esac
   done
 } 2>&1 | tee bench_output.txt
