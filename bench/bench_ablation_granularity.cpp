@@ -5,10 +5,10 @@
 //   * DetectOptions::reductionBlocks — the partial-block count a relaxed
 //     accumulation nest splits into, trading combine fan-in against
 //     parallel partial work.
-// The reduction sweep prices each candidate with the topology-aware
-// channel simulator (sim::simulateChannels over an rt::placeStages
-// placement on the synthetic 2x-numa preset), so the chosen value
-// reflects where the partials land, not just how many there are. The
+// The reduction sweep prices each candidate with the placed channel
+// simulator (sim::simulateChannels over the channel engine's own
+// placement, ChannelPipeline::placement()), so the chosen value reflects
+// which partials share a worker, not just how many there are. The
 // policy stays a knob — the sweep documents the auto-tuning path and
 // records the sweep-chosen value per kernel in the JSON output
 // (--json=FILE).
@@ -18,12 +18,10 @@
 #include "codegen/task_program.hpp"
 #include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
-#include "opt/optimizer.hpp"
 #include "pipeline/comm.hpp"
 #include "pipeline/detect.hpp"
-#include "runtime/placement.hpp"
-#include "runtime/topology.hpp"
 #include "sim/simulator.hpp"
+#include "tasking/channel_backend.hpp"
 
 #include <cstdio>
 #include <string>
@@ -85,11 +83,11 @@ int main(int argc, char** argv) {
   }
 
   // Reduction-block sweep: for each reduction kernel, sweep the partial
-  // block count and pick the value the topology-aware channel simulator
-  // predicts fastest on the 2x-numa preset. More partials mean more
-  // parallel accumulation but a wider combine fan-in and more placed
-  // stages competing for the same workers; the placement decides which
-  // partials pay the remote cost class. Kernels whose accumulation nest
+  // block count and pick the value the placed channel simulator predicts
+  // fastest. More partials mean more parallel accumulation but a wider
+  // combine fan-in and more placed stages competing for the same
+  // workers; the placement decides which stages share a worker and
+  // which edges pay the transfer. Kernels whose accumulation nest
   // is already subdivided by an upstream pipeline map (dot_product_chain,
   // histogram, stencil_accumulate) are insensitive to the knob — their
   // flat rows document that; norm_accumulate takes the pure-accumulation
@@ -99,21 +97,20 @@ int main(int argc, char** argv) {
   // spreads partials across the pool. The channel route runs partials
   // fed by a producer on one stage, so for them extra blocks only widen
   // the combine fan-in; norm_accumulate's unfed partials split into up
-  // to one lane stage per worker. The channel-route prediction is the
-  // topology-aware one.
+  // to one lane stage per worker. The channel-route prediction uses the
+  // engine's own placement.
   std::printf("\n== Ablation: reduction partial blocks "
               "(DetectOptions::reductionBlocks) ==\n");
   const unsigned workers = 8;
-  const rt::Topology numa = rt::Topology::fromSpec("2x-numa", workers);
-  std::printf("Reduction kernels, N = 32, %u workers on %s. Predicted "
+  std::printf("Reduction kernels, N = 32, %u workers. Predicted "
               "channel-route makespan, cheap-iteration regime.\n\n",
-              workers, numa.name.c_str());
+              workers);
 
   for (const kernels::ReductionKernelSpec& spec :
        kernels::reductionKernels()) {
     const scop::Scop scop = spec.build(32);
     bench::Table table({"reduction_blocks", "tasks", "channel_us", "pool_us",
-                        "cross_domain_bytes"});
+                        "cross_worker_bytes"});
     std::size_t chosenChan = 0, chosenPool = 0;
     double bestChan = 0.0, bestPool = 0.0;
     std::string sweepJson = "[";
@@ -124,11 +121,11 @@ int main(int argc, char** argv) {
       const pipeline::CommInfo comm =
           pipeline::analyzeCommunication(scop, info);
       const codegen::TaskProgram prog = codegen::compilePipeline(scop, opt);
-
-      const codegen::StageLayout layout = codegen::stageLayout(prog, workers);
-      const rt::Placement placed =
-          rt::placeStages(layout.stageTasks, workers,
-                          opt::channelStageEdges(prog, layout, comm), numa);
+      // Built only for its placement: a pipeline that is never replayed
+      // starts no worker thread.
+      tasking::ChannelOptions channelOptions;
+      channelOptions.numWorkers = workers;
+      const tasking::ChannelPipeline pipe(prog, channelOptions, &comm);
 
       sim::CostModel model;
       model.iterationCost.assign(scop.numStatements(), 5e-6);
@@ -136,7 +133,7 @@ int main(int argc, char** argv) {
       model.channelTokenOverhead = taskOverhead;
       model.commCostPerByte = 1e-9;
       const sim::ChannelSimResult chan =
-          sim::simulateChannels(prog, comm, model, numa, placed);
+          sim::simulateChannels(prog, comm, model, pipe.placement());
       const sim::SimResult pool =
           sim::simulate(prog, model, sim::SimConfig{workers});
 
@@ -158,7 +155,7 @@ int main(int argc, char** argv) {
       table.addRow({std::to_string(blocks), std::to_string(prog.tasks.size()),
                     bench::fmt(chan.makespan * 1e6, 1),
                     bench::fmt(pool.makespan * 1e6, 1),
-                    std::to_string(placed.crossDomainBytes)});
+                    std::to_string(pipe.placement().crossWorkerBytes)});
     }
     sweepJson += "]";
 

@@ -17,6 +17,7 @@
 #include "kernels/suite.hpp"
 #include "opt/optimizer.hpp"
 #include "support/stopwatch.hpp"
+#include "support/str.hpp"
 
 #include <cstdio>
 #include <map>
@@ -29,7 +30,8 @@ struct Config {
   pb::Value n;
   int size;
   std::string label() const {
-    return "N" + std::to_string(n) + "/S" + std::to_string(size);
+    return indexedName("N", static_cast<std::size_t>(n)) +
+           indexedName("/S", static_cast<std::size_t>(size));
   }
 };
 

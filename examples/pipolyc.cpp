@@ -50,17 +50,10 @@
 //                   --verify and --replay. `channel` runs the communication
 //                   analysis and routes execution through the bounded-SPSC
 //                   channel engine, printing each statement's stage count
-//                   (a source statement splits into per-worker lanes);
-//                   --report/--json/--dot then carry the per-edge volumes
-//                   and sized channel capacities
-//     --topology=SPEC  hardware topology for the channel backend's stage
-//                   placement: a synthetic preset (`uma`, `2x-numa`,
-//                   `ring`), `host` (Linux sysfs NUMA detection, uma
-//                   fallback), or a JSON spec file (rt::Topology::fromJson).
-//                   A malformed spec is a usage error: pipolyc prints the
-//                   parse diagnostic and exits with status 2. With
-//                   --optimize and --backend=channel the optimizer also
-//                   scores its passes on this placed topology
+//                   (a source statement splits into per-worker lanes) and
+//                   the stage placement (workers, max load, cross-worker
+//                   bytes); --report/--json/--dot then carry the per-edge
+//                   volumes and sized channel capacities
 //
 // Example:
 //   ./build/examples/pipolyc --maps --ast --simulate 8
@@ -76,7 +69,6 @@
 #include "pipeline/comm.hpp"
 #include "pipeline/detect.hpp"
 #include "pipeline/report.hpp"
-#include "runtime/topology.hpp"
 #include "schedule/build.hpp"
 #include "sim/granularity_tuner.hpp"
 #include "sim/simulator.hpp"
@@ -97,7 +89,6 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <variant>
 
 using namespace pipoly;
@@ -123,8 +114,7 @@ int usage() {
                "[--optimize] [--emit-c] [--simulate N] [--timeline N] "
                "[--replay=N] [--trace=FILE] [--metrics] "
                "[--reduction=off|auto] "
-               "[--backend=serial|threadpool|openmp|channel] "
-               "[--topology=SPEC] [file]\n");
+               "[--backend=serial|threadpool|openmp|channel] [file]\n");
   return 2;
 }
 
@@ -220,7 +210,7 @@ int main(int argc, char** argv) {
   bool routeStats = false;
   unsigned simulateWorkers = 0, timelineWorkers = 0, tuneWorkers = 0;
   std::size_t replayRuns = 0;
-  std::string path, tracePath, topologySpec;
+  std::string path, tracePath;
   std::string backendName = "threadpool";
   frontend::ParamOverrides params;
 
@@ -268,11 +258,6 @@ int main(int argc, char** argv) {
           backendName != "openmp" && backendName != "channel")
         return usage();
     }
-    else if (arg.rfind("--topology=", 0) == 0) {
-      topologySpec = arg.substr(11);
-      if (topologySpec.empty())
-        return usage();
-    }
     else if (arg.rfind("--replay=", 0) == 0) {
       const long long runs = std::atoll(arg.c_str() + 9);
       if (runs <= 0)
@@ -310,24 +295,6 @@ int main(int argc, char** argv) {
       tracePath.empty() && simulateWorkers == 0 && timelineWorkers == 0 &&
       tuneWorkers == 0 && replayRuns == 0)
     maps = astOut = true; // sensible default
-
-  // Resolve --topology before any compilation work: a malformed spec is a
-  // usage-class error (exit 2 with the parse diagnostic), not a pipeline
-  // failure. The engine re-spreads the spec over its own worker count, so
-  // resolving presets against the hardware concurrency here is only the
-  // initial shape.
-  std::optional<rt::Topology> topology;
-  if (!topologySpec.empty()) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    try {
-      topology = rt::Topology::fromSpec(topologySpec, hw);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "pipolyc: --topology=%s: %s\n",
-                   topologySpec.c_str(), e.what());
-      return 2;
-    }
-    std::fprintf(stderr, "pipolyc: %s\n", topology->toString().c_str());
-  }
 
   std::string source = kDemoProgram;
   if (!path.empty()) {
@@ -406,14 +373,7 @@ int main(int argc, char** argv) {
     std::optional<codegen::ProgramCounts> preOptCounts;
     if (optimizeRun) {
       preOptCounts = prog.counts();
-      opt::OptimizeOptions optOptions;
-      if (commPtr != nullptr) {
-        // Placement-aware scoring: edge removals are weighted by the
-        // bytes they stop moving on the placed topology.
-        optOptions.comm = commPtr;
-        optOptions.topology = topology;
-      }
-      const opt::OptimizeStats stats = opt::optimize(prog, optOptions);
+      const opt::OptimizeStats stats = opt::optimize(prog);
       prog.validate(scop);
       // stderr: --dot/--json/--emit-c pipe stdout into other tools.
       std::fprintf(stderr, "== optimizer ==\n%s\n\n",
@@ -456,17 +416,21 @@ int main(int argc, char** argv) {
     if (emitC)
       std::printf("%s", codegen::emitOpenMPProgram(scop, prog).c_str());
     // --backend=channel executes through one ChannelPipeline, compiled
-    // once (rings sized by the communication analysis, stages placed on
-    // --topology) and shared by --verify and --replay.
+    // once (rings sized by the communication analysis) and shared by
+    // --verify and --replay.
     std::unique_ptr<tasking::ChannelPipeline> channel;
     if (backendName == "channel" && (verifyRun || replayRuns != 0)) {
-      tasking::ChannelOptions channelOptions;
-      channelOptions.topology = topology;
       channel = std::make_unique<tasking::ChannelPipeline>(
-          prog, channelOptions, commPtr);
-      std::printf("== channel stages (%zu on %u workers) ==\n%s\n",
+          prog, tasking::ChannelOptions{}, commPtr);
+      const rt::Placement& placed = channel->placement();
+      std::printf("== channel stages (%zu on %u workers) ==\n%s"
+                  "placement: %u workers, max load %llu, cross-worker "
+                  "bytes %llu\n\n",
                   channel->numStages(), channel->numWorkers(),
-                  channelStagesText(*channel, scop).c_str());
+                  channelStagesText(*channel, scop).c_str(),
+                  channel->numWorkers(),
+                  static_cast<unsigned long long>(placed.maxLoad),
+                  static_cast<unsigned long long>(placed.crossWorkerBytes));
     }
 
     if (verifyRun) {

@@ -197,13 +197,13 @@ struct TaskProgram {
 std::vector<std::vector<std::size_t>>
 statementReadership(const TaskProgram& program);
 
-/// The channel route's stage structure, shared by the channel engine, the
-/// channel simulator and the optimizer's placement score. Statements that
-/// own tasks map to consecutive stages in ascending statement order. A
-/// statement is one stage, except a *source* statement: a relaxed
-/// reduction whose Block tasks (at least 2) have no in-dependency, i.e.
-/// the independent partials of an accumulation over an input array. Its
-/// Block tasks are dealt round-robin, in creation order, onto
+/// The channel route's stage structure, shared by the channel engine and
+/// the channel simulator. Statements that own tasks map to consecutive
+/// stages in ascending statement order. A statement is one stage, except
+/// a *source* statement: a relaxed reduction whose Block tasks (at least
+/// 2) have no in-dependency, i.e. the independent partials of an
+/// accumulation over an input array. Its Block tasks are dealt
+/// round-robin, in creation order, onto
 /// min(blocks, workers) lane stages, and its combine runs at the end of
 /// the first lane; since the combine depends on every partial, no lane
 /// gets more than a batch ahead of the others. Tasks keep creation order

@@ -1,11 +1,9 @@
 #include "opt/optimizer.hpp"
 
-#include "runtime/placement.hpp"
 #include "support/assert.hpp"
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace pipoly::opt {
@@ -161,94 +159,6 @@ std::size_t transitiveReduce(TaskProgram& program) {
   return removed;
 }
 
-/// Placement score of the program's current channel structure: stage the
-/// statements exactly like the channel backend (codegen::stageLayout,
-/// lanes sized by the topology's workers; without a topology one stage
-/// per statement, so the score stays independent of the host), weight the surviving cross-stage dependency pairs with
-/// the analyzed per-edge bytes, place one stage per worker onto the
-/// topology, and read off the partitioner's communication objective.
-/// This is the bytes-moved-on-the-placed-topology number the
-/// placement-aware passes are scored by.
-struct PlacedScore {
-  rt::Placement placement;
-  /// Per statement: the largest cost class of any cross-domain channel
-  /// edge incident to it (1.0 when all its edges are domain-local) —
-  /// the fusion-width scaling factor.
-  std::vector<double> maxClassOfStmt;
-};
-
-} // namespace
-
-std::vector<rt::StageEdge>
-channelStageEdges(const codegen::TaskProgram& program,
-                  const codegen::StageLayout& layout,
-                  const pipeline::CommInfo& comm) {
-  const std::size_t numStages = layout.stmtOf.size();
-  std::vector<std::vector<bool>> seen(numStages,
-                                      std::vector<bool>(numStages, false));
-  std::vector<rt::StageEdge> edges;
-  for (std::size_t i = 0; i < program.tasks.size(); ++i) {
-    const std::size_t tgt = layout.place[i].first;
-    for (const TaskDep& dep : program.tasks[i].in) {
-      const std::size_t src = layout.place[dep.producer].first;
-      if (src == tgt || seen[src][tgt])
-        continue;
-      seen[src][tgt] = true;
-      std::uint64_t bytes = 1;
-      if (const pipeline::EdgeComm* e =
-              comm.edge(layout.stmtOf[src], layout.stmtOf[tgt]))
-        bytes = std::max<std::uint64_t>(e->totalBytes, 1);
-      edges.push_back({src, tgt, bytes});
-    }
-  }
-  return edges;
-}
-
-namespace {
-
-PlacedScore scorePlacement(const TaskProgram& program,
-                           const pipeline::CommInfo& comm,
-                           const std::optional<rt::Topology>& topology) {
-  PlacedScore score;
-  score.maxClassOfStmt.assign(program.numStatements, 1.0);
-
-  // Stage structure: the channel engine's, statements ascending with a
-  // source statement's lanes next to each other.
-  const codegen::StageLayout layout = codegen::stageLayout(
-      program, topology.has_value() ? topology->numWorkers() : 1);
-  const std::vector<std::size_t>& stmtOf = layout.stmtOf;
-  const std::size_t numStages = stmtOf.size();
-  if (numStages == 0)
-    return score;
-
-  // Surviving cross-stage dependency pairs = the channels the backend
-  // would build.
-  const std::vector<rt::StageEdge> edges =
-      channelStageEdges(program, layout, comm);
-
-  const rt::Topology topo =
-      topology.has_value()
-          ? (topology->numWorkers() == numStages
-                 ? *topology
-                 : topology->resized(static_cast<unsigned>(numStages)))
-          : rt::Topology::uma(static_cast<unsigned>(numStages));
-  score.placement = rt::placeStages(
-      layout.stageTasks, static_cast<unsigned>(numStages), edges, topo);
-
-  for (const rt::StageEdge& e : edges) {
-    const unsigned da = score.placement.domainOfStage[e.src];
-    const unsigned db = score.placement.domainOfStage[e.tgt];
-    if (da == db)
-      continue;
-    const double cls = topo.costClass(da, db);
-    score.maxClassOfStmt[stmtOf[e.src]] =
-        std::max(score.maxClassOfStmt[stmtOf[e.src]], cls);
-    score.maxClassOfStmt[stmtOf[e.tgt]] =
-        std::max(score.maxClassOfStmt[stmtOf[e.tgt]], cls);
-  }
-  return score;
-}
-
 /// Pass 2: chain fusion. Fuses task `next` into `merged` when
 ///   * they are adjacent tasks of the same statement (lowerToTasks emits
 ///     each nest's blocks contiguously, so adjacency in creation order is
@@ -262,14 +172,9 @@ PlacedScore scorePlacement(const TaskProgram& program,
 /// Producer ids are remapped onto the fused tasks: a fused task keeps its
 /// first task's in-dependencies, and only the task folded in after it
 /// depended on a folded task's out tag.
-std::size_t fuseChains(TaskProgram& program, std::size_t width,
-                       const std::vector<std::size_t>* stmtWidth) {
+std::size_t fuseChains(TaskProgram& program, std::size_t width) {
   const std::size_t n = program.tasks.size();
-  const std::size_t maxWidth =
-      stmtWidth != nullptr && !stmtWidth->empty()
-          ? *std::max_element(stmtWidth->begin(), stmtWidth->end())
-          : width;
-  if (n < 2 || maxWidth < 2)
+  if (n < 2 || width < 2)
     return 0;
   std::vector<std::uint32_t> dependents(n, 0);
   for (const Task& t : program.tasks)
@@ -282,17 +187,10 @@ std::size_t fuseChains(TaskProgram& program, std::size_t width,
   std::size_t eliminated = 0;
   for (std::size_t i = 0; i < n;) {
     Task merged = std::move(program.tasks[i]);
-    // Placement-aware widths: a statement whose channels cross domains
-    // fuses wider — bigger blocks per token amortize the slower link,
-    // mirroring how the channel engine deepens cross-domain rings.
-    const std::size_t effWidth =
-        stmtWidth != nullptr && merged.stmtIdx < stmtWidth->size()
-            ? (*stmtWidth)[merged.stmtIdx]
-            : width;
     const std::size_t head = i;
     std::size_t tail = i; // original id of the last task folded in
     std::size_t run = 1;
-    while (run < effWidth && tail + 1 < n) {
+    while (run < width && tail + 1 < n) {
       const Task& next = program.tasks[tail + 1];
       // Never fuse across task kinds: a combine task must stay a
       // separate fold step (its iterations use a different arity and the
@@ -343,10 +241,6 @@ std::string OptimizeStats::toString() const {
   os << "opt: tasks " << tasksBefore << " -> " << tasksAfter << " (fused "
      << tasksFused << "), in-edges " << edgesBefore << " -> " << edgesAfter
      << " (reduction removed " << edgesRemoved << ")";
-  if (placedCommCostBefore > 0.0 || placedCommCostAfter > 0.0)
-    os << ", placed comm cost " << placedCommCostBefore << " -> "
-       << placedCommCostAfter << " (cross-domain bytes "
-       << crossDomainBytesBefore << " -> " << crossDomainBytesAfter << ")";
   return os.str();
 }
 
@@ -356,42 +250,13 @@ OptimizeStats optimize(codegen::TaskProgram& program,
   OptimizeStats stats;
   stats.tasksBefore = stats.tasksAfter = program.tasks.size();
   stats.edgesBefore = stats.edgesAfter = countEdges(program);
-  // Placement-aware mode: score the untouched program first, derive the
-  // per-statement fusion widths from where its channels land on the
-  // topology, and re-score after the passes — the before/after pair is
-  // the bytes-moved objective the mode optimizes for.
-  std::vector<std::size_t> stmtWidths;
-  const bool placementAware = options.comm != nullptr;
-  if (placementAware) {
-    const PlacedScore before =
-        scorePlacement(program, *options.comm, options.topology);
-    stats.placedCommCostBefore = before.placement.commCost;
-    stats.crossDomainBytesBefore = before.placement.crossDomainBytes;
-    if (options.fusionWidth > 1) {
-      stmtWidths.assign(program.numStatements, options.fusionWidth);
-      for (std::size_t s = 0; s < before.maxClassOfStmt.size(); ++s)
-        stmtWidths[s] = std::min<std::size_t>(
-            options.fusionWidth *
-                static_cast<std::size_t>(
-                    std::ceil(before.maxClassOfStmt[s])),
-            4 * options.fusionWidth);
-    }
-  }
   if (options.transitiveReduction) {
     trace::Span pass("opt.transitive_reduction");
     stats.edgesRemoved = transitiveReduce(program);
   }
   if (options.fusionWidth > 1) {
     trace::Span pass("opt.chain_fusion");
-    stats.tasksFused =
-        fuseChains(program, options.fusionWidth,
-                   stmtWidths.empty() ? nullptr : &stmtWidths);
-  }
-  if (placementAware) {
-    const PlacedScore after =
-        scorePlacement(program, *options.comm, options.topology);
-    stats.placedCommCostAfter = after.placement.commCost;
-    stats.crossDomainBytesAfter = after.placement.crossDomainBytes;
+    stats.tasksFused = fuseChains(program, options.fusionWidth);
   }
   stats.tasksAfter = program.tasks.size();
   stats.edgesAfter = countEdges(program);

@@ -42,12 +42,8 @@
 // closure equality at block granularity for all three combined.
 
 #include "codegen/task_program.hpp"
-#include "pipeline/comm.hpp"
-#include "runtime/placement.hpp"
-#include "runtime/topology.hpp"
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,18 +56,6 @@ struct OptimizeOptions {
   /// task. 1 disables fusion; the default keeps tasks small enough that
   /// the pipeline's fill/drain overlap survives.
   std::size_t fusionWidth = 8;
-  /// Placement-aware mode: when set, the passes are scored by the bytes
-  /// the optimized program moves on the *placed* topology (class-weighted
-  /// cross-worker bytes, the channel partitioner's objective), not by
-  /// edge count alone — removing ten 1-byte edges is no longer "better"
-  /// than removing one cross-socket megabyte. The per-edge bytes come
-  /// from this communication analysis (borrowed for the optimize() call).
-  const pipeline::CommInfo* comm = nullptr;
-  /// Topology the scoring places onto; its worker count also sizes a
-  /// source statement's lanes (codegen::stageLayout). Unset = uma over
-  /// one worker per statement, no lanes (the score then degenerates to
-  /// total cross-statement bytes).
-  std::optional<rt::Topology> topology;
 };
 
 struct OptimizeStats {
@@ -81,16 +65,6 @@ struct OptimizeStats {
   std::size_t edgesAfter = 0;
   std::size_t edgesRemoved = 0; // by transitive reduction alone
   std::size_t tasksFused = 0;   // original tasks folded into a neighbour
-
-  /// Placement-aware mode only (OptimizeOptions::comm set): the
-  /// partitioner's communication objective — bytes × cost class summed
-  /// over cross-worker channel edges of the placed program — before and
-  /// after the passes, plus the raw cross-domain byte counts. "Moved"
-  /// is per streamed batch, like EdgeComm::totalBytes.
-  double placedCommCostBefore = 0.0;
-  double placedCommCostAfter = 0.0;
-  std::uint64_t crossDomainBytesBefore = 0;
-  std::uint64_t crossDomainBytesAfter = 0;
 
   double edgeReductionPercent() const;
   double taskReductionPercent() const;
@@ -140,15 +114,5 @@ struct SlotTable {
 /// Copies every in-dependency's producer into the table. O(tasks +
 /// edges); throws when a producer is not an earlier task.
 SlotTable buildSlotTable(const codegen::TaskProgram& program);
-
-/// The channel edges stage placement weighs for `program` on `layout`:
-/// one per stage pair linked by a cross-stage dependency, in order of
-/// first use, weighted by the analyzed bytes of the pair's statements (1
-/// when unanalyzed). The channel engine adds a weight-1 edge per ack-only
-/// channel on top.
-std::vector<rt::StageEdge>
-channelStageEdges(const codegen::TaskProgram& program,
-                  const codegen::StageLayout& layout,
-                  const pipeline::CommInfo& comm);
 
 } // namespace pipoly::opt

@@ -96,13 +96,12 @@ SimResult simulate(const codegen::TaskProgram& program,
 namespace {
 
 /// Shared DES of the channel route on the stage layout for `workers`.
-/// `topology`/`placement` null = the placement-free model (one idealized
-/// worker per stage, every transfer class 1).
+/// `placement` null = the placement-free model (one idealized worker per
+/// stage, every cross-stage edge pays the transfer).
 ChannelSimResult
 simulateChannelsImpl(const codegen::TaskProgram& program,
                      const pipeline::CommInfo& comm, const CostModel& model,
-                     unsigned workers, const rt::Topology* topology,
-                     const rt::Placement* placement) {
+                     unsigned workers, const rt::Placement* placement) {
   ChannelSimResult result;
   const std::size_t n = program.tasks.size();
   if (n == 0)
@@ -144,8 +143,7 @@ simulateChannelsImpl(const codegen::TaskProgram& program,
   // token arrived (producer finish + edge latency); its body costs only
   // the iterations — the route spawns no tasks and hashes no slots.
   // Under a placement, stages sharing a worker additionally serialize on
-  // that worker's clock, and cross-worker transfers pay the placed
-  // domain pair's cost class.
+  // that worker's clock, and only cross-worker transfers move bytes.
   std::vector<double> finish(n, 0.0);
   std::vector<double> stageClock(result.numStages, 0.0);
   std::vector<double> workerClock(
@@ -166,17 +164,10 @@ simulateChannelsImpl(const codegen::TaskProgram& program,
       }
       const ChannelEdgeLoad& load = result.edges[edgeFor(srcStage, stage)];
       double latency = model.channelTokenOverhead;
-      if (placement == nullptr) {
+      // A same-worker edge's token is a local counter bump: no move.
+      if (placement == nullptr || placement->workerOfStage[srcStage] !=
+                                      placement->workerOfStage[stage])
         latency += model.commCostPerByte * load.bytesPerToken;
-      } else if (placement->workerOfStage[srcStage] !=
-                 placement->workerOfStage[stage]) {
-        const double cls =
-            topology != nullptr
-                ? topology->costClass(placement->domainOfStage[srcStage],
-                                      placement->domainOfStage[stage])
-                : 1.0;
-        latency += model.commCostPerByte * load.bytesPerToken * cls;
-      } // same-worker edge: the token is a local counter bump, no move
       start = std::max(start, finish[*s] + latency);
       result.commTime += latency;
     }
@@ -226,10 +217,6 @@ simulateChannelsImpl(const codegen::TaskProgram& program,
       peak = std::max(peak, live += delta);
     result.edges[ei].peakTokens = static_cast<std::uint32_t>(peak);
     result.bytesMoved += result.edges[ei].totalBytes;
-    if (placement != nullptr &&
-        placement->domainOfStage[pair.first] !=
-            placement->domainOfStage[pair.second])
-      result.crossDomainBytes += result.edges[ei].totalBytes;
   }
   return result;
 }
@@ -240,20 +227,18 @@ ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
                                   const pipeline::CommInfo& comm,
                                   const CostModel& model, unsigned workers) {
   return simulateChannelsImpl(program, comm, model,
-                              codegen::channelWorkers(workers), nullptr,
-                              nullptr);
+                              codegen::channelWorkers(workers), nullptr);
 }
 
 ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
                                   const pipeline::CommInfo& comm,
                                   const CostModel& model,
-                                  const rt::Topology& topology,
                                   const rt::Placement& placement) {
   return simulateChannelsImpl(
       program, comm, model,
       static_cast<unsigned>(std::max<std::size_t>(
           placement.ownedStages.size(), 1)),
-      &topology, &placement);
+      &placement);
 }
 
 double sequentialTime(const scop::Scop& scop, const CostModel& model) {

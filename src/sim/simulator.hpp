@@ -13,7 +13,6 @@
 #include "opt/optimizer.hpp"
 #include "pipeline/comm.hpp"
 #include "runtime/placement.hpp"
-#include "runtime/topology.hpp"
 #include "scop/scop.hpp"
 #include "trace/trace.hpp"
 
@@ -100,9 +99,6 @@ struct ChannelSimResult {
   double makespan = 0.0;
   double commTime = 0.0; // total edge-latency seconds paid (all tokens)
   std::uint64_t bytesMoved = 0;
-  /// Bytes on edges whose placed endpoints live in different topology
-  /// domains (0 on the placement-free overload).
-  std::uint64_t crossDomainBytes = 0;
   std::size_t numStages = 0;
   std::vector<ChannelEdgeLoad> edges;
 
@@ -130,26 +126,18 @@ ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
                                   const CostModel& model,
                                   unsigned workers = 0);
 
-/// Topology-aware variant: predicts the channel route under a concrete
-/// stage placement (rt::placeStages output for the stages of
-/// codegen::stageLayout(program, its worker count)) on a concrete
-/// topology. Differences from the placement-free overload:
+/// Placed variant: predicts the channel route under a concrete stage
+/// placement (the engine's ChannelPipeline::placement(), or any
+/// rt::placeStages output for the stages of codegen::stageLayout(program,
+/// its worker count)). Differences from the placement-free overload:
 ///   * stages sharing a worker serialize — a worker clock joins the
 ///     per-stage clock, so the predicted makespan reflects worker
 ///     contention, not one-idealized-worker-per-stage;
-///   * a cross-worker edge's latency scales with the placed domain
-///     pair's cost class:
-///       latency = channelTokenOverhead
-///               + commCostPerByte * bytesPerToken * classCost(da, db),
-///     while a same-worker edge pays only channelTokenOverhead (nothing
-///     moves).
-/// Ranking simulateChannels over candidate placements is how sim_test
-/// checks that the partitioner's NUMA placement is predicted to beat
-/// the load-only cuts (TopologySimTest.NumaPlacementBeatsTheLoadOnlyCuts).
+///   * only a cross-worker edge pays the per-byte transfer term, while a
+///     same-worker edge pays only channelTokenOverhead (nothing moves).
 ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
                                   const pipeline::CommInfo& comm,
                                   const CostModel& model,
-                                  const rt::Topology& topology,
                                   const rt::Placement& placement);
 
 /// Time of the original (un-pipelined) program: all iterations in order.

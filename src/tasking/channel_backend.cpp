@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -16,16 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace pipoly::tasking {
-
-// Stage placement itself lives in rt/placement.{hpp,cpp}: the one
-// partitioner (placeStages) is shared with the simulator and the
-// optimizer, so all three layers place against the same objective.
 
 namespace {
 
@@ -37,25 +27,6 @@ constexpr unsigned kBackoffCap = 16384;
 
 /// Ring capacity for edges the communication analysis did not size.
 constexpr std::uint32_t kDefaultCapacitySlots = 8;
-
-/// Best-effort affinity pin of the calling thread to a domain's cpu
-/// list. A failed pin degrades to an unpinned worker, never an error —
-/// the list may describe another machine (a replayed spec file).
-void pinThreadToCpus(const std::vector<int>& cpus) {
-#if defined(__linux__)
-  if (cpus.empty())
-    return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (const int c : cpus)
-    if (c >= 0 && c < CPU_SETSIZE)
-      CPU_SET(static_cast<std::size_t>(c), &set);
-  if (CPU_COUNT(&set) > 0)
-    (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpus;
-#endif
-}
 
 } // namespace
 
@@ -100,9 +71,7 @@ public:
       stages_.emplace_back();
       stages_.back().numTasks = stageTasks[s];
     }
-    // Validate and monotonize the specs up front; the edge objects are
-    // only built after placement, which decides ring sizing (cross-domain
-    // rings grow by the pair's cost class).
+    // Validate and monotonize the specs up front.
     for (EdgeSpec& spec : specs) {
       PIPOLY_CHECK_MSG(spec.src < numStages && spec.tgt < numStages &&
                            spec.src != spec.tgt,
@@ -119,25 +88,13 @@ public:
         options.numWorkers, std::max<std::size_t>(numStages, 1)));
     numWorkers_ = workers;
 
-    // Without a topology the machine is uma: one domain, class 1.0 and
-    // no cpu lists, so ring sizing and pinning below change nothing.
-    if (!options.topology.has_value())
-      topology_ = rt::Topology::uma(workers);
-    else if (options.topology->numWorkers() == workers)
-      topology_ = *options.topology;
-    else
-      topology_ = options.topology->resized(workers);
-    topology_.validate();
-
     std::vector<rt::StageEdge> weightedEdges;
     weightedEdges.reserve(specs.size());
     for (const EdgeSpec& spec : specs)
       weightedEdges.push_back(
           {spec.src, spec.tgt,
            std::max<std::uint64_t>(spec.weightBytes, 1)});
-    placement_ =
-        rt::placeStages(stageTasks, workers, weightedEdges, topology_);
-    ownedStages_ = placement_.ownedStages;
+    placement_ = rt::placeStages(stageTasks, workers, weightedEdges);
 
     for (EdgeSpec& spec : specs) {
       // Token-ring sizing: comm-derived capacitySlots is a lower bound
@@ -150,20 +107,9 @@ public:
       // switch each. Two batches of tokens can be outstanding (producer
       // one batch ahead, consumer not yet drained), hence the factor.
       const std::uint32_t idx = static_cast<std::uint32_t>(edges_.size());
-      std::uint64_t tokenCapacity = std::max<std::uint64_t>(
+      const std::uint64_t tokenCapacity = std::max<std::uint64_t>(
           spec.capacitySlots,
           std::min<std::size_t>(2 * stageTasks[spec.src] + 2, UINT32_MAX));
-      const unsigned da = placement_.domainOfStage[spec.src];
-      const unsigned db = placement_.domainOfStage[spec.tgt];
-      const double cls = topology_.costClass(da, db);
-      // A cross-domain ring is the slow link: size it up by the cost
-      // class so the producer can run further ahead and the extra
-      // latency amortizes over a deeper ring.
-      if (da != db && cls > 1.0)
-        tokenCapacity = std::min<std::uint64_t>(
-            tokenCapacity *
-                static_cast<std::uint64_t>(std::ceil(cls)),
-            UINT32_MAX);
       edges_.emplace_back(spec.src, spec.tgt,
                           static_cast<std::uint32_t>(tokenCapacity),
                           spec.ackOnly, std::move(spec.reqTokens));
@@ -195,7 +141,7 @@ public:
       return;
     if (numWorkers_ == 1) {
       WorkerStats local;
-      runStages(ownedStages_[0], local);
+      runStages(placement_.ownedStages[0], local);
       mergeStats(local);
     } else {
       if (threads_.empty())
@@ -330,11 +276,6 @@ private:
   /// `seenGen` is the run generation at spawn: the worker waits for the
   /// next one.
   void workerMain(unsigned w, std::uint64_t seenGen) {
-    // Per-domain worker pinning: keep each stage worker on its domain's
-    // cores so a domain-local ring really is socket-local traffic.
-    if (!topology_.cpusOfDomain.empty() &&
-        w < topology_.domainOfWorker.size())
-      pinThreadToCpus(topology_.cpusOfDomain[topology_.domainOfWorker[w]]);
     for (;;) {
       {
         std::unique_lock<std::mutex> lock(mutex_);
@@ -344,7 +285,7 @@ private:
         seenGen = runGen_;
       }
       WorkerStats local;
-      runStages(ownedStages_[w], local);
+      runStages(placement_.ownedStages[w], local);
       mergeStats(local);
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -499,8 +440,6 @@ private:
   std::deque<Stage> stages_;
   std::deque<Edge> edges_;
   rt::Placement placement_;
-  rt::Topology topology_;
-  std::vector<std::vector<std::size_t>> ownedStages_;
   std::vector<std::thread> threads_;
   unsigned numWorkers_ = 1;
 
@@ -637,6 +576,13 @@ ChannelPipeline::ChannelPipeline(
                  static_cast<double>(stmtOf_.size() - stmts.size()));
   engine_ = std::make_unique<ChannelEngine>(
       std::move(plan.stageTasks), std::move(plan.edges), options);
+  const rt::Placement& placed = engine_->placement();
+  trace::counter("channel.placement.workers",
+                 static_cast<double>(engine_->numWorkers()));
+  trace::counter("channel.placement.max_load",
+                 static_cast<double>(placed.maxLoad));
+  trace::counter("channel.placement.cross_worker_bytes",
+                 static_cast<double>(placed.crossWorkerBytes));
 }
 
 ChannelPipeline::ChannelPipeline(codegen::TaskProgram program, Options options,

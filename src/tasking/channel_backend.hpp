@@ -48,13 +48,11 @@
 #include "codegen/task_program.hpp"
 #include "pipeline/comm.hpp"
 #include "runtime/placement.hpp"
-#include "runtime/topology.hpp"
 #include "tasking/replay_executor.hpp"
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 namespace pipoly::tasking {
@@ -67,12 +65,6 @@ struct ChannelOptions {
   /// per statement, cooperatively on the calling thread (no worker
   /// spawns at all).
   unsigned numWorkers = 0;
-  /// Hardware topology for stage placement (rt/topology.hpp), re-spread
-  /// over the worker count. Unset = uma. The engine places its stages
-  /// on it (rt::placeStages), pins workers to their domain's cpu list
-  /// when the topology carries one, and sizes cross-domain rings larger
-  /// (by the pair's cost class) to amortize the slower link.
-  std::optional<rt::Topology> topology;
 };
 
 /// A TaskProgram compiled onto the channel engine: built once (stages,
@@ -103,9 +95,9 @@ public:
   /// consecutive stages).
   const std::vector<std::size_t>& stmtOfStage() const { return stmtOf_; }
 
-  /// The stage placement the engine runs with (owned stages per worker,
-  /// domain map, objective diagnostics). Stable for the pipeline's
-  /// lifetime.
+  /// The stage placement the engine runs with (rt::placeStages: owned
+  /// stages per worker, load and cross-worker byte diagnostics). Stable
+  /// for the pipeline's lifetime.
   const rt::Placement& placement() const;
 
   /// One run of the program through the channel network.

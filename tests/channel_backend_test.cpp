@@ -7,7 +7,7 @@
 // for the transitive-reduction hazard (batch acks must follow the full
 // statement readership, not just the surviving task edges — on BOTH the
 // task-depend graph and the channel network), statementReadership,
-// retainedBytes accounting and topology-aware placement.
+// retainedBytes accounting and the placement counters.
 
 #include "tasking/channel_backend.hpp"
 
@@ -26,7 +26,6 @@
 #include "tasking/executor.hpp"
 #include "tasking/replay_executor.hpp"
 #include "testing/interpreted_kernel.hpp"
-#include "testing/placement_oracle.hpp"
 #include "trace/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -56,31 +55,46 @@ compileShared(const scop::Scop& scop, bool optimized) {
 }
 
 TEST(ChannelDifferentialTest, Table9ReplayMatchesSequentialEverywhere) {
-  // P1–P10 × optimizer on/off × worker counts: one replay through the
-  // channel network must reproduce the sequential fingerprint bit for
-  // bit, with and without comm-sized rings. Every construction builds one
-  // stage per statement (chain fusion never merges statements) and
-  // reports it once as the channel.stages counter.
+  // P1–P10 × optimizer on/off × every worker count from 1 to one past
+  // the stage count: one replay through the channel network must
+  // reproduce the sequential fingerprint bit for bit, with and without
+  // comm-sized rings, under every ownership the placement hands out —
+  // from all stages on one worker to one stage per worker with an idle
+  // one. Every construction builds one stage per statement (chain fusion
+  // never merges statements) and reports it once as the channel.stages
+  // counter, next to its placement counters.
   for (const kernels::ProgramSpec& spec : kernels::table9Programs()) {
     const scop::Scop scop = kernels::buildProgram(spec, 10);
     const std::uint64_t expected = testing::sequentialFingerprint(scop);
     const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
     const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
+    const unsigned maxWorkers =
+        static_cast<unsigned>(scop.numStatements()) + 1;
 
     for (bool optimized : {false, true}) {
       auto prog = compileShared(scop, optimized);
       trace::Session session;
       session.start();
-      std::size_t constructions = 0;
-      for (unsigned workers : {1u, 2u, 4u}) {
+      std::map<std::string, std::vector<double>> expectedCounters;
+      for (unsigned workers = 1; workers <= maxWorkers; ++workers) {
         for (const pipeline::CommInfo* sized : {
                  static_cast<const pipeline::CommInfo*>(nullptr), &comm}) {
           ChannelOptions options;
           options.numWorkers = workers;
           ChannelPipeline pipe(prog, options, sized);
-          ++constructions;
           EXPECT_EQ(pipe.numStages(), scop.numStatements())
               << spec.name << " opt " << optimized;
+          EXPECT_EQ(pipe.numWorkers(),
+                    std::min<std::size_t>(workers, scop.numStatements()));
+          const rt::Placement& placed = pipe.placement();
+          expectedCounters["channel.stages"].push_back(
+              static_cast<double>(scop.numStatements()));
+          expectedCounters["channel.placement.workers"].push_back(
+              pipe.numWorkers());
+          expectedCounters["channel.placement.max_load"].push_back(
+              static_cast<double>(placed.maxLoad));
+          expectedCounters["channel.placement.cross_worker_bytes"].push_back(
+              static_cast<double>(placed.crossWorkerBytes));
           testing::InterpretedKernel kernel(scop);
           pipe.replay(kernel.executor());
           EXPECT_EQ(kernel.fingerprint(), expected)
@@ -89,13 +103,12 @@ TEST(ChannelDifferentialTest, Table9ReplayMatchesSequentialEverywhere) {
         }
       }
       session.stop();
-      std::vector<double> stages;
+      std::map<std::string, std::vector<double>> counters;
       for (const trace::TraceEvent& e : session.trace().events)
-        if (e.kind == trace::EventKind::Counter && e.name == "channel.stages")
-          stages.push_back(e.value);
-      EXPECT_EQ(stages,
-                std::vector<double>(constructions, static_cast<double>(
-                                                       scop.numStatements())))
+        if (e.kind == trace::EventKind::Counter &&
+            expectedCounters.count(e.name) != 0)
+          counters[e.name].push_back(e.value);
+      EXPECT_EQ(counters, expectedCounters)
           << spec.name << " opt " << optimized;
     }
   }
@@ -325,155 +338,6 @@ TEST(ChannelLifecycleTest, RunAfterAThrowingBodyMatchesTheOracle) {
   }
 }
 
-TEST(ChannelPlacementTest, UmaTopologyMatchesTheTopologyFreePlacement) {
-  // The engine-level half of the uma differential: a ChannelPipeline
-  // given an explicit uma topology must choose the same stage-to-worker
-  // assignment, byte for byte, as the PR 8 topology-free route.
-  for (const char* name : {"P1", "P5", "P8"}) {
-    const scop::Scop scop =
-        kernels::buildProgram(kernels::programByName(name), 10);
-    const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
-    const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
-    auto prog = compileShared(scop, true);
-    for (unsigned workers : {1u, 2u, 4u}) {
-      ChannelOptions plain;
-      plain.numWorkers = workers;
-      ChannelPipeline base(prog, plain, &comm);
-
-      ChannelOptions uma = plain;
-      uma.topology = rt::Topology::uma(workers);
-      ChannelPipeline topo(prog, uma, &comm);
-
-      EXPECT_EQ(topo.placement().ownedStages, base.placement().ownedStages)
-          << name << " workers " << workers;
-      EXPECT_EQ(topo.placement().workerOfStage,
-                base.placement().workerOfStage);
-      EXPECT_EQ(topo.placement().maxLoad, base.placement().maxLoad);
-      EXPECT_EQ(topo.placement().crossWorkerBytes,
-                base.placement().crossWorkerBytes);
-    }
-  }
-}
-
-TEST(ChannelPlacementTest, NumaTopologyKeepsReplayBitIdentical) {
-  // Placement, pinning and larger cross-domain rings change the
-  // schedule, never the values: every topology must reproduce the
-  // sequential fingerprint. The near-uniform 2-worker case is one where
-  // P5 and P8 really place across the domain boundary.
-  struct Machine {
-    const char* name;
-    unsigned workers;
-    rt::Topology topology;
-  };
-  const Machine machines[] = {
-      {"2x-numa", 4, rt::Topology::fromSpec("2x-numa", 4)},
-      {"ring", 4, rt::Topology::fromSpec("ring", 4)},
-      {"numa2(2, 1.25)", 2, rt::Topology::numa2(2, 1.25)},
-  };
-  std::uint64_t crossDomainBytes = 0;
-  for (const char* name : {"P1", "P5", "P8"}) {
-    const scop::Scop scop =
-        kernels::buildProgram(kernels::programByName(name), 10);
-    const std::uint64_t expected = testing::sequentialFingerprint(scop);
-    const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
-    const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
-    auto prog = compileShared(scop, true);
-    for (const Machine& m : machines) {
-      ChannelOptions options;
-      options.numWorkers = m.workers;
-      options.topology = m.topology;
-      ChannelPipeline pipe(prog, options, &comm);
-      crossDomainBytes += pipe.placement().crossDomainBytes;
-      testing::InterpretedKernel kernel(scop);
-      pipe.replay(kernel.executor());
-      EXPECT_EQ(kernel.fingerprint(), expected) << name << " " << m.name;
-      // Streaming under the same machine model.
-      kernel.reset();
-      pipe.replayBatches(3, [&](std::size_t, std::size_t s,
-                                const pb::Tuple& it) {
-        kernel.execute(s, it);
-      });
-    }
-  }
-  EXPECT_GT(crossDomainBytes, 0u);
-}
-
-TEST(ChannelPlacementTest, CrossDomainRingsAreSizedUpByTheCostClass) {
-  // A cross-domain edge of class c > 1 gets a ring ceil(c) times the uma
-  // capacity (to amortize the slower link), so a pipeline whose
-  // placement crosses domains retains strictly more ring storage than
-  // the same placement without a topology. Optimized P5 on two workers
-  // over two near-uniform domains splits at the domain boundary.
-  const scop::Scop scop =
-      kernels::buildProgram(kernels::programByName("P5"), 10);
-  const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
-  const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
-  auto prog = compileShared(scop, true);
-
-  ChannelOptions plain;
-  plain.numWorkers = 2;
-  ChannelPipeline base(prog, plain, &comm);
-
-  ChannelOptions numa = plain;
-  numa.topology = rt::Topology::numa2(2, 1.25);
-  ChannelPipeline topo(prog, numa, &comm);
-
-  ASSERT_GT(topo.placement().crossDomainBytes, 0u);
-  ASSERT_EQ(topo.placement().ownedStages, base.placement().ownedStages);
-  EXPECT_GT(topo.retainedBytes(), base.retainedBytes());
-  // And it still computes the right answer.
-  const std::uint64_t expected = testing::sequentialFingerprint(scop);
-  testing::InterpretedKernel kernel(scop);
-  topo.replay(kernel.executor());
-  EXPECT_EQ(kernel.fingerprint(), expected);
-}
-
-TEST(ChannelPlacementTest, DiagnosticsDependOnlyOnOwnedStagesAndTopology) {
-  // The engine's placement diagnostics must be what its owned stages
-  // cost on the topology it was given, recomputed by testing::priceOn
-  // from the stage edges alone. Unoptimized programs, so every engine
-  // channel is one analyzed pipeline edge. P10 at N=8 on two workers
-  // over two near-uniform domains crosses the boundary, so the domain
-  // pricing is really exercised.
-  struct Case {
-    const char* name;
-    pb::Value n;
-    unsigned workers;
-    rt::Topology topology;
-  };
-  const Case cases[] = {
-      {"P5", 10, 4, rt::Topology::fromSpec("2x-numa", 4)},
-      {"P10", 8, 2, rt::Topology::numa2(2, 1.25)},
-  };
-  bool anyCrossDomain = false;
-  for (const Case& c : cases) {
-    const scop::Scop scop =
-        kernels::buildProgram(kernels::programByName(c.name), c.n);
-    const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
-    const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
-    auto prog = compileShared(scop, false);
-    const codegen::StageLayout layout =
-        codegen::stageLayout(*prog, c.workers);
-    const std::vector<rt::StageEdge> edges =
-        opt::channelStageEdges(*prog, layout, comm);
-    ASSERT_FALSE(edges.empty()) << c.name;
-
-    ChannelOptions options;
-    options.numWorkers = c.workers;
-    options.topology = c.topology;
-    const ChannelPipeline pipe(prog, options, &comm);
-    const rt::Placement& p = pipe.placement();
-    const rt::Placement priced =
-        testing::priceOn(p, layout.stageTasks, edges, c.topology);
-    EXPECT_EQ(p.workerOfStage, priced.workerOfStage) << c.name;
-    EXPECT_EQ(p.domainOfStage, priced.domainOfStage) << c.name;
-    EXPECT_EQ(p.crossDomainBytes, priced.crossDomainBytes) << c.name;
-    EXPECT_DOUBLE_EQ(p.commCost, priced.commCost) << c.name;
-    anyCrossDomain = anyCrossDomain || priced.crossDomainBytes > 0;
-  }
-  EXPECT_TRUE(anyCrossDomain);
-}
-
 // --- Lanes: a source statement's blocks split over worker stages -----------
 
 std::uint64_t reductionOracle(const scop::Scop& scop, std::size_t runs) {
@@ -693,9 +557,7 @@ TEST(ChannelLaneTest, SimulatorStagesMatchTheEngineOnEveryKernel) {
       EXPECT_EQ(sim::simulateChannels(*prog, comm, model, workers).numStages,
                 pipe.numStages())
           << scop.name() << " workers " << workers;
-      EXPECT_EQ(sim::simulateChannels(*prog, comm, model,
-                                      rt::Topology::uma(pipe.numWorkers()),
-                                      pipe.placement())
+      EXPECT_EQ(sim::simulateChannels(*prog, comm, model, pipe.placement())
                     .numStages,
                 pipe.numStages())
           << scop.name() << " workers " << workers;
@@ -705,10 +567,9 @@ TEST(ChannelLaneTest, SimulatorStagesMatchTheEngineOnEveryKernel) {
 
 TEST(ChannelLaneTest, OptimizerOutputIsUnchangedOnTheBenchmarkPrograms) {
   // Lanes live in the stage layout only: opt::optimize must return the
-  // same program, byte for byte, as before lanes existed, with default
-  // options and in placement-aware mode. The FNV-1a hashes of toString()
-  // were recorded from the one-stage-per-statement layout, over every
-  // program the end-to-end benchmark compiles.
+  // same program, byte for byte, as before lanes existed. The FNV-1a
+  // hashes of toString() were recorded from the one-stage-per-statement
+  // layout, over every program the end-to-end benchmark compiles.
   const auto fnv1a = [](const std::string& text) {
     std::uint64_t h = 1469598103934665603ull;
     for (const char c : text)
@@ -802,19 +663,9 @@ TEST(ChannelLaneTest, OptimizerOutputIsUnchangedOnTheBenchmarkPrograms) {
 
   for (const auto& [name, build] : programs) {
     const scop::Scop scop = build();
-    const codegen::TaskProgram lowered = codegen::compilePipeline(scop);
-    codegen::TaskProgram plain = lowered;
-    opt::optimize(plain);
-    EXPECT_EQ(fnv1a(plain.toString()), expected.at(name)) << name;
-
-    const pipeline::CommInfo comm =
-        pipeline::analyzeCommunication(scop, pipeline::detectPipeline(scop));
-    codegen::TaskProgram placed = lowered;
-    opt::OptimizeOptions options;
-    options.comm = &comm;
-    opt::optimize(placed, options);
-    EXPECT_EQ(fnv1a(placed.toString()), expected.at(name))
-        << name << " placement-aware";
+    codegen::TaskProgram prog = codegen::compilePipeline(scop);
+    opt::optimize(prog);
+    EXPECT_EQ(fnv1a(prog.toString()), expected.at(name)) << name;
   }
 }
 

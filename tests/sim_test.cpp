@@ -1,14 +1,10 @@
 #include "sim/simulator.hpp"
 
 #include "codegen/task_program.hpp"
-#include "kernels/suite.hpp"
-#include "opt/optimizer.hpp"
 #include "pipeline/comm.hpp"
 #include "pipeline/detect.hpp"
-#include "runtime/placement.hpp"
-#include "runtime/topology.hpp"
+#include "tasking/channel_backend.hpp"
 #include "testing/fixtures.hpp"
-#include "testing/placement_oracle.hpp"
 
 #include <gtest/gtest.h>
 
@@ -134,31 +130,34 @@ ChannelFixture channelFixture(pb::Value n) {
   return {std::move(scop), std::move(comm), std::move(prog)};
 }
 
+/// The channel engine's own placement of `prog` on `workers` workers. A
+/// pipeline that is never replayed starts no worker thread.
+rt::Placement enginePlacement(const ChannelFixture& f, unsigned workers) {
+  tasking::ChannelOptions options;
+  options.numWorkers = workers;
+  return tasking::ChannelPipeline(f.prog, options, &f.comm).placement();
+}
+
 TEST(TopologySimTest, UmaOneWorkerPerStageMatchesThePlacementFreeModel) {
-  // One worker per stage on a uma topology is exactly the machine the
-  // placement-free overload idealizes: every cross-stage transfer is
-  // cross-worker at class 1.0 and no stages share a worker clock — the
-  // two predictions must agree to the bit.
+  // One worker per stage is exactly the machine the placement-free
+  // overload idealizes: every cross-stage transfer is cross-worker and
+  // no stages share a worker clock — the two predictions must agree to
+  // the bit.
   ChannelFixture f = channelFixture(12);
   CostModel m = uniformModel(4, 1e-6);
   m.channelTokenOverhead = 2e-6;
   m.commCostPerByte = 1e-7;
 
-  const codegen::StageLayout layout = codegen::stageLayout(f.prog, 4);
-  const std::vector<std::size_t>& tasks = layout.stageTasks;
-  const std::vector<rt::StageEdge> edges =
-      opt::channelStageEdges(f.prog, layout, f.comm);
-  const unsigned stages = static_cast<unsigned>(tasks.size());
-  const rt::Topology uma = rt::Topology::uma(stages);
-  const rt::Placement p = rt::placeStages(tasks, stages, edges, uma);
+  const rt::Placement p = enginePlacement(f, 4);
+  ASSERT_EQ(p.ownedStages.size(), 4u);
+  for (const std::vector<std::size_t>& owned : p.ownedStages)
+    ASSERT_EQ(owned.size(), 1u);
 
-  const ChannelSimResult free = simulateChannels(f.prog, f.comm, m);
-  const ChannelSimResult placed =
-      simulateChannels(f.prog, f.comm, m, uma, p);
+  const ChannelSimResult free = simulateChannels(f.prog, f.comm, m, 4);
+  const ChannelSimResult placed = simulateChannels(f.prog, f.comm, m, p);
   EXPECT_DOUBLE_EQ(placed.makespan, free.makespan);
   EXPECT_DOUBLE_EQ(placed.commTime, free.commTime);
   EXPECT_EQ(placed.bytesMoved, free.bytesMoved);
-  EXPECT_EQ(placed.crossDomainBytes, 0u);
 }
 
 TEST(TopologySimTest, SameWorkerEdgesPayNoTransferCost) {
@@ -169,109 +168,13 @@ TEST(TopologySimTest, SameWorkerEdgesPayNoTransferCost) {
   CostModel m = uniformModel(4, 1e-6);
   m.commCostPerByte = 1e-3; // would dominate if anything moved
 
-  const codegen::StageLayout layout = codegen::stageLayout(f.prog, 4);
-  const std::vector<std::size_t>& tasks = layout.stageTasks;
-  const std::vector<rt::StageEdge> edges =
-      opt::channelStageEdges(f.prog, layout, f.comm);
-  const rt::Topology uma = rt::Topology::uma(1);
-  const rt::Placement p = rt::placeStages(tasks, 1, edges, uma);
-
-  const ChannelSimResult r = simulateChannels(f.prog, f.comm, m, uma, p);
+  const ChannelSimResult r =
+      simulateChannels(f.prog, f.comm, m, enginePlacement(f, 1));
   EXPECT_DOUBLE_EQ(r.commTime, 0.0);
-  EXPECT_EQ(r.crossDomainBytes, 0u);
   double serial = 0.0;
   for (const codegen::Task& t : f.prog.tasks)
     serial += static_cast<double>(t.iterations.size()) * 1e-6;
   EXPECT_NEAR(r.makespan, serial, 1e-12);
-}
-
-TEST(TopologySimTest, CrossDomainTrafficIsChargedTheClassCost) {
-  // The same placement priced on uma vs 2x-numa: identical schedule
-  // structure, but every cross-domain token pays the remote class, so
-  // the numa prediction's comm time must be strictly larger and the
-  // cross-domain byte accounting must light up.
-  ChannelFixture f = channelFixture(12);
-  CostModel m = uniformModel(4, 1e-6);
-  m.commCostPerByte = 1e-7;
-
-  const codegen::StageLayout layout = codegen::stageLayout(f.prog, 4);
-  const std::vector<std::size_t>& tasks = layout.stageTasks;
-  const std::vector<rt::StageEdge> edges =
-      opt::channelStageEdges(f.prog, layout, f.comm);
-  const rt::Topology numa = rt::Topology::numa2(4, 8.0);
-  // One stage per worker, forced: the heavy middle edge crosses domains.
-  const rt::Placement onUma =
-      rt::placeStages(tasks, 4, edges, rt::Topology::uma(4));
-  rt::Placement onNuma = onUma;
-  for (std::size_t s = 0; s < onNuma.domainOfStage.size(); ++s)
-    onNuma.domainOfStage[s] =
-        numa.domainOfWorker[onNuma.workerOfStage[s]];
-
-  const ChannelSimResult uma =
-      simulateChannels(f.prog, f.comm, m, rt::Topology::uma(4), onUma);
-  const ChannelSimResult remote =
-      simulateChannels(f.prog, f.comm, m, numa, onNuma);
-  EXPECT_GT(remote.commTime, uma.commTime);
-  EXPECT_GT(remote.crossDomainBytes, 0u);
-  EXPECT_EQ(uma.crossDomainBytes, 0u);
-  EXPECT_EQ(remote.bytesMoved, uma.bytesMoved);
-}
-
-TEST(TopologySimTest, NumaPlacementBeatsTheLoadOnlyCuts) {
-  // The NUMA partitioner checked deterministically in E22's setting (N=10,
-  // optimized programs, 4 workers on 2x-numa with remote class 4). Its
-  // baseline is the load-only cuts — placeStages on uma, the placement
-  // every single-domain machine gets — repriced on the same topology.
-  // The NUMA placement must win three ways: a strictly lower objective,
-  // no byte across the domain boundary where the load-only cuts move
-  // some (800/648/648 bytes for MH/P5/P8 here; E22 recorded 800/651/649
-  // with the engine's ack-only channels counted), and a lower predicted
-  // makespan.
-  constexpr unsigned kWorkers = 4;
-  const rt::Topology numa = rt::Topology::numa2(kWorkers, 4.0);
-  struct Program {
-    const char* name;
-    scop::Scop scop;
-  };
-  const Program programs[] = {
-      {"MH", testing::middleHeavyChain(10)},
-      {"P5", kernels::buildProgram(kernels::programByName("P5"), 10)},
-      {"P8", kernels::buildProgram(kernels::programByName("P8"), 10)},
-  };
-  for (const Program& p : programs) {
-    const pipeline::PipelineInfo info = pipeline::detectPipeline(p.scop);
-    const pipeline::CommInfo comm =
-        pipeline::analyzeCommunication(p.scop, info);
-    codegen::TaskProgram prog = codegen::compilePipeline(p.scop);
-    opt::optimize(prog);
-    const codegen::StageLayout layout = codegen::stageLayout(prog, kWorkers);
-    const std::vector<rt::StageEdge> edges =
-        opt::channelStageEdges(prog, layout, comm);
-
-    const rt::Placement placed =
-        rt::placeStages(layout.stageTasks, kWorkers, edges, numa);
-    const rt::Placement loadOnly = testing::priceOn(
-        rt::placeStages(layout.stageTasks, kWorkers, edges,
-                        rt::Topology::uma(kWorkers)),
-        layout.stageTasks, edges, numa);
-
-    // Both objectives priced the same way, and the partitioner's own
-    // figure is what its cuts cost on the topology.
-    const double objective =
-        testing::priceOn(placed, layout.stageTasks, edges, numa).objective;
-    EXPECT_DOUBLE_EQ(placed.objective, objective) << p.name;
-    EXPECT_LT(objective, loadOnly.objective) << p.name;
-    EXPECT_EQ(placed.crossDomainBytes, 0u) << p.name;
-    EXPECT_GT(loadOnly.crossDomainBytes, 0u) << p.name;
-
-    // Near-free bodies and E22's 2000 ns per remote byte: the comm term
-    // the two placements trade in dominates the prediction.
-    CostModel m = uniformModel(p.scop.numStatements(), 1e-9);
-    m.commCostPerByte = 2e-6;
-    EXPECT_LT(simulateChannels(prog, comm, m, numa, placed).makespan,
-              simulateChannels(prog, comm, m, numa, loadOnly).makespan)
-        << p.name;
-  }
 }
 
 } // namespace

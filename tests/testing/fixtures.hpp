@@ -99,9 +99,8 @@ inline scop::Scop chain(std::size_t nests, pb::Value n) {
 
 /// The chain() shape with one heavy channel edge, the middle one: S2
 /// reads S1's full array, while S1 and S3 read just one element of their
-/// producer. On 2x-numa with four workers the load-only cuts (one stage
-/// per worker) sever the heavy edge at the domain boundary; the NUMA
-/// partitioner keeps S1 and S2 in one domain.
+/// producer, so the channel simulator's transfer cost is dominated by
+/// where the S1 -> S2 edge lands.
 inline scop::Scop middleHeavyChain(pb::Value n) {
   scop::ScopBuilder b("middle_heavy");
   std::vector<std::size_t> arrays;

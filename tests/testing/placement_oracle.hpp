@@ -1,18 +1,11 @@
 #pragma once
 
-// Test-only references for rt::placeStages (runtime/placement.hpp):
-//
-//   * bruteForceOptimum enumerates every contiguous partition of the
-//     stages over min(workers, stage count) non-empty worker ranges and
-//     returns the lexicographic (maxLoad, severed bytes) optimum that the
-//     uniform-topology DP must reach;
-//   * priceOn recomputes, from ownedStages alone, what a placement's
-//     cuts cost on a topology: the domain map, every diagnostic and the
-//     scalarized objective that placeStages minimizes on a non-uniform
-//     topology. It reprices one partitioner's cuts on another machine.
+// Test-only reference for rt::placeStages (runtime/placement.hpp):
+// bruteForceOptimum enumerates every contiguous partition of the stages
+// over min(workers, stage count) non-empty worker ranges and returns the
+// lexicographic (maxLoad, severed bytes) optimum that the DP must reach.
 
 #include "runtime/placement.hpp"
-#include "runtime/topology.hpp"
 
 #include <algorithm>
 #include <cstddef>
@@ -88,48 +81,6 @@ inline CutCost bruteForceOptimum(const std::vector<std::size_t>& stageTasks,
   if (ranges != 0)
     rec(rec);
   return best;
-}
-
-/// `placed`'s cuts priced on `topology` (one slot per ownedStages entry):
-/// workerOfStage, domainOfStage, maxLoad, the cross-worker/-domain bytes,
-/// the class-weighted commCost and the objective
-/// maxLoad + commCost * totalLoad / totalBytes.
-inline rt::Placement priceOn(const rt::Placement& placed,
-                             const std::vector<std::size_t>& stageTasks,
-                             const std::vector<rt::StageEdge>& edges,
-                             const rt::Topology& topology) {
-  rt::Placement p;
-  p.ownedStages = placed.ownedStages;
-  p.workerOfStage.assign(stageTasks.size(), 0);
-  p.domainOfStage.assign(stageTasks.size(), 0);
-  std::uint64_t totalLoad = 0;
-  for (std::size_t w = 0; w < p.ownedStages.size(); ++w) {
-    std::uint64_t load = 0;
-    for (const std::size_t s : p.ownedStages[w]) {
-      p.workerOfStage[s] = w;
-      p.domainOfStage[s] = topology.domainOfWorker.at(w);
-      load += stageTasks[s];
-    }
-    p.maxLoad = std::max(p.maxLoad, load);
-    totalLoad += load;
-  }
-  std::uint64_t totalBytes = 0;
-  for (const rt::StageEdge& e : edges) {
-    totalBytes += e.bytes;
-    if (p.workerOfStage[e.src] == p.workerOfStage[e.tgt])
-      continue;
-    const unsigned da = p.domainOfStage[e.src];
-    const unsigned db = p.domainOfStage[e.tgt];
-    p.crossWorkerBytes += e.bytes;
-    if (da != db)
-      p.crossDomainBytes += e.bytes;
-    p.commCost += static_cast<double>(e.bytes) * topology.costClass(da, db);
-  }
-  const double scale =
-      static_cast<double>(totalLoad) /
-      static_cast<double>(std::max<std::uint64_t>(totalBytes, 1));
-  p.objective = static_cast<double>(p.maxLoad) + p.commCost * scale;
-  return p;
 }
 
 } // namespace pipoly::testing
