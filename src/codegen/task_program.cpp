@@ -267,15 +267,14 @@ StageLayout stageLayout(const TaskProgram& program, unsigned workers) {
     }
   }
   layout.stageOf.assign(numStmts, SIZE_MAX);
-  layout.lanesOf.assign(numStmts, 0);
+  std::vector<std::size_t> lanesOf(numStmts, 0); // per statement, stages
   for (std::size_t s = 0; s < numStmts; ++s) {
     if (tasks[s] == 0)
       continue;
     const bool source = combined[s] && blocks[s] >= 2 && !fed[s];
-    layout.lanesOf[s] =
-        source ? std::min<std::size_t>(blocks[s], workers) : 1;
+    lanesOf[s] = source ? std::min<std::size_t>(blocks[s], workers) : 1;
     layout.stageOf[s] = layout.stmtOf.size();
-    layout.stmtOf.insert(layout.stmtOf.end(), layout.lanesOf[s], s);
+    layout.stmtOf.insert(layout.stmtOf.end(), lanesOf[s], s);
   }
   // Block tasks are dealt round-robin over their statement's lanes in
   // creation order; every other task (a combine) joins the first lane.
@@ -284,7 +283,7 @@ StageLayout stageLayout(const TaskProgram& program, unsigned workers) {
   std::vector<std::size_t> dealt(numStmts, 0);
   for (std::size_t i = 0; i < program.tasks.size(); ++i) {
     const Task& t = program.tasks[i];
-    const std::size_t lanes = layout.lanesOf[t.stmtIdx];
+    const std::size_t lanes = lanesOf[t.stmtIdx];
     const std::size_t lane =
         t.kind == TaskKind::Block ? dealt[t.stmtIdx]++ % lanes : 0;
     const std::size_t stage = layout.stageOf[t.stmtIdx] + lane;

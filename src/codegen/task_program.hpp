@@ -212,7 +212,6 @@ statementReadership(const TaskProgram& program);
 struct StageLayout {
   std::vector<std::size_t> stageOf;    // per statement, its first stage;
                                        // SIZE_MAX if it owns no task
-  std::vector<std::size_t> lanesOf;    // per statement, its stage count
   std::vector<std::size_t> stmtOf;     // per stage, the statement
   std::vector<std::size_t> stageTasks; // per stage, task count
   /// Per task: (stage, stage-local position).

@@ -23,14 +23,36 @@ constexpr std::uint32_t kMinCapacitySlots = 2;
 /// identity over its rectangle, and c_d >= 1 makes the read injective —
 /// so the distinct shared elements are exactly the readers rectangle's
 /// points (no set is materialized).
-std::uint64_t separableVolume(const SeparablePairShape& shape) {
-  const std::optional<std::vector<pb::DimBounds>> box = readersBox(shape);
-  if (!box)
-    return 0;
+std::uint64_t separableVolume(const std::vector<pb::DimBounds>& box) {
   std::uint64_t total = 1;
-  for (const pb::DimBounds& b : *box)
+  for (const pb::DimBounds& b : box)
     total *= static_cast<std::uint64_t>(b.upper - b.lower + 1);
   return total;
+}
+
+/// addBlockElements for a separable pair, in closed form: producer block
+/// p owns the source rows [starts[p], starts[p + 1]) of its rectangle and
+/// feeds the consumed elements among them, the difference of two
+/// consumedBefore counts (all `elements` lie before the end).
+void addSeparableBlockElements(const SeparablePairShape& shape,
+                               const std::vector<pb::DimBounds>& box,
+                               std::uint64_t elements,
+                               const pb::IntTupleSet& domain,
+                               const std::vector<std::uint32_t>& starts,
+                               std::vector<std::uint64_t>& blockElems) {
+  const std::size_t depth = domain.arity();
+  const pb::Value* rows = domain.rowData().data();
+  const auto before = [&](std::uint32_t row) {
+    return row < domain.size()
+               ? consumedBefore(shape, box, rows + std::size_t{row} * depth)
+               : elements;
+  };
+  std::uint64_t prev = before(starts.front());
+  for (std::size_t p = 0; p < blockElems.size(); ++p) {
+    const std::uint64_t next = before(starts[p + 1]);
+    blockElems[p] += next - prev;
+    prev = next;
+  }
 }
 
 /// Adds to blockElems[p] the distinct elements of `rdRange` that the
@@ -71,6 +93,49 @@ void addBlockElements(const pb::IntMap& wr, const pb::IntTupleSet& rdRange,
     ++blockElems[static_cast<std::size_t>(kept[i])];
 }
 
+/// The consumed elements of one shared array whose source writes are all
+/// the identity: element e is the output of source iteration e, so each
+/// element the target reads marks one row of the source's sorted domain.
+/// The target's reads are evaluated point by point, building no relation.
+/// Returns the number of marked rows.
+std::uint64_t markReadRows(const scop::Scop& scop, std::size_t src,
+                           std::size_t tgt, std::size_t arrayId,
+                           std::vector<char>& marked) {
+  const pb::IntTupleSet& domain = scop.statement(src).domain();
+  const std::size_t depth = domain.arity(), n = domain.size();
+  const pb::Value* rows = domain.rowData().data();
+  marked.assign(n, 0);
+  std::uint64_t count = 0;
+  for (const scop::Access& r : scop.statement(tgt).reads()) {
+    if (r.arrayId != arrayId)
+      continue;
+    // Consecutive elements mostly ascend, so the search gallops on from
+    // the previous hit and starts over only when an element goes back.
+    std::size_t k = 0;
+    scop.forEachAccessPoint(
+        tgt, r, [&](const pb::Value*, const pb::Value* elem) {
+          if (k == n || pb::rows::less(elem, rows + k * depth, depth))
+            k = 0;
+          k = pb::rows::gallopLowerBound(rows, n, depth, k, elem, depth);
+          if (k < n && marked[k] == 0 &&
+              pb::rows::equal(rows + k * depth, elem, depth)) {
+            marked[k] = 1;
+            ++count;
+          }
+        });
+  }
+  return count;
+}
+
+/// Adds to blockElems[p] the marked rows in [starts[p], starts[p + 1]).
+void addMarkedBlockElements(const std::vector<char>& marked,
+                            const std::vector<std::uint32_t>& starts,
+                            std::vector<std::uint64_t>& blockElems) {
+  for (std::size_t p = 0; p < blockElems.size(); ++p)
+    for (std::uint32_t k = starts[p]; k < starts[p + 1]; ++k)
+      blockElems[p] += static_cast<std::uint64_t>(marked[k]);
+}
+
 /// Tokens (producer blocks, by ordinal) each consumer block needs before
 /// it may run, from the eq.-4 map's rows (target rep, source rep): the
 /// highest required source ordinal + 1, or 0 without a requirement.
@@ -100,8 +165,13 @@ std::vector<std::uint64_t> requirementTokens(const pb::IntMap& req,
 /// lockstep occupancy simulation runs.
 struct EdgeWork {
   EdgeComm comm;
-  /// The shared arrays' write relations and read ranges, held from the
-  /// volume pass to the per-block pass.
+  /// What the per-block pass reads, held from the volume pass: for a
+  /// parametric edge its shape and readers box (unset when no read hits
+  /// a written element); otherwise, per shared array, the source rows the
+  /// target reads (identity writes) or the write relation and read range.
+  SeparablePairShape shape;
+  std::optional<std::vector<pb::DimBounds>> readers;
+  std::vector<std::vector<char>> readRows;
   std::vector<const pb::IntMap*> wrRels; // into the call's relation table
   std::vector<pb::IntTupleSet> rdRanges;
   /// Tokens (producer blocks, by ordinal) consumer block k needs before
@@ -129,8 +199,10 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
   // Detection's relations, plus whatever volumes need that it never built.
   const scop::AccessRelations relations(scop, info.relations);
 
-  // Per-edge volumes: the separable closed form when the pair qualifies,
-  // otherwise the explicit range intersection per shared array.
+  // Per-edge volumes: the separable closed form when the pair qualifies;
+  // otherwise, per shared array, the marked source rows of an identity
+  // write or the explicit range intersection. Only the last builds
+  // relations.
   {
     trace::Span phase("comm.volume");
     for (std::size_t m = 0; m < info.maps.size(); ++m) {
@@ -140,20 +212,31 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
       w.comm.srcIdx = src;
       w.comm.tgtIdx = tgt;
       w.comm.mapIdx = m;
-      const SeparablePairShape shape = classifySeparablePair(scop, src, tgt);
-      w.comm.parametric = shape.ok() && !shape.vacuous;
-      if (w.comm.parametric)
-        w.comm.elements = separableVolume(shape);
-      // The per-array relations are needed for the per-block pass anyway.
-      for (const std::size_t a : scop.arraysWrittenBy(src)) {
-        pb::IntTupleSet rdRange = relations.read(tgt, a).range();
-        if (rdRange.empty())
-          continue; // the target reads nothing of it
-        const pb::IntMap& wr = relations.write(src, a);
-        if (!w.comm.parametric)
+      w.shape = classifySeparablePair(scop, src, tgt);
+      w.comm.parametric = w.shape.ok() && !w.shape.vacuous;
+      if (w.comm.parametric) {
+        w.readers = readersBox(w.shape);
+        if (w.readers)
+          w.comm.elements = separableVolume(*w.readers);
+      } else {
+        for (const std::size_t a : scop.arraysWrittenBy(src)) {
+          if (writesIdentity(scop, src, a)) {
+            std::vector<char> marked;
+            if (const std::uint64_t n = markReadRows(scop, src, tgt, a, marked)) {
+              w.comm.elements += n;
+              w.readRows.push_back(std::move(marked));
+            }
+            continue;
+          }
+          // The relations are needed for the per-block pass too.
+          pb::IntTupleSet rdRange = relations.read(tgt, a).range();
+          if (rdRange.empty())
+            continue; // the target reads nothing of it
+          const pb::IntMap& wr = relations.write(src, a);
           w.comm.elements += wr.range().intersect(rdRange).size();
-        w.wrRels.push_back(&wr);
-        w.rdRanges.push_back(std::move(rdRange));
+          w.wrRels.push_back(&wr);
+          w.rdRanges.push_back(std::move(rdRange));
+        }
       }
       w.comm.totalBytes = w.comm.elements * kElementBytes;
     }
@@ -168,9 +251,18 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
     for (EdgeWork& w : work) {
       const StatementPipelineInfo& srcInfo = info.statements[w.comm.srcIdx];
       std::vector<std::uint64_t> blockElems(srcInfo.blockReps.size(), 0);
+      PIPOLY_CHECK_MSG(srcInfo.blockStarts.size() == blockElems.size() + 1,
+                       "block starts do not match the block representatives");
+      if (w.readers)
+        addSeparableBlockElements(w.shape, *w.readers, w.comm.elements,
+                                  scop.statement(w.comm.srcIdx).domain(),
+                                  srcInfo.blockStarts, blockElems);
+      for (const std::vector<char>& marked : w.readRows)
+        addMarkedBlockElements(marked, srcInfo.blockStarts, blockElems);
       for (std::size_t ai = 0; ai < w.wrRels.size(); ++ai)
         addBlockElements(*w.wrRels[ai], w.rdRanges[ai], srcInfo.blockReps,
                          blockElems);
+      w.readRows.clear();
       w.wrRels.clear();
       w.rdRanges.clear();
       w.prefixBytes.assign(blockElems.size() + 1, 0);
@@ -249,6 +341,8 @@ CommInfo analyzeCommunication(const scop::Scop& scop,
     }
   }
 
+  trace::counter("comm.relations_built",
+                 static_cast<double>(relations.relationsBuilt()));
   result.edges.reserve(work.size());
   for (EdgeWork& w : work) {
     w.comm.peakInFlightTokens = w.peakTokens;

@@ -17,14 +17,15 @@
 //     size such that the steady-state skew of the blocking maps never
 //     blocks that legal schedule.
 //
-// Separable pairs (symbolic.hpp's closed-form shape) get a parametric
-// volume fast path: the element count is the size of the pair's readers
-// box (symbolic.hpp), no set intersection materialized.
-// They still build the per-array write relations and read ranges for the
-// per-block pass, which is a sorted sweep for every edge: one pass over
-// each write relation's rows, blocks found through Σ's rows, one sort of
-// the (block, element) rows. The requirement tokens come from one walk
-// over the eq.-4 map's rows.
+// Separable pairs (symbolic.hpp's closed-form shape) build no relation:
+// the element count is the size of the pair's readers box, and each
+// producer block's share is the readers lattice counted over the block's
+// row interval (consumedBefore). An array the producer writes through
+// the identity builds none either: the consumer's reads, evaluated point
+// by point, mark the source rows they hit. Any other array takes a
+// sorted sweep: one pass over the write relation's rows, blocks found
+// through Σ's rows, one sort of the (block, element) rows. The
+// requirement tokens come from one walk over the eq.-4 map's rows.
 //
 // The result feeds the channel tasking backend (ring capacities), the
 // simulator's communication cost model, the JSON/DOT exports and the

@@ -94,14 +94,19 @@ PairResult computePair(const scop::AccessRelations& rel, std::size_t s,
     r.route = PairRoute::Parametric;
   } else {
     r.fallback = shape.fallback;
-    if (!scop::dependsOn(rel, t, s))
-      return r; // route stays Independent
-    // The symbolic fast path covers identity-write sources (most
-    // kernels); the explicit Wr^-1(Rd) composition is the general case.
+    // The symbolic fast path covers identity-write sources (most kernels)
+    // and is their dependence test too: with identity writes its map is
+    // empty exactly when no target iteration reads a written element, so
+    // no access relation is built. Every other pair takes the dependence
+    // test and the explicit Wr^-1(Rd) composition, the general case.
     if (std::optional<pb::IntMap> fast = trySymbolicPipelineMap(scop, s, t)) {
+      if (fast->empty())
+        return r; // route stays Independent
       tMap = std::move(*fast);
       r.route = PairRoute::Symbolic;
     } else {
+      if (!scop::dependsOn(rel, t, s))
+        return r; // route stays Independent
       tMap = pipelineMap(rel, s, t, options.allowNonInjectiveWrites);
       r.route = PairRoute::Explicit;
     }
@@ -450,6 +455,8 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
     }
   }
 
+  trace::counter("detect.relations_built",
+                 static_cast<double>(relations.relationsBuilt()));
   info.relations = std::move(relations).release();
   return info;
 }

@@ -17,9 +17,10 @@
 //
 // Every candidate pair takes one route ladder: a pair of symbolic.hpp's
 // separable shape gets its map in closed form; any other pair falls back,
-// on its own, to the dependence test and then the per-point symbolic fast
-// path or the explicit Wr^-1(Rd) composition. DetectStats records which
-// rung handled each pair.
+// on its own, to the per-point symbolic fast path (identity writes; an
+// empty map means no dependence) or else to the dependence test and the
+// explicit Wr^-1(Rd) composition. DetectStats records which rung handled
+// each pair.
 
 #include "pipeline/blocking.hpp"
 #include "pipeline/pipeline_map.hpp"

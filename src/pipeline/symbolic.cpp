@@ -45,9 +45,17 @@ pb::Tuple evalAtAuxCorner(const scop::Access& r, const pb::Tuple& j) {
 
 } // namespace
 
+bool writesIdentity(const scop::Scop& scop, std::size_t stmtIdx,
+                    std::size_t arrayId) {
+  const scop::Statement& stmt = scop.statement(stmtIdx);
+  for (const scop::Access& w : stmt.writes())
+    if (w.arrayId == arrayId && !isIdentityWrite(stmt, w))
+      return false;
+  return true;
+}
+
 bool symbolicPipelineApplies(const scop::Scop& scop, std::size_t srcIdx,
                              std::size_t tgtIdx) {
-  const scop::Statement& src = scop.statement(srcIdx);
   const scop::Statement& tgt = scop.statement(tgtIdx);
   for (std::size_t arrayId : scop.arraysWrittenBy(srcIdx)) {
     bool read = false;
@@ -55,9 +63,8 @@ bool symbolicPipelineApplies(const scop::Scop& scop, std::size_t srcIdx,
       read = read || r.arrayId == arrayId;
     if (!read)
       continue;
-    for (const scop::Access& w : src.writes())
-      if (w.arrayId == arrayId && !isIdentityWrite(src, w))
-        return false;
+    if (!writesIdentity(scop, srcIdx, arrayId))
+      return false;
     for (const scop::Access& r : tgt.reads())
       if (r.arrayId == arrayId && !auxMonotone(r, tgt.depth()))
         return false;
@@ -74,11 +81,13 @@ std::optional<pb::IntMap> trySymbolicPipelineMap(const scop::Scop& scop,
   const scop::Statement& tgt = scop.statement(tgtIdx);
   const pb::IntTupleSet& srcDomain = src.domain();
 
-  // The reads that touch arrays written (identically) by the source.
+  // The reads that touch arrays written (identically) by the source; a
+  // read over an empty aux rectangle touches nothing.
   std::vector<const scop::Access*> reads;
   for (std::size_t arrayId : scop.arraysWrittenBy(srcIdx))
     for (const scop::Access& r : tgt.reads())
-      if (r.arrayId == arrayId)
+      if (r.arrayId == arrayId &&
+          std::ranges::all_of(r.auxExtents, [](pb::Value e) { return e > 0; }))
         reads.push_back(&r);
   if (reads.empty())
     return pb::IntMap(src.space(), tgt.space());
@@ -201,11 +210,10 @@ SeparablePairShape classifySeparablePair(const scop::Scop& scop,
     shape.fallback = ParametricFallback::MultipleReads;
     return shape;
   }
-  for (const scop::Access& w : src.writes())
-    if (w.arrayId == sharedArrayId && !isIdentityWrite(src, w)) {
-      shape.fallback = ParametricFallback::NonIdentityWrite;
-      return shape;
-    }
+  if (!writesIdentity(scop, srcIdx, sharedArrayId)) {
+    shape.fallback = ParametricFallback::NonIdentityWrite;
+    return shape;
+  }
   if (read->numAuxDims() != 0) {
     shape.fallback = ParametricFallback::AuxRead;
     return shape;
@@ -266,6 +274,32 @@ readersBox(const SeparablePairShape& shape) {
       return std::nullopt; // no read hits the written region
   }
   return box;
+}
+
+std::uint64_t consumedBefore(const SeparablePairShape& shape,
+                             const std::vector<pb::DimBounds>& box,
+                             const pb::Value* point) {
+  PIPOLY_CHECK(shape.ok() && !shape.vacuous);
+  const std::size_t n = box.size();
+  // Points agreeing with `point` before dimension d and smaller at d,
+  // summed over d; the walk stops at the first dimension where `point`
+  // leaves the lattice, since no point of it agrees there.
+  std::uint64_t below = 0, tail = 1;
+  for (std::size_t d = n; d-- > 0;)
+    tail *= static_cast<std::uint64_t>(box[d].upper - box[d].lower + 1);
+  for (std::size_t d = 0; d < n; ++d) {
+    const pb::Value c = shape.coeffs[d], o = shape.offsets[d];
+    const pb::Value size = box[d].upper - box[d].lower + 1;
+    tail /= static_cast<std::uint64_t>(size);
+    // j in the box with c*j + o < point[d]: j < ceil((point[d] - o) / c).
+    const pb::Value less =
+        std::clamp<pb::Value>(ceilDiv(point[d] - o, c) - box[d].lower, 0, size);
+    below += static_cast<std::uint64_t>(less) * tail;
+    const pb::Value j = floorDiv(point[d] - o, c);
+    if (c * j + o != point[d] || j < box[d].lower || j > box[d].upper)
+      break;
+  }
+  return below;
 }
 
 pb::IntMap separablePipelineMap(const scop::Scop& scop, std::size_t srcIdx,

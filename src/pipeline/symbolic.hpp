@@ -18,6 +18,7 @@
 #include "presburger/map.hpp"
 #include "scop/scop.hpp"
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -28,6 +29,11 @@ namespace pipoly::pipeline {
 std::optional<pb::IntMap> trySymbolicPipelineMap(const scop::Scop& scop,
                                                  std::size_t srcIdx,
                                                  std::size_t tgtIdx);
+
+/// True when every write of `arrayId` by statement `stmtIdx` is the
+/// identity access A[i0][i1]..., so element e is written by iteration e.
+bool writesIdentity(const scop::Scop& scop, std::size_t stmtIdx,
+                    std::size_t arrayId);
 
 /// True when the source/target pair satisfies the fast-path conditions.
 bool symbolicPipelineApplies(const scop::Scop& scop, std::size_t srcIdx,
@@ -90,6 +96,17 @@ SeparablePairShape classifySeparablePair(const scop::Scop& scop,
 /// hits a written element. nullopt when R is empty (no dependence).
 std::optional<std::vector<pb::DimBounds>>
 readersBox(const SeparablePairShape& shape);
+
+/// How many consumed elements of an accepted, non-vacuous shape lie
+/// lexicographically before `point` (a source iteration: srcBox's arity
+/// values). The consumed elements are the lattice box { c⊙j+o : j in box }
+/// over the readers box `box`; the count takes O(depth), no point of it
+/// is enumerated. With identity writes element e is produced by source
+/// iteration e, so the difference of two counts is what a run of source
+/// iterations feeds the target.
+std::uint64_t consumedBefore(const SeparablePairShape& shape,
+                             const std::vector<pb::DimBounds>& box,
+                             const pb::Value* point);
 
 /// The closed-form pipeline map for an accepted shape. Empty when the
 /// pair has no dependence (the readers rectangle R is empty) — exactly

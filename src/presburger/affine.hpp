@@ -51,6 +51,10 @@ public:
 
   Value evaluate(const Tuple& point) const {
     PIPOLY_ASSERT(point.size() == coeffs_.size());
+    return evaluate(point.data());
+  }
+  /// The value at the point held in numDims() consecutive values.
+  Value evaluate(const Value* point) const {
     Value acc = constant_;
     for (std::size_t i = 0; i < coeffs_.size(); ++i)
       acc += coeffs_[i] * point[i];
@@ -138,11 +142,15 @@ public:
 
   Tuple evaluate(const Tuple& point) const {
     PIPOLY_ASSERT(point.size() == numInputs_);
-    std::vector<Value> out;
-    out.reserve(outputs_.size());
-    for (const AffineExpr& e : outputs_)
-      out.push_back(e.evaluate(point));
-    return Tuple(std::move(out));
+    Tuple out = Tuple::zeros(outputs_.size());
+    evaluate(point.data(), out.data());
+    return out;
+  }
+  /// Row form: reads numInputs() values at `point` and writes the
+  /// numOutputs() results to `out`, allocating nothing.
+  void evaluate(const Value* point, Value* out) const {
+    for (std::size_t k = 0; k < outputs_.size(); ++k)
+      out[k] = outputs_[k].evaluate(point);
   }
 
   friend bool operator==(const AffineMap&, const AffineMap&) = default;

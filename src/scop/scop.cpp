@@ -62,8 +62,7 @@ std::uint64_t reductionIdentity(ReductionOp op) {
   return 0;
 }
 
-pb::IntMap Scop::accessRelation(std::size_t stmtIdx,
-                                const Access& access) const {
+void Scop::checkAccessShape(std::size_t stmtIdx, const Access& access) const {
   const Statement& stmt = statement(stmtIdx);
   const Array& arr = array(access.arrayId);
   PIPOLY_CHECK_MSG(access.subscripts.numOutputs() == arr.rank(),
@@ -71,34 +70,33 @@ pb::IntMap Scop::accessRelation(std::size_t stmtIdx,
   PIPOLY_CHECK_MSG(access.subscripts.numInputs() ==
                        stmt.depth() + access.numAuxDims(),
                    "subscript function arity mismatch for " + stmt.name());
+}
 
-  // Auxiliary dimensions range over a rectangle; enumerate it once.
-  std::vector<pb::Tuple> auxPoints;
-  if (access.numAuxDims() == 0)
-    auxPoints.push_back(pb::Tuple{});
-  else
-    for (pb::TupleView aux : pb::IntTupleSet::rectangle(
-                                 pb::Space("aux", access.numAuxDims()),
-                                 access.auxExtents)
-                                 .points())
-      auxPoints.emplace_back(aux);
+void Scop::checkInBounds(std::size_t stmtIdx, const Access& access,
+                         const pb::Value* iteration,
+                         const pb::Value* subs) const {
+  const Statement& stmt = statement(stmtIdx);
+  const Array& arr = array(access.arrayId);
+  for (std::size_t d = 0; d < arr.rank(); ++d)
+    PIPOLY_CHECK_MSG(subs[d] >= 0 && subs[d] < arr.shape[d],
+                     "access out of bounds: " + stmt.name() +
+                         pb::Tuple(iteration, stmt.depth()).toString() +
+                         " -> " + arr.name +
+                         pb::Tuple(subs, arr.rank()).toString());
+}
 
+pb::IntMap Scop::accessRelation(std::size_t stmtIdx,
+                                const Access& access) const {
+  const Statement& stmt = statement(stmtIdx);
+  const Array& arr = array(access.arrayId);
   const std::size_t depth = stmt.depth(), rank = arr.rank();
   pb::RowBuffer rows;
-  rows.reserve(stmt.domain().size() * auxPoints.size() * (depth + rank));
-  for (pb::TupleView itv : stmt.domain().points()) {
-    const pb::Tuple it(itv);
-    for (const pb::Tuple& aux : auxPoints) {
-      pb::Tuple subs = access.subscripts.evaluate(concat(it, aux));
-      for (std::size_t d = 0; d < rank; ++d)
-        PIPOLY_CHECK_MSG(subs[d] >= 0 && subs[d] < arr.shape[d],
-                         "access out of bounds: " + stmt.name() +
-                             it.toString() + " -> " + arr.name +
-                             subs.toString());
-      pb::rows::append(rows, it.data(), depth);
-      pb::rows::append(rows, subs.data(), rank);
-    }
-  }
+  rows.reserve(stmt.domain().size() * access.numAuxPoints() * (depth + rank));
+  forEachAccessPoint(stmtIdx, access,
+                     [&](const pb::Value* it, const pb::Value* elem) {
+                       pb::rows::append(rows, it, depth);
+                       pb::rows::append(rows, elem, rank);
+                     });
   // Domain iteration is in order; with a single aux point the rows come
   // out sorted and fromRows skips the sort after one linear check.
   return pb::IntMap::fromRows(stmt.space(), arr.space(), std::move(rows));
@@ -162,8 +160,10 @@ const pb::IntMap& AccessRelations::write(std::size_t stmtIdx,
   if (base_ != nullptr && base_->writes[k])
     return *base_->writes[k];
   std::optional<pb::IntMap>& rel = built_.writes[k];
-  if (!rel)
+  if (!rel) {
     rel = scop_.writeRelation(stmtIdx, arrayId);
+    ++relationsBuilt_;
+  }
   return *rel;
 }
 
@@ -173,8 +173,10 @@ const pb::IntMap& AccessRelations::read(std::size_t stmtIdx,
   if (base_ != nullptr && base_->reads[k])
     return *base_->reads[k];
   std::optional<pb::IntMap>& rel = built_.reads[k];
-  if (!rel)
+  if (!rel) {
     rel = scop_.readRelation(stmtIdx, arrayId);
+    ++relationsBuilt_;
+  }
   return *rel;
 }
 

@@ -11,6 +11,8 @@
 #include "presburger/polyhedron.hpp"
 #include "presburger/set.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -41,6 +43,14 @@ struct Access {
   std::vector<pb::Value> auxExtents;
 
   std::size_t numAuxDims() const { return auxExtents.size(); }
+  /// Points of the aux rectangle [0, auxExtents): 1 without aux dims, 0
+  /// when an extent is not positive (the access then touches nothing).
+  std::size_t numAuxPoints() const {
+    std::size_t n = 1;
+    for (pb::Value e : auxExtents)
+      n *= e > 0 ? static_cast<std::size_t>(e) : 0;
+    return n;
+  }
 };
 
 /// The declared combination operator of a reduction statement
@@ -110,6 +120,15 @@ public:
   /// { stmt iteration -> array element }.
   pb::IntMap accessRelation(std::size_t stmtIdx, const Access& access) const;
 
+  /// Calls fn(iteration, element) for every point of one access — the
+  /// statement's domain in order, each iteration with its aux points in
+  /// lexicographic order — both given as pointers to rows of values
+  /// (depth, resp. rank, of them) valid during the call. Throws on an
+  /// element outside the array. Allocates nothing per point.
+  template <class Fn>
+  void forEachAccessPoint(std::size_t stmtIdx, const Access& access,
+                          Fn&& fn) const;
+
   /// Union of all write (resp. read) access relations of a statement into
   /// one array.
   pb::IntMap writeRelation(std::size_t stmtIdx, std::size_t arrayId) const;
@@ -122,10 +141,49 @@ public:
   std::string toString() const;
 
 private:
+  /// forEachAccessPoint's checks: the subscript arity, and (out of line,
+  /// for an element that left the array) the bounds, which throws.
+  void checkAccessShape(std::size_t stmtIdx, const Access& access) const;
+  void checkInBounds(std::size_t stmtIdx, const Access& access,
+                     const pb::Value* iteration, const pb::Value* subs) const;
+
   std::string name_;
   std::vector<Array> arrays_;
   std::vector<Statement> statements_;
 };
+
+template <class Fn>
+void Scop::forEachAccessPoint(std::size_t stmtIdx, const Access& access,
+                              Fn&& fn) const {
+  checkAccessShape(stmtIdx, access);
+  const pb::IntTupleSet& domain = statement(stmtIdx).domain();
+  const std::vector<pb::Value>& shape = array(access.arrayId).shape;
+  const std::size_t depth = domain.arity(), rank = shape.size();
+  const std::size_t auxPoints = access.numAuxPoints();
+  if (auxPoints == 0)
+    return;
+  // One (iteration, aux) input row and one element row, reused for every
+  // point: the subscripts are evaluated in place.
+  std::vector<pb::Value> in(depth + access.numAuxDims()), elem(rank);
+  const pb::Value* it = domain.rowData().data();
+  for (std::size_t r = 0; r < domain.size(); ++r, it += depth) {
+    std::copy_n(it, depth, in.begin());
+    std::fill(in.begin() + static_cast<std::ptrdiff_t>(depth), in.end(), 0);
+    for (std::size_t a = 0; a < auxPoints; ++a) {
+      access.subscripts.evaluate(in.data(), elem.data());
+      for (std::size_t d = 0; d < rank; ++d)
+        if (elem[d] < 0 || elem[d] >= shape[d])
+          checkInBounds(stmtIdx, access, it, elem.data());
+      fn(it, static_cast<const pb::Value*>(elem.data()));
+      // The next aux point in lexicographic order.
+      for (std::size_t d = in.size(); d-- > depth;) {
+        if (++in[d] < access.auxExtents[d - depth])
+          break;
+        in[d] = 0;
+      }
+    }
+  }
+}
 
 /// The write and read relations one AccessRelations table built, per
 /// (statement, array), statement-major; an unbuilt pair is empty. It
@@ -155,6 +213,10 @@ public:
   const pb::IntMap& write(std::size_t stmtIdx, std::size_t arrayId) const;
   const pb::IntMap& read(std::size_t stmtIdx, std::size_t arrayId) const;
 
+  /// How many relations this table has built so far (lookups that `base`
+  /// or an earlier lookup answered build none).
+  std::size_t relationsBuilt() const { return relationsBuilt_; }
+
   /// Hands the relations this table built over as an immutable value,
   /// consuming the table. Only a table without a base may be released.
   std::shared_ptr<const BuiltRelations> release() &&;
@@ -166,6 +228,7 @@ private:
   const Scop& scop_;
   std::shared_ptr<const BuiltRelations> base_;
   mutable BuiltRelations built_; // filled lazily
+  mutable std::size_t relationsBuilt_ = 0;
 };
 
 } // namespace pipoly::scop

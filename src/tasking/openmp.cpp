@@ -4,6 +4,7 @@
 #include "support/hash.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -19,7 +20,10 @@ namespace {
 /// OpenMP backend following Fig. 8: a global dependency array provides the
 /// addresses for the depend clauses; in-dependencies use the iterator
 /// modifier so a task can wait on a variable number of slots; the input is
-/// malloc'ed, memcpy'ed and freed inside the task.
+/// malloc'ed, memcpy'ed and freed inside the task. A small input (up to
+/// 32 bytes) is a firstprivate copy instead, and the in-dependency
+/// addresses sit in a stack array, so creating a task does no heap work
+/// unless its in-dependencies overflow that array.
 ///
 /// The paper addresses dependArr as [writeNum*outDepend + outIdx], which
 /// works when block tags are small and dense. Our linearised tags are
@@ -50,10 +54,19 @@ public:
     PIPOLY_CHECK_MSG(inRegion_, "createTask outside of run()");
 
     char* outAddr = slotAddress(outIdx, outDepend);
-    std::vector<char*> inAddrs;
-    inAddrs.reserve(dependNum + 1);
+    // The in-dependency addresses, plus room for the funcCount chain
+    // slot: a fixed stack array, and a heap vector only for a task with
+    // more in-dependencies than it holds.
+    char* stackIn[kStackInDeps];
+    std::vector<char*> heapIn;
+    char** inArr = stackIn;
+    if (dependNum + 1 > kStackInDeps) {
+      heapIn.resize(dependNum + 1);
+      inArr = heapIn.data();
+    }
+    std::size_t numIn = 0;
     for (std::size_t k = 0; k < dependNum; ++k)
-      inAddrs.push_back(slotAddress(inIdx[k], inDepend[k]));
+      inArr[numIn++] = slotAddress(inIdx[k], inDepend[k]);
 
     // Fig. 8's funcCount protocol: tasks sharing a function pointer are
     // chained through per-function slots — the paper's way of keeping the
@@ -63,26 +76,31 @@ public:
     if (funcCountOrdering_) {
       std::size_t count = funcCount_[f]++;
       if (count > 0)
-        inAddrs.push_back(funcSlotAddress(f, count - 1));
+        inArr[numIn++] = funcSlotAddress(f, count - 1);
       funcOutAddr = funcSlotAddress(f, count);
     }
 
     // Fig. 8: copy the task input; the task frees it after running.
+    // An input of at most kInlineInputBytes (the executor's launch
+    // record) travels instead inside the task's own firstprivate data,
+    // which OpenMP copies at creation, so it costs no heap work.
     // malloc(0) may legally return nullptr and memcpy from/to null is UB
     // even for zero bytes, so a zero-size input (null `input` allowed)
-    // skips the allocation entirely — the body sees a null pointer and
+    // is not copied at all — the body sees a null pointer and
     // free(nullptr) is a no-op.
     PIPOLY_CHECK_MSG(input != nullptr || inputSize == 0,
                      "null task input with non-zero size");
-    void* inputCopy = nullptr;
-    if (inputSize > 0) {
-      inputCopy = std::malloc(inputSize);
-      PIPOLY_CHECK(inputCopy != nullptr);
-      std::memcpy(inputCopy, input, inputSize);
+    InlineInput small{};
+    void* heapCopy = nullptr;
+    if (inputSize > kInlineInputBytes) {
+      heapCopy = std::malloc(inputSize);
+      PIPOLY_CHECK(heapCopy != nullptr);
+      std::memcpy(heapCopy, input, inputSize);
+    } else if (inputSize > 0) {
+      std::memcpy(small.bytes, input, inputSize);
     }
+    const bool inlineInput = inputSize > 0 && heapCopy == nullptr;
 
-    char** inArr = inAddrs.data();
-    const std::size_t numIn = inAddrs.size();
     char* outArr[2] = {outAddr, funcOutAddr ? funcOutAddr : outAddr};
     const std::size_t numOut = funcOutAddr ? 2 : 1;
     // References inside depend clauses are invisible to -Wunused.
@@ -90,12 +108,12 @@ public:
     (void)outArr;
 // The depend lists are evaluated at task-creation time, so the local
 // arrays are safe to use inside the clauses.
-#pragma omp task firstprivate(f, inputCopy)                                   \
+#pragma omp task firstprivate(f, heapCopy, small, inlineInput)                \
     depend(iterator(k = 0 : numIn), in : inArr[k][0])                         \
     depend(iterator(k = 0 : numOut), out : outArr[k][0])
     {
-      f(inputCopy);
-      std::free(inputCopy);
+      f(inlineInput ? static_cast<void*>(small.bytes) : heapCopy);
+      std::free(heapCopy);
     }
   }
 
@@ -158,6 +176,14 @@ public:
   }
 
 private:
+  /// In-dependency addresses createTask keeps on its stack.
+  static constexpr std::size_t kStackInDeps = 8;
+  /// Inputs up to this size are copied into the task, not onto the heap.
+  static constexpr std::size_t kInlineInputBytes = 32;
+  struct InlineInput {
+    alignas(std::max_align_t) unsigned char bytes[kInlineInputBytes];
+  };
+
   char* slotAddress(int idx, std::int64_t tag) {
     // Dense fast path: interned tags index the preallocated dependency
     // array directly (no growth, so the addresses are stable); under the

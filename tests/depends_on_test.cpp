@@ -1,13 +1,16 @@
 // Property tests for the dependence test scop::dependsOn, which answers
 // cross-nest queries without building the flow relation: on the kernel
 // suites and on random programs whose reads often miss the written
-// elements, its verdict must equal whether the flow relation is empty.
+// elements, its verdict must equal whether the flow relation is empty,
+// and so must the emptiness of every map the symbolic pipeline map
+// returns (detection uses it as the dependence test of those pairs).
 // The suite name ParamFuzz is kept so the test ids stay stable.
 
 #include "kernels/chains.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
+#include "pipeline/symbolic.hpp"
 #include "scop/builder.hpp"
 #include "scop/dependences.hpp"
 #include "support/rng.hpp"
@@ -16,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +34,8 @@ struct DependenceCensus {
   /// Independent although the source writes an array the target reads:
   /// the case only the element-level test can decide.
   std::size_t disjointShared = 0;
+  /// Pairs the symbolic pipeline map decided (it did not give up).
+  std::size_t symbolicDecided = 0;
 };
 
 /// For every s < t, dependsOn must answer whether the flow relation
@@ -51,6 +57,15 @@ void expectDependsOnMatchesFlowRelation(const scop::Scop& scop,
         ++census.dependent;
       else if (shared)
         ++census.disjointShared;
+      // Detection's symbolic route is the dependence test of the pairs it
+      // takes: a map it returns is empty exactly when there is none.
+      if (!pipeline::symbolicPipelineApplies(scop, s, t))
+        continue;
+      if (const std::optional<pb::IntMap> fast =
+              pipeline::trySymbolicPipelineMap(scop, s, t)) {
+        EXPECT_EQ(fast->empty(), !want) << what << " S" << s << "->S" << t;
+        ++census.symbolicDecided;
+      }
     }
 }
 
@@ -169,6 +184,7 @@ TEST(ParamFuzz, DependsOnAgreesWithTheFlowRelationOnTheKernelSuites) {
   for (const kernels::ReductionKernelSpec& k : kernels::reductionKernels())
     expectDependsOnMatchesFlowRelation(k.build(16), k.name, census);
   EXPECT_GT(census.dependent, 50u);
+  EXPECT_GT(census.symbolicDecided, 20u);
 }
 
 TEST(ParamFuzz, DependsOnAgreesWithTheFlowRelationOnRandomPrograms) {
@@ -182,6 +198,7 @@ TEST(ParamFuzz, DependsOnAgreesWithTheFlowRelationOnRandomPrograms) {
   // share an array — the answer only the element-level test gives.
   EXPECT_GT(census.dependent, 100u);
   EXPECT_GT(census.disjointShared, 200u);
+  EXPECT_GT(census.symbolicDecided, 20u);
 }
 
 } // namespace

@@ -96,6 +96,64 @@ TEST(ScopTest, AccessOutOfBoundsThrows) {
   EXPECT_THROW((void)scop.writeRelation(0, 0), Error);
 }
 
+TEST(ScopTest, AccessOutOfBoundsNamesThePoint) {
+  ScopBuilder b("oob");
+  std::size_t A = b.array("A", {4, 3});
+  auto S = b.statement("S", 1);
+  S.bound(0, 0, 4);
+  // Row i of A through an aux dim, one row too far at i = 3.
+  S.readRange(A, {S.rangeDim(0, 1) + 1, S.rangeAux(0, 1)}, {3});
+  S.write(A, {S.dim(0), S.constant(0)});
+  Scop scop = b.build();
+  try {
+    (void)scop.readRelation(0, 0);
+    FAIL() << "no throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("access out of bounds: S[3] -> A[4, 0]"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ScopTest, RowWiseRelationsMatchPerPointEvaluation) {
+  // accessRelation evaluates subscripts row by row; the reference is
+  // AffineMap::evaluate on each (iteration, aux) tuple.
+  ScopBuilder b("rows");
+  std::size_t A = b.array("A", {12, 12});
+  std::size_t B = b.array("B", {12, 12});
+  auto S = b.statement("S", 2);
+  S.bound(0, 1, 5).bound(1, 0, 4);
+  S.write(A, {S.dim(0), S.dim(1)});
+  S.readRange(B, {S.rangeDim(1, 2) + S.rangeAux(1, 2),
+                  2 * S.rangeAux(0, 2) + S.rangeDim(0, 2)},
+              {3, 2});
+  S.readRange(B, {S.rangeDim(0, 1), S.rangeAux(0, 1)}, {0});
+  Scop scop = b.build();
+  const Statement& stmt = scop.statement(0);
+  for (const auto* accesses : {&stmt.writes(), &stmt.reads()})
+    for (const Access& a : *accesses) {
+      std::vector<pb::IntMap::Pair> want;
+      std::vector<pb::Tuple> aux;
+      if (a.numAuxPoints() > 0) {
+        if (a.numAuxDims() == 0)
+          aux.push_back(pb::Tuple{});
+        else
+          for (pb::TupleView t :
+               pb::IntTupleSet::rectangle(pb::Space("aux", a.numAuxDims()),
+                                          a.auxExtents)
+                   .points())
+            aux.emplace_back(t);
+      }
+      for (const pb::Tuple& it : stmt.domain().points())
+        for (const pb::Tuple& x : aux)
+          want.emplace_back(it, a.subscripts.evaluate(concat(it, x)));
+      const pb::IntMap got = scop.accessRelation(0, a);
+      EXPECT_EQ(got, pb::IntMap(stmt.space(), scop.array(a.arrayId).space(),
+                                std::move(want)));
+    }
+  EXPECT_EQ(scop.readRelation(0, B).size(), 4u * 4u * 6u);
+}
+
 TEST(ScopTest, RangeAccessEnumeratesSlab) {
   // S[i] reads the whole row i of a 3x4 array.
   ScopBuilder b("rows");

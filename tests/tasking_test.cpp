@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -97,6 +99,70 @@ TEST(TaskingLayerTest, InputIsCopiedAtCreation) {
       val.v = 99; // must not be visible to the task
     });
     EXPECT_EQ(observed.load(), 7) << layer->name();
+  }
+}
+
+TEST(TaskingLayerTest, InputsOfEverySizeAreCopiedAtCreation) {
+  // The OpenMP backend copies an input of at most 32 bytes into the task
+  // and a larger one to the heap; on each side of that bound (and on
+  // every backend) the body must see the bytes as they were at creation.
+  static std::atomic<int> mismatches;
+  static std::atomic<int> runs;
+  struct Input {
+    std::size_t size;
+    unsigned char bytes[200];
+  };
+  auto fn = +[](void* raw) {
+    const auto* in = static_cast<const Input*>(raw);
+    for (std::size_t i = 0; i + sizeof(std::size_t) < in->size; ++i)
+      if (in->bytes[i] != static_cast<unsigned char>(i * 7 + in->size))
+        mismatches.fetch_add(1);
+    runs.fetch_add(1);
+  };
+  for (auto& layer : allBackends()) {
+    mismatches = 0;
+    runs = 0;
+    const std::vector<std::size_t> sizes = {sizeof(std::size_t) + 1, 32, 33,
+                                            64, sizeof(Input)};
+    layer->run([&] {
+      Input in{};
+      for (std::size_t k = 0; k < sizes.size(); ++k) {
+        in.size = sizes[k];
+        for (std::size_t i = 0; i < sizeof(in.bytes); ++i)
+          in.bytes[i] = static_cast<unsigned char>(i * 7 + in.size);
+        layer->createTask(fn, &in, sizes[k], static_cast<std::int64_t>(k), 0,
+                          nullptr, nullptr, 0);
+        std::fill(std::begin(in.bytes), std::end(in.bytes), 0xee);
+      }
+    });
+    EXPECT_EQ(runs.load(), static_cast<int>(sizes.size())) << layer->name();
+    EXPECT_EQ(mismatches.load(), 0) << layer->name();
+  }
+}
+
+TEST(TaskingLayerTest, ManyInDependenciesAreAllHonored) {
+  // One task waits on 40 producers — more in-dependencies than the
+  // OpenMP backend keeps on its stack — and must run after every one.
+  constexpr int kProducers = 40;
+  for (auto& layer : allBackends()) {
+    static std::atomic<int> finished;
+    static std::atomic<int> seenByConsumer;
+    finished = 0;
+    seenByConsumer = -1;
+    auto producer = +[](void*) { finished.fetch_add(1); };
+    auto consumer = +[](void*) { seenByConsumer = finished.load(); };
+    layer->run([&] {
+      std::vector<std::int64_t> inDep;
+      std::vector<int> inIdx;
+      for (int k = 0; k < kProducers; ++k) {
+        layer->createTask(producer, nullptr, 0, k, 0, nullptr, nullptr, 0);
+        inDep.push_back(k);
+        inIdx.push_back(0);
+      }
+      layer->createTask(consumer, nullptr, 0, kProducers, 1, inDep.data(),
+                        inIdx.data(), inDep.size());
+    });
+    EXPECT_EQ(seenByConsumer.load(), kProducers) << layer->name();
   }
 }
 
