@@ -2,9 +2,10 @@
 
 // Shared helpers for the paper-reproduction benchmark binaries: cost
 // calibration (real measurements on this host feeding the machine
-// simulator), fixed-width table printing, and machine-readable
-// BENCH_*.json emission (the bench_detect --json schema).
+// simulator), fixed-width table printing, machine-readable BENCH_*.json
+// emission (the bench_detect --json schema) and synthetic map inputs.
 
+#include "presburger/map.hpp"
 #include "sim/simulator.hpp"
 #include "support/stopwatch.hpp"
 #include "tasking/tasking.hpp"
@@ -178,5 +179,15 @@ private:
   Fields meta_;
   std::vector<Fields> programs_;
 };
+
+/// { x -> f(x) : x in domain }: a synthetic single-valued map input.
+inline pb::IntMap mapOf(const pb::IntTupleSet& domain, pb::Space out,
+                        pb::Tuple (*f)(const pb::Tuple&)) {
+  std::vector<pb::IntMap::Pair> pairs;
+  pairs.reserve(domain.size());
+  for (const pb::Tuple x : domain.points())
+    pairs.emplace_back(x, f(x));
+  return pb::IntMap(domain.space(), std::move(out), std::move(pairs));
+}
 
 } // namespace pipoly::bench

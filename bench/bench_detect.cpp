@@ -63,13 +63,13 @@ int runSuite(const std::string& jsonPath) {
   for (const kernels::ProgramSpec& spec : kernels::table9Programs())
     scops.push_back(kernels::buildProgram(spec, kN));
 
-  pipoly::bench::Table table({"program", "parametric_ms", "maps", "blocks"});
+  pipoly::bench::Table table({"program", "detect_ms", "maps", "blocks"});
   std::vector<double> perProgram;
   std::vector<std::size_t> blocks;
   double total = 0;
   const auto& specs = kernels::table9Programs();
   for (std::size_t p = 0; p < scops.size(); ++p) {
-    // parametric_ms is the route ladder: the closed forms plus
+    // detect_ms is the whole route ladder: the closed forms plus the
     // per-pair fallback.
     pipeline::PipelineInfo info;
     const double sec = timeDetect(scops[p], kReps, info);
@@ -84,7 +84,7 @@ int runSuite(const std::string& jsonPath) {
               "(best-of-%d per program)\n",
               static_cast<long long>(kN), kReps);
   table.print();
-  std::printf("total parametric: %.3f ms\n", total * 1e3);
+  std::printf("total detect: %.3f ms\n", total * 1e3);
 
   if (!jsonPath.empty()) {
     std::ofstream out(jsonPath);
@@ -96,10 +96,10 @@ int runSuite(const std::string& jsonPath) {
         << ",\n  \"reps\": " << kReps << ",\n  \"programs\": [\n";
     for (std::size_t p = 0; p < perProgram.size(); ++p)
       out << "    {\"name\": \"" << specs[p].name
-          << "\", \"parametric_ms\": " << perProgram[p] * 1e3
+          << "\", \"detect_ms\": " << perProgram[p] * 1e3
           << ", \"blocks\": " << blocks[p] << "}"
           << (p + 1 < perProgram.size() ? ",\n" : "\n");
-    out << "  ],\n  \"total_parametric_ms\": " << total * 1e3 << "\n}\n";
+    out << "  ],\n  \"total_detect_ms\": " << total * 1e3 << "\n}\n";
     std::printf("bench_detect: wrote '%s'\n", jsonPath.c_str());
   }
   return 0;

@@ -2,6 +2,7 @@
 // the Presburger substrate, the pipeline detection phases, end-to-end
 // compilation, the tasking backends and the machine simulator.
 
+#include "bench_common.hpp"
 #include "codegen/task_program.hpp"
 #include "frontend/frontend.hpp"
 #include "kernels/suite.hpp"
@@ -11,7 +12,7 @@
 #include "pipeline/pipeline_map.hpp"
 #include "pipeline/symbolic.hpp"
 #include "presburger/map.hpp"
-#include "presburger/parser.hpp"
+#include "presburger/polyhedron.hpp"
 #include "scop/builder.hpp"
 #include "sim/simulator.hpp"
 #include "tasking/tasking.hpp"
@@ -59,18 +60,6 @@ pb::IntTupleSet gridSet(pb::Value count, pb::Value offset) {
   return pb::IntTupleSet(pb::Space("G", 2), std::move(pts));
 }
 
-/// count pairs, kFanOut outputs per input: lexminPerDomain does real
-/// group-sweep work instead of taking the single-valued share fast path.
-pb::IntMap fanOutMap(pb::Value count) {
-  constexpr pb::Value kFanOut = 4;
-  std::vector<std::pair<pb::Tuple, pb::Tuple>> pairs;
-  pairs.reserve(static_cast<std::size_t>(count));
-  for (pb::Value i = 0; i < count; ++i)
-    pairs.emplace_back(pb::Tuple{i / kFanOut, 0},
-                       pb::Tuple{i % kFanOut, i / kFanOut});
-  return pb::IntMap(pb::Space("I", 2), pb::Space("O", 2), std::move(pairs));
-}
-
 void BM_FlatUnite(benchmark::State& state) {
   const auto n = static_cast<pb::Value>(state.range(0));
   // Half-overlapping grids: exercises the real merge, not the
@@ -90,10 +79,10 @@ BENCHMARK(BM_FlatUnite)->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000);
 void BM_FlatCompose(benchmark::State& state) {
   const auto n = static_cast<pb::Value>(state.range(0));
   const pb::IntTupleSet dom = gridSet(n, 0);
-  const pb::IntMap inner = pb::IntMap::fromFunction(
+  const pb::IntMap inner = bench::mapOf(
       dom, pb::Space("M", 2),
       [](const pb::Tuple& t) { return pb::Tuple{t[1], t[0]}; });
-  const pb::IntMap outer = pb::IntMap::fromFunction(
+  const pb::IntMap outer = bench::mapOf(
       inner.range(), pb::Space("O", 2),
       [](const pb::Tuple& t) { return pb::Tuple{t[0] + t[1], t[0]}; });
   for (auto _ : state) {
@@ -103,21 +92,6 @@ void BM_FlatCompose(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FlatCompose)->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000);
-
-void BM_FlatLexminPerDomain(benchmark::State& state) {
-  const auto n = static_cast<pb::Value>(state.range(0));
-  const pb::IntMap m = fanOutMap(n);
-  for (auto _ : state) {
-    auto r = m.lexminPerDomain();
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_FlatLexminPerDomain)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Arg(1000000);
 
 /// rows::sortUnique on unsorted rows (one in four a duplicate) of width
 /// range(1), range(0) rows: the kernel behind every set and map built
@@ -145,13 +119,22 @@ BENCHMARK(BM_SortUniqueUnsorted)
     ->Args({100000, 3})
     ->Args({100000, 10});
 
-void BM_ParseSet(benchmark::State& state) {
+/// { S[i, j] : 0 <= i < 32 and 0 <= j <= i }, built the way ScopBuilder
+/// builds every statement domain: constraints, projection, enumeration.
+void BM_TriangleDomain(benchmark::State& state) {
+  const pb::AffineExpr i = pb::AffineExpr::dim(2, 0);
+  const pb::AffineExpr j = pb::AffineExpr::dim(2, 1);
   for (auto _ : state) {
-    auto s = pb::parseSet("{ S[i, j] : 0 <= i < 32 and 0 <= j <= i }");
+    pb::Polyhedron triangle(2);
+    triangle.add(pb::Constraint::ge(i));
+    triangle.add(pb::Constraint::lt(i, pb::AffineExpr::constant(2, 32)));
+    triangle.add(pb::Constraint::ge(j));
+    triangle.add(pb::Constraint::le(j, i));
+    auto s = pb::IntTupleSet::fromPolyhedron(pb::Space("S", 2), triangle);
     benchmark::DoNotOptimize(s);
   }
 }
-BENCHMARK(BM_ParseSet);
+BENCHMARK(BM_TriangleDomain);
 
 void BM_MapCompose(benchmark::State& state) {
   const auto n = state.range(0);

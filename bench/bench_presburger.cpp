@@ -1,5 +1,5 @@
 // Presburger-op benchmark with machine-readable output: times the flat
-// core's merge/gallop kernels (unite, compose, lexminPerDomain) on
+// core's merge/gallop kernels (unite, compose) on
 // synthetic inputs of 10^3 .. 10^6 points and writes BENCH_presburger.json
 // for trend tracking, mirroring bench_detect's BENCH_detect.json.
 //
@@ -7,6 +7,7 @@
 //   --quick      stop at 10^5 points (CI-friendly)
 //   --json=FILE  output path (default BENCH_presburger.json)
 
+#include "bench_common.hpp"
 #include "presburger/map.hpp"
 #include "presburger/set.hpp"
 
@@ -42,16 +43,6 @@ pb::IntTupleSet gridSet(pb::Value count, pb::Value offset) {
   for (pb::Value i = 0; i < count; ++i)
     pts.push_back(pb::Tuple{offset + i / side, offset + i % side});
   return pb::IntTupleSet(pb::Space("G", 2), std::move(pts));
-}
-
-pb::IntMap fanOutMap(pb::Value count) {
-  constexpr pb::Value kFanOut = 4;
-  std::vector<std::pair<pb::Tuple, pb::Tuple>> pairs;
-  pairs.reserve(static_cast<std::size_t>(count));
-  for (pb::Value i = 0; i < count; ++i)
-    pairs.emplace_back(pb::Tuple{i / kFanOut, 0},
-                       pb::Tuple{i % kFanOut, i / kFanOut});
-  return pb::IntMap(pb::Space("I", 2), pb::Space("O", 2), std::move(pairs));
 }
 
 struct Row {
@@ -91,18 +82,16 @@ int main(int argc, char** argv) {
     const pb::IntTupleSet b = gridSet(
         count,
         static_cast<pb::Value>(std::sqrt(static_cast<double>(count)) / 2));
-    const pb::IntMap inner = pb::IntMap::fromFunction(
+    const pb::IntMap inner = bench::mapOf(
         a, pb::Space("M", 2),
         [](const pb::Tuple& t) { return pb::Tuple{t[1], t[0]}; });
-    const pb::IntMap outer = pb::IntMap::fromFunction(
+    const pb::IntMap outer = bench::mapOf(
         inner.range(), pb::Space("O", 2),
         [](const pb::Tuple& t) { return pb::Tuple{t[0] + t[1], t[0]}; });
-    const pb::IntMap fan = fanOutMap(count);
 
     const Row results[] = {
         {"unite", n, bestOfMs(reps, [&] { volatile auto s = a.unite(b).size(); (void)s; })},
         {"compose", n, bestOfMs(reps, [&] { volatile auto s = outer.compose(inner).size(); (void)s; })},
-        {"lexminPerDomain", n, bestOfMs(reps, [&] { volatile auto s = fan.lexminPerDomain().size(); (void)s; })},
     };
     for (const Row& r : results) {
       std::printf("%-18s %10ld %12.4f\n", r.op, r.points, r.ms);

@@ -111,17 +111,4 @@ pb::IntMap pipelineMap(const scop::AccessRelations& rel, std::size_t srcIdx,
   return h.inverse().lexmaxPerDomain();
 }
 
-pb::IntMap pipelineMapNaive(const scop::AccessRelations& rel,
-                            std::size_t srcIdx, std::size_t tgtIdx,
-                            bool allowNonInjective) {
-  pb::IntMap p = producerRelation(rel, srcIdx, tgtIdx, allowNonInjective);
-  if (p.empty())
-    return pb::IntMap(rel.scop().statement(srcIdx).space(),
-                      rel.scop().statement(tgtIdx).space());
-  // D' maps each member of Dom(P) to all members lexle it.
-  pb::IntMap dPrime = pb::IntMap::lexGeContains(p.domain());
-  pb::IntMap h = p.compose(dPrime).lexmaxPerDomain();
-  return h.inverse().lexmaxPerDomain();
-}
-
 } // namespace pipoly::pipeline

@@ -14,11 +14,11 @@
 //                                       depends on)
 //   T_{S,T} = lexmax(H^-1)
 //
-// Two implementations are provided: the literal composition (used by tests
-// as ground truth) and a streaming one. The streaming one needs only
-// lexmax P(j), which it reads off a per-element last-writer table instead
-// of composing Wr^-1 and Rd, and it exploits the monotonicity of H over
-// the lexicographic order to avoid materialising the O(|J|^2) D' map.
+// pipelineMap streams this: it needs only lexmax P(j), which it reads off
+// a per-element last-writer table instead of composing Wr^-1 and Rd, and
+// it exploits the monotonicity of H over the lexicographic order to avoid
+// materialising the O(|J|^2) D' map. The literal composition is the test
+// oracle it is checked against.
 
 #include "presburger/map.hpp"
 #include "scop/scop.hpp"
@@ -43,12 +43,6 @@ pb::IntMap producerRelation(const scop::AccessRelations& rel,
 /// empty map when the target does not read anything the source writes.
 pb::IntMap pipelineMap(const scop::AccessRelations& rel, std::size_t srcIdx,
                        std::size_t tgtIdx, bool allowNonInjective = false);
-
-/// Reference implementation by literal composition with the explicit D'
-/// map; quadratic in |Dom(P)|. Used to cross-check `pipelineMap`.
-pb::IntMap pipelineMapNaive(const scop::AccessRelations& rel,
-                            std::size_t srcIdx, std::size_t tgtIdx,
-                            bool allowNonInjective = false);
 
 /// The H relation (target iteration -> last transitively-required source
 /// iteration); exposed for tests and for the AST annotations.

@@ -61,15 +61,6 @@ public:
     return acc;
   }
 
-  /// Returns a copy of this expression extended to `numDims` dimensions
-  /// (the new trailing dimensions get coefficient zero).
-  AffineExpr extendedTo(std::size_t numDims) const {
-    PIPOLY_CHECK(numDims >= coeffs_.size());
-    AffineExpr e = *this;
-    e.coeffs_.resize(numDims, 0);
-    return e;
-  }
-
   friend AffineExpr operator+(AffineExpr a, const AffineExpr& b) {
     PIPOLY_CHECK(a.numDims() == b.numDims());
     for (std::size_t i = 0; i < a.coeffs_.size(); ++i)
@@ -125,14 +116,6 @@ public:
       : numInputs_(numInputs), outputs_(std::move(outputs)) {
     for (const AffineExpr& e : outputs_)
       PIPOLY_CHECK(e.numDims() == numInputs_);
-  }
-
-  static AffineMap identity(std::size_t n) {
-    std::vector<AffineExpr> outs;
-    outs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      outs.push_back(AffineExpr::dim(n, i));
-    return AffineMap(n, std::move(outs));
   }
 
   std::size_t numInputs() const { return numInputs_; }

@@ -2,9 +2,6 @@
 
 #include "support/assert.hpp"
 
-#include <algorithm>
-#include <functional>
-#include <map>
 #include <sstream>
 
 namespace pipoly::pb {
@@ -65,58 +62,6 @@ IntMap IntMap::identity(const IntTupleSet& set) {
     rows::append(data, &src[i * a], a);
   }
   m.adoptSorted(std::move(data)); // set order is already (x, x) order
-  return m;
-}
-
-IntMap IntMap::lexLeSet(const IntTupleSet& from, const IntTupleSet& bounds) {
-  PIPOLY_CHECK(from.space() == bounds.space());
-  IntMap m(from.space(), from.space());
-  const std::size_t a = from.space().arity();
-  if (a == 0) {
-    m.count_ = (from.size() > 0 && bounds.size() > 0) ? 1 : 0;
-    return m;
-  }
-  const RowBuffer& fr = from.rowData();
-  const RowBuffer& bd = bounds.rowData();
-  const std::size_t nf = from.size(), nb = bounds.size();
-  RowBuffer data;
-  // Each source point pairs with the sorted suffix of bounds at or above
-  // it, so emission order is already (in, out) order; as `in` grows the
-  // suffix start only moves forward, hence the running lower bound.
-  std::size_t lo = 0;
-  for (std::size_t i = 0; i < nf; ++i) {
-    const Value* x = &fr[i * a];
-    lo = rows::lowerBound(bd.data(), nb, a, lo, x, a);
-    for (std::size_t j = lo; j < nb; ++j) {
-      rows::append(data, x, a);
-      rows::append(data, &bd[j * a], a);
-    }
-  }
-  m.adoptSorted(std::move(data));
-  return m;
-}
-
-IntMap IntMap::lexGeContains(const IntTupleSet& set) {
-  IntMap m(set.space(), set.space());
-  const std::size_t a = set.arity();
-  if (a == 0) {
-    m.count_ = set.size();
-    return m;
-  }
-  const RowBuffer& src = set.rowData();
-  const std::size_t n = set.size();
-  RowBuffer data;
-  data.reserve(n * (n + 1) * a);
-  // x at sorted index i dominates exactly the prefix [0, i]; emitting the
-  // prefix per x yields (in, out)-sorted rows directly.
-  for (std::size_t i = 0; i < n; ++i) {
-    const Value* x = &src[i * a];
-    for (std::size_t j = 0; j <= i; ++j) {
-      rows::append(data, x, a);
-      rows::append(data, &src[j * a], a);
-    }
-  }
-  m.adoptSorted(std::move(data));
   return m;
 }
 
@@ -270,69 +215,6 @@ IntMap IntMap::compose(const IntMap& inner) const {
   return fromRows(inner.in_, out_, std::move(data));
 }
 
-IntTupleSet IntMap::apply(const IntTupleSet& set) const {
-  PIPOLY_CHECK(set.space() == in_);
-  const std::size_t inA = inArity(), outA = outArity(), w = width();
-  if (set.empty() || empty())
-    return IntTupleSet(out_);
-  if (inA == 0) {
-    // The whole range is the image of the single empty input.
-    return range();
-  }
-  if (outA == 0) {
-    // Any pair whose input lies in `set` puts the empty tuple in the image.
-    for (std::size_t i = 0; i < count_; ++i)
-      if (set.contains(TupleView(&(*rows_)[i * w], inA)))
-        return IntTupleSet(out_, std::vector<Tuple>(1));
-    return IntTupleSet(out_);
-  }
-  RowBuffer data;
-  const RowBuffer& pts = set.rowData();
-  // Both sides are sorted by the input tuple: walk the map once, advancing
-  // a running lower bound per point.
-  std::size_t lo = 0;
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    const Value* x = &pts[i * inA];
-    lo = rows::lowerBound(rows_->data(), count_, w, lo, x, inA);
-    for (std::size_t j = lo;
-         j < count_ && rows::equal(&(*rows_)[j * w], x, inA); ++j)
-      rows::append(data, &(*rows_)[j * w + inA], outA);
-  }
-  return IntTupleSet::fromRows(out_, std::move(data));
-}
-
-std::vector<Tuple> IntMap::imagesOf(const Tuple& in) const {
-  std::vector<Tuple> out;
-  if (in.size() != inArity() || empty())
-    return out;
-  const std::size_t inA = inArity(), outA = outArity(), w = width();
-  if (w == 0) {
-    out.emplace_back();
-    return out;
-  }
-  const std::size_t lo =
-      rows::lowerBound(rows_->data(), count_, w, 0, in.data(), inA);
-  for (std::size_t j = lo;
-       j < count_ && rows::equal(&(*rows_)[j * w], in.data(), inA); ++j)
-    out.emplace_back(&(*rows_)[j * w + inA], outA);
-  return out;
-}
-
-std::optional<Tuple> IntMap::singleImageOf(const Tuple& in) const {
-  if (in.size() != inArity() || empty())
-    return std::nullopt;
-  const std::size_t inA = inArity(), w = width();
-  const Value* base = rowData().data();
-  const std::size_t i = rows::lowerBound(base, count_, w, 0, in.data(), inA);
-  if (i == count_ || !rows::equal(base + i * w, in.data(), inA))
-    return std::nullopt;
-  PIPOLY_CHECK_MSG(i + 1 == count_ ||
-                       !rows::equal(base + (i + 1) * w, in.data(), inA),
-                   "map is not single-valued at " + in.toString() +
-                       " in space " + in_.name());
-  return Tuple(base + i * w + inA, outArity());
-}
-
 IntMap IntMap::lexmaxPerDomain() const {
   // A single-valued map is its own per-domain extremum; share the buffer.
   if (isSingleValued())
@@ -348,75 +230,6 @@ IntMap IntMap::lexmaxPerDomain() const {
       continue;
     rows::append(data, row, w);
   }
-  IntMap m(in_, out_);
-  m.adoptSorted(std::move(data));
-  return m;
-}
-
-IntMap IntMap::lexminPerDomain() const {
-  if (isSingleValued())
-    return *this;
-  const std::size_t inA = inArity(), w = width();
-  // The first row of each input group carries the smallest output.
-  RowBuffer data;
-  data.reserve(count_ * w);
-  const Value* prev = nullptr;
-  for (std::size_t i = 0; i < count_; ++i) {
-    const Value* row = &(*rows_)[i * w];
-    if (prev != nullptr && rows::equal(prev, row, inA))
-      continue;
-    rows::append(data, row, w);
-    prev = row;
-  }
-  IntMap m(in_, out_);
-  m.adoptSorted(std::move(data));
-  return m;
-}
-
-IntMap IntMap::restrictDomain(const IntTupleSet& set) const {
-  PIPOLY_CHECK(set.space() == in_);
-  const std::size_t inA = inArity(), w = width();
-  if (empty())
-    return *this;
-  if (inA == 0)
-    return set.empty() ? IntMap(in_, out_) : *this;
-  RowBuffer data;
-  data.reserve(rows_->size());
-  // Merge walk: both sides are sorted by the input tuple, so one running
-  // index over the set suffices. Keeping a subsequence preserves order.
-  const RowBuffer& pts = set.rowData();
-  const std::size_t n = set.size();
-  std::size_t j = 0;
-  for (std::size_t i = 0; i < count_; ++i) {
-    const Value* row = &(*rows_)[i * w];
-    while (j < n && rows::compare(&pts[j * inA], row, inA) < 0)
-      ++j;
-    if (j < n && rows::equal(&pts[j * inA], row, inA))
-      rows::append(data, row, w);
-  }
-  if (data.size() == rows_->size())
-    return *this; // kept everything: share
-  IntMap m(in_, out_);
-  m.adoptSorted(std::move(data));
-  return m;
-}
-
-IntMap IntMap::restrictRange(const IntTupleSet& set) const {
-  PIPOLY_CHECK(set.space() == out_);
-  const std::size_t inA = inArity(), outA = outArity(), w = width();
-  if (empty())
-    return *this;
-  if (outA == 0)
-    return set.empty() ? IntMap(in_, out_) : *this;
-  RowBuffer data;
-  data.reserve(rows_->size());
-  for (std::size_t i = 0; i < count_; ++i) {
-    const Value* row = &(*rows_)[i * w];
-    if (set.contains(TupleView(row + inA, outA)))
-      rows::append(data, row, w);
-  }
-  if (data.size() == rows_->size())
-    return *this; // kept everything: share
   IntMap m(in_, out_);
   m.adoptSorted(std::move(data));
   return m;
@@ -479,35 +292,6 @@ IntMap IntMap::intersect(const IntMap& other) const {
   return m;
 }
 
-IntMap IntMap::subtract(const IntMap& other) const {
-  requireSameSpaces(other, "difference of maps across different spaces");
-  if (empty() || other.empty())
-    return *this;
-  if (rows_ == other.rows_ && count_ == other.count_)
-    return IntMap(in_, out_);
-  const std::size_t w = width();
-  if (w == 0)
-    return IntMap(in_, out_); // both non-empty: the one pair is removed
-  RowBuffer data = rows::differenceRows(*rows_, *other.rows_, w);
-  if (data.size() == rows_->size())
-    return *this; // nothing removed: share
-  IntMap m(in_, out_);
-  m.adoptSorted(std::move(data));
-  return m;
-}
-
-bool IntMap::isSubsetOf(const IntMap& other) const {
-  requireSameSpaces(other, "subset test across different spaces");
-  if (empty() || (rows_ == other.rows_ && count_ == other.count_))
-    return true;
-  if (count_ > other.count_)
-    return false;
-  const std::size_t w = width();
-  if (w == 0)
-    return other.count_ > 0;
-  return rows::includesRows(*other.rows_, *rows_, w);
-}
-
 bool IntMap::isInjective() const {
   const std::size_t inA = inArity(), outA = outArity(), w = width();
   (void)inA;
@@ -535,62 +319,6 @@ bool IntMap::isSingleValued() const {
     if (rows::equal(&(*rows_)[(i - 1) * w], &(*rows_)[i * w], inA))
       return false;
   return true;
-}
-
-IntTupleSet IntMap::deltas() const {
-  PIPOLY_CHECK_MSG(in_.arity() == out_.arity(),
-                   "deltas need equal-arity domain and range");
-  const std::size_t a = inArity(), w = width();
-  const Space deltaSpace("delta", a);
-  if (a == 0)
-    return IntTupleSet(deltaSpace, std::vector<Tuple>(count_ > 0 ? 1 : 0));
-  RowBuffer data;
-  data.reserve(count_ * a);
-  for (std::size_t i = 0; i < count_; ++i) {
-    const Value* row = &(*rows_)[i * w];
-    for (std::size_t k = 0; k < a; ++k)
-      data.push_back(row[a + k] - row[k]);
-  }
-  return IntTupleSet::fromRows(deltaSpace, std::move(data));
-}
-
-IntMap IntMap::transitiveClosure() const {
-  PIPOLY_CHECK_MSG(in_ == out_,
-                   "transitive closure needs a relation on one space");
-  // DFS with memoisation; colours detect cycles. Closure construction is
-  // inherently node-at-a-time, so this stays on owning Tuples.
-  enum class Color { White, Grey, Black };
-  std::map<Tuple, Color> color;
-  std::map<Tuple, std::vector<Tuple>> reach; // x -> all transitively reached
-
-  std::function<const std::vector<Tuple>&(const Tuple&)> visit =
-      [&](const Tuple& x) -> const std::vector<Tuple>& {
-    auto [it, fresh] = color.try_emplace(x, Color::White);
-    PIPOLY_CHECK_MSG(it->second != Color::Grey,
-                     "transitive closure of a cyclic relation");
-    if (it->second == Color::Black)
-      return reach[x];
-    it->second = Color::Grey;
-    std::vector<Tuple> acc;
-    for (const Tuple& y : imagesOf(x)) {
-      acc.push_back(y);
-      const std::vector<Tuple>& more = visit(y);
-      acc.insert(acc.end(), more.begin(), more.end());
-    }
-    std::sort(acc.begin(), acc.end());
-    acc.erase(std::unique(acc.begin(), acc.end()), acc.end());
-    color[x] = Color::Black;
-    return reach[x] = std::move(acc);
-  };
-
-  std::vector<Pair> result;
-  const IntTupleSet dom = domain();
-  for (TupleView xv : dom.points()) {
-    const Tuple x(xv);
-    for (const Tuple& y : visit(x))
-      result.emplace_back(x, y);
-  }
-  return IntMap(in_, out_, std::move(result));
 }
 
 std::string IntMap::toString() const {

@@ -1,26 +1,27 @@
 #pragma once
 
 // IntMap: an explicit binary relation between two tuple spaces, mirroring
-// isl_map for instantiated (finite) problems. Implements every operation
-// the paper's Algorithm 1 uses: inverse, composition, domain/range,
-// per-domain lexmax/lexmin (the paper's lexmax(M)), lexleset, unions,
-// identity maps, and injectivity checks.
+// isl_map for instantiated (finite) problems. It holds the operations
+// set-up calls: inverse, composition, domain/range, per-domain lexmax
+// (the paper's lexmax(M)), union, intersection, identity maps and the
+// injectivity check. The rest of Algorithm 1's operation set (lexleset,
+// lexmin, images, subtraction, ...) serves only tests and oracles and
+// lives in the test library beside them.
 //
 // Pairs are stored as one contiguous row-major RowBuffer — each row is
 // the domain tuple immediately followed by the range tuple (width =
 // domain arity + range arity), rows sorted lexicographically (which is
 // exactly the (in, out) pair order) and unique — behind a shared
-// immutable pointer. Copies and content-identical derivations (per-domain
-// extrema of single-valued maps, restrictions that keep every pair) share
-// the buffer. pairs() returns a PairRange of PairViews that keeps the
-// buffer alive independently of the map.
+// immutable pointer. Copies and content-identical derivations (the
+// per-domain lexmax of a single-valued map, an intersection that keeps
+// every pair) share the buffer. pairs() returns a PairRange of PairViews
+// that keeps the buffer alive independently of the map.
 
 #include "presburger/rows.hpp"
 #include "presburger/set.hpp"
 #include "presburger/space.hpp"
 #include "presburger/tuple.hpp"
 
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,40 +39,6 @@ public:
 
   /// { x -> x : x in set }
   static IntMap identity(const IntTupleSet& set);
-
-  /// { x -> f(x) : x in domain }, where f maps into `out`. The callable
-  /// is invoked with a `const Tuple&` and must return a Tuple of the
-  /// output arity.
-  template <typename Fn>
-  static IntMap fromFunction(const IntTupleSet& domain, Space out, Fn&& f) {
-    IntMap m(domain.space(), std::move(out));
-    const std::size_t inA = m.in_.arity(), outA = m.out_.arity();
-    if (inA + outA == 0) {
-      m.count_ = domain.size();
-      return m;
-    }
-    RowBuffer data;
-    data.reserve(domain.size() * (inA + outA));
-    for (TupleView t : domain.points()) {
-      const Tuple in(t);
-      const Tuple img = f(in);
-      PIPOLY_CHECK_MSG(img.size() == outA,
-                       "map pair range arity mismatch in " + m.out_.name());
-      rows::append(data, in.data(), inA);
-      rows::append(data, img.data(), outA);
-    }
-    // Domain points are strictly increasing, so the rows already are.
-    m.adoptSorted(std::move(data));
-    return m;
-  }
-
-  /// The paper's lexleset(I, B): { i -> b : i in I, b in B, i lexle b }.
-  /// Both sets must share a space.
-  static IntMap lexLeSet(const IntTupleSet& from, const IntTupleSet& bounds);
-
-  /// { x -> y : x, y in set, y lexle x } — the D' relation of §4.1 when
-  /// applied to Dom(P).
-  static IntMap lexGeContains(const IntTupleSet& set);
 
   /// Wraps a flat row-major pair buffer (width = in.arity() + out.arity())
   /// that is already sorted and unique (debug-asserted). The cheap
@@ -109,42 +76,14 @@ public:
   /// (b,c) in this }. Matches the paper's M1(M2) notation.
   IntMap compose(const IntMap& inner) const;
 
-  /// Image of a set under the map.
-  IntTupleSet apply(const IntTupleSet& set) const;
-
-  /// Images of a single point.
-  std::vector<Tuple> imagesOf(const Tuple& in) const;
-
-  /// The unique image of `in`; throws if the map is not single-valued at
-  /// that point, returns nullopt if `in` is outside the domain.
-  std::optional<Tuple> singleImageOf(const Tuple& in) const;
-
-  /// Per-domain-element lexicographic max/min of the images — the paper's
-  /// lexmax(M) / lexmin(M). The result is single-valued.
+  /// Per-domain-element lexicographic max of the images — the paper's
+  /// lexmax(M). The result is single-valued.
   IntMap lexmaxPerDomain() const;
-  IntMap lexminPerDomain() const;
-
-  IntMap restrictDomain(const IntTupleSet& set) const;
-  IntMap restrictRange(const IntTupleSet& set) const;
 
   IntMap unite(const IntMap& other) const;
   IntMap intersect(const IntMap& other) const;
-  IntMap subtract(const IntMap& other) const;
-  bool isSubsetOf(const IntMap& other) const;
 
-  bool isInjective() const;    // no two inputs share an output
-  bool isSingleValued() const; // no input has two outputs
-
-  /// The set of differences out - in over all pairs; both sides must live
-  /// in spaces of equal arity. This is the classic dependence-distance
-  /// set: uniform dependences yield a singleton.
-  IntTupleSet deltas() const;
-
-  /// Transitive closure of a relation on a single space: x relates to y
-  /// in the result iff a non-empty path x -> ... -> y exists. The
-  /// relation must be acyclic (throws otherwise). Useful for
-  /// reachability questions on block/task dependence graphs.
-  IntMap transitiveClosure() const;
+  bool isInjective() const; // no two inputs share an output
 
   friend bool operator==(const IntMap& a, const IntMap& b) {
     return a.in_ == b.in_ && a.out_ == b.out_ && a.count_ == b.count_ &&
@@ -159,6 +98,7 @@ private:
   std::size_t width() const { return in_.arity() + out_.arity(); }
   /// Publishes a sorted-unique buffer as this map's storage.
   void adoptSorted(RowBuffer&& data);
+  bool isSingleValued() const; // no input has two outputs
   void requireSameSpaces(const IntMap& other, const char* what) const;
 
   Space in_, out_;

@@ -225,59 +225,6 @@ void Polyhedron::forEachPoint(
   descend(0);
 }
 
-std::vector<Tuple> Polyhedron::enumerate() const {
-  std::vector<Tuple> out;
-  forEachPoint([&](const Tuple& t) {
-    out.push_back(t);
-    return true;
-  });
-  return out;
-}
-
-bool Polyhedron::isEmpty() const {
-  bool found = false;
-  forEachPoint([&](const Tuple&) {
-    found = true;
-    return false;
-  });
-  return !found;
-}
-
-namespace {
-/// Returns a copy with dimensions `a` and `b` swapped.
-Polyhedron swapDims(const Polyhedron& p, std::size_t a, std::size_t b) {
-  if (a == b)
-    return p;
-  std::vector<Constraint> cs;
-  cs.reserve(p.constraints().size());
-  for (const Constraint& c : p.constraints()) {
-    const AffineExpr& e = c.expr();
-    std::vector<Value> coeffs(e.numDims());
-    for (std::size_t i = 0; i < e.numDims(); ++i)
-      coeffs[i] = e.coeff(i);
-    std::swap(coeffs[a], coeffs[b]);
-    cs.emplace_back(AffineExpr(std::move(coeffs), e.constantTerm()), c.kind());
-  }
-  return Polyhedron(p.numDims(), std::move(cs));
-}
-} // namespace
-
-std::vector<DimBounds> Polyhedron::boundingBox() const {
-  std::vector<DimBounds> box;
-  box.reserve(numDims_);
-  for (std::size_t k = 0; k < numDims_; ++k) {
-    // Move dim k to the front, then project the other dims out from the
-    // back; what remains is a one-dimensional system in dim k alone.
-    Polyhedron p = swapDims(*this, 0, k);
-    while (p.numDims() > 1)
-      p = p.projectOutLastDim();
-    auto b = p.boundsOfDim(0, Tuple{});
-    PIPOLY_CHECK_MSG(b.has_value(), "empty polyhedron has no bounding box");
-    box.push_back(*b);
-  }
-  return box;
-}
-
 std::string Polyhedron::toString(const std::vector<std::string>& names) const {
   std::ostringstream os;
   os << "{ ";

@@ -2,9 +2,8 @@
 
 // An integer polyhedron: the set of integer points satisfying a conjunction
 // of affine constraints over n dimensions. Supports Fourier–Motzkin
-// projection, per-dimension bound extraction, and exact integer-point
-// enumeration (domains must be bounded, which holds for every instantiated
-// SCoP the library processes).
+// projection and exact integer-point enumeration (domains must be bounded,
+// which holds for every instantiated SCoP the library processes).
 
 #include "presburger/constraint.hpp"
 #include "presburger/tuple.hpp"
@@ -27,7 +26,6 @@ public:
   Polyhedron(std::size_t numDims, std::vector<Constraint> constraints);
 
   std::size_t numDims() const { return numDims_; }
-  const std::vector<Constraint>& constraints() const { return constraints_; }
 
   Polyhedron& add(Constraint c);
 
@@ -39,6 +37,13 @@ public:
   /// and sound: the projection is a superset of the true integer shadow.
   Polyhedron projectOutLastDim() const;
 
+  /// Visits all integer points in lexicographic order without materialising
+  /// them; `visit` may return false to stop early.
+  void forEachPoint(const std::function<bool(const Tuple&)>& visit) const;
+
+  std::string toString(const std::vector<std::string>& dimNames = {}) const;
+
+private:
   /// Bounds of dimension `dim` given fixed values for dimensions 0..dim-1.
   /// Uses only constraints whose support is within 0..dim, so call it on a
   /// system where later dimensions have been projected out.
@@ -46,22 +51,6 @@ public:
   std::optional<DimBounds> boundsOfDim(std::size_t dim,
                                        const Tuple& prefix) const;
 
-  /// Enumerates all integer points in lexicographic order.
-  std::vector<Tuple> enumerate() const;
-
-  /// Visits all integer points in lexicographic order without materialising
-  /// them; `visit` may return false to stop early.
-  void forEachPoint(const std::function<bool(const Tuple&)>& visit) const;
-
-  bool isEmpty() const;
-
-  /// Outer bounding box (per-dimension bounds ignoring coupling).
-  /// Throws if any dimension is unbounded.
-  std::vector<DimBounds> boundingBox() const;
-
-  std::string toString(const std::vector<std::string>& dimNames = {}) const;
-
-private:
   /// prefixSystems()[k] contains only constraints over dims 0..k (for k =
   /// numDims-1 that is the original system; lower k are FM projections).
   const std::vector<Polyhedron>& prefixSystems() const;

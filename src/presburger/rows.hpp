@@ -7,10 +7,11 @@
 // fixed width w (the arity of the space, or the summed arities of a map's
 // two spaces), sorted lexicographically and duplicate-free. Sets and maps
 // hold their buffer behind a shared_ptr<const ...>: copying a set, or
-// deriving one that is content-identical (unite with the empty set,
-// restrictions that keep everything, per-domain extrema of single-valued
-// maps), shares the buffer instead of deep-copying — buffers are immutable
-// once published, so sharing is copy-on-write by construction.
+// deriving one that is content-identical (unite with the empty set, an
+// intersection that keeps everything, the per-domain lexmax of a
+// single-valued map), shares the buffer instead of deep-copying — buffers
+// are immutable once published, so sharing is copy-on-write by
+// construction.
 //
 // TupleRange / PairRange are the iteration façade: lightweight random-
 // access ranges yielding TupleView / PairView per row. They retain the
@@ -155,21 +156,6 @@ inline std::size_t lowerBound(const Value* base, std::size_t n, std::size_t w,
   return lo;
 }
 
-/// First index in [from, n) whose leading `keyW` values compare > `key`.
-inline std::size_t upperBound(const Value* base, std::size_t n, std::size_t w,
-                              std::size_t from, const Value* key,
-                              std::size_t keyW) {
-  std::size_t lo = from, hi = n;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (compare(base + mid * w, key, keyW) <= 0)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  return lo;
-}
-
 /// Galloping (exponential) variant of lowerBound: doubles the step from
 /// `from` until the key is bracketed, then binary-searches the bracket.
 /// O(log distance) instead of O(log n) — the win the merge loops below
@@ -246,57 +232,6 @@ inline RowBuffer intersectRows(const RowBuffer& a, const RowBuffer& b,
     }
   }
   return out;
-}
-
-/// a \ b (linear merge; gallops through b when it is much larger).
-inline RowBuffer differenceRows(const RowBuffer& a, const RowBuffer& b,
-                                std::size_t w) {
-  const std::size_t na = a.size() / w, nb = b.size() / w;
-  RowBuffer out;
-  out.reserve(a.size());
-  const bool gallop = nb / std::max<std::size_t>(na, 1) >= kGallopRatio;
-  std::size_t i = 0, j = 0;
-  while (i < na && j < nb) {
-    if (gallop)
-      j = gallopLowerBound(b.data(), nb, w, j, &a[i * w], w);
-    if (j == nb)
-      break;
-    const int c = compare(&a[i * w], &b[j * w], w);
-    if (c < 0)
-      append(out, &a[i++ * w], w);
-    else if (c > 0)
-      ++j;
-    else {
-      ++i;
-      ++j;
-    }
-  }
-  if (i < na)
-    out.insert(out.end(), a.begin() + static_cast<std::ptrdiff_t>(i * w),
-               a.end());
-  return out;
-}
-
-/// a ⊇ b? (linear merge; gallops through a when it is much larger).
-inline bool includesRows(const RowBuffer& a, const RowBuffer& b,
-                         std::size_t w) {
-  const std::size_t na = a.size() / w, nb = b.size() / w;
-  if (nb > na)
-    return false;
-  const bool gallop = na / std::max<std::size_t>(nb, 1) >= kGallopRatio;
-  std::size_t i = 0, j = 0;
-  while (j < nb) {
-    if (gallop)
-      i = gallopLowerBound(a.data(), na, w, i, &b[j * w], w);
-    else
-      while (i < na && compare(&a[i * w], &b[j * w], w) < 0)
-        ++i;
-    if (i == na || !equal(&a[i * w], &b[j * w], w))
-      return false;
-    ++i;
-    ++j;
-  }
-  return true;
 }
 
 } // namespace rows

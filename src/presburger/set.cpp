@@ -65,41 +65,6 @@ IntTupleSet IntTupleSet::fromPolyhedron(Space space, const Polyhedron& poly) {
   return s;
 }
 
-IntTupleSet IntTupleSet::rectangle(Space space,
-                                   const std::vector<Value>& extents) {
-  PIPOLY_CHECK(space.arity() == extents.size());
-  IntTupleSet s(std::move(space));
-  const std::size_t w = extents.size();
-  if (w == 0) {
-    s.count_ = 1; // the empty product contains exactly the empty tuple
-    return s;
-  }
-  std::size_t count = 1;
-  for (Value e : extents) {
-    if (e <= 0)
-      return s; // empty rectangle
-    count *= static_cast<std::size_t>(e);
-  }
-  // Odometer emit: rows are generated directly in lexicographic order.
-  RowBuffer data;
-  data.reserve(count * w);
-  std::vector<Value> cur(w, 0);
-  for (;;) {
-    data.insert(data.end(), cur.begin(), cur.end());
-    std::size_t d = w;
-    while (d > 0) {
-      --d;
-      if (++cur[d] < extents[d])
-        break;
-      cur[d] = 0;
-      if (d == 0) {
-        s.adoptSorted(std::move(data));
-        return s;
-      }
-    }
-  }
-}
-
 IntTupleSet IntTupleSet::fromSortedRows(Space space, RowBuffer rowsData) {
   IntTupleSet s(std::move(space));
   PIPOLY_CHECK_MSG(s.arity() > 0 || rowsData.empty(),
@@ -192,40 +157,6 @@ IntTupleSet IntTupleSet::intersect(const IntTupleSet& other) const {
   IntTupleSet out(space_);
   out.adoptSorted(std::move(data));
   return out;
-}
-
-IntTupleSet IntTupleSet::subtract(const IntTupleSet& other) const {
-  requireSameSpace(other);
-  if (empty() || other.empty())
-    return *this;
-  if (rows_ == other.rows_ && count_ == other.count_)
-    return IntTupleSet(space_);
-  const std::size_t w = arity();
-  if (w == 0)
-    return IntTupleSet(space_); // both non-empty: () - () = {}
-  RowBuffer data = rows::differenceRows(*rows_, *other.rows_, w);
-  if (data.size() == rows_->size())
-    return *this; // nothing removed: share
-  IntTupleSet out(space_);
-  out.adoptSorted(std::move(data));
-  return out;
-}
-
-bool IntTupleSet::isSubsetOf(const IntTupleSet& other) const {
-  requireSameSpace(other);
-  if (empty() || (rows_ == other.rows_ && count_ == other.count_))
-    return true;
-  if (count_ > other.count_)
-    return false;
-  const std::size_t w = arity();
-  if (w == 0)
-    return other.count_ > 0;
-  return rows::includesRows(*other.rows_, *rows_, w);
-}
-
-Tuple IntTupleSet::lexmin() const {
-  PIPOLY_CHECK_MSG(!empty(), "lexmin of an empty set");
-  return Tuple(points().front());
 }
 
 Tuple IntTupleSet::lexmax() const {

@@ -8,7 +8,7 @@
 // Points are stored as one contiguous row-major RowBuffer (arity values
 // per row, rows sorted lexicographically and unique) behind a shared
 // immutable pointer: copying a set, or deriving a content-identical set
-// (unite with the empty set, a filter or subtract that keeps everything),
+// (unite with the empty set, an intersection that keeps everything),
 // shares the buffer instead of deep-copying. points() returns a
 // TupleRange — a lightweight random-access range of TupleViews that keeps
 // the buffer alive independently of the set.
@@ -33,9 +33,6 @@ public:
 
   /// All integer points of `poly`, living in `space`.
   static IntTupleSet fromPolyhedron(Space space, const Polyhedron& poly);
-
-  /// The rectangular set [0,ext0) x [0,ext1) x ...
-  static IntTupleSet rectangle(Space space, const std::vector<Value>& extents);
 
   /// Wraps a flat row-major buffer that is already sorted and unique
   /// (debug-asserted). The cheap construction path for producers that
@@ -65,38 +62,8 @@ public:
 
   IntTupleSet unite(const IntTupleSet& other) const;
   IntTupleSet intersect(const IntTupleSet& other) const;
-  IntTupleSet subtract(const IntTupleSet& other) const;
 
-  /// Keeps the points satisfying `keep`. The callable is invoked with a
-  /// `const Tuple&` (materialised inline — no allocation for arity <= 4).
-  template <typename Pred> IntTupleSet filter(Pred&& keep) const {
-    const std::size_t w = arity();
-    IntTupleSet out(space_);
-    if (w == 0) {
-      if (count_ > 0 && keep(Tuple()))
-        out.count_ = 1;
-      return out;
-    }
-    if (empty())
-      return out;
-    const RowBuffer& src = *rows_;
-    RowBuffer data;
-    data.reserve(src.size());
-    for (std::size_t i = 0; i < count_; ++i) {
-      const Tuple t(&src[i * w], w);
-      if (keep(t))
-        rows::append(data, t.data(), w);
-    }
-    if (data.size() == src.size())
-      return *this; // kept everything: share the buffer
-    out.adoptSorted(std::move(data));
-    return out;
-  }
-
-  bool isSubsetOf(const IntTupleSet& other) const;
-
-  /// Lexicographic extrema; the set must be non-empty.
-  Tuple lexmin() const;
+  /// The lexicographically largest point; the set must be non-empty.
   Tuple lexmax() const;
 
   /// Per-dimension bounds of the smallest enclosing box; the set must be

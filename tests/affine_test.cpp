@@ -32,13 +32,6 @@ TEST(AffineExprTest, MixedDimCountThrows) {
   EXPECT_THROW((void)(a + b), Error);
 }
 
-TEST(AffineExprTest, ExtendedTo) {
-  AffineExpr i = AffineExpr::dim(1, 0) + 4;
-  AffineExpr e = i.extendedTo(3);
-  EXPECT_EQ(e.numDims(), 3u);
-  EXPECT_EQ(e.evaluate(Tuple{2, 99, 99}), 6);
-}
-
 TEST(AffineExprTest, ToString) {
   AffineExpr i = AffineExpr::dim(2, 0);
   AffineExpr j = AffineExpr::dim(2, 1);
@@ -46,11 +39,6 @@ TEST(AffineExprTest, ToString) {
   EXPECT_EQ((-1 * i).toString({"i", "j"}), "-i");
   EXPECT_EQ(AffineExpr::constant(2, 0).toString(), "0");
   EXPECT_EQ((i - j).toString(), "d0 - d1");
-}
-
-TEST(AffineMapTest, IdentityAndEvaluate) {
-  AffineMap id = AffineMap::identity(3);
-  EXPECT_EQ(id.evaluate(Tuple{1, 2, 3}), (Tuple{1, 2, 3}));
 }
 
 TEST(AffineMapTest, GeneralMap) {

@@ -5,8 +5,9 @@
 #include "support/assert.hpp"
 #include "tasking/tasking.hpp"
 #include "testing/fixtures.hpp"
-#include "testing/legacy_blocking.hpp"
 #include "testing/interpreted_kernel.hpp"
+#include "testing/legacy_blocking.hpp"
+#include "testing/presburger_ops.hpp"
 
 #include <gtest/gtest.h>
 
@@ -35,7 +36,7 @@ TEST(DetectOptionsTest, CoarseningKeepsPartition) {
     const pb::IntMap expansion = testing::expansionMap(scop, info, s);
     std::size_t total = 0;
     for (const pb::Tuple& rep : st.blockReps.points())
-      total += expansion.imagesOf(rep).size();
+      total += imagesOf(expansion, rep).size();
     EXPECT_EQ(total, scop.statement(s).domain().size());
   }
 }

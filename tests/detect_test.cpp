@@ -8,6 +8,7 @@
 #include "support/str.hpp"
 #include "testing/fixtures.hpp"
 #include "testing/legacy_blocking.hpp"
+#include "testing/presburger_ops.hpp"
 
 #include <gtest/gtest.h>
 
@@ -39,9 +40,9 @@ TEST(DetectTest, BlockingIsTotalSingleValuedIdempotent) {
     const StatementPipelineInfo& st = info.statements[s];
     const pb::IntMap sigma = testing::sigmaMap(scop, info, s);
     EXPECT_EQ(sigma.domain(), scop.statement(s).domain());
-    EXPECT_TRUE(sigma.isSingleValued());
+    EXPECT_TRUE(isSingleValued(sigma));
     for (const Tuple& rep : st.blockReps.points())
-      EXPECT_EQ(sigma.singleImageOf(rep), rep);
+      EXPECT_EQ(singleImageOf(sigma, rep), rep);
   }
 }
 
@@ -53,7 +54,7 @@ TEST(DetectTest, ExpansionPartitionsDomain) {
     const pb::IntMap expansion = testing::expansionMap(scop, info, s);
     std::size_t total = 0;
     for (const Tuple& rep : st.blockReps.points())
-      total += expansion.imagesOf(rep).size();
+      total += imagesOf(expansion, rep).size();
     EXPECT_EQ(total, scop.statement(s).domain().size());
     ASSERT_EQ(st.blockStarts.size(), st.blockReps.size() + 1);
     EXPECT_EQ(st.blockStarts.front(), 0u);
@@ -72,7 +73,7 @@ TEST(DetectTest, BlocksAreLexContiguous) {
     Tuple prevRep;
     bool first = true;
     for (const Tuple& it : points) {
-      Tuple rep = *sigma.singleImageOf(it);
+      Tuple rep = *singleImageOf(sigma, it);
       EXPECT_GE(rep, it);
       if (!first) {
         EXPECT_GE(rep, prevRep) << "blocks must be ordered";
@@ -120,10 +121,10 @@ TEST(DetectTest, InRequirementsPointToSourceBlockReps) {
   for (std::size_t s = 0; s < scop.numStatements(); ++s) {
     for (const InRequirement& req : info.statements[s].inRequirements) {
       const StatementPipelineInfo& src = info.statements[req.srcStmtIdx];
-      EXPECT_TRUE(req.map.range().isSubsetOf(src.blockReps))
+      EXPECT_TRUE(isSubsetOf(req.map.range(), src.blockReps))
           << "requirement of statement " << s << " is not a block rep of "
           << req.srcStmtIdx;
-      EXPECT_TRUE(req.map.domain().isSubsetOf(info.statements[s].blockReps));
+      EXPECT_TRUE(isSubsetOf(req.map.domain(), info.statements[s].blockReps));
     }
   }
 }
@@ -147,9 +148,9 @@ void checkSafety(const scop::Scop& scop) {
       const pb::IntMap tgtSigma = testing::sigmaMap(scop, info, t);
       const pb::IntMap srcSigma = testing::sigmaMap(scop, info, s);
       for (const auto& [i, j] : flow.pairs()) {
-        Tuple tgtBlock = *tgtSigma.singleImageOf(j);
-        Tuple srcBlock = *srcSigma.singleImageOf(i);
-        std::optional<Tuple> required = req->map.singleImageOf(tgtBlock);
+        Tuple tgtBlock = *singleImageOf(tgtSigma, j);
+        Tuple srcBlock = *singleImageOf(srcSigma, i);
+        std::optional<Tuple> required = singleImageOf(req->map, tgtBlock);
         ASSERT_TRUE(required.has_value())
             << "block " << tgtBlock << " of stmt " << t
             << " reads from stmt " << s << " but has no requirement";

@@ -16,6 +16,7 @@
 #include "tasking/tasking.hpp"
 #include "testing/fixtures.hpp"
 #include "testing/interpreted_kernel.hpp"
+#include "testing/presburger_ops.hpp"
 
 #include <gtest/gtest.h>
 

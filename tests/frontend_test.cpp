@@ -2,12 +2,12 @@
 
 #include "codegen/task_program.hpp"
 #include "pipeline/pipeline_map.hpp"
-#include "presburger/parser.hpp"
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
+#include "tasking/tasking.hpp"
 #include "testing/fixtures.hpp"
 #include "testing/interpreted_kernel.hpp"
-#include "tasking/tasking.hpp"
+#include "testing/parser.hpp"
 
 #include <gtest/gtest.h>
 

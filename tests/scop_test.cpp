@@ -1,9 +1,10 @@
 #include "scop/scop.hpp"
 
-#include "presburger/parser.hpp"
 #include "scop/builder.hpp"
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
+#include "testing/parser.hpp"
+#include "testing/presburger_ops.hpp"
 
 #include <gtest/gtest.h>
 
@@ -139,7 +140,7 @@ TEST(ScopTest, RowWiseRelationsMatchPerPointEvaluation) {
           aux.push_back(pb::Tuple{});
         else
           for (pb::TupleView t :
-               pb::IntTupleSet::rectangle(pb::Space("aux", a.numAuxDims()),
+               pb::rectangle(pb::Space("aux", a.numAuxDims()),
                                           a.auxExtents)
                    .points())
             aux.emplace_back(t);

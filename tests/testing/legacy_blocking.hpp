@@ -8,6 +8,7 @@
 
 #include "pipeline/detect.hpp"
 #include "presburger/map.hpp"
+#include "presburger_ops.hpp"
 #include "scop/scop.hpp"
 #include "support/assert.hpp"
 
@@ -21,7 +22,7 @@ namespace pipoly::testing {
 /// there is none. `boundaries` must be a subset of `domain`.
 inline pb::IntMap blockingMap(const pb::IntTupleSet& domain,
                        const pb::IntTupleSet& boundaries) {
-  PIPOLY_CHECK(boundaries.isSubsetOf(domain));
+  PIPOLY_CHECK(isSubsetOf(boundaries, domain));
   PIPOLY_CHECK_MSG(!domain.empty(), "blocking an empty domain");
   const std::size_t a = domain.arity();
   if (a == 0)
@@ -47,7 +48,7 @@ inline pb::IntMap blockingMap(const pb::IntTupleSet& domain,
   }
   pb::IntMap result = pb::IntMap::fromSortedRows(
       domain.space(), domain.space(), std::move(rows));
-  PIPOLY_ASSERT(result.isSingleValued());
+  PIPOLY_ASSERT(isSingleValued(result));
   return result;
 }
 
@@ -56,10 +57,9 @@ inline pb::IntMap blockingMap(const pb::IntTupleSet& domain,
 inline pb::IntMap blockingMapNaive(const pb::IntTupleSet& domain,
                             const pb::IntTupleSet& boundaries) {
   // Eq. 2: B' = lexleset(I, B); V = lexmin(B').
-  pb::IntMap covered = pb::IntMap::lexLeSet(domain, boundaries)
-                           .lexminPerDomain();
+  pb::IntMap covered = lexminPerDomain(lexLeSet(domain, boundaries));
   // Remainder rule: iterations past the last boundary map to lexmax(I).
-  pb::IntTupleSet rest = domain.subtract(covered.domain());
+  pb::IntTupleSet rest = subtract(domain, covered.domain());
   std::vector<pb::IntMap::Pair> extra;
   for (const pb::Tuple& it : rest.points())
     extra.emplace_back(it, domain.lexmax());
@@ -85,7 +85,7 @@ inline pb::IntMap targetBlockingMap(const pb::IntTupleSet& tgtDomain,
 inline pb::IntMap integrateBlockingMaps(const std::vector<pb::IntMap>& maps) {
   PIPOLY_CHECK_MSG(!maps.empty(), "no blocking maps to integrate");
   if (maps.size() == 1)
-    return maps.front().lexminPerDomain();
+    return lexminPerDomain(maps.front());
 
   const pb::IntMap& first = maps.front();
   const std::size_t inA = first.domainSpace().arity();
@@ -144,9 +144,8 @@ inline pb::IntMap integrateBlockingMaps(const std::vector<pb::IntMap>& maps) {
   all.reserve(total * w);
   for (const pb::IntMap& m : maps)
     all.insert(all.end(), m.rowData().begin(), m.rowData().end());
-  return pb::IntMap::fromRows(first.domainSpace(), first.rangeSpace(),
-                              std::move(all))
-      .lexminPerDomain();
+  return lexminPerDomain(pb::IntMap::fromRows(
+      first.domainSpace(), first.rangeSpace(), std::move(all)));
 }
 
 /// Σ_S of one statement as an explicit map (iteration -> representative),

@@ -19,6 +19,7 @@
 #include "pipeline/comm.hpp"
 #include "pipeline/detect.hpp"
 #include "pipeline/symbolic.hpp"
+#include "presburger_ops.hpp"
 #include "scop/scop.hpp"
 #include "support/assert.hpp"
 
@@ -111,12 +112,12 @@ legacyAnalyzeCommunication(const scop::Scop& scop,
     std::vector<pb::Tuple> elems;
     for (std::size_t p = 0; p < srcReps.size(); ++p) {
       const std::vector<pb::Tuple> members =
-          srcExpansion.imagesOf(srcReps[p]);
+          imagesOf(srcExpansion, srcReps[p]);
       std::uint64_t blockElems = 0;
       for (std::size_t ai = 0; ai < shared.size(); ++ai) {
         elems.clear();
         for (const pb::Tuple& it : members)
-          for (const pb::Tuple& elem : wrRels[ai].imagesOf(it))
+          for (const pb::Tuple& elem : imagesOf(wrRels[ai], it))
             if (rdRanges[ai].contains(elem))
               elems.push_back(elem);
         std::sort(elems.begin(), elems.end());
@@ -138,7 +139,7 @@ legacyAnalyzeCommunication(const scop::Scop& scop,
     const std::vector<pb::Tuple>& tgtReps = reps[tgt];
     w.reqTokens.assign(tgtReps.size(), 0);
     for (std::size_t k = 0; k < tgtReps.size(); ++k)
-      for (const pb::Tuple& srcRep : req.imagesOf(tgtReps[k]))
+      for (const pb::Tuple& srcRep : imagesOf(req, tgtReps[k]))
         w.reqTokens[k] =
             std::max<std::uint64_t>(w.reqTokens[k],
                                     repOrdinal(srcReps, srcRep) + 1);

@@ -17,6 +17,7 @@
 #include "pipeline/detect.hpp"
 #include "pipeline/pipeline_map.hpp"
 #include "pipeline/reduction.hpp"
+#include "presburger_ops.hpp"
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
 
@@ -82,13 +83,13 @@ inline pb::IntMap legacyInRequirement(const scop::Scop& scop,
   std::vector<pb::IntMap::Pair> pairs;
   const pb::IntTupleSet& reps = info.statements[entry.tgtIdx].blockReps;
   for (const pb::Tuple& rep : reps.points()) {
-    const std::optional<pb::Tuple> boundary = y.singleImageOf(rep);
+    const std::optional<pb::Tuple> boundary = singleImageOf(y, rep);
     PIPOLY_CHECK(boundary.has_value());
     const pb::Tuple required = tRange.contains(*boundary)
-                                   ? *tInv.singleImageOf(*boundary)
+                                   ? *singleImageOf(tInv, *boundary)
                                    : lastSource;
     const std::optional<pb::Tuple> srcBlock =
-        srcSigma.singleImageOf(required);
+        singleImageOf(srcSigma, required);
     PIPOLY_CHECK(srcBlock.has_value());
     pairs.emplace_back(rep, *srcBlock);
   }

@@ -17,6 +17,7 @@
 #include "codegen/task_program.hpp"
 #include "pipeline/detect.hpp"
 #include "pipeline/pipeline_map.hpp"
+#include "presburger_ops.hpp"
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
 
@@ -178,18 +179,18 @@ inline LegacyProgram legacyLower(const scop::Scop& scop,
       const pb::IntMap p = pipeline::producerRelation(
           rel, e.srcIdx, e.tgtIdx, options.allowNonInjectiveWrites);
       for (const auto& [j, i] : p.pairs())
-        pairs.emplace_back(*sigmas[e.tgtIdx].singleImageOf(j),
-                           *sigmas[e.srcIdx].singleImageOf(i));
+        pairs.emplace_back(*singleImageOf(sigmas[e.tgtIdx], j),
+                           *singleImageOf(sigmas[e.srcIdx], i));
     } else {
       const pb::IntMap y =
           targetBlockingMap(scop.statement(e.tgtIdx).domain(), e.map);
       const pb::IntMap tInv = e.map.inverse();
       const pb::Tuple lastSource = e.map.domain().lexmax();
       for (const pb::Tuple& rep : reps[e.tgtIdx].points()) {
-        const pb::Tuple boundary = *y.singleImageOf(rep);
+        const pb::Tuple boundary = *singleImageOf(y, rep);
         const pb::Tuple required =
-            tInv.singleImageOf(boundary).value_or(lastSource);
-        pairs.emplace_back(rep, *sigmas[e.srcIdx].singleImageOf(required));
+            singleImageOf(tInv, boundary).value_or(lastSource);
+        pairs.emplace_back(rep, *singleImageOf(sigmas[e.srcIdx], required));
       }
     }
     reqs[e.tgtIdx].emplace_back(
@@ -224,8 +225,8 @@ inline LegacyProgram legacyLower(const scop::Scop& scop,
         !scop.statement(s).domain().empty()) {
       std::vector<pb::IntMap::Pair> edges;
       for (const auto& [i, j] : scop::selfDependences(rel, s).pairs()) {
-        pb::Tuple from = *sigmas[s].singleImageOf(i);
-        pb::Tuple to = *sigmas[s].singleImageOf(j);
+        pb::Tuple from = *singleImageOf(sigmas[s], i);
+        pb::Tuple to = *singleImageOf(sigmas[s], j);
         if (from != to)
           edges.emplace_back(std::move(to), std::move(from));
       }
@@ -238,10 +239,10 @@ inline LegacyProgram legacyLower(const scop::Scop& scop,
       LegacyTask task;
       task.stmtIdx = s;
       task.blockRep = rep;
-      task.iterations = expansions[s].imagesOf(rep);
+      task.iterations = imagesOf(expansions[s], rep);
       task.out = codegen::TaskDep{slot, codegen::linearizeBlockVector(rep)};
       for (const auto& [src, map] : reqs[s])
-        for (const pb::Tuple& image : map.imagesOf(rep))
+        for (const pb::Tuple& image : imagesOf(map, rep))
           task.in.push_back(codegen::TaskDep{
               static_cast<int>(src), codegen::linearizeBlockVector(image)});
       for (std::size_t src : combineSources[s])
@@ -251,7 +252,7 @@ inline LegacyProgram legacyLower(const scop::Scop& scop,
           task.in.push_back(
               codegen::TaskDep{prevOut->idx, prevOut->tag, true});
       } else {
-        for (const pb::Tuple& required : selfEdges.imagesOf(rep))
+        for (const pb::Tuple& required : imagesOf(selfEdges, rep))
           task.in.push_back(codegen::TaskDep{
               slot, codegen::linearizeBlockVector(required), true});
       }
